@@ -9,15 +9,7 @@ its own is invisible.
 
 import numpy as np
 
-from mdi.quantizer import (
-    CompositeObservation,
-    QuantizerConfig,
-    compute_d_hat,
-    compute_w_hat,
-    fit_config,
-    quantize,
-    representative,
-)
+from mdi.quantizer import QuantizerConfig, compute_d_hat, compute_w_hat, fit_config
 
 
 def banner(title):
@@ -55,11 +47,13 @@ def main():
     print(f"  delay axis:  {cfg.n_d} buckets over [{cfg.d_hat_edges[0]}, {cfg.d_hat_edges[-1]}]")
     print(f"  window axis: {cfg.n_w} buckets over [{cfg.w_hat_edges[0]}, {cfg.w_hat_edges[-1]}]")
     print(f"  states:      {cfg.n_states}")
-    obs = CompositeObservation(compute_d_hat(200.0, 100.0), compute_w_hat(12.0, 10.0))
-    s = quantize(obs, cfg)
-    mid = representative(s, cfg)
-    print(f"  (100->200 ms, 10->12 pkts) lands in state {s}")
-    print(f"  bucket midpoint: d_hat={mid.d_hat:+.3f}, w_hat={mid.w_hat:+.3f}")
+    d_idx = cfg.d_bucket(compute_d_hat(200.0, 100.0))
+    w_idx = cfg.w_bucket(compute_w_hat(12.0, 10.0))
+    print(f"  (100->200 ms, 10->12 pkts) lands in state (d_idx={d_idx}, w_idx={w_idx})")
+    print(
+        f"  bucket midpoint: d_hat={cfg.d_midpoint(d_idx):+.3f}, "
+        f"w_hat={cfg.w_midpoint(w_idx):+.3f}"
+    )
 
     banner("4. Fitting edges to observed behavior")
     rng = np.random.default_rng(42)
@@ -70,8 +64,7 @@ def main():
         rng.normal(-0.8, 0.2, size=100),
     ])
     w_obs = rng.normal(0.0, 0.1, size=1000)
-    sample = [CompositeObservation(float(d), float(w)) for d, w in zip(d_obs, w_obs)]
-    fitted = fit_config(sample, n_d=11, n_w=21)
+    fitted = fit_config(d_obs, w_obs, n_d=11, n_w=21)
     print(f"  fitted delay edges:  [{fitted.d_hat_edges[0]:+.3f} ... {fitted.d_hat_edges[-1]:+.3f}]")
     print(f"  fitted window edges: [{fitted.w_hat_edges[0]:+.3f} ... {fitted.w_hat_edges[-1]:+.3f}]")
     print("  Outer edges pin the 1st/99th percentile so rare swings")

@@ -95,7 +95,7 @@ def main():
     print(f"    marginal draws  {driver.marginal_count}")
     print(f"    holds           {driver.fallback_count}")
     print(f"    boundary moves  {driver.boundary_count}")
-    derived = sum(1 for r in records if r.state is not None)
+    derived = records.d_idx.size if records.derived else 0
     print(f"    epochs with a derived grid state: {derived}/{len(records)}")
 
 

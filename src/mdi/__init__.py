@@ -6,141 +6,4 @@ the trained model as a controller via a guided random walk, and analyzes
 its convergence, all over a trace-driven bottleneck-link emulator.
 """
 
-from .controllers import (
-    BASELINES,
-    Controller,
-    ControllerDecision,
-    CopaLike,
-    EpochFeedback,
-    Pinned,
-    VerusLike,
-    make_controller,
-)
-from .heatmap import heatmap_export
-from .linksim import (
-    LinkParams,
-    PacketEvent,
-    PacketLog,
-    SimResult,
-    SimSummary,
-    SimulationError,
-    SummaryStats,
-    read_epoch_csv,
-    read_packet_csv,
-    run_simulation,
-    write_epoch_csv,
-    write_packet_csv,
-)
-from .markov import (
-    AnalysisError,
-    ConvergenceError,
-    MixingReport,
-    check_distribution,
-    check_stochastic,
-    empirical_distribution,
-    is_irreducible,
-    kl_divergence,
-    lazy,
-    max_abs_diff,
-    mixing_time,
-    mixing_times,
-    stationary,
-    to_stochastic,
-)
-from .pipeline import derive_run_seed, run_and_derive, train_on_traces
-from .quantizer import (
-    CompositeObservation,
-    FitError,
-    QuantizerConfig,
-    StateIndex,
-    compute_d_hat,
-    compute_w_hat,
-    fit_config,
-    quantize,
-    representative,
-)
-from .runtime import MdiController, invert_w_hat
-from .trace import (
-    LinkTrace,
-    SyntheticTraceSpec,
-    TraceParseError,
-    gen_rapidly_changing,
-    load_trace,
-    save_trace,
-)
-from .trainer import (
-    EpochRecord,
-    ModelFormatError,
-    TransitionModel,
-    count_transitions,
-    derive_states,
-    load_model,
-    save_model,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisError",
-    "BASELINES",
-    "CompositeObservation",
-    "Controller",
-    "ControllerDecision",
-    "ConvergenceError",
-    "CopaLike",
-    "EpochFeedback",
-    "EpochRecord",
-    "FitError",
-    "LinkParams",
-    "LinkTrace",
-    "MdiController",
-    "MixingReport",
-    "ModelFormatError",
-    "PacketEvent",
-    "PacketLog",
-    "Pinned",
-    "QuantizerConfig",
-    "SimResult",
-    "SimSummary",
-    "SimulationError",
-    "StateIndex",
-    "SummaryStats",
-    "SyntheticTraceSpec",
-    "TraceParseError",
-    "TransitionModel",
-    "VerusLike",
-    "check_distribution",
-    "check_stochastic",
-    "compute_d_hat",
-    "compute_w_hat",
-    "count_transitions",
-    "derive_run_seed",
-    "derive_states",
-    "empirical_distribution",
-    "fit_config",
-    "gen_rapidly_changing",
-    "heatmap_export",
-    "invert_w_hat",
-    "is_irreducible",
-    "kl_divergence",
-    "lazy",
-    "load_model",
-    "load_trace",
-    "make_controller",
-    "max_abs_diff",
-    "mixing_time",
-    "mixing_times",
-    "quantize",
-    "read_epoch_csv",
-    "read_packet_csv",
-    "representative",
-    "run_and_derive",
-    "run_simulation",
-    "save_model",
-    "save_trace",
-    "stationary",
-    "to_stochastic",
-    "train_on_traces",
-    "write_epoch_csv",
-    "write_packet_csv",
-]

@@ -36,7 +36,7 @@ from .trace import (
     load_trace,
     save_trace,
 )
-from .trainer import EpochRecord, derive_states, load_model, save_model
+from .trainer import derive_states, load_model, save_model
 
 
 class CliError(ValueError):
@@ -158,12 +158,12 @@ def cmd_run(args) -> int:
     )
     result = run_simulation(params, controller)
 
-    records = result.epochs
-    if model is not None and len(records) >= 2:
-        records = derive_states(records, model.cfg)
+    log = result.epochs
+    if model is not None and len(log) >= 2:
+        log = derive_states(log, model.cfg)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
-        write_epoch_csv(records, fh)
+        write_epoch_csv(log, fh)
     with open(_packets_path(out), "w", encoding="utf-8") as fh:
         write_packet_csv(result, fh)
 
@@ -334,11 +334,10 @@ def _compare_distribution(args) -> int:
     if model.total_transitions == 0:
         raise CliError("model has no transitions; nothing to compare against")
     with open(args.result, "r", encoding="utf-8") as fh:
-        parsed = read_epoch_csv(fh)
-    raw = [EpochRecord(r.t_ms, r.delay_ms, r.window_pkts) for r in parsed]
-    if len(raw) < 2:
+        log = read_epoch_csv(fh)
+    if len(log) < 2:
         raise CliError(f"epoch log {args.result} has fewer than 2 records")
-    derived = derive_states(raw, model.cfg)
+    derived = derive_states(log, model.cfg)
     empirical = markov.empirical_distribution(derived, model.cfg, discard=args.discard)
 
     P = _chain_from_model(model, args)

@@ -18,6 +18,11 @@ Windows may be fractional; the integer send cap floors the running value
 and carries the remainder into the next epoch. Random loss, when enabled,
 strikes packets at service time and the sender notices immediately (no
 retransmissions; lost packets simply leave the in-flight budget).
+
+A run's result holds its packet log as five columns (send, delivery,
+ACK and RTT times, with -1 for a stage a packet never reached, and a
+drop flag) and its epoch log as one columnar EpochLog; both have a CSV
+form here.
 """
 
 from __future__ import annotations
@@ -27,14 +32,13 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, TextIO
+from typing import Optional, TextIO
 
 import numpy as np
 
 from .controllers import Controller, EpochFeedback
-from .quantizer import StateIndex
 from .trace import LinkTrace
-from .trainer import EpochRecord
+from .trainer import EpochLog
 
 
 class SimulationError(RuntimeError):
@@ -66,18 +70,6 @@ class LinkParams:
 
 
 @dataclass(frozen=True)
-class PacketEvent:
-    """Lifecycle of one packet; missing stages are None."""
-
-    seq: int
-    sent_ms: int
-    delivered_ms: Optional[int]
-    acked_ms: Optional[int]
-    rtt_ms: Optional[int]
-    dropped: bool
-
-
-@dataclass(frozen=True)
 class SummaryStats:
     mean: float
     p25: float
@@ -98,32 +90,43 @@ def _stats(values: np.ndarray) -> SummaryStats:
     return SummaryStats(float(values.mean()), float(p25), float(p50), float(p75))
 
 
-class SimResult:
-    """Everything one run produced: epoch log, packet log, counters."""
+def per_second_mbps(
+    delivered_ms: np.ndarray, duration_ms: int, mtu_bytes: int
+) -> np.ndarray:
+    """Throughput in each whole second of a run, from its delivery times.
 
-    def __init__(
-        self,
-        epochs: list[EpochRecord],
-        sent_ms: np.ndarray,
-        delivered_ms: np.ndarray,
-        acked_ms: np.ndarray,
-        rtt_ms: np.ndarray,
-        dropped: np.ndarray,
-        queued_end_pkts: int,
-        clamp_warnings: int,
-        duration_ms: int,
-        mtu_bytes: int,
-    ) -> None:
-        self.epochs = epochs
-        self.sent_ms = sent_ms
-        self.delivered_ms = delivered_ms
-        self.acked_ms = acked_ms
-        self.rtt_ms = rtt_ms
-        self.dropped = dropped
-        self.queued_end_pkts = int(queued_end_pkts)
-        self.clamp_warnings = int(clamp_warnings)
-        self.duration_ms = int(duration_ms)
-        self.mtu_bytes = int(mtu_bytes)
+    A partial last second is left out. A run shorter than one second
+    gets a single rate over its whole length.
+    """
+    n_sec = duration_ms // 1000
+    pkt_mbits = mtu_bytes * 8.0 / 1e6
+    if n_sec < 1:
+        return np.array([delivered_ms.size * pkt_mbits / (duration_ms / 1000.0)])
+    in_full = delivered_ms[delivered_ms < n_sec * 1000]
+    counts = np.bincount(in_full // 1000, minlength=n_sec)[:n_sec]
+    return counts.astype(np.float64) * pkt_mbits
+
+
+@dataclass(frozen=True, eq=False)
+class PacketLog:
+    """Columnar packet log; -1 marks a stage the packet never reached."""
+
+    sent_ms: np.ndarray
+    delivered_ms: np.ndarray
+    acked_ms: np.ndarray
+    rtt_ms: np.ndarray
+    dropped: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SimResult(PacketLog):
+    """Everything one run produced: packet log, epoch log, counters."""
+
+    epochs: EpochLog
+    queued_end_pkts: int
+    clamp_warnings: int
+    duration_ms: int
+    mtu_bytes: int
 
     @property
     def sent_pkts(self) -> int:
@@ -147,36 +150,9 @@ class SimResult:
         return self.delivered_pkts == 0
 
     @cached_property
-    def packets(self) -> list[PacketEvent]:
-        out = []
-        for i in range(self.sent_pkts):
-            d = int(self.delivered_ms[i])
-            a = int(self.acked_ms[i])
-            r = int(self.rtt_ms[i])
-            out.append(
-                PacketEvent(
-                    seq=i,
-                    sent_ms=int(self.sent_ms[i]),
-                    delivered_ms=d if d >= 0 else None,
-                    acked_ms=a if a >= 0 else None,
-                    rtt_ms=r if r >= 0 else None,
-                    dropped=bool(self.dropped[i]),
-                )
-            )
-        return out
-
-    @cached_property
     def summary(self) -> SimSummary:
         delivered = self.delivered_ms[self.delivered_ms >= 0]
-        n_sec = self.duration_ms // 1000
-        pkt_mbits = self.mtu_bytes * 8.0 / 1e6
-        if n_sec >= 1:
-            in_full = delivered[delivered < n_sec * 1000]
-            counts = np.bincount(in_full // 1000, minlength=n_sec)[:n_sec]
-            tput = counts.astype(np.float64) * pkt_mbits
-        else:
-            rate = delivered.size * pkt_mbits / (self.duration_ms / 1000.0)
-            tput = np.array([rate])
+        tput = per_second_mbps(delivered, self.duration_ms, self.mtu_bytes)
         rtts = self.rtt_ms[self.rtt_ms >= 0].astype(np.float64)
         return SimSummary(throughput_mbps=_stats(tput), delay_ms=_stats(rtts))
 
@@ -228,7 +204,9 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
 
     apply(controller.on_epoch(EpochFeedback(0, 0.0, 0.0, 0, 0)))
 
-    epochs: list[EpochRecord] = []
+    epoch_t: list[int] = []
+    epoch_delay: list[float] = []
+    epoch_window: list[float] = []
     eidx = 1
     boundary = epoch_len
     ack_sum = 0
@@ -257,9 +235,9 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
             if ack_cnt > 0:
                 last_mean = ack_sum / ack_cnt
             if any_ack:
-                epochs.append(
-                    EpochRecord(t_ms=t, delay_ms=last_mean, window_pkts=window)
-                )
+                epoch_t.append(t)
+                epoch_delay.append(last_mean)
+                epoch_window.append(window)
             feedback = EpochFeedback(
                 epoch_index=eidx,
                 mean_delay_ms=last_mean if any_ack else 0.0,
@@ -308,7 +286,7 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
                     ack_at.setdefault(t + ack_delay, []).append(s)
 
     return SimResult(
-        epochs=epochs,
+        epochs=EpochLog(epoch_t, epoch_delay, epoch_window),
         sent_ms=np.array(sent, dtype=np.int64),
         delivered_ms=np.array(delivered, dtype=np.int64),
         acked_ms=np.array(acked, dtype=np.int64),
@@ -335,46 +313,53 @@ EPOCH_CSV_HEADER = [
 PACKET_CSV_HEADER = ["seq", "sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped"]
 
 
-def write_epoch_csv(records: Sequence[EpochRecord], sink: TextIO) -> None:
-    """Epoch log as CSV; derived columns are blank when underived."""
+def write_epoch_csv(log: EpochLog, sink: TextIO) -> None:
+    """Epoch log as CSV; derived columns are blank where an epoch has none."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(EPOCH_CSV_HEADER)
-    for i, rec in enumerate(records):
-        if rec.state is not None:
-            derived = [repr(rec.d_hat), repr(rec.w_hat), rec.state.d_idx, rec.state.w_idx]
+    for i, (t_ms, delay_ms, window_pkts, d_hat, w_hat, d_idx, w_idx) in enumerate(log):
+        if d_idx is not None:
+            derived = [repr(d_hat), repr(w_hat), d_idx, w_idx]
         else:
             derived = ["", "", "", ""]
-        writer.writerow([i, rec.t_ms, repr(rec.delay_ms), repr(rec.window_pkts), *derived])
+        writer.writerow([i, t_ms, repr(delay_ms), repr(window_pkts), *derived])
 
 
-def read_epoch_csv(source: TextIO) -> list[EpochRecord]:
-    """Parse an epoch CSV back into records (derived columns optional)."""
+def read_epoch_csv(source: TextIO) -> EpochLog:
+    """Parse an epoch CSV back into a log (derived columns optional)."""
     reader = csv.reader(source)
     header = next(reader, None)
     if header != EPOCH_CSV_HEADER:
         raise ValueError(f"unexpected epoch CSV header: {header!r}")
-    out = []
-    for row in reader:
+    rows = list(reader)
+    for row in rows:
         if len(row) != len(EPOCH_CSV_HEADER):
             raise ValueError(f"epoch CSV row has {len(row)} fields: {row!r}")
-        _, t_ms, delay_ms, window_pkts, d_hat, w_hat, d_idx, w_idx = row
-        if d_idx:
-            out.append(
-                EpochRecord(
-                    int(t_ms),
-                    float(delay_ms),
-                    float(window_pkts),
-                    d_hat=float(d_hat),
-                    w_hat=float(w_hat),
-                    state=StateIndex(int(d_idx), int(w_idx)),
-                )
-            )
-        else:
-            out.append(EpochRecord(int(t_ms), float(delay_ms), float(window_pkts)))
-    return out
+    cols = list(zip(*rows)) or [()] * len(EPOCH_CSV_HEADER)
+    _, t_ms, delay_ms, window_pkts, *derived = cols
+    raw = (
+        [int(x) for x in t_ms],
+        [float(x) for x in delay_ms],
+        [float(x) for x in window_pkts],
+    )
+    if not any(any(col) for col in derived):
+        return EpochLog(*raw)
+    if any(col[0] or not all(col[1:]) for col in derived):
+        raise ValueError(
+            "epoch CSV must fill every derived field of every epoch "
+            "after the first, or none"
+        )
+    d_hat, w_hat, d_idx, w_idx = (col[1:] for col in derived)
+    return EpochLog(
+        *raw,
+        d_hat=[float(x) for x in d_hat],
+        w_hat=[float(x) for x in w_hat],
+        d_idx=[int(x) for x in d_idx],
+        w_idx=[int(x) for x in w_idx],
+    )
 
 
-def write_packet_csv(result: SimResult, sink: TextIO) -> None:
+def write_packet_csv(result: PacketLog, sink: TextIO) -> None:
     """Packet log as CSV; missing stages are blank, dropped is 0/1."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(PACKET_CSV_HEADER)
@@ -395,17 +380,6 @@ def write_packet_csv(result: SimResult, sink: TextIO) -> None:
                 int(dropped[i]),
             ]
         )
-
-
-@dataclass(frozen=True)
-class PacketLog:
-    """Columnar packet log (read back from CSV); -1 marks missing stages."""
-
-    sent_ms: np.ndarray
-    delivered_ms: np.ndarray
-    acked_ms: np.ndarray
-    rtt_ms: np.ndarray
-    dropped: np.ndarray
 
 
 def read_packet_csv(source: TextIO) -> PacketLog:

@@ -19,12 +19,12 @@ choice alongside their results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .quantizer import QuantizerConfig
-from .trainer import EpochRecord, TransitionModel
+from .trainer import EpochLog, TransitionModel
 
 
 class AnalysisError(ValueError):
@@ -233,25 +233,26 @@ def max_abs_diff(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def empirical_distribution(
-    epochs: Sequence[EpochRecord],
+    log: EpochLog,
     cfg: QuantizerConfig,
     discard: int = 0,
 ) -> np.ndarray:
     """State-visit frequencies of a derived epoch log.
 
-    Records without derived state (the head of each run) are skipped;
-    the first `discard` stateful records are dropped as burn-in.
+    The first epoch of a run has no state; the first `discard` states
+    are dropped as burn-in. States outside cfg's grid are an error.
     """
     if discard < 0:
         raise ValueError(f"discard must be >= 0, got {discard}")
-    states = [r.state for r in epochs if r.state is not None]
-    kept = states[discard:]
-    if not kept:
+    if not log.derived:
+        raise AnalysisError("epoch log has no derived states")
+    d_idx, w_idx = log.d_idx, log.w_idx
+    if (d_idx >= cfg.n_d).any() or (w_idx >= cfg.n_w).any():
         raise AnalysisError(
-            f"no epochs left after discarding {discard} of {len(states)}"
+            f"epoch states fall outside the {cfg.n_d}x{cfg.n_w} quantizer grid"
         )
-    flats = np.array([s.flat(cfg.n_w) for s in kept], dtype=np.int64)
-    if flats.max() >= cfg.n_states:
-        raise AnalysisError("epoch states fall outside the quantizer grid")
-    hist = np.bincount(flats, minlength=cfg.n_states).astype(np.float64)
+    kept = (d_idx * cfg.n_w + w_idx)[discard:]
+    if not kept.size:
+        raise AnalysisError(f"no epochs left after discarding {discard} of {d_idx.size}")
+    hist = np.bincount(kept, minlength=cfg.n_states).astype(np.float64)
     return hist / hist.sum()

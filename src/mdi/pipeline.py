@@ -1,11 +1,12 @@
 """Batch training: many controller runs pooled into one transition model.
 
-The pipeline runs a fresh controller over every trace, pools the
-composite observations from all runs to fit one quantizer grid, then
-derives and counts each run separately so transitions never straddle a
-run boundary. Per-run seeds are derived from the master seed plus the
-trace name and run index, so results do not depend on incidental
-ordering tricks and re-running with the same inputs is byte-stable.
+The pipeline runs a fresh controller over every trace, computes each
+run's composite columns once, pools them to fit one quantizer grid, then
+derives and counts each run's epoch log separately so transitions never
+straddle a run boundary. Per-run seeds are derived from the master seed
+plus the trace name and run index, so results do not depend on
+incidental ordering tricks and re-running with the same inputs is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .controllers import Controller
 from .linksim import LinkParams, SimResult, run_simulation
-from .quantizer import CompositeObservation, compute_d_hat, compute_w_hat, fit_config
+from .quantizer import fit_config
 from .trace import LinkTrace
-from .trainer import EpochRecord, TransitionModel, count_transitions, derive_states
+from .trainer import EpochLog, TransitionModel, count_transitions, derive_states
 
 
 def derive_run_seed(master_seed: int, tag: str, index: int) -> int:
@@ -49,7 +52,7 @@ def train_on_traces(
     if runs_per_trace < 1:
         raise ValueError(f"runs_per_trace must be >= 1, got {runs_per_trace}")
 
-    run_logs: list[list[EpochRecord]] = []
+    run_logs: list[EpochLog] = []
     for name, trace in traces:
         for run_index in range(runs_per_trace):
             params = LinkParams(
@@ -63,16 +66,8 @@ def train_on_traces(
             result = run_simulation(params, make_controller())
             run_logs.append(result.epochs)
 
-    pool: list[CompositeObservation] = []
-    for log in run_logs:
-        for prev, curr in zip(log, log[1:]):
-            pool.append(
-                CompositeObservation(
-                    compute_d_hat(curr.delay_ms, prev.delay_ms),
-                    compute_w_hat(curr.window_pkts, prev.window_pkts),
-                )
-            )
-    cfg = fit_config(pool, n_d=n_d, n_w=n_w)
+    d_pool, w_pool = zip(*(log.composites for log in run_logs))
+    cfg = fit_config(np.concatenate(d_pool), np.concatenate(w_pool), n_d=n_d, n_w=n_w)
 
     model = TransitionModel(cfg)
     total_epochs = 0
@@ -104,8 +99,12 @@ def run_and_derive(
     loss_rate: float = 0.0,
     seed: int = 0,
     duration_ms: int = 60_000,
-) -> tuple[SimResult, list[EpochRecord]]:
-    """Run one controller and return the result plus derived epoch log."""
+) -> tuple[SimResult, EpochLog]:
+    """Run one controller and return the result plus its derived epoch log.
+
+    A run with fewer than two epochs cannot be derived; its derived log
+    is empty.
+    """
     params = LinkParams(
         trace=trace,
         one_way_prop_ms=one_way_prop_ms,
@@ -115,5 +114,5 @@ def run_and_derive(
         duration_ms=duration_ms,
     )
     result = run_simulation(params, controller)
-    derived = derive_states(result.epochs, cfg) if len(result.epochs) >= 2 else []
-    return result, derived
+    log = result.epochs
+    return result, derive_states(log, cfg) if len(log) >= 2 else EpochLog([], [], [])

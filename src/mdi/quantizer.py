@@ -14,20 +14,40 @@ in between, so rare extremes do not stretch the grid. Buckets are
 half-open [e_i, e_{i+1}) and out-of-range values clamp to the first or
 last bucket. A (d_idx, w_idx) pair is one discrete state; flat index is
 d_idx * n_w + w_idx.
+
+composite() is the only place the formula is written. compute_d_hat and
+compute_w_hat check their arguments and call it, composite_steps maps it
+over a column of an epoch log, and bucket() is the one bucketing rule
+for scalars and columns alike.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 
 class FitError(ValueError):
     """Bucket edges could not be fitted to the observation sample."""
+
+
+def composite(curr: float, prev: float) -> float:
+    """The composite of one value against its predecessor, unchecked."""
+    return (curr / prev - 1.0) * math.log10(curr)
+
+
+def composite_steps(values: np.ndarray) -> np.ndarray:
+    """Composite of every element against the one before it (len - 1 values).
+
+    Maps the scalar formula with math.log10 over the elements: np.log10
+    can differ from it by one ulp, which would move bucket edges and CSV
+    bytes.
+    """
+    v = np.asarray(values, dtype=np.float64).tolist()
+    return np.array(list(map(composite, v[1:], v[:-1])), dtype=np.float64)
 
 
 def _positive_finite(value: float, name: str) -> float:
@@ -44,9 +64,9 @@ def compute_d_hat(d_curr_ms: float, d_prev_ms: float) -> float:
     delays give exactly 0.0. Callers keep delays >= 1 ms so the log factor
     does not flip sign.
     """
-    d_curr_ms = _positive_finite(d_curr_ms, "d_curr_ms")
-    d_prev_ms = _positive_finite(d_prev_ms, "d_prev_ms")
-    return (d_curr_ms / d_prev_ms - 1.0) * math.log10(d_curr_ms)
+    return composite(
+        _positive_finite(d_curr_ms, "d_curr_ms"), _positive_finite(d_prev_ms, "d_prev_ms")
+    )
 
 
 def compute_w_hat(w_curr_pkts: float, w_prev_pkts: float) -> float:
@@ -55,43 +75,24 @@ def compute_w_hat(w_curr_pkts: float, w_prev_pkts: float) -> float:
     Windows are in packets and must be strictly positive; the simulator
     keeps them >= 1.
     """
-    w_curr_pkts = _positive_finite(w_curr_pkts, "w_curr_pkts")
-    w_prev_pkts = _positive_finite(w_prev_pkts, "w_prev_pkts")
-    return (w_curr_pkts / w_prev_pkts - 1.0) * math.log10(w_curr_pkts)
+    return composite(
+        _positive_finite(w_curr_pkts, "w_curr_pkts"),
+        _positive_finite(w_prev_pkts, "w_prev_pkts"),
+    )
 
 
-@dataclass(frozen=True)
-class CompositeObservation:
-    """One epoch's (d_hat, w_hat) pair."""
+def bucket(values, edges: Sequence[float]) -> np.ndarray:
+    """Bucket index of each value on half-open [e_i, e_{i+1}) buckets.
 
-    d_hat: float
-    w_hat: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.d_hat):
-            raise ValueError(f"d_hat must be finite, got {self.d_hat!r}")
-        if not math.isfinite(self.w_hat):
-            raise ValueError(f"w_hat must be finite, got {self.w_hat!r}")
-
-
-@dataclass(frozen=True)
-class StateIndex:
-    """Discrete (delay bucket, window bucket) pair."""
-
-    d_idx: int
-    w_idx: int
-
-    def __post_init__(self) -> None:
-        if self.d_idx < 0 or self.w_idx < 0:
-            raise ValueError(f"state indices must be >= 0, got {self!r}")
-
-    def flat(self, n_w: int) -> int:
-        """Row-major flat index over an (n_d, n_w) grid."""
-        return self.d_idx * n_w + self.w_idx
-
-    @classmethod
-    def from_flat(cls, flat: int, n_w: int) -> "StateIndex":
-        return cls(flat // n_w, flat % n_w)
+    Values below the first edge or at/above the last clamp to the end
+    buckets; non-finite values are rejected.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("cannot bucket non-finite values")
+    # Searching the interior edges only is bisect_right(edges, x) - 1
+    # with the clamp built in.
+    return np.searchsorted(edges[1:-1], values, side="right")
 
 
 def _check_edges(edges: tuple[float, ...], count: int, name: str) -> None:
@@ -147,11 +148,11 @@ class QuantizerConfig:
 
     def d_bucket(self, d_hat: float) -> int:
         """Bucket index for a delay composite; out-of-range values clamp."""
-        return _bucket(d_hat, self.d_hat_edges, self.n_d)
+        return int(bucket(d_hat, self.d_hat_edges))
 
     def w_bucket(self, w_hat: float) -> int:
         """Bucket index for a window composite; out-of-range values clamp."""
-        return _bucket(w_hat, self.w_hat_edges, self.n_w)
+        return int(bucket(w_hat, self.w_hat_edges))
 
     def d_in_range(self, d_hat: float) -> bool:
         """True when d_hat lies inside the trained delay-composite range."""
@@ -168,35 +169,29 @@ class QuantizerConfig:
         return 0.5 * (self.w_hat_edges[w_idx] + self.w_hat_edges[w_idx + 1])
 
 
-def _bucket(x: float, edges: tuple[float, ...], n: int) -> int:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot bucket non-finite value {x!r}")
-    idx = bisect_right(edges, x) - 1
-    if idx < 0:
-        return 0
-    if idx >= n:
-        return n - 1
-    return idx
-
-
 def fit_config(
-    observations: Iterable[CompositeObservation],
+    d_hat: np.ndarray,
+    w_hat: np.ndarray,
     n_d: int = 11,
     n_w: int = 21,
 ) -> QuantizerConfig:
-    """Fit bucket edges to an observation sample.
+    """Fit bucket edges to the pooled composite columns.
 
     Outer edges sit at the 1st and 99th percentile of each composite so
     the grid resolves the bulk of the distribution; interior edges are
-    evenly spaced. Needs at least 100 observations and a non-degenerate
-    spread on both axes.
+    evenly spaced. Needs at least 100 finite observations and a
+    non-degenerate spread on both axes.
     """
-    obs = list(observations)
-    if len(obs) < 100:
-        raise FitError(f"need at least 100 observations to fit, got {len(obs)}")
-    d = np.array([o.d_hat for o in obs], dtype=np.float64)
-    w = np.array([o.w_hat for o in obs], dtype=np.float64)
+    d = np.asarray(d_hat, dtype=np.float64)
+    w = np.asarray(w_hat, dtype=np.float64)
+    if d.ndim != 1 or d.shape != w.shape:
+        raise ValueError(
+            f"need two equal-length composite columns, got {d.shape} and {w.shape}"
+        )
+    if d.size < 100:
+        raise FitError(f"need at least 100 observations to fit, got {d.size}")
+    if not (np.isfinite(d).all() and np.isfinite(w).all()):
+        raise ValueError("composites must be finite")
     d_lo, d_hi = np.percentile(d, [1.0, 99.0])
     w_lo, w_hi = np.percentile(w, [1.0, 99.0])
     if not d_lo < d_hi:
@@ -204,13 +199,3 @@ def fit_config(
     if not w_lo < w_hi:
         raise FitError(f"degenerate w_hat sample: p1 == p99 == {w_lo!r}")
     return QuantizerConfig.uniform(d_lo, d_hi, w_lo, w_hi, n_d=n_d, n_w=n_w)
-
-
-def quantize(obs: CompositeObservation, cfg: QuantizerConfig) -> StateIndex:
-    """Map an observation to its grid cell, clamping at the borders."""
-    return StateIndex(cfg.d_bucket(obs.d_hat), cfg.w_bucket(obs.w_hat))
-
-
-def representative(idx: StateIndex, cfg: QuantizerConfig) -> CompositeObservation:
-    """Bucket-midpoint observation for a state."""
-    return CompositeObservation(cfg.d_midpoint(idx.d_idx), cfg.w_midpoint(idx.w_idx))

@@ -36,15 +36,11 @@ import math
 import numpy as np
 
 from .controllers import Controller, ControllerDecision, EpochFeedback
-from .quantizer import compute_w_hat
+from .quantizer import composite
 from .trainer import TransitionModel
 
 _BISECT_STEPS = 80
 _POS_SPAN = 1000.0
-
-
-def _w_hat_fixed_prev(w: float, w_prev: float) -> float:
-    return (w / w_prev - 1.0) * math.log10(w)
 
 
 def _dip_minimizer(w_prev: float) -> float:
@@ -67,7 +63,7 @@ def _dip_minimizer(w_prev: float) -> float:
 def _bisect_increasing(target: float, lo: float, hi: float, w_prev: float) -> float:
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        if _w_hat_fixed_prev(mid, w_prev) < target:
+        if composite(mid, w_prev) < target:
             lo = mid
         else:
             hi = mid
@@ -90,13 +86,13 @@ def invert_w_hat(w_hat_target: float, w_prev: float) -> float:
     if w_hat_target > 0.0:
         lo = max(w_prev, 1.0)
         hi = max(w_prev, 1.0) * _POS_SPAN
-        if _w_hat_fixed_prev(hi, w_prev) <= w_hat_target:
+        if composite(hi, w_prev) <= w_hat_target:
             return hi
         return _bisect_increasing(w_hat_target, lo, hi, w_prev)
     if w_prev <= 1.0:
         return 1.0
     m = _dip_minimizer(w_prev)
-    if w_hat_target <= _w_hat_fixed_prev(m, w_prev):
+    if w_hat_target <= composite(m, w_prev):
         return m
     return _bisect_increasing(w_hat_target, m, w_prev, w_prev)
 
@@ -142,7 +138,7 @@ class MdiController(Controller):
         cfg = self.model.cfg
         w_old = self.window
         self.window = max(1.0, w_old * mult)
-        self.w_idx_prev = cfg.w_bucket(compute_w_hat(self.window, w_old))
+        self.w_idx_prev = cfg.w_bucket(composite(self.window, w_old))
         self.boundary_count += 1
 
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
@@ -162,7 +158,7 @@ class MdiController(Controller):
             self.d_prev_ms = d_new
             return ControllerDecision(self.window, self.epoch_ms)
 
-        d_hat = (d_new / self.d_prev_ms - 1.0) * math.log10(d_new)
+        d_hat = composite(d_new, self.d_prev_ms)
         if d_hat < cfg.d_hat_edges[0]:
             self._apply_multiplier(self.c1)
             self.d_idx_prev = cfg.d_bucket(d_hat)

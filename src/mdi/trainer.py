@@ -1,10 +1,13 @@
 """From epoch logs to a quadrant-structured transition model.
 
-Training walks controller runs as sequences of per-epoch records, derives
-the composite observations between consecutive epochs, quantizes them,
-and counts state-to-state transitions. The counts live in a 4-D tensor
-indexed (k, l, r, v): (current delay bucket, current window bucket, next
-delay bucket, next window bucket). Two normalizations are read off it:
+A controller run is one columnar EpochLog: the epoch time, mean delay
+and window in effect, one array each. Deriving a log adds four columns
+for every epoch after the first: the composites (d_hat, w_hat) against
+its predecessor and their bucket indices (d_idx, w_idx). Transitions
+are counted as consecutive state pairs with one bincount over the flat
+pair index, into a 4-D tensor indexed (k, l, r, v): (current delay
+bucket, current window bucket, next delay bucket, next window bucket).
+Two normalizations are read off it:
 
 * quadrant rows p(v | k, l, r): within the quadrant selected by the pair
   of delay buckets (k, r), each window row l is normalized across the
@@ -22,80 +25,122 @@ truncated files fail loudly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Optional, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import BinaryIO, Iterator, Optional
 
 import numpy as np
 
-from .quantizer import (
-    CompositeObservation,
-    QuantizerConfig,
-    StateIndex,
-    compute_d_hat,
-    compute_w_hat,
-    quantize,
-)
+from .quantizer import QuantizerConfig, bucket, composite_steps
 
 
 class ModelFormatError(ValueError):
     """A serialized model violated the MDIMODEL format."""
 
 
-@dataclass(frozen=True)
-class EpochRecord:
-    """One epoch of a controller run, optionally with derived state.
+_DERIVED = ("d_hat", "w_hat", "d_idx", "w_idx")
+_DTYPES = {
+    "t_ms": np.int64,
+    "delay_ms": np.float64,
+    "window_pkts": np.float64,
+    "d_hat": np.float64,
+    "w_hat": np.float64,
+    "d_idx": np.int64,
+    "w_idx": np.int64,
+}
 
-    delay_ms is the mean ACKed delay observed during the epoch and
-    window_pkts is the window that was in effect while it elapsed. The
-    derived fields are filled by derive_states; they are all present or
-    all absent.
+
+@dataclass(frozen=True, eq=False)
+class EpochLog:
+    """One controller run, one column per field.
+
+    delay_ms is the mean ACKed delay observed during each epoch and
+    window_pkts the window that was in effect while it elapsed. The
+    derived columns are all present or all absent; when present they
+    hold one value per epoch after the first, which has no predecessor.
+
+    Iterating yields one row tuple (t_ms, delay_ms, window_pkts, d_hat,
+    w_hat, d_idx, w_idx) of Python scalars per epoch, with None for
+    fields the epoch does not have, so two rows compare equal exactly
+    when their values do; compare logs by their rows.
     """
 
-    t_ms: int
-    delay_ms: float
-    window_pkts: float
-    d_hat: Optional[float] = None
-    w_hat: Optional[float] = None
-    state: Optional[StateIndex] = None
+    t_ms: np.ndarray
+    delay_ms: np.ndarray
+    window_pkts: np.ndarray
+    d_hat: Optional[np.ndarray] = None
+    w_hat: Optional[np.ndarray] = None
+    d_idx: Optional[np.ndarray] = None
+    w_idx: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.delay_ms) or self.delay_ms <= 0.0:
-            raise ValueError(f"delay_ms must be > 0, got {self.delay_ms!r}")
-        if not math.isfinite(self.window_pkts) or self.window_pkts < 1.0:
-            raise ValueError(f"window_pkts must be >= 1, got {self.window_pkts!r}")
-        derived = (self.d_hat, self.w_hat, self.state)
-        if any(f is not None for f in derived) and any(f is None for f in derived):
-            raise ValueError("d_hat, w_hat and state must be set together")
+        for name, dtype in _DTYPES.items():
+            col = getattr(self, name)
+            if col is not None:
+                col = np.asarray(col, dtype=dtype)
+                if col.ndim != 1:
+                    raise ValueError(f"{name} must be one-dimensional")
+                object.__setattr__(self, name, col)
+        n = self.t_ms.size
+        if self.delay_ms.size != n or self.window_pkts.size != n:
+            raise ValueError("t_ms, delay_ms and window_pkts must have equal lengths")
+        if not (np.isfinite(self.delay_ms) & (self.delay_ms > 0.0)).all():
+            raise ValueError("delay_ms must be finite and > 0")
+        if not (np.isfinite(self.window_pkts) & (self.window_pkts >= 1.0)).all():
+            raise ValueError("window_pkts must be finite and >= 1")
+        derived = [getattr(self, name) for name in _DERIVED]
+        if all(col is None for col in derived):
+            return
+        if any(col is None for col in derived):
+            raise ValueError("d_hat, w_hat, d_idx and w_idx must be set together")
+        if n < 2 or any(col.size != n - 1 for col in derived):
+            raise ValueError("derived columns need one value per epoch after the first")
+        if not (np.isfinite(self.d_hat).all() and np.isfinite(self.w_hat).all()):
+            raise ValueError("d_hat and w_hat must be finite")
+        if (self.d_idx < 0).any() or (self.w_idx < 0).any():
+            raise ValueError("state indices must be >= 0")
+
+    def __len__(self) -> int:
+        return self.t_ms.size
+
+    def __iter__(self) -> Iterator[tuple]:
+        raw = zip(self.t_ms.tolist(), self.delay_ms.tolist(), self.window_pkts.tolist())
+        none = (None,) * len(_DERIVED)
+        if not self.derived:
+            return (row + none for row in raw)
+        rest = zip(*(getattr(self, name).tolist() for name in _DERIVED))
+        return (row + d for row, d in zip(raw, chain([none], rest)))
+
+    @property
+    def derived(self) -> bool:
+        return self.d_hat is not None
+
+    @cached_property
+    def composites(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d_hat, w_hat) of every epoch after the first, from the raw columns."""
+        return composite_steps(self.delay_ms), composite_steps(self.window_pkts)
 
 
-def derive_states(
-    records: Sequence[EpochRecord], cfg: QuantizerConfig
-) -> list[EpochRecord]:
-    """Attach composites and quantized states to an epoch sequence.
+def derive_states(log: EpochLog, cfg: QuantizerConfig) -> EpochLog:
+    """The log with composites and quantized states attached.
 
-    The first record has no predecessor, so it stays underived; every
-    later record gets (d_hat, w_hat) computed against its predecessor and
-    the quantized StateIndex. Input records are not mutated.
+    Composites are computed from the raw columns against each epoch's
+    predecessor, so the first epoch stays underived. The input log is not
+    changed.
     """
-    if len(records) < 2:
-        raise ValueError(f"need at least 2 epoch records, got {len(records)}")
-    out = [EpochRecord(records[0].t_ms, records[0].delay_ms, records[0].window_pkts)]
-    for prev, curr in zip(records, records[1:]):
-        d_hat = compute_d_hat(curr.delay_ms, prev.delay_ms)
-        w_hat = compute_w_hat(curr.window_pkts, prev.window_pkts)
-        state = quantize(CompositeObservation(d_hat, w_hat), cfg)
-        out.append(
-            EpochRecord(
-                curr.t_ms,
-                curr.delay_ms,
-                curr.window_pkts,
-                d_hat=d_hat,
-                w_hat=w_hat,
-                state=state,
-            )
-        )
-    return out
+    if len(log) < 2:
+        raise ValueError(f"need at least 2 epoch records, got {len(log)}")
+    d_hat, w_hat = log.composites
+    return EpochLog(
+        log.t_ms,
+        log.delay_ms,
+        log.window_pkts,
+        d_hat=d_hat,
+        w_hat=w_hat,
+        d_idx=bucket(d_hat, cfg.d_hat_edges),
+        w_idx=bucket(w_hat, cfg.w_hat_edges),
+    )
 
 
 class TransitionModel:
@@ -117,17 +162,26 @@ class TransitionModel:
         self._full_rows = None
         self._marginal_rows = None
 
-    def add_transitions(self, states: Sequence[StateIndex]) -> int:
-        """Count consecutive state pairs from one run; returns pairs added."""
+    def add_transitions(self, d_idx, w_idx) -> int:
+        """Count consecutive states of one run; returns pairs added.
+
+        The run is given as its two state-index columns.
+        """
         n_d, n_w = self.cfg.n_d, self.cfg.n_w
-        for s in states:
-            if s.d_idx >= n_d or s.w_idx >= n_w:
-                raise ValueError(f"state {s} outside {n_d}x{n_w} grid")
-        for a, b in zip(states, states[1:]):
-            self.counts[a.d_idx, a.w_idx, b.d_idx, b.w_idx] += 1
-        if len(states) >= 2:
-            self._invalidate()
-        return max(len(states) - 1, 0)
+        d_idx = np.asarray(d_idx, dtype=np.int64)
+        w_idx = np.asarray(w_idx, dtype=np.int64)
+        if d_idx.ndim != 1 or d_idx.shape != w_idx.shape:
+            raise ValueError("need two equal-length state-index columns")
+        if ((d_idx < 0) | (d_idx >= n_d) | (w_idx < 0) | (w_idx >= n_w)).any():
+            raise ValueError(f"state outside {n_d}x{n_w} grid")
+        if d_idx.size < 2:
+            return 0
+        flat = d_idx * n_w + w_idx
+        n = self.cfg.n_states
+        pairs = np.bincount(flat[:-1] * n + flat[1:], minlength=n * n)
+        self.counts += pairs.reshape(self.counts.shape).astype(np.uint64)
+        self._invalidate()
+        return d_idx.size - 1
 
     def merge(self, other: "TransitionModel") -> "TransitionModel":
         """Pool counts from a model trained on the same grid."""
@@ -212,12 +266,11 @@ class TransitionModel:
         return float(np.count_nonzero(row_sums == 0) / row_sums.size)
 
 
-def count_transitions(
-    derived: Sequence[EpochRecord], model: TransitionModel
-) -> TransitionModel:
+def count_transitions(derived: EpochLog, model: TransitionModel) -> TransitionModel:
     """Accumulate one derived run into a model; run boundaries never chain."""
-    states = [r.state for r in derived if r.state is not None]
-    model.add_transitions(states)
+    if not derived.derived:
+        raise ValueError("count_transitions needs a derived epoch log")
+    model.add_transitions(derived.d_idx, derived.w_idx)
     return model
 
 

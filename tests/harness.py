@@ -21,11 +21,12 @@ from typing import Callable
 import numpy as np
 
 from mdi.controllers import Controller, CopaLike, VerusLike
+from mdi import linksim
 from mdi.linksim import LinkParams, SimResult, run_simulation
 from mdi.pipeline import derive_run_seed, run_and_derive, train_on_traces
 from mdi.runtime import MdiController
 from mdi.trace import LinkTrace, SyntheticTraceSpec, gen_rapidly_changing
-from mdi.trainer import EpochRecord, TransitionModel
+from mdi.trainer import EpochLog, TransitionModel
 
 MASTER_SEED = 7
 PROP_MS = 30
@@ -112,7 +113,7 @@ def run_native(spec: HarnessSpec, name: str, trace: LinkTrace) -> SimResult:
 
 def run_mdi(
     spec: HarnessSpec, model: TransitionModel, name: str, trace: LinkTrace
-) -> tuple[SimResult, list[EpochRecord], MdiController]:
+) -> tuple[SimResult, EpochLog, MdiController]:
     ctrl = MdiController(
         model,
         epoch_ms=spec.epoch_ms,
@@ -136,7 +137,7 @@ class HeldRun:
     trace: LinkTrace
     native: SimResult
     mdi: SimResult
-    mdi_records: list[EpochRecord]
+    mdi_records: EpochLog
     mdi_ctrl: MdiController
 
 
@@ -176,12 +177,9 @@ def build_bundle(spec: HarnessSpec) -> Bundle:
 
 
 def per_second_mbps(result: SimResult) -> np.ndarray:
-    """Delivered bits per wall-clock second over the whole run."""
+    """Delivered megabits in each whole second of the run."""
     delivered = result.delivered_ms[result.delivered_ms >= 0]
-    n_sec = max(int(np.ceil(result.duration_ms / 1000.0)), 1)
-    counts = np.zeros(n_sec)
-    np.add.at(counts, np.clip(delivered // 1000, 0, n_sec - 1).astype(int), 1)
-    return counts * result.mtu_bytes * 8.0 / 1e6
+    return linksim.per_second_mbps(delivered, result.duration_ms, result.mtu_bytes)
 
 
 def packet_rtts(result: SimResult) -> np.ndarray:

@@ -18,14 +18,7 @@ from mdi.linksim import (
     write_packet_csv,
 )
 from mdi import markov
-from mdi.quantizer import (
-    QuantizerConfig,
-    StateIndex,
-    compute_d_hat,
-    fit_config,
-    quantize,
-    representative,
-)
+from mdi.quantizer import QuantizerConfig, compute_d_hat
 from mdi.trace import SyntheticTraceSpec, gen_rapidly_changing
 from mdi.trainer import TransitionModel, save_model
 
@@ -39,8 +32,9 @@ def test_composite_reference_points_and_grid_round_trip():
     cfg = QuantizerConfig.uniform(-2.0, 2.0, -0.5, 0.5)
     assert cfg.n_states == 231
     for flat in range(cfg.n_states):
-        s = StateIndex.from_flat(flat, cfg.n_w)
-        assert quantize(representative(s, cfg), cfg) == s
+        d_idx, w_idx = divmod(flat, cfg.n_w)
+        assert cfg.d_bucket(cfg.d_midpoint(d_idx)) == d_idx
+        assert cfg.w_bucket(cfg.w_midpoint(w_idx)) == w_idx
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -57,9 +51,8 @@ def build_sampled_chain(seed=11, steps=100_000):
     walk[0] = 0
     for t in range(steps):
         walk[t + 1] = np.searchsorted(cdfs[walk[t]], draws[t], side="right")
-    states = [StateIndex.from_flat(int(flats[i]), cfg.n_w) for i in walk]
     model = TransitionModel(cfg)
-    model.add_transitions(states)
+    model.add_transitions(flats[walk] // cfg.n_w, flats[walk] % cfg.n_w)
     return model, truth, flats
 
 
@@ -70,10 +63,10 @@ def test_trained_rows_recover_a_sampled_chain():
     visits = model.counts.sum(axis=(2, 3))
     checked = 0
     for i, flat in enumerate(flats):
-        s = StateIndex.from_flat(int(flat), cfg.n_w)
-        if visits[s.d_idx, s.w_idx] < 500:
+        d_idx, w_idx = divmod(int(flat), cfg.n_w)
+        if visits[d_idx, w_idx] < 500:
             continue
-        learned = model.full_row(s.d_idx, s.w_idx)
+        learned = model.full_row(d_idx, w_idx)
         truth_full = np.zeros(cfg.n_states)
         truth_full[flats] = truth[i]
         tv = 0.5 * float(np.abs(learned - truth_full).sum())

@@ -77,7 +77,7 @@ def test_run_writes_epoch_and_packet_csvs(workspace):
     epochs = read_epoch_csv(io.StringIO((workspace / "native.csv").read_text()))
     assert len(epochs) > 100
     # Native runs carry no model, so no derived columns.
-    assert all(r.state is None for r in epochs)
+    assert not epochs.derived
     packets = (workspace / "native.packets.csv").read_text().splitlines()
     assert packets[0] == "seq,sent_ms,delivered_ms,acked_ms,rtt_ms,dropped"
     assert len(packets) > 500
@@ -85,8 +85,8 @@ def test_run_writes_epoch_and_packet_csvs(workspace):
 
 def test_model_driven_run_derives_states(workspace):
     epochs = read_epoch_csv(io.StringIO((workspace / "driven.csv").read_text()))
-    assert epochs[0].state is None
-    assert sum(r.state is not None for r in epochs[1:]) == len(epochs) - 1
+    assert epochs.derived
+    assert epochs.d_idx.size == len(epochs) - 1
 
 
 def test_run_mdi_without_model_fails_cleanly(workspace, tmp_path, capsys):

@@ -16,9 +16,8 @@ from mdi.linksim import (
     write_epoch_csv,
     write_packet_csv,
 )
-from mdi.quantizer import StateIndex
 from mdi.trace import LinkTrace, SyntheticTraceSpec, gen_rapidly_changing
-from mdi.trainer import EpochRecord
+from mdi.trainer import EpochLog
 
 
 def constant_trace(mbps: float, duration_s: float) -> LinkTrace:
@@ -72,10 +71,10 @@ def test_epoch_log_appears_once_acks_flow():
         trace=constant_trace(12.0, 10.0), one_way_prop_ms=20, duration_ms=2000
     )
     res = run_simulation(params, Pinned(window_pkts=1.0, epoch_ms=20))
-    assert res.epochs[0].t_ms == 40  # first boundary after the first ack
-    assert all(e.delay_ms == 40.0 for e in res.epochs)
-    assert all(b.t_ms - a.t_ms == 20 for a, b in zip(res.epochs, res.epochs[1:]))
-    assert all(e.state is None for e in res.epochs)
+    assert res.epochs.t_ms[0] == 40  # first boundary after the first ack
+    assert np.all(res.epochs.delay_ms == 40.0)
+    assert np.all(np.diff(res.epochs.t_ms) == 20)
+    assert not res.epochs.derived
 
 
 def test_conservation_and_capacity_randomized():
@@ -172,7 +171,7 @@ def test_zero_delivery_run_is_flagged():
     params = LinkParams(trace=LinkTrace([5000]), duration_ms=100)
     res = run_simulation(params, Pinned(window_pkts=4.0, epoch_ms=20))
     assert res.zero_delivered
-    assert res.epochs == []
+    assert len(res.epochs) == 0
     assert res.summary.throughput_mbps.p50 == 0.0
 
 
@@ -223,22 +222,40 @@ def test_link_params_validation():
 
 
 def test_epoch_csv_round_trip():
-    records = [
-        EpochRecord(40, 12.5, 8.0),
-        EpochRecord(
-            60, 13.25, 9.5, d_hat=0.0625, w_hat=0.181, state=StateIndex(5, 11)
-        ),
-    ]
+    derived = EpochLog(
+        [40, 60], [12.5, 13.25], [8.0, 9.5],
+        d_hat=[0.0625], w_hat=[0.181], d_idx=[5], w_idx=[11],
+    )
+    for log in (derived, EpochLog([40, 60], [12.5, 13.25], [8.0, 9.5])):
+        buf = io.StringIO()
+        write_epoch_csv(log, buf)
+        buf.seek(0)
+        assert list(read_epoch_csv(buf)) == list(log)
     buf = io.StringIO()
-    write_epoch_csv(records, buf)
-    buf.seek(0)
-    back = read_epoch_csv(buf)
-    assert back == records
+    write_epoch_csv(derived, buf)
+    assert buf.getvalue().splitlines() == [
+        "epoch_index,t_ms,delay_ms,window_pkts,d_hat,w_hat,d_idx,w_idx",
+        "0,40,12.5,8.0,,,,",
+        "1,60,13.25,9.5,0.0625,0.181,5,11",
+    ]
 
 
 def test_epoch_csv_rejects_foreign_header():
     with pytest.raises(ValueError):
         read_epoch_csv(io.StringIO("a,b,c\n1,2,3\n"))
+    header = "epoch_index,t_ms,delay_ms,window_pkts,d_hat,w_hat,d_idx,w_idx\n"
+    bad_bodies = [
+        "0,40,12.5,8.0,,,,\n1,60,13.25,9.5,0.1,,5,11\n",  # partial derived row
+        "0,40,12.5,8.0,0.1,0.2,5,11\n1,60,13.25,9.5,0.1,0.2,5,11\n",  # derived head
+        "0,40,12.5,8.0,,,,\n1,60,13.25,9.5,0.1,0.2,5,11\n2,80,13.0,9.0,,,,\n",  # gap
+        "0,40,0.0,8.0,,,,\n",  # zero delay
+        "0,40,12.5,0.5,,,,\n",  # window below one packet
+        "0,40,12.5,8.0,,,,\n1,60,13.25,9.5,nan,0.2,5,11\n",  # non-finite composite
+        "0,40,12.5,8.0,,,\n",  # short row
+    ]
+    for body in bad_bodies:
+        with pytest.raises(ValueError):
+            read_epoch_csv(io.StringIO(header + body))
 
 
 def test_packet_csv_round_trip():

@@ -18,8 +18,8 @@ from mdi.markov import (
     stationary,
     to_stochastic,
 )
-from mdi.quantizer import QuantizerConfig, StateIndex
-from mdi.trainer import EpochRecord, TransitionModel
+from mdi.quantizer import QuantizerConfig
+from mdi.trainer import EpochLog, TransitionModel
 
 
 def grid2() -> QuantizerConfig:
@@ -230,16 +230,13 @@ def test_max_abs_diff():
         max_abs_diff(p, np.array([0.5, 0.5]))
 
 
-def records_from_flats(flats, cfg) -> list[EpochRecord]:
-    recs = [EpochRecord(0, 10.0, 2.0)]
-    for i, f in enumerate(flats):
-        recs.append(
-            EpochRecord(
-                20 * (i + 1), 10.0, 2.0,
-                d_hat=0.0, w_hat=0.0, state=StateIndex.from_flat(f, cfg.n_w),
-            )
-        )
-    return recs
+def records_from_flats(flats, cfg) -> EpochLog:
+    n = len(flats)
+    d_idx, w_idx = np.divmod(np.asarray(flats, dtype=np.int64), cfg.n_w)
+    return EpochLog(
+        20 * np.arange(n + 1), np.full(n + 1, 10.0), np.full(n + 1, 2.0),
+        d_hat=np.zeros(n), w_hat=np.zeros(n), d_idx=d_idx, w_idx=w_idx,
+    )
 
 
 def test_empirical_distribution_counts_states():
@@ -258,6 +255,21 @@ def test_empirical_distribution_discard_and_errors():
         empirical_distribution(recs, cfg, discard=4)
     with pytest.raises(ValueError):
         empirical_distribution(recs, cfg, discard=-1)
+    with pytest.raises(AnalysisError):
+        empirical_distribution(EpochLog([0, 20], [10.0, 11.0], [2.0, 2.0]), cfg)
+
+
+def test_empirical_distribution_rejects_states_off_the_grid():
+    # On an 11x21 grid, (0, 25) has flat index 25 < 231 but is not a
+    # state of the grid; it must not be counted as state (1, 4).
+    cfg = QuantizerConfig.uniform(-1.0, 1.0, -1.0, 1.0)
+    for d_idx, w_idx in ((0, 25), (11, 0), (0, 21)):
+        log = EpochLog(
+            [0, 20], [10.0, 10.0], [2.0, 2.0],
+            d_hat=[0.0], w_hat=[0.0], d_idx=[d_idx], w_idx=[w_idx],
+        )
+        with pytest.raises(AnalysisError, match="outside"):
+            empirical_distribution(log, cfg)
 
 
 def test_long_walk_frequencies_approach_stationary():
@@ -278,7 +290,7 @@ def test_long_walk_frequencies_approach_stationary():
     for _ in range(10_000):
         walk.append(int(rng.choice(4, p=truth[walk[-1]])))
     model = TransitionModel(cfg)
-    model.add_transitions([StateIndex.from_flat(f, 2) for f in walk])
+    model.add_transitions(np.array(walk) // 2, np.array(walk) % 2)
     P = to_stochastic(model, empty_rows="uniform")
     pi = stationary(P)
     emp = empirical_distribution(records_from_flats(walk, cfg), cfg, discard=100)

@@ -1,21 +1,21 @@
 """Composite computation and grid quantization."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
+from mdi.markov import empirical_distribution
 from mdi.quantizer import (
-    CompositeObservation,
     FitError,
     QuantizerConfig,
-    StateIndex,
+    bucket,
     compute_d_hat,
     compute_w_hat,
     fit_config,
-    quantize,
-    representative,
 )
+from mdi.trainer import EpochLog
 
 
 def test_equal_delays_give_exact_zero():
@@ -48,25 +48,40 @@ def test_composites_reject_nonpositive_and_nonfinite():
 
 
 def test_observation_rejects_nonfinite_fields():
-    with pytest.raises(ValueError):
-        CompositeObservation(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        CompositeObservation(0.0, math.inf)
+    good = np.linspace(-1.0, 1.0, 200)
+    for bad in (math.nan, math.inf, -math.inf):
+        spoiled = good.copy()
+        spoiled[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_config(spoiled, good)
+        with pytest.raises(ValueError, match="finite"):
+            fit_config(good, spoiled)
+        with pytest.raises(ValueError, match="non-finite"):
+            bucket(spoiled, (-1.0, 0.0, 1.0))
+
+
+def one_state_log(d_idx: int, w_idx: int) -> EpochLog:
+    return EpochLog(
+        [0, 20], [10.0, 10.0], [2.0, 2.0],
+        d_hat=[0.0], w_hat=[0.0], d_idx=[d_idx], w_idx=[w_idx],
+    )
 
 
 def test_state_index_flat_round_trip():
-    n_w = 21
-    for d_idx in range(11):
-        for w_idx in range(n_w):
-            s = StateIndex(d_idx, w_idx)
-            assert StateIndex.from_flat(s.flat(n_w), n_w) == s
+    # A state's flat index is row-major: d_idx * n_w + w_idx.
+    cfg = QuantizerConfig.uniform(-1.0, 1.0, -1.0, 1.0)
+    for d_idx in range(cfg.n_d):
+        for w_idx in range(cfg.n_w):
+            flat = np.flatnonzero(empirical_distribution(one_state_log(d_idx, w_idx), cfg))
+            assert flat.tolist() == [d_idx * cfg.n_w + w_idx]
+            assert divmod(int(flat[0]), cfg.n_w) == (d_idx, w_idx)
 
 
 def test_state_index_rejects_negative():
     with pytest.raises(ValueError):
-        StateIndex(-1, 0)
+        one_state_log(-1, 0)
     with pytest.raises(ValueError):
-        StateIndex(0, -2)
+        one_state_log(0, -2)
 
 
 def test_uniform_config_edge_layout():
@@ -122,8 +137,7 @@ def test_midpoints_stay_inside_their_buckets():
 
 def test_fit_pins_outer_edges_to_percentiles():
     vals = np.linspace(-1.0, 1.0, 201)
-    obs = [CompositeObservation(d, w) for d, w in zip(vals, vals[::-1])]
-    cfg = fit_config(obs)
+    cfg = fit_config(vals, vals[::-1])
     assert cfg.d_hat_edges[0] == pytest.approx(-0.98, abs=1e-9)
     assert cfg.d_hat_edges[-1] == pytest.approx(0.98, abs=1e-9)
     assert cfg.w_hat_edges[0] == pytest.approx(-0.98, abs=1e-9)
@@ -133,33 +147,38 @@ def test_fit_pins_outer_edges_to_percentiles():
 
 
 def test_fit_needs_enough_observations():
-    obs = [CompositeObservation(float(i), float(i)) for i in range(99)]
+    vals = np.arange(99, dtype=np.float64)
     with pytest.raises(FitError):
-        fit_config(obs)
+        fit_config(vals, vals)
+    with pytest.raises(ValueError):
+        fit_config(np.arange(200.0), np.arange(199.0))
 
 
 def test_fit_rejects_degenerate_axis():
-    obs = [CompositeObservation(0.5, float(i)) for i in range(200)]
+    vals = np.arange(200, dtype=np.float64)
     with pytest.raises(FitError):
-        fit_config(obs)
-    obs = [CompositeObservation(float(i), -2.0) for i in range(200)]
+        fit_config(np.full(200, 0.5), vals)
     with pytest.raises(FitError):
-        fit_config(obs)
+        fit_config(vals, np.full(200, -2.0))
 
 
 def test_every_default_grid_state_round_trips():
     cfg = QuantizerConfig.uniform(-2.0, 2.0, -0.5, 0.5)
     assert cfg.n_states == 231
     for flat in range(cfg.n_states):
-        s = StateIndex.from_flat(flat, cfg.n_w)
-        assert quantize(representative(s, cfg), cfg) == s
+        d_idx, w_idx = divmod(flat, cfg.n_w)
+        assert cfg.d_bucket(cfg.d_midpoint(d_idx)) == d_idx
+        assert cfg.w_bucket(cfg.w_midpoint(w_idx)) == w_idx
 
 
 def test_quantize_random_sweep_matches_manual_bucketing():
     cfg = QuantizerConfig.uniform(-1.5, 2.5, -0.8, 0.9, n_d=7, n_w=13)
     rng = np.random.default_rng(42)
-    for d_hat, w_hat in rng.uniform(-3.0, 3.0, size=(500, 2)):
-        s = quantize(CompositeObservation(d_hat, w_hat), cfg)
-        d_ref = int(np.clip(np.searchsorted(cfg.d_hat_edges, d_hat, "right") - 1, 0, 6))
-        w_ref = int(np.clip(np.searchsorted(cfg.w_hat_edges, w_hat, "right") - 1, 0, 12))
-        assert (s.d_idx, s.w_idx) == (d_ref, w_ref)
+    d_hat, w_hat = rng.uniform(-3.0, 3.0, size=(2, 500))
+    d_idx = bucket(d_hat, cfg.d_hat_edges)
+    w_idx = bucket(w_hat, cfg.w_hat_edges)
+    for i in range(500):
+        d_ref = min(max(bisect_right(cfg.d_hat_edges, d_hat[i]) - 1, 0), 6)
+        w_ref = min(max(bisect_right(cfg.w_hat_edges, w_hat[i]) - 1, 0), 12)
+        assert (d_idx[i], w_idx[i]) == (d_ref, w_ref)
+        assert (cfg.d_bucket(d_hat[i]), cfg.w_bucket(w_hat[i])) == (d_ref, w_ref)

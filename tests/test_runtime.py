@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mdi.controllers import EpochFeedback
-from mdi.quantizer import QuantizerConfig, StateIndex, compute_w_hat
+from mdi.quantizer import QuantizerConfig, compute_w_hat
 from mdi.runtime import MdiController, invert_w_hat
 from mdi.trainer import TransitionModel
 

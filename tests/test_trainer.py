@@ -1,13 +1,14 @@
 """Epoch-log derivation, transition counting, model serialization."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
-from mdi.quantizer import QuantizerConfig, StateIndex
+from mdi.quantizer import QuantizerConfig
 from mdi.trainer import (
-    EpochRecord,
+    EpochLog,
     ModelFormatError,
     TransitionModel,
     count_transitions,
@@ -21,44 +22,74 @@ def grid(n_d=3, n_w=3) -> QuantizerConfig:
     return QuantizerConfig.uniform(-1.0, 1.0, -1.0, 1.0, n_d=n_d, n_w=n_w)
 
 
-def records(delays, windows):
-    return [
-        EpochRecord(t_ms=20 * (i + 1), delay_ms=d, window_pkts=w)
-        for i, (d, w) in enumerate(zip(delays, windows))
-    ]
+def records(delays, windows) -> EpochLog:
+    return EpochLog([20 * (i + 1) for i in range(len(delays))], delays, windows)
+
+
+def add_walk(model: TransitionModel, states) -> int:
+    """Count a run given as a list of (d_idx, w_idx) pairs."""
+    d_idx, w_idx = zip(*states) if states else ((), ())
+    return model.add_transitions(d_idx, w_idx)
 
 
 def test_epoch_record_derived_fields_come_together():
-    EpochRecord(0, 10.0, 2.0)
-    EpochRecord(0, 10.0, 2.0, d_hat=0.1, w_hat=0.2, state=StateIndex(0, 0))
-    with pytest.raises(ValueError):
-        EpochRecord(0, 10.0, 2.0, d_hat=0.1)
-    with pytest.raises(ValueError):
-        EpochRecord(0, 10.0, 2.0, d_hat=0.1, w_hat=0.2)
-    with pytest.raises(ValueError):
-        EpochRecord(0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        EpochRecord(0, 10.0, 0.5)
+    raw = ([0, 20], [10.0, 11.0], [2.0, 3.0])
+    EpochLog(*raw)
+    EpochLog(*raw, d_hat=[0.1], w_hat=[0.2], d_idx=[0], w_idx=[0])
+    with pytest.raises(ValueError, match="together"):
+        EpochLog(*raw, d_hat=[0.1])
+    with pytest.raises(ValueError, match="together"):
+        EpochLog(*raw, d_hat=[0.1], w_hat=[0.2], d_idx=[0])
+    # Derived columns cover every epoch after the first, no more, no less.
+    with pytest.raises(ValueError, match="after the first"):
+        EpochLog(*raw, d_hat=[0.1, 0.1], w_hat=[0.2, 0.2], d_idx=[0, 0], w_idx=[0, 0])
+    with pytest.raises(ValueError, match="after the first"):
+        EpochLog([0], [10.0], [2.0], d_hat=[], w_hat=[], d_idx=[], w_idx=[])
+    with pytest.raises(ValueError, match="equal lengths"):
+        EpochLog([0, 20], [10.0], [2.0, 3.0])
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delay_ms"):
+            EpochLog(*raw[:1], [10.0, bad], raw[2])
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="window_pkts"):
+            EpochLog(*raw[:2], [2.0, bad])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            EpochLog(*raw, d_hat=[bad], w_hat=[0.2], d_idx=[0], w_idx=[0])
+        with pytest.raises(ValueError, match="finite"):
+            EpochLog(*raw, d_hat=[0.1], w_hat=[bad], d_idx=[0], w_idx=[0])
+
+
+def test_epoch_log_rows_compare_by_value():
+    raw = ([0, 20], [10.0, 11.0], [2.0, 3.0])
+    a = EpochLog(*raw, d_hat=[0.1], w_hat=[0.2], d_idx=[1], w_idx=[2])
+    assert list(a) == [
+        (0, 10.0, 2.0, None, None, None, None),
+        (20, 11.0, 3.0, 0.1, 0.2, 1, 2),
+    ]
+    assert list(a) == list(EpochLog(*raw, [0.1], [0.2], [1], [2]))
+    assert list(a) != list(EpochLog(*raw, [0.1], [0.2], [1], [3]))
+    assert list(a) != list(EpochLog(*raw))
+    assert list(EpochLog([0], [10.0], [2.0])) == [(0, 10.0, 2.0, None, None, None, None)]
 
 
 def test_derive_constant_run_lands_in_the_zero_bucket():
     cfg = grid()
     derived = derive_states(records([10.0] * 5, [4.0] * 5), cfg)
-    assert derived[0].state is None
-    zero_state = StateIndex(cfg.d_bucket(0.0), cfg.w_bucket(0.0))
-    for rec in derived[1:]:
-        assert rec.d_hat == 0.0
-        assert rec.w_hat == 0.0
-        assert rec.state == zero_state
+    assert len(derived) == 5 and derived.d_hat.size == 4
+    assert np.all(derived.d_hat == 0.0)
+    assert np.all(derived.w_hat == 0.0)
+    assert np.all(derived.d_idx == cfg.d_bucket(0.0))
+    assert np.all(derived.w_idx == cfg.w_bucket(0.0))
 
 
 def test_derive_uses_consecutive_ratios():
     cfg = grid()
     derived = derive_states(records([100.0, 200.0], [10.0, 20.0]), cfg)
-    assert derived[1].d_hat == pytest.approx(2.30103, abs=1e-5)
-    assert derived[1].w_hat == pytest.approx(1.30103, abs=1e-5)
+    assert derived.d_hat[0] == pytest.approx(2.30103, abs=1e-5)
+    assert derived.w_hat[0] == pytest.approx(1.30103, abs=1e-5)
     # Both composites exceed the grid, so the state clamps to the corner.
-    assert derived[1].state == StateIndex(cfg.n_d - 1, cfg.n_w - 1)
+    assert (derived.d_idx[0], derived.w_idx[0]) == (cfg.n_d - 1, cfg.n_w - 1)
 
 
 def test_derive_needs_two_records_and_does_not_mutate():
@@ -67,7 +98,8 @@ def test_derive_needs_two_records_and_does_not_mutate():
         derive_states(records([10.0], [2.0]), cfg)
     original = records([10.0, 12.0], [2.0, 3.0])
     derive_states(original, cfg)
-    assert all(r.state is None for r in original)
+    assert not original.derived
+    assert list(original) == list(records([10.0, 12.0], [2.0, 3.0]))
 
 
 def test_two_record_run_yields_one_state_and_no_transitions():
@@ -75,32 +107,39 @@ def test_two_record_run_yields_one_state_and_no_transitions():
     derived = derive_states(records([10.0, 12.0], [2.0, 3.0]), cfg)
     model = count_transitions(derived, TransitionModel(cfg))
     assert model.total_transitions == 0
-    assert sum(r.state is not None for r in derived) == 1
+    assert derived.d_idx.size == 1
+    with pytest.raises(ValueError, match="derived"):
+        count_transitions(records([10.0, 12.0], [2.0, 3.0]), TransitionModel(cfg))
 
 
 def test_add_transitions_counts_consecutive_pairs():
     model = TransitionModel(grid())
-    a, b = StateIndex(0, 1), StateIndex(2, 0)
-    added = model.add_transitions([a, b, a])
+    a, b = (0, 1), (2, 0)
+    added = add_walk(model, [a, b, a])
     assert added == 2
     assert model.counts[0, 1, 2, 0] == 1
     assert model.counts[2, 0, 0, 1] == 1
     assert model.total_transitions == 2
-    assert model.add_transitions([a]) == 0
+    assert add_walk(model, [a]) == 0
+    assert add_walk(model, []) == 0
 
 
 def test_add_transitions_rejects_off_grid_states():
     model = TransitionModel(grid())
+    for bad in ((3, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            add_walk(model, [bad, (0, 0)])
     with pytest.raises(ValueError):
-        model.add_transitions([StateIndex(3, 0), StateIndex(0, 0)])
+        model.add_transitions([0, 1], [0])
+    assert model.total_transitions == 0
 
 
 def test_runs_never_chain_across_boundaries():
     cfg = grid()
-    a, b, c = StateIndex(0, 0), StateIndex(1, 1), StateIndex(2, 2)
+    a, b, c = (0, 0), (1, 1), (2, 2)
     model = TransitionModel(cfg)
-    model.add_transitions([a, b])
-    model.add_transitions([b, c])
+    add_walk(model, [a, b])
+    add_walk(model, [b, c])
     # No a->...->c path was ever observed as a single pair.
     assert model.counts[0, 0, 2, 2] == 0
     assert model.total_transitions == 2
@@ -109,22 +148,22 @@ def test_runs_never_chain_across_boundaries():
 def test_counting_is_order_invariant_across_runs():
     cfg = grid()
     runs = [
-        [StateIndex(0, 0), StateIndex(1, 1)],
-        [StateIndex(1, 1), StateIndex(2, 2), StateIndex(0, 0)],
+        [(0, 0), (1, 1)],
+        [(1, 1), (2, 2), (0, 0)],
     ]
     m1, m2 = TransitionModel(cfg), TransitionModel(cfg)
     for run in runs:
-        m1.add_transitions(run)
+        add_walk(m1, run)
     for run in reversed(runs):
-        m2.add_transitions(run)
+        add_walk(m2, run)
     assert np.array_equal(m1.counts, m2.counts)
 
 
 def test_merge_pools_counts_and_checks_grid():
     cfg = grid()
     m1, m2 = TransitionModel(cfg), TransitionModel(cfg)
-    m1.add_transitions([StateIndex(0, 0), StateIndex(1, 1)])
-    m2.add_transitions([StateIndex(0, 0), StateIndex(1, 1), StateIndex(0, 0)])
+    add_walk(m1, [(0, 0), (1, 1)])
+    add_walk(m2, [(0, 0), (1, 1), (0, 0)])
     m1.merge(m2)
     assert m1.counts[0, 0, 1, 1] == 2
     assert m1.total_transitions == 3
@@ -134,10 +173,10 @@ def test_merge_pools_counts_and_checks_grid():
 
 def hand_model() -> TransitionModel:
     model = TransitionModel(grid())
-    s = StateIndex(1, 1)
-    targets = [StateIndex(0, 0), StateIndex(0, 1), StateIndex(0, 2), StateIndex(0, 2)]
+    s = (1, 1)
+    targets = [(0, 0), (0, 1), (0, 2), (0, 2)]
     for t in targets:
-        model.add_transitions([s, t])
+        add_walk(model, [s, t])
     return model
 
 
@@ -155,7 +194,7 @@ def test_full_rows_are_stochastic_where_observed():
     row = model.full_row(1, 1)
     assert row is not None
     assert row.sum() == pytest.approx(1.0, abs=1e-9)
-    assert row[StateIndex(0, 2).flat(3)] == pytest.approx(0.5)
+    assert row[0 * 3 + 2] == pytest.approx(0.5)
     assert model.full_row(2, 2) is None
     full = model.full_rows
     sums = full.reshape(-1, full.shape[-1]).sum(axis=1)
@@ -164,8 +203,8 @@ def test_full_rows_are_stochastic_where_observed():
 
 def test_marginal_rows_pool_window_buckets():
     model = TransitionModel(grid())
-    model.add_transitions([StateIndex(1, 0), StateIndex(0, 1)])
-    model.add_transitions([StateIndex(1, 2), StateIndex(0, 2)])
+    add_walk(model, [(1, 0), (0, 1)])
+    add_walk(model, [(1, 2), (0, 2)])
     marg = model.quadrant_marginal_row(1, 0)
     assert marg is not None
     assert np.allclose(marg, [0.0, 0.5, 0.5])
@@ -184,7 +223,7 @@ def test_normalize_is_idempotent_and_preserves_counts():
 def test_normalizations_refresh_after_new_counts():
     model = hand_model()
     assert model.quadrant_row(1, 1, 0) is not None
-    model.add_transitions([StateIndex(1, 1), StateIndex(0, 0)])
+    add_walk(model, [(1, 1), (0, 0)])
     assert np.allclose(model.quadrant_row(1, 1, 0), [0.4, 0.2, 0.4])
 
 
@@ -239,7 +278,6 @@ def test_recovers_known_chain_rows_from_samples():
     # Sample a hand-specified chain and check the learned rows approach
     # the truth in total variation.
     cfg = grid(n_d=2, n_w=2)
-    states = [StateIndex.from_flat(f, 2) for f in range(4)]
     truth = np.array(
         [
             [0.10, 0.40, 0.30, 0.20],
@@ -253,9 +291,8 @@ def test_recovers_known_chain_rows_from_samples():
     for _ in range(20_000):
         walk.append(int(rng.choice(4, p=truth[walk[-1]])))
     model = TransitionModel(cfg)
-    model.add_transitions([states[f] for f in walk])
+    model.add_transitions(np.array(walk) // 2, np.array(walk) % 2)
     for f in range(4):
-        s = states[f]
-        learned = model.full_row(s.d_idx, s.w_idx)
+        learned = model.full_row(f // 2, f % 2)
         tv = 0.5 * np.abs(learned - truth[f]).sum()
         assert tv <= 0.05
