@@ -8,6 +8,7 @@ artifacts behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import sys
@@ -20,10 +21,10 @@ from .controllers import BASELINES, make_controller
 from .heatmap import heatmap_export
 from .linksim import (
     LinkParams,
-    PacketLog,
     read_epoch_csv,
     read_packet_csv,
     run_simulation,
+    summarize,
     write_epoch_csv,
     write_packet_csv,
 )
@@ -52,8 +53,9 @@ def _queue_arg(value: int) -> int | None:
     return None if value == 0 else value
 
 
-def _packets_path(out: Path) -> Path:
-    return out.with_suffix(".packets.csv")
+def _run_siblings(out: Path) -> tuple[Path, Path]:
+    """The packet log and the run parameters written beside an epoch CSV."""
+    return out.with_suffix(".packets.csv"), out.with_suffix(".run.json")
 
 
 def _json_dump(obj, path: Path | None) -> None:
@@ -162,10 +164,12 @@ def cmd_run(args) -> int:
     if model is not None and len(log) >= 2:
         log = derive_states(log, model.cfg)
     out = Path(args.out)
+    packets_path, params_path = _run_siblings(out)
     with open(out, "w", encoding="utf-8") as fh:
         write_epoch_csv(log, fh)
-    with open(_packets_path(out), "w", encoding="utf-8") as fh:
+    with open(packets_path, "w", encoding="utf-8") as fh:
         write_packet_csv(result, fh)
+    _json_dump({"duration_ms": result.duration_ms, "mtu_bytes": result.mtu_bytes}, params_path)
 
     s = result.summary
     line = (
@@ -244,29 +248,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _packet_summary(log: PacketLog) -> dict:
-    delivered = log.delivered_ms[log.delivered_ms >= 0]
-    rtts = log.rtt_ms[log.rtt_ms >= 0].astype(np.float64)
-    duration_ms = int(log.sent_ms.max()) + 1 if log.sent_ms.size else 1
-    n_sec = max(duration_ms // 1000, 1)
-    counts = np.bincount(
-        np.minimum(delivered // 1000, n_sec - 1), minlength=n_sec
-    ).astype(np.float64)
-    tput = counts * 1500 * 8.0 / 1e6
-    out = {
-        "sent": int(log.sent_ms.size),
-        "delivered": int(delivered.size),
-        "dropped": int(np.count_nonzero(log.dropped)),
-    }
-    for name, arr in (("throughput_mbps", tput), ("delay_ms", rtts)):
-        if arr.size:
-            p25, p50, p75 = (float(x) for x in np.percentile(arr, [25, 50, 75]))
-        else:
-            p25 = p50 = p75 = 0.0
-        out[name] = {"p25": p25, "p50": p50, "p75": p75}
-    return out
-
-
 def _pdf(values: np.ndarray, edges: np.ndarray) -> list[float]:
     hist, _ = np.histogram(values, bins=edges)
     total = hist.sum()
@@ -277,15 +258,24 @@ def _pdf(values: np.ndarray, edges: np.ndarray) -> list[float]:
 
 def _compare_results(args) -> int:
     path_a, path_b = Path(args.a), Path(args.b)
-    logs = {}
+    logs, stats = {}, {}
     for key, path in (("a", path_a), ("b", path_b)):
-        pk = _packets_path(path)
-        if not pk.exists():
-            raise CliError(f"missing packet log {pk} (written alongside run output)")
+        pk, rp = _run_siblings(path)
+        for sibling, what in ((pk, "packet log"), (rp, "run parameters")):
+            if not sibling.exists():
+                raise CliError(f"missing {what} {sibling} (written alongside run output)")
         with open(pk, "r", encoding="utf-8") as fh:
-            logs[key] = read_packet_csv(fh)
-
-    stats = {key: _packet_summary(log) for key, log in logs.items()}
+            log = logs[key] = read_packet_csv(fh)
+        try:
+            summary = summarize(log, **json.loads(rp.read_text(encoding="utf-8")))
+        except TypeError as exc:
+            raise CliError(f"{rp} needs integer duration_ms and mtu_bytes: {exc}") from None
+        stats[key] = {
+            "sent": log.sent_pkts,
+            "delivered": log.delivered_pkts,
+            "dropped": log.dropped_pkts,
+            **dataclasses.asdict(summary),
+        }
     rtt_a = logs["a"].rtt_ms[logs["a"].rtt_ms >= 0]
     rtt_b = logs["b"].rtt_ms[logs["b"].rtt_ms >= 0]
     if rtt_a.size and rtt_b.size:

@@ -1,34 +1,34 @@
 """Trace-driven bottleneck link emulation.
 
-The link advances in 1 ms ticks. Each tick, in order: ACKs scheduled for
-this tick arrive at the sender, an epoch boundary (if due) feeds the
-controller and applies its decision, the sender transmits while in-flight
-is below the current window, and finally every delivery opportunity the
-trace grants this tick serves the head of the drop-tail queue. Unused
-opportunities are wasted, which is what makes the trace a capacity
-ceiling. When the trace runs out it wraps, shifted by its last timestamp.
+The link advances in 1 ms ticks. Each tick, in order: ACKs due this tick
+arrive at the sender, an epoch boundary (if due) feeds the controller and
+applies its decision, the sender transmits while in-flight is below the
+current window, and finally each delivery opportunity in this ms serves
+the head of the drop-tail queue. Opportunities per ms are counted once,
+before the run, from the trace replayed shifted by its last timestamp;
+unused ones are wasted, which makes the trace a capacity ceiling.
 
-Delivery timestamps therefore are bottleneck egress times: the count of
-deliveries in any window can never exceed the trace's opportunities in
-that window. ACKs return after the remaining propagation, so a packet's
-RTT is queueing plus (at least) twice the one-way propagation delay,
-floored at 1 ms.
+The emulator decides only when each packet is sent, delivered or
+dropped. Its ACK returns a constant 2 * one-way propagation (at least
+1 ms) after delivery, so ACK times and RTTs (queueing plus the return
+legs) are derived from the delivery times once the run ends.
 
 Windows may be fractional; the integer send cap floors the running value
 and carries the remainder into the next epoch. Random loss, when enabled,
 strikes packets at service time and the sender notices immediately (no
 retransmissions; lost packets simply leave the in-flight budget).
 
-A run's result holds its packet log as five columns (send, delivery,
-ACK and RTT times, with -1 for a stage a packet never reached, and a
-drop flag) and its epoch log as one columnar EpochLog; both have a CSV
-form here.
+A packet log is five columns (send, delivery, ACK and RTT times, -1 for
+a stage never reached, and a drop flag); summarize() is the one
+definition of a run's throughput and delay. Packet and epoch logs both
+have a CSV form here.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,17 +117,6 @@ class PacketLog:
     rtt_ms: np.ndarray
     dropped: np.ndarray
 
-
-@dataclass(frozen=True, eq=False)
-class SimResult(PacketLog):
-    """Everything one run produced: packet log, epoch log, counters."""
-
-    epochs: EpochLog
-    queued_end_pkts: int
-    clamp_warnings: int
-    duration_ms: int
-    mtu_bytes: int
-
     @property
     def sent_pkts(self) -> int:
         return int(self.sent_ms.size)
@@ -140,9 +129,26 @@ class SimResult(PacketLog):
     def dropped_pkts(self) -> int:
         return int(np.count_nonzero(self.dropped))
 
-    @property
-    def acked_pkts(self) -> int:
-        return int(np.count_nonzero(self.acked_ms >= 0))
+
+def summarize(log: PacketLog, duration_ms: int, mtu_bytes: int) -> SimSummary:
+    """Per-second throughput and per-packet RTT statistics of one run."""
+    if duration_ms < 1 or mtu_bytes < 1:
+        raise ValueError(f"need duration_ms, mtu_bytes >= 1, got {duration_ms}, {mtu_bytes}")
+    delivered = log.delivered_ms[log.delivered_ms >= 0]
+    tput = per_second_mbps(delivered, duration_ms, mtu_bytes)
+    rtts = log.rtt_ms[log.rtt_ms >= 0].astype(np.float64)
+    return SimSummary(throughput_mbps=_stats(tput), delay_ms=_stats(rtts))
+
+
+@dataclass(frozen=True, eq=False)
+class SimResult(PacketLog):
+    """Everything one run produced: packet log, epoch log, counters."""
+
+    epochs: EpochLog
+    queued_end_pkts: int
+    clamp_warnings: int
+    duration_ms: int
+    mtu_bytes: int
 
     @property
     def zero_delivered(self) -> bool:
@@ -151,10 +157,7 @@ class SimResult(PacketLog):
 
     @cached_property
     def summary(self) -> SimSummary:
-        delivered = self.delivered_ms[self.delivered_ms >= 0]
-        tput = per_second_mbps(delivered, self.duration_ms, self.mtu_bytes)
-        rtts = self.rtt_ms[self.rtt_ms >= 0].astype(np.float64)
-        return SimSummary(throughput_mbps=_stats(tput), delay_ms=_stats(rtts))
+        return summarize(self, self.duration_ms, self.mtu_bytes)
 
 
 def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
@@ -163,9 +166,16 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     Same params and controller state always produce the same result; the
     only randomness is the loss process, driven by params.seed.
     """
+    duration = params.duration_ms
     opp = params.trace.opportunities
-    n_opp = int(opp.size)
-    wrap_span = int(opp[-1])
+    span = int(opp[-1])
+    if span == 0:
+        raise SimulationError("trace cannot wrap (last timestamp is 0)")
+    # One cycle of the trace, tiled over the run; the last timestamp's
+    # opportunities also land on every later wrap point.
+    n = min(span, duration)
+    opps_at = np.tile(np.bincount(opp[opp < n], minlength=n), -(-duration // n))[:duration]
+    opps_at[span::span] += np.count_nonzero(opp == span)
     ack_delay = max(2 * params.one_way_prop_ms, 1)
     qcap = params.queue_capacity_pkts
     loss = params.loss_rate
@@ -173,11 +183,11 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
 
     sent: list[int] = []
     delivered: list[int] = []
-    acked: list[int] = []
-    rtts: list[int] = []
     dropped: list[bool] = []
     queue: deque[int] = deque()
-    ack_at: dict[int, list[int]] = {}
+    # Delivered packets whose ACK is on its way back. The return leg is
+    # constant and service is FIFO, so ACKs come due in delivery order.
+    returning: deque[int] = deque()
     in_flight = 0
     clamps = 0
 
@@ -214,22 +224,16 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     min_rtt = -1
     last_mean = 0.0
     any_ack = False
-    opp_i = 0
-    offset = 0
 
-    for t in range(params.duration_ms):
-        arrivals = ack_at.pop(t, None)
-        if arrivals is not None:
-            for s in arrivals:
-                acked[s] = t
-                r = t - sent[s]
-                rtts[s] = r
-                ack_sum += r
-                ack_cnt += 1
-                if min_rtt < 0 or r < min_rtt:
-                    min_rtt = r
-            in_flight -= len(arrivals)
+    for t, opps in enumerate(opps_at.tolist()):
+        while returning and delivered[returning[0]] + ack_delay <= t:
+            r = t - sent[returning.popleft()]
+            ack_sum += r
+            ack_cnt += 1
+            in_flight -= 1
             any_ack = True
+            if min_rtt < 0 or r < min_rtt:
+                min_rtt = r
 
         if t == boundary:
             if ack_cnt > 0:
@@ -255,8 +259,6 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
             s = len(sent)
             sent.append(t)
             delivered.append(-1)
-            acked.append(-1)
-            rtts.append(-1)
             if qcap is not None and len(queue) >= qcap:
                 # Tail drop; stop bursting into a full buffer this tick.
                 dropped.append(True)
@@ -265,36 +267,29 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
             queue.append(s)
             in_flight += 1
 
-        while True:
-            if opp_i == n_opp:
-                if wrap_span <= 0:
-                    raise SimulationError(
-                        "trace exhausted and cannot wrap (last timestamp is 0)"
-                    )
-                offset += wrap_span
-                opp_i = 0
-            if opp[opp_i] + offset > t:
-                break
-            opp_i += 1
-            if queue:
-                s = queue.popleft()
-                if rng is not None and rng.random() < loss:
-                    dropped[s] = True
-                    in_flight -= 1
-                else:
-                    delivered[s] = t
-                    ack_at.setdefault(t + ack_delay, []).append(s)
+        for _ in range(min(opps, len(queue))):
+            s = queue.popleft()
+            if rng is not None and rng.random() < loss:
+                dropped[s] = True
+                in_flight -= 1
+            else:
+                delivered[s] = t
+                returning.append(s)
 
+    sent_ms = np.array(sent, dtype=np.int64)
+    delivered_ms = np.array(delivered, dtype=np.int64)
+    acked_ms = delivered_ms + ack_delay
+    acked_ms[(delivered_ms < 0) | (acked_ms >= duration)] = -1
     return SimResult(
         epochs=EpochLog(epoch_t, epoch_delay, epoch_window),
-        sent_ms=np.array(sent, dtype=np.int64),
-        delivered_ms=np.array(delivered, dtype=np.int64),
-        acked_ms=np.array(acked, dtype=np.int64),
-        rtt_ms=np.array(rtts, dtype=np.int64),
+        sent_ms=sent_ms,
+        delivered_ms=delivered_ms,
+        acked_ms=acked_ms,
+        rtt_ms=np.where(acked_ms >= 0, acked_ms - sent_ms, -1),
         dropped=np.array(dropped, dtype=bool),
         queued_end_pkts=len(queue),
         clamp_warnings=clamps,
-        duration_ms=params.duration_ms,
+        duration_ms=duration,
         mtu_bytes=params.trace.mtu_bytes,
     )
 
@@ -359,47 +354,56 @@ def read_epoch_csv(source: TextIO) -> EpochLog:
     )
 
 
-def write_packet_csv(result: PacketLog, sink: TextIO) -> None:
+def write_packet_csv(log: PacketLog, sink: TextIO) -> None:
     """Packet log as CSV; missing stages are blank, dropped is 0/1."""
+
+    def blank_missing(col: np.ndarray):
+        return ("" if v < 0 else v for v in memoryview(col))
+
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(PACKET_CSV_HEADER)
-    n = result.sent_pkts
-    sent = result.sent_ms
-    delivered = result.delivered_ms
-    acked = result.acked_ms
-    rtt = result.rtt_ms
-    dropped = result.dropped
-    for i in range(n):
-        writer.writerow(
-            [
-                i,
-                int(sent[i]),
-                int(delivered[i]) if delivered[i] >= 0 else "",
-                int(acked[i]) if acked[i] >= 0 else "",
-                int(rtt[i]) if rtt[i] >= 0 else "",
-                int(dropped[i]),
-            ]
+    writer.writerows(
+        zip(
+            range(log.sent_ms.size),
+            memoryview(log.sent_ms),
+            blank_missing(log.delivered_ms),
+            blank_missing(log.acked_ms),
+            blank_missing(log.rtt_ms),
+            memoryview(log.dropped.astype(np.uint8)),
         )
+    )
 
 
 def read_packet_csv(source: TextIO) -> PacketLog:
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header != PACKET_CSV_HEADER:
+    """Parse a packet CSV, rejecting rows no run could have written."""
+    header, _, body = source.read().partition("\n")
+    if next(csv.reader([header]), None) != PACKET_CSV_HEADER:
         raise ValueError(f"unexpected packet CSV header: {header!r}")
-    sent, delivered, acked, rtt, dropped = [], [], [], [], []
-    for row in reader:
+    # Missing stages are blank, so no field may carry a minus sign.
+    if "-" in body:
+        row = body.count("\n", 0, body.index("-"))
+        raise ValueError(f"packet CSV row {row}: negative number")
+    cols = seq, sent, delivered, acked, rtt, dropped = [array("q") for _ in range(6)]
+    for row in csv.reader(body.splitlines()):
         if len(row) != len(PACKET_CSV_HEADER):
             raise ValueError(f"packet CSV row has {len(row)} fields: {row!r}")
+        seq.append(int(row[0]))
         sent.append(int(row[1]))
         delivered.append(int(row[2]) if row[2] else -1)
         acked.append(int(row[3]) if row[3] else -1)
         rtt.append(int(row[4]) if row[4] else -1)
-        dropped.append(bool(int(row[5])))
+        dropped.append(int(row[5]))
+    seq, sent, delivered, acked, rtt, dropped = (np.frombuffer(c, dtype=np.int64) for c in cols)
+    problems = {
+        "seq is not the row number": seq != np.arange(seq.size),
+        "dropped is not 0 or 1": (dropped != 0) & (dropped != 1),
+        "ACK without a delivery": (acked >= 0) & (delivered < 0),
+        "packet both delivered and dropped": (delivered >= 0) & (dropped == 1),
+        "rtt_ms is not acked_ms - sent_ms": rtt != np.where(acked >= 0, acked - sent, -1),
+    }
+    for problem, bad in problems.items():
+        if bad.any():
+            raise ValueError(f"packet CSV row {int(np.argmax(bad))}: {problem}")
     return PacketLog(
-        sent_ms=np.array(sent, dtype=np.int64),
-        delivered_ms=np.array(delivered, dtype=np.int64),
-        acked_ms=np.array(acked, dtype=np.int64),
-        rtt_ms=np.array(rtt, dtype=np.int64),
-        dropped=np.array(dropped, dtype=bool),
+        sent_ms=sent, delivered_ms=delivered, acked_ms=acked, rtt_ms=rtt, dropped=dropped == 1
     )

@@ -17,13 +17,14 @@ d_idx * n_w + w_idx.
 
 composite() is the only place the formula is written. compute_d_hat and
 compute_w_hat check their arguments and call it, composite_steps maps it
-over a column of an epoch log, and bucket() is the one bucketing rule
-for scalars and columns alike.
+over a column of an epoch log, and bucket() is the one bucketing rule,
+which d_bucket/w_bucket apply to one value with bisect.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,6 +96,13 @@ def bucket(values, edges: Sequence[float]) -> np.ndarray:
     return np.searchsorted(edges[1:-1], values, side="right")
 
 
+def _bucket_one(value: float, edges: Sequence[float]) -> int:
+    """bucket() for one value, without numpy's per-call overhead."""
+    if not math.isfinite(value):
+        raise ValueError("cannot bucket non-finite values")
+    return bisect_right(edges, value, 1, len(edges) - 1) - 1
+
+
 def _check_edges(edges: tuple[float, ...], count: int, name: str) -> None:
     if count < 2:
         raise ValueError(f"{name}: need at least 2 buckets, got {count}")
@@ -148,15 +156,11 @@ class QuantizerConfig:
 
     def d_bucket(self, d_hat: float) -> int:
         """Bucket index for a delay composite; out-of-range values clamp."""
-        return int(bucket(d_hat, self.d_hat_edges))
+        return _bucket_one(d_hat, self.d_hat_edges)
 
     def w_bucket(self, w_hat: float) -> int:
         """Bucket index for a window composite; out-of-range values clamp."""
-        return int(bucket(w_hat, self.w_hat_edges))
-
-    def d_in_range(self, d_hat: float) -> bool:
-        """True when d_hat lies inside the trained delay-composite range."""
-        return self.d_hat_edges[0] <= d_hat <= self.d_hat_edges[-1]
+        return _bucket_one(w_hat, self.w_hat_edges)
 
     def d_midpoint(self, d_idx: int) -> float:
         if not 0 <= d_idx < self.n_d:

@@ -212,6 +212,29 @@ def test_compare_missing_packet_sibling_fails(workspace, tmp_path, capsys):
     )
     assert rc == 1
     assert "missing packet log" in capsys.readouterr().err
+    packets = (workspace / "native.packets.csv").read_text()
+    (tmp_path / "lonely.packets.csv").write_text(packets)
+    rc = main(
+        ["compare", "--a", str(lonely), "--b", str(workspace / "native.csv")]
+    )
+    assert rc == 1
+    assert "missing run parameters" in capsys.readouterr().err
+
+
+def test_compare_throughput_matches_run_off_1500_byte_packets(tmp_path, capsys):
+    trace, out, report = tmp_path / "t.trace", tmp_path / "p.csv", tmp_path / "c.json"
+    common = ["--duration", "5", "--mtu", "500"]
+    rate = ["--rate-min", "8", "--rate-max", "8"]
+    assert main(["gen-trace", *common, *rate, "--out", str(trace)]) == 0
+    run = ["run", "--trace", str(trace), "--controller", "pinned", "--out", str(out)]
+    assert main([*run, *common]) == 0
+    assert "throughput Mbps median 2.000" in capsys.readouterr().out
+    assert json.loads((tmp_path / "p.run.json").read_text()) == {
+        "duration_ms": 5000, "mtu_bytes": 500,
+    }
+    rc = main(["compare", "--a", str(out), "--b", str(out), "--out", str(report)])
+    assert rc == 0
+    assert json.loads(report.read_text())["a"]["throughput_mbps"]["p50"] == 2.0
 
 
 def test_fingerprint_writes_svg_with_csv_sibling(workspace, tmp_path):

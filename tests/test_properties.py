@@ -1,5 +1,6 @@
 """Property tests for the columnar epoch-log path: the array composite,
-vectorised bucketing, bincount counting and the epoch CSV round trip."""
+vectorised and scalar bucketing, bincount counting and the epoch CSV
+round trip."""
 
 import io
 from bisect import bisect_right
@@ -41,6 +42,9 @@ def test_vectorised_bucketing_matches_clamped_bisect(case):
     n = len(edges) - 1
     want = [min(max(bisect_right(edges, x) - 1, 0), n - 1) for x in values]
     assert bucket(values, edges).tolist() == want
+    cfg = QuantizerConfig(edges, edges, n_d=n, n_w=n)
+    assert [cfg.d_bucket(x) for x in values] == want
+    assert [cfg.w_bucket(x) for x in values] == want
 
 
 @st.composite
