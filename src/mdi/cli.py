@@ -37,7 +37,7 @@ from .trace import (
     load_trace,
     save_trace,
 )
-from .trainer import derive_states, load_model, save_model
+from .trainer import TransitionModel, derive_states, load_model, save_model
 
 
 class CliError(ValueError):
@@ -91,12 +91,6 @@ def cmd_train(args) -> int:
     files = sorted(trace_dir.glob("*.trace"))
     if not files:
         raise CliError(f"no *.trace files in {trace_dir}")
-    if args.controller not in BASELINES:
-        known = ", ".join(sorted(BASELINES))
-        raise CliError(
-            f"can only train on a baseline controller ({known}), "
-            f"got {args.controller!r}"
-        )
     traces = [(f.name, _load_trace_path(f, args.mtu)) for f in files]
     ctrl_kwargs = {}
     if args.epoch_ms is not None:
@@ -202,23 +196,29 @@ def _parse_epsilons(text: str) -> list[float]:
     return eps
 
 
-def _chain_from_model(model, args) -> np.ndarray:
+def _load_trained_model(path) -> TransitionModel:
+    with open(path, "rb") as fh:
+        model = load_model(fh)
+    if model.total_transitions == 0:
+        raise CliError(f"model {path} has no transitions; nothing to analyze")
+    return model
+
+
+def _stationary_chain(model: TransitionModel, args) -> tuple[np.ndarray, np.ndarray]:
+    """The model's chain as --smoothing/--empty-rows/--lazy ask, and its
+    stationary distribution."""
     P = markov.to_stochastic(model, smoothing=args.smoothing, empty_rows=args.empty_rows)
     if args.lazy:
         P = markov.lazy(P)
-    return P
+    try:
+        return P, markov.stationary(P)
+    except markov.ConvergenceError as exc:
+        raise CliError(f"{exc} (hint: pass --lazy)") from None
 
 
 def cmd_analyze(args) -> int:
-    with open(args.model, "rb") as fh:
-        model = load_model(fh)
-    if model.total_transitions == 0:
-        raise CliError("model has no transitions; nothing to analyze")
-    P = _chain_from_model(model, args)
-    try:
-        pi = markov.stationary(P)
-    except markov.ConvergenceError as exc:
-        raise CliError(f"{exc} (hint: pass --lazy)") from None
+    model = _load_trained_model(args.model)
+    P, pi = _stationary_chain(model, args)
     reports = markov.mixing_times(P, _parse_epsilons(args.epsilons))
 
     report = {
@@ -319,22 +319,14 @@ def _compare_results(args) -> int:
 
 
 def _compare_distribution(args) -> int:
-    with open(args.model, "rb") as fh:
-        model = load_model(fh)
-    if model.total_transitions == 0:
-        raise CliError("model has no transitions; nothing to compare against")
+    model = _load_trained_model(args.model)
     with open(args.result, "r", encoding="utf-8") as fh:
         log = read_epoch_csv(fh)
     if len(log) < 2:
         raise CliError(f"epoch log {args.result} has fewer than 2 records")
     derived = derive_states(log, model.cfg)
     empirical = markov.empirical_distribution(derived, model.cfg, discard=args.discard)
-
-    P = _chain_from_model(model, args)
-    try:
-        pi = markov.stationary(P)
-    except markov.ConvergenceError as exc:
-        raise CliError(f"{exc} (hint: pass --lazy)") from None
+    _P, pi = _stationary_chain(model, args)
 
     report = {
         "model": str(args.model),
@@ -396,6 +388,17 @@ def _add_link_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1, help="master seed")
 
 
+def _add_chain_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--smoothing", type=float, default=0.0)
+    p.add_argument(
+        "--empty-rows",
+        choices=["self-loop", "uniform"],
+        default="uniform",
+        help="policy for states with no observed outgoing transitions",
+    )
+    p.add_argument("--lazy", action="store_true", help="analyze (P + I) / 2 instead")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdi",
@@ -452,14 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="stationary distribution and mixing times")
     p.add_argument("--model", required=True)
-    p.add_argument("--smoothing", type=float, default=0.0)
-    p.add_argument(
-        "--empty-rows",
-        choices=["self-loop", "uniform"],
-        default="uniform",
-        help="policy for states with no observed outgoing transitions",
-    )
-    p.add_argument("--lazy", action="store_true", help="analyze (P + I) / 2 instead")
+    _add_chain_args(p)
     p.add_argument(
         "--epsilons", default="1e-3,1e-5,1e-7", help="comma-separated thresholds"
     )
@@ -475,11 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="model for distribution mode")
     p.add_argument("--result", default=None, help="epoch CSV for distribution mode")
     p.add_argument("--discard", type=int, default=0, help="burn-in epochs to drop")
-    p.add_argument("--smoothing", type=float, default=0.0)
-    p.add_argument(
-        "--empty-rows", choices=["self-loop", "uniform"], default="uniform"
-    )
-    p.add_argument("--lazy", action="store_true")
+    _add_chain_args(p)
     p.add_argument("--out", default=None, help="JSON report path (default stdout)")
     p.set_defaults(func=cmd_compare)
 

@@ -400,10 +400,17 @@ def read_packet_csv(source: TextIO) -> PacketLog:
         "ACK without a delivery": (acked >= 0) & (delivered < 0),
         "packet both delivered and dropped": (delivered >= 0) & (dropped == 1),
         "rtt_ms is not acked_ms - sent_ms": rtt != np.where(acked >= 0, acked - sent, -1),
+        "delivered before it was sent": (delivered >= 0) & (delivered < sent),
     }
     for problem, bad in problems.items():
         if bad.any():
             raise ValueError(f"packet CSV row {int(np.argmax(bad))}: {problem}")
+    # The return leg is one constant of at least 1 ms for the whole run.
+    ack_delay = (acked - delivered)[acked >= 0]
+    bad = (ack_delay != ack_delay[:1]) | (ack_delay < 1)
+    if bad.any():
+        row = int(np.flatnonzero(acked >= 0)[np.argmax(bad)])
+        raise ValueError(f"packet CSV row {row}: ACK delay is not one constant >= 1 ms")
     return PacketLog(
         sent_ms=sent, delivered_ms=delivered, acked_ms=acked, rtt_ms=rtt, dropped=dropped == 1
     )

@@ -1,6 +1,6 @@
 """Convergence analysis of trained models as Markov chains.
 
-The full-row normalization of a transition model is an ordinary
+The full row table of a transition model is an ordinary
 row-stochastic matrix over the flat composite states. This module
 computes its stationary distribution by power iteration, mixing times
 from worst-case one-hot starts, and divergence metrics between the

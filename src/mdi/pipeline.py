@@ -12,7 +12,7 @@ byte-stable.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,17 +35,16 @@ def train_on_traces(
     *,
     n_d: int = 11,
     n_w: int = 21,
-    duration_ms: int = 60_000,
-    one_way_prop_ms: int = 10,
-    queue_capacity_pkts: Optional[int] = None,
-    loss_rate: float = 0.0,
     master_seed: int = 1,
     runs_per_trace: int = 1,
+    **link,
 ) -> tuple[TransitionModel, dict]:
     """Train a transition model from controller runs over named traces.
 
-    Returns the normalized model and a summary dict (run/epoch/transition
-    counts plus sparsity diagnostics).
+    The remaining keywords are LinkParams fields other than trace and
+    seed (each run's seed is derived from master_seed). Returns the
+    model and a summary dict (run/epoch/transition counts plus sparsity
+    diagnostics).
     """
     if not traces:
         raise ValueError("need at least one trace to train on")
@@ -55,14 +54,8 @@ def train_on_traces(
     run_logs: list[EpochLog] = []
     for name, trace in traces:
         for run_index in range(runs_per_trace):
-            params = LinkParams(
-                trace=trace,
-                one_way_prop_ms=one_way_prop_ms,
-                queue_capacity_pkts=queue_capacity_pkts,
-                loss_rate=loss_rate,
-                seed=derive_run_seed(master_seed, name, run_index),
-                duration_ms=duration_ms,
-            )
+            seed = derive_run_seed(master_seed, name, run_index)
+            params = LinkParams(trace=trace, seed=seed, **link)
             result = run_simulation(params, make_controller())
             run_logs.append(result.epochs)
 
@@ -75,7 +68,6 @@ def train_on_traces(
         total_epochs += len(log)
         if len(log) >= 2:
             count_transitions(derive_states(log, cfg), model)
-    model.normalize()
 
     summary = {
         "runs": len(run_logs),
@@ -90,29 +82,13 @@ def train_on_traces(
 
 
 def run_and_derive(
-    trace: LinkTrace,
-    controller: Controller,
-    cfg,
-    *,
-    one_way_prop_ms: int = 10,
-    queue_capacity_pkts: Optional[int] = None,
-    loss_rate: float = 0.0,
-    seed: int = 0,
-    duration_ms: int = 60_000,
+    trace: LinkTrace, controller: Controller, cfg, **link
 ) -> tuple[SimResult, EpochLog]:
     """Run one controller and return the result plus its derived epoch log.
 
-    A run with fewer than two epochs cannot be derived; its derived log
-    is empty.
+    The keywords are LinkParams fields other than trace. A run with
+    fewer than two epochs cannot be derived; its derived log is empty.
     """
-    params = LinkParams(
-        trace=trace,
-        one_way_prop_ms=one_way_prop_ms,
-        queue_capacity_pkts=queue_capacity_pkts,
-        loss_rate=loss_rate,
-        seed=seed,
-        duration_ms=duration_ms,
-    )
-    result = run_simulation(params, controller)
+    result = run_simulation(LinkParams(trace=trace, **link), controller)
     log = result.epochs
     return result, derive_states(log, cfg) if len(log) >= 2 else EpochLog([], [], [])

@@ -49,10 +49,15 @@ def _dip_minimizer(w_prev: float) -> float:
     The derivative's sign is carried by (ln w + 1) / w_prev - 1 / w,
     which increases in w, so a plain bisection on its sign converges to
     the unique stationary point.
+
+    Both bisections stop once the midpoint of [lo, hi] is lo or hi: no
+    float lies between them, so further steps could not move it.
     """
     lo, hi = 1.0, w_prev
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if (math.log(mid) + 1.0) / w_prev - 1.0 / mid < 0.0:
             lo = mid
         else:
@@ -63,6 +68,8 @@ def _dip_minimizer(w_prev: float) -> float:
 def _bisect_increasing(target: float, lo: float, hi: float, w_prev: float) -> float:
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if composite(mid, w_prev) < target:
             lo = mid
         else:

@@ -7,11 +7,14 @@ its predecessor and their bucket indices (d_idx, w_idx). Transitions
 are counted as consecutive state pairs with one bincount over the flat
 pair index, into a 4-D tensor indexed (k, l, r, v): (current delay
 bucket, current window bucket, next delay bucket, next window bucket).
-Two normalizations are read off it:
+Three row tables are read off it, each built on first use and dropped
+when counts are added:
 
 * quadrant rows p(v | k, l, r): within the quadrant selected by the pair
   of delay buckets (k, r), each window row l is normalized across the
   next-window cells v. This is what the runtime controller samples.
+* quadrant marginal rows p(v | k, r): the same with the current window
+  bucket summed out, the runtime's fallback for an unseen (k, l, r) row.
 * full rows p(r, v | k, l): each (k, l) state's outgoing mass normalized
   across all (r, v), giving an ordinary row-stochastic chain for
   analysis.
@@ -143,24 +146,35 @@ def derive_states(log: EpochLog, cfg: QuantizerConfig) -> EpochLog:
     )
 
 
+def _rows(counts: np.ndarray) -> np.ndarray:
+    """Counts divided by their sums over the last axis; empty rows all-zero."""
+    counts = counts.astype(np.float64)
+    sums = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(sums > 0, counts / sums, 0.0)
+
+
+def _seen(row: np.ndarray) -> Optional[np.ndarray]:
+    return row if row.any() else None
+
+
 class TransitionModel:
-    """Transition counts over the composite state grid, plus normalizations."""
+    """Transition counts over the composite state grid, plus row tables.
+
+    The tables are built from counts on first use; add_transitions drops
+    them. Code that writes counts directly must do so before reading a
+    table.
+    """
+
+    _TABLES = ("quadrant_rows", "full_rows", "quadrant_marginal_rows")
 
     def __init__(self, cfg: QuantizerConfig) -> None:
         self.cfg = cfg
         self.counts = np.zeros((cfg.n_d, cfg.n_w, cfg.n_d, cfg.n_w), dtype=np.uint64)
-        self._quadrant_rows: Optional[np.ndarray] = None
-        self._full_rows: Optional[np.ndarray] = None
-        self._marginal_rows: Optional[np.ndarray] = None
 
     @property
     def total_transitions(self) -> int:
         return int(self.counts.sum())
-
-    def _invalidate(self) -> None:
-        self._quadrant_rows = None
-        self._full_rows = None
-        self._marginal_rows = None
 
     def add_transitions(self, d_idx, w_idx) -> int:
         """Count consecutive states of one run; returns pairs added.
@@ -180,81 +194,37 @@ class TransitionModel:
         n = self.cfg.n_states
         pairs = np.bincount(flat[:-1] * n + flat[1:], minlength=n * n)
         self.counts += pairs.reshape(self.counts.shape).astype(np.uint64)
-        self._invalidate()
+        for name in self._TABLES:
+            self.__dict__.pop(name, None)
         return d_idx.size - 1
 
-    def merge(self, other: "TransitionModel") -> "TransitionModel":
-        """Pool counts from a model trained on the same grid."""
-        if other.cfg != self.cfg:
-            raise ValueError("cannot merge models with different quantizer configs")
-        self.counts += other.counts
-        self._invalidate()
-        return self
-
-    def normalize(self) -> "TransitionModel":
-        """Materialize both row normalizations from the current counts."""
-        counts = self.counts.astype(np.float64)
-        n_d, n_w = self.cfg.n_d, self.cfg.n_w
-
-        quad_sums = counts.sum(axis=3, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            quad = np.where(quad_sums > 0, counts / quad_sums, 0.0)
-        self._quadrant_rows = quad
-
-        flat = counts.reshape(n_d, n_w, n_d * n_w)
-        full_sums = flat.sum(axis=2, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            full = np.where(full_sums > 0, flat / full_sums, 0.0)
-        self._full_rows = full
-
-        marg = counts.sum(axis=1)
-        marg_sums = marg.sum(axis=2, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self._marginal_rows = np.where(marg_sums > 0, marg / marg_sums, 0.0)
-        return self
-
-    @property
+    @cached_property
     def quadrant_rows(self) -> np.ndarray:
         """p(v | k, l, r), shape (n_d, n_w, n_d, n_w); empty rows all-zero."""
-        if self._quadrant_rows is None:
-            self.normalize()
-        return self._quadrant_rows
+        return _rows(self.counts)
 
-    @property
+    @cached_property
     def full_rows(self) -> np.ndarray:
         """p(r, v | k, l), shape (n_d, n_w, n_d * n_w); empty rows all-zero."""
-        if self._full_rows is None:
-            self.normalize()
-        return self._full_rows
+        return _rows(self.counts.reshape(self.cfg.n_d, self.cfg.n_w, -1))
 
-    def quadrant_row(self, k: int, l: int, r: int) -> Optional[np.ndarray]:
-        """Sampling row for (k, l) given next delay bucket r; None if unseen."""
-        row = self.quadrant_rows[k, l, r]
-        if not row.any():
-            return None
-        return row
-
-    @property
+    @cached_property
     def quadrant_marginal_rows(self) -> np.ndarray:
         """p(v | k, r) with the window bucket marginalized out,
         shape (n_d, n_d, n_w)."""
-        if self._marginal_rows is None:
-            self.normalize()
-        return self._marginal_rows
+        return _rows(self.counts.sum(axis=1))
+
+    def quadrant_row(self, k: int, l: int, r: int) -> Optional[np.ndarray]:
+        """Sampling row for (k, l) given next delay bucket r; None if unseen."""
+        return _seen(self.quadrant_rows[k, l, r])
 
     def quadrant_marginal_row(self, k: int, r: int) -> Optional[np.ndarray]:
         """Quadrant (k, r)'s pooled sampling row; None if the quadrant is unseen."""
-        row = self.quadrant_marginal_rows[k, r]
-        if not row.any():
-            return None
-        return row
+        return _seen(self.quadrant_marginal_rows[k, r])
 
     def full_row(self, k: int, l: int) -> Optional[np.ndarray]:
         """Outgoing distribution of state (k, l) over flat states; None if unseen."""
-        row = self.full_rows[k, l]
-        if not row.any():
-            return None
-        return row
+        return _seen(self.full_rows[k, l])
 
     def source_state_count(self) -> int:
         """Number of (k, l) states with at least one outgoing transition."""

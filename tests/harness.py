@@ -34,6 +34,10 @@ QUEUE_PKTS = 2000
 DURATION_S = 60
 N_TRAIN = 50
 N_HELD = 5
+# The link every harness run uses; each run adds its trace and seed.
+LINK = dict(
+    one_way_prop_ms=PROP_MS, queue_capacity_pkts=QUEUE_PKTS, duration_ms=DURATION_S * 1000
+)
 
 
 @dataclass(frozen=True)
@@ -90,24 +94,11 @@ def build_traces(spec: HarnessSpec, count: int = N_TRAIN + N_HELD):
 
 
 def train(spec: HarnessSpec, traces) -> tuple[TransitionModel, dict]:
-    return train_on_traces(
-        traces,
-        spec.make_controller,
-        duration_ms=DURATION_S * 1000,
-        one_way_prop_ms=PROP_MS,
-        queue_capacity_pkts=QUEUE_PKTS,
-        master_seed=MASTER_SEED,
-    )
+    return train_on_traces(traces, spec.make_controller, master_seed=MASTER_SEED, **LINK)
 
 
 def run_native(spec: HarnessSpec, name: str, trace: LinkTrace) -> SimResult:
-    params = LinkParams(
-        trace=trace,
-        one_way_prop_ms=PROP_MS,
-        queue_capacity_pkts=QUEUE_PKTS,
-        seed=derive_run_seed(MASTER_SEED, name + ":n", 0),
-        duration_ms=DURATION_S * 1000,
-    )
+    params = LinkParams(trace=trace, seed=derive_run_seed(MASTER_SEED, name + ":n", 0), **LINK)
     return run_simulation(params, spec.make_controller())
 
 
@@ -120,13 +111,7 @@ def run_mdi(
         seed=derive_run_seed(MASTER_SEED, name + ":m", 1),
     )
     result, records = run_and_derive(
-        trace,
-        ctrl,
-        model.cfg,
-        one_way_prop_ms=PROP_MS,
-        queue_capacity_pkts=QUEUE_PKTS,
-        seed=derive_run_seed(MASTER_SEED, name + ":m", 0),
-        duration_ms=DURATION_S * 1000,
+        trace, ctrl, model.cfg, seed=derive_run_seed(MASTER_SEED, name + ":m", 0), **LINK
     )
     return result, records, ctrl
 

@@ -297,6 +297,9 @@ def test_packet_csv_rejects_rows_no_run_could_write():
         "0,0,5,,25,0\n",  # RTT without an ACK
         "0,,5,25,25,0\n",  # blank send time
         "0,0,5,25,25\n",  # short row
+        "0,10,5,25,15,0\n",  # delivered before it was sent
+        "0,0,1,3,3,0\n1,0,2,9,9,0\n",  # ACK delay not one constant
+        "0,0,5,5,5,0\n",  # ACK delay of 0 ms
     ]
     for body in bad_bodies:
         with pytest.raises(ValueError):

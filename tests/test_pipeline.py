@@ -75,6 +75,13 @@ def test_training_argument_validation():
         train_on_traces([], VerusLike)
     with pytest.raises(ValueError):
         train_on_traces(make_traces(1), VerusLike, runs_per_trace=0)
+    # Link keywords go straight to LinkParams; each run's seed is derived.
+    with pytest.raises(TypeError):
+        train_on_traces(make_traces(1), VerusLike, queue_pkts=10)
+    with pytest.raises(TypeError):
+        train_on_traces(make_traces(1), VerusLike, seed=3)
+    with pytest.raises(TypeError):
+        run_and_derive(make_traces(1)[0][1], VerusLike(), None, queue_pkts=10)
 
 
 def test_too_little_data_to_fit_a_grid_fails_loudly():
@@ -97,3 +104,15 @@ def test_run_and_derive_aligns_with_the_epoch_log():
     assert len(derived) == len(result.epochs)
     assert derived.derived and derived.d_idx.size == len(derived) - 1
     assert np.array_equal(derived.t_ms, result.epochs.t_ms)
+
+
+def test_run_and_derive_passes_link_keywords_to_the_run():
+    traces = make_traces(1)
+    model, _ = train_on_traces(traces, VerusLike, duration_ms=4000, master_seed=2)
+    clean, _ = run_and_derive(traces[0][1], VerusLike(), model.cfg, duration_ms=4000)
+    lossy, _ = run_and_derive(
+        traces[0][1], VerusLike(), model.cfg, duration_ms=4000, loss_rate=0.3
+    )
+    assert clean.duration_ms == lossy.duration_ms == 4000
+    assert clean.dropped_pkts == 0
+    assert lossy.dropped_pkts > 0.2 * lossy.sent_pkts

@@ -1,16 +1,19 @@
-"""Property tests for the columnar epoch-log path: the array composite,
-vectorised and scalar bucketing, bincount counting and the epoch CSV
-round trip."""
+"""Property tests for the columnar epoch-log path (the array composite,
+vectorised and scalar bucketing, bincount counting, the epoch CSV round
+trip) and for the runtime's window inversion."""
 
 import io
+import math
 from bisect import bisect_right
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdi.linksim import read_epoch_csv, write_epoch_csv
-from mdi.quantizer import QuantizerConfig, bucket, composite_steps, compute_d_hat
+from mdi.quantizer import QuantizerConfig, bucket, composite, composite_steps, compute_d_hat
+from mdi.runtime import _bisect_increasing, _dip_minimizer, invert_w_hat
 from mdi.trainer import EpochLog, TransitionModel, derive_states
 
 positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False)
@@ -91,3 +94,66 @@ def test_epoch_csv_round_trip_preserves_the_log(log, derive):
     back = read_epoch_csv(io.StringIO(buf.getvalue()))
     assert list(back) == list(log)
     assert back.derived == log.derived
+
+
+def reference_dip_minimizer(w_prev: float) -> float:
+    """The runtime's dip bisection as a fixed 80-step loop, no early exit."""
+    lo, hi = 1.0, w_prev
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if (math.log(mid) + 1.0) / w_prev - 1.0 / mid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_bisect_increasing(target: float, lo: float, hi: float, w_prev: float) -> float:
+    """The runtime's root bisection as a fixed 80-step loop, no early exit."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if composite(mid, w_prev) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+w_prevs = st.one_of(st.just(1.0), st.floats(1.0, 1e6))
+targets = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e4, 1e5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(w_prevs, targets)
+def test_bisection_early_exit_is_bit_identical_to_fixed_steps(w_prev, target):
+    m = _dip_minimizer(w_prev)
+    assert m.hex() == reference_dip_minimizer(w_prev).hex()
+    for lo, hi in ((m, w_prev), (w_prev, 1000.0 * w_prev)):
+        got = _bisect_increasing(target, lo, hi, w_prev)
+        assert got.hex() == reference_bisect_increasing(target, lo, hi, w_prev).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(w_prevs, st.floats(0.0, 1.0))
+def test_invert_w_hat_solves_its_equation(w_prev, u):
+    # Any window in [1, 1000 * w_prev] gives a reachable target; the
+    # inverse may pick the other branch of the dip, but must hit it.
+    w = 1.0 + u * (1000.0 * w_prev - 1.0)
+    target = composite(w, w_prev)
+    got = invert_w_hat(target, w_prev)
+    assert 1.0 <= got <= 1000.0 * w_prev
+    assert composite(got, w_prev) == pytest.approx(target, rel=1e-9, abs=1e-12)
+    if target < 0.0:
+        assert _dip_minimizer(w_prev) <= got < w_prev
+
+
+@settings(max_examples=200, deadline=None)
+@given(w_prevs, st.floats(1e-9, 1e3))
+def test_invert_w_hat_clamps_unreachable_targets(w_prev, excess):
+    top = 1000.0 * w_prev
+    assert invert_w_hat(composite(top, w_prev) + excess, w_prev) == top
+    m = _dip_minimizer(w_prev)
+    assert invert_w_hat(composite(m, w_prev) - excess, w_prev) == m
+    # The minimizer is the dip's lowest point.
+    for w in (1.0 + 0.5 * (m - 1.0), m + 0.5 * (w_prev - m)):
+        assert composite(m, w_prev) <= composite(w, w_prev)

@@ -159,18 +159,6 @@ def test_counting_is_order_invariant_across_runs():
     assert np.array_equal(m1.counts, m2.counts)
 
 
-def test_merge_pools_counts_and_checks_grid():
-    cfg = grid()
-    m1, m2 = TransitionModel(cfg), TransitionModel(cfg)
-    add_walk(m1, [(0, 0), (1, 1)])
-    add_walk(m2, [(0, 0), (1, 1), (0, 0)])
-    m1.merge(m2)
-    assert m1.counts[0, 0, 1, 1] == 2
-    assert m1.total_transitions == 3
-    with pytest.raises(ValueError):
-        m1.merge(TransitionModel(grid(n_d=5)))
-
-
 def hand_model() -> TransitionModel:
     model = TransitionModel(grid())
     s = (1, 1)
@@ -211,13 +199,32 @@ def test_marginal_rows_pool_window_buckets():
     assert model.quadrant_marginal_row(2, 2) is None
 
 
-def test_normalize_is_idempotent_and_preserves_counts():
+def test_reading_the_tables_leaves_counts_unchanged():
     model = hand_model()
     before = model.counts.copy()
     first = model.quadrant_rows.copy()
-    model.normalize()
+    model.full_rows, model.quadrant_marginal_rows, model.full_row(1, 1)
     assert np.array_equal(model.counts, before)
     assert np.array_equal(model.quadrant_rows, first)
+
+
+def test_tables_from_counts_written_directly():
+    # Counts filled in place (as load_model does) before any table is read.
+    model = TransitionModel(grid())
+    model.counts[1, 1, 0, 0] = 1
+    model.counts[1, 1, 0, 2] = 3
+    model.counts[1, 2, 0, 1] = 4
+    model.counts[1, 1, 2, 1] = 4
+    assert np.allclose(model.quadrant_row(1, 1, 0), [0.25, 0.0, 0.75])
+    assert np.allclose(model.quadrant_row(1, 2, 0), [0.0, 1.0, 0.0])
+    assert np.allclose(model.quadrant_marginal_row(1, 0), [1 / 8, 4 / 8, 3 / 8])
+    assert np.allclose(model.full_row(1, 1), [1 / 8, 0, 3 / 8, 0, 0, 0, 0, 4 / 8, 0])
+    assert model.quadrant_row(1, 1, 1) is None
+    assert model.quadrant_marginal_row(0, 0) is None
+    assert model.full_row(0, 0) is None
+    assert model.quadrant_rows.shape == (3, 3, 3, 3)
+    assert model.full_rows.shape == (3, 3, 9)
+    assert model.quadrant_marginal_rows.shape == (3, 3, 3)
 
 
 def test_normalizations_refresh_after_new_counts():
