@@ -21,17 +21,21 @@ retransmissions; lost packets simply leave the in-flight budget).
 A packet log is five columns (send, delivery, ACK and RTT times, -1 for
 a stage never reached, and a drop flag); summarize() is the one
 definition of a run's throughput and delay. Packet and epoch logs both
-have a CSV form here.
+have a CSV form here, written a column at a time; the packet CSV holds
+only digits, commas and newlines, with a blank for -1, and is parsed in
+one pass by numpy.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
-from array import array
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Optional, TextIO
 
 import numpy as np
@@ -310,14 +314,16 @@ PACKET_CSV_HEADER = ["seq", "sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dr
 
 def write_epoch_csv(log: EpochLog, sink: TextIO) -> None:
     """Epoch log as CSV; derived columns are blank where an epoch has none."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(EPOCH_CSV_HEADER)
-    for i, (t_ms, delay_ms, window_pkts, d_hat, w_hat, d_idx, w_idx) in enumerate(log):
-        if d_idx is not None:
-            derived = [repr(d_hat), repr(w_hat), d_idx, w_idx]
-        else:
-            derived = ["", "", "", ""]
-        writer.writerow([i, t_ms, repr(delay_ms), repr(window_pkts), *derived])
+    n = len(log)
+    cols = [map(repr, range(n))]
+    cols += [map(repr, col.tolist()) for col in (log.t_ms, log.delay_ms, log.window_pkts)]
+    derived = (log.d_hat, log.w_hat, log.d_idx, log.w_idx)
+    if log.derived:
+        cols += [chain([""], map(repr, col.tolist())) for col in derived]
+    else:
+        cols += [repeat("", n) for _ in derived]
+    sink.write(",".join(EPOCH_CSV_HEADER) + "\n")
+    sink.write("".join(map("{},{},{},{},{},{},{},{}\n".format, *cols)))
 
 
 def read_epoch_csv(source: TextIO) -> EpochLog:
@@ -355,47 +361,58 @@ def read_epoch_csv(source: TextIO) -> EpochLog:
 
 
 def write_packet_csv(log: PacketLog, sink: TextIO) -> None:
-    """Packet log as CSV; missing stages are blank, dropped is 0/1."""
+    """Packet log as CSV; missing stages are blank, dropped is 0/1.
 
-    def blank_missing(col: np.ndarray):
-        return ("" if v < 0 else v for v in memoryview(col))
-
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(PACKET_CSV_HEADER)
-    writer.writerows(
-        zip(
-            range(log.sent_ms.size),
-            memoryview(log.sent_ms),
-            blank_missing(log.delivered_ms),
-            blank_missing(log.acked_ms),
-            blank_missing(log.rtt_ms),
-            memoryview(log.dropped.astype(np.uint8)),
-        )
-    )
+    Each distinct value is formatted once, with its trailing comma, and
+    every cell is joined in one pass.
+    """
+    n = log.sent_ms.size
+    values = np.stack([np.arange(n), log.sent_ms, log.delivered_ms, log.acked_ms, log.rtt_ms])
+    distinct, inverse = np.unique(values, return_inverse=True)
+    cells = np.empty((n, len(PACKET_CSV_HEADER)), dtype=object)
+    formatted = np.array([f"{v}," for v in distinct.tolist()], dtype=object)
+    cells[:, :5] = formatted[inverse.reshape(values.shape).T]
+    cells[:, 2:5][values[2:].T < 0] = ","
+    cells[:, 5] = np.array(["0\n", "1\n"], dtype=object)[log.dropped.astype(np.intp)]
+    sink.write(",".join(PACKET_CSV_HEADER) + "\n")
+    sink.write("".join(cells.ravel().tolist()))
 
 
 def read_packet_csv(source: TextIO) -> PacketLog:
-    """Parse a packet CSV, rejecting rows no run could have written."""
+    """Parse a packet CSV, rejecting rows no run could have written.
+
+    The body holds only digits, commas and newlines: one row per line,
+    six integer fields, and a blank for a stage never reached.
+    """
     header, _, body = source.read().partition("\n")
     if next(csv.reader([header]), None) != PACKET_CSV_HEADER:
         raise ValueError(f"unexpected packet CSV header: {header!r}")
-    # Missing stages are blank, so no field may carry a minus sign.
-    if "-" in body:
-        row = body.count("\n", 0, body.index("-"))
-        raise ValueError(f"packet CSV row {row}: negative number")
-    cols = seq, sent, delivered, acked, rtt, dropped = [array("q") for _ in range(6)]
-    for row in csv.reader(body.splitlines()):
-        if len(row) != len(PACKET_CSV_HEADER):
-            raise ValueError(f"packet CSV row has {len(row)} fields: {row!r}")
-        seq.append(int(row[0]))
-        sent.append(int(row[1]))
-        delivered.append(int(row[2]) if row[2] else -1)
-        acked.append(int(row[3]) if row[3] else -1)
-        rtt.append(int(row[4]) if row[4] else -1)
-        dropped.append(int(row[5]))
-    seq, sent, delivered, acked, rtt, dropped = (np.frombuffer(c, dtype=np.int64) for c in cols)
+    # Missing stages are blank, so no field carries a minus sign; nothing
+    # is quoted or padded, and every line ends in a bare newline.
+    if body.encode().translate(None, b"0123456789,\n"):
+        at = re.search(r"[^0-9,\n]", body).start()
+        row = body.count("\n", 0, at)
+        problem = "negative number" if body[at] == "-" else f"unexpected {body[at]!r}"
+        raise ValueError(f"packet CSV row {row}: {problem}")
+    # loadtxt skips empty lines, so they are rejected here.
+    at = ("\n" + body).find("\n\n")
+    if at >= 0:
+        row = body.count("\n", 0, at)
+        raise ValueError(f"packet CSV row {row}: empty row")
+    # A blank stage reads as -1. replace() skips overlapping matches, so a
+    # run of blanks needs a second pass.
+    filled = body.replace(",,", ",-1,").replace(",,", ",-1,")
+    table = (
+        np.loadtxt(io.StringIO(filled), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+        if body
+        else np.empty((0, len(PACKET_CSV_HEADER)), dtype=np.int64)
+    )
+    if table.shape[1] != len(PACKET_CSV_HEADER):
+        raise ValueError(f"packet CSV rows have {table.shape[1]} fields")
+    seq, sent, delivered, acked, rtt, dropped = table.T.copy()
     problems = {
         "seq is not the row number": seq != np.arange(seq.size),
+        "blank send time": sent < 0,
         "dropped is not 0 or 1": (dropped != 0) & (dropped != 1),
         "ACK without a delivery": (acked >= 0) & (delivered < 0),
         "packet both delivered and dropped": (delivered >= 0) & (dropped == 1),

@@ -1,20 +1,26 @@
-"""The emulator's original tick loop, kept as a reference oracle.
+"""The emulator's original tick loop and row-at-a-time packet CSV codec,
+kept as reference oracles.
 
-It tracks a trace cursor, a dict of per-tick ACK lists and per-packet
-ACK and RTT columns; ``mdi.linksim.run_simulation`` derives all three.
-The differential test in ``test_linksim.py`` requires both to give
-identical results, so this loop stays as it was written.
+The tick loop tracks a trace cursor, a dict of per-tick ACK lists and
+per-packet ACK and RTT columns; ``mdi.linksim.run_simulation`` derives
+all three. The codec writes and parses one row at a time through the
+csv module; ``mdi.linksim`` formats and parses whole columns. The
+differential tests in ``test_linksim.py`` require both to give identical
+results, so this code stays as it was written.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from array import array
 from collections import deque
+from typing import TextIO
 
 import numpy as np
 
 from mdi.controllers import Controller, EpochFeedback
-from mdi.linksim import LinkParams, SimResult, SimulationError
+from mdi.linksim import PACKET_CSV_HEADER, LinkParams, PacketLog, SimResult, SimulationError
 from mdi.trainer import EpochLog
 
 
@@ -157,4 +163,66 @@ def reference_run_simulation(params: LinkParams, controller: Controller) -> SimR
         clamp_warnings=clamps,
         duration_ms=params.duration_ms,
         mtu_bytes=params.trace.mtu_bytes,
+    )
+
+
+def reference_write_packet_csv(log: PacketLog, sink: TextIO) -> None:
+    """Packet log as CSV; missing stages are blank, dropped is 0/1."""
+
+    def blank_missing(col: np.ndarray):
+        return ("" if v < 0 else v for v in memoryview(col))
+
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(PACKET_CSV_HEADER)
+    writer.writerows(
+        zip(
+            range(log.sent_ms.size),
+            memoryview(log.sent_ms),
+            blank_missing(log.delivered_ms),
+            blank_missing(log.acked_ms),
+            blank_missing(log.rtt_ms),
+            memoryview(log.dropped.astype(np.uint8)),
+        )
+    )
+
+
+def reference_read_packet_csv(source: TextIO) -> PacketLog:
+    """Parse a packet CSV, rejecting rows no run could have written."""
+    header, _, body = source.read().partition("\n")
+    if next(csv.reader([header]), None) != PACKET_CSV_HEADER:
+        raise ValueError(f"unexpected packet CSV header: {header!r}")
+    # Missing stages are blank, so no field may carry a minus sign.
+    if "-" in body:
+        row = body.count("\n", 0, body.index("-"))
+        raise ValueError(f"packet CSV row {row}: negative number")
+    cols = seq, sent, delivered, acked, rtt, dropped = [array("q") for _ in range(6)]
+    for row in csv.reader(body.splitlines()):
+        if len(row) != len(PACKET_CSV_HEADER):
+            raise ValueError(f"packet CSV row has {len(row)} fields: {row!r}")
+        seq.append(int(row[0]))
+        sent.append(int(row[1]))
+        delivered.append(int(row[2]) if row[2] else -1)
+        acked.append(int(row[3]) if row[3] else -1)
+        rtt.append(int(row[4]) if row[4] else -1)
+        dropped.append(int(row[5]))
+    seq, sent, delivered, acked, rtt, dropped = (np.frombuffer(c, dtype=np.int64) for c in cols)
+    problems = {
+        "seq is not the row number": seq != np.arange(seq.size),
+        "dropped is not 0 or 1": (dropped != 0) & (dropped != 1),
+        "ACK without a delivery": (acked >= 0) & (delivered < 0),
+        "packet both delivered and dropped": (delivered >= 0) & (dropped == 1),
+        "rtt_ms is not acked_ms - sent_ms": rtt != np.where(acked >= 0, acked - sent, -1),
+        "delivered before it was sent": (delivered >= 0) & (delivered < sent),
+    }
+    for problem, bad in problems.items():
+        if bad.any():
+            raise ValueError(f"packet CSV row {int(np.argmax(bad))}: {problem}")
+    # The return leg is one constant of at least 1 ms for the whole run.
+    ack_delay = (acked - delivered)[acked >= 0]
+    bad = (ack_delay != ack_delay[:1]) | (ack_delay < 1)
+    if bad.any():
+        row = int(np.flatnonzero(acked >= 0)[np.argmax(bad)])
+        raise ValueError(f"packet CSV row {row}: ACK delay is not one constant >= 1 ms")
+    return PacketLog(
+        sent_ms=sent, delivered_ms=delivered, acked_ms=acked, rtt_ms=rtt, dropped=dropped == 1
     )

@@ -5,13 +5,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_linksim import reference_run_simulation
+from reference_linksim import (
+    reference_read_packet_csv,
+    reference_run_simulation,
+    reference_write_packet_csv,
+)
 
 from mdi.controllers import BASELINES, Controller, Pinned, make_controller
 from mdi.linksim import (
     LinkParams,
+    PacketLog,
     SimulationError,
     read_epoch_csv,
     read_packet_csv,
@@ -285,6 +290,8 @@ def test_packet_csv_rejects_rows_no_run_could_write():
     header = "seq,sent_ms,delivered_ms,acked_ms,rtt_ms,dropped\n"
     good = "0,0,5,25,25,0\n1,0,,,,1\n"
     assert read_packet_csv(io.StringIO(header + good)).dropped_pkts == 1
+    for empty in (header, header.rstrip("\n")):
+        assert read_packet_csv(io.StringIO(empty)).sent_pkts == 0
     bad_bodies = [
         "0,0,5,25,25,0\n99,0,,,,1\n",  # seq is not the row number
         "0,0,5,25,25,7\n",  # dropped is not 0 or 1
@@ -300,10 +307,95 @@ def test_packet_csv_rejects_rows_no_run_could_write():
         "0,10,5,25,15,0\n",  # delivered before it was sent
         "0,0,1,3,3,0\n1,0,2,9,9,0\n",  # ACK delay not one constant
         "0,0,5,5,5,0\n",  # ACK delay of 0 ms
+        "0,0,5,25,25,0\n\n1,0,,,,1\n",  # empty row
+        "\n0,0,5,25,25,0\n",  # leading empty row
+        "0,0,5,25,25,0\n\n",  # trailing empty row
+        "0,0,5,25,25,0,0\n",  # 7 fields
+        "0,0,5.0,25,25,0\n",  # not an integer
+        "0,0,5,25,25,\n",  # blank drop flag
+        ",0,5,25,25,0\n",  # blank seq
+        "0,,,,,1\n",  # blank send time, every other field consistent
+        '"0",0,5,25,25,0\n',  # quoted field
+        "0,0,5,25,25,0 \n",  # padded field
+        "0,0,5,25,25,0\r\n",  # carriage return
+        "0,0,5,25,25,0\x0c\n",  # form feed, a line break to str.splitlines
     ]
     for body in bad_bodies:
         with pytest.raises(ValueError):
             read_packet_csv(io.StringIO(header + body))
+
+
+PACKET_FIELDS = ("sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped")
+
+
+@st.composite
+def packet_logs(draw):
+    """Logs of the kinds a run writes: sends in order, then each packet
+    ACKed, delivered but not yet ACKed, still queued, or dropped; one
+    constant ACK delay; times from zero up to about 2**40 ms. Hypothesis
+    draws the shape, a seeded generator the columns."""
+    n = draw(st.integers(0, 300))
+    start = draw(st.sampled_from([0, 1, 2**40]))
+    gap, wait = (draw(st.sampled_from([1, 10, 10**6])) for _ in range(2))
+    fate_weights = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any))
+    ack_delay = draw(st.integers(1, 10**6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sent = start + np.cumsum(rng.integers(0, gap, n, endpoint=True))
+    fates = rng.choice(4, n, p=np.array(fate_weights) / sum(fate_weights))
+    delivered = np.where(fates <= 1, sent + rng.integers(0, wait, n, endpoint=True), -1)
+    acked = np.where(fates == 0, delivered + ack_delay, -1)
+    return PacketLog(
+        sent_ms=sent,
+        delivered_ms=delivered,
+        acked_ms=acked,
+        rtt_ms=np.where(acked >= 0, acked - sent, -1),
+        dropped=fates == 3,
+    )
+
+
+def assert_same_packets(got: PacketLog, want: PacketLog) -> None:
+    for field in PACKET_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def packet_csv(write, log: PacketLog) -> str:
+    buf = io.StringIO()
+    write(log, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(packet_logs())
+def test_packet_csv_codec_matches_the_row_at_a_time_reference(log):
+    text = packet_csv(write_packet_csv, log)
+    assert text == packet_csv(reference_write_packet_csv, log)
+    back = read_packet_csv(io.StringIO(text))
+    assert_same_packets(back, reference_read_packet_csv(io.StringIO(text)))
+    assert packet_csv(write_packet_csv, back) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(packet_logs(), st.data())
+def test_packet_csv_reader_agrees_with_the_reference_on_edited_files(log, data):
+    # One edit of the body from the characters a packet CSV is made of;
+    # most edits break a row, and both readers must agree on each.
+    text = packet_csv(write_packet_csv, log)
+    at = data.draw(st.integers(text.index("\n") + 1, len(text)))
+    cut = data.draw(st.integers(0, 2))
+    edited = text[:at] + data.draw(st.text("019,\n-", max_size=2)) + text[at + cut :]
+    assume(edited != text)
+
+    def outcome(read):
+        try:
+            return read(io.StringIO(edited))
+        except ValueError:
+            return None
+
+    got, want = outcome(read_packet_csv), outcome(reference_read_packet_csv)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert_same_packets(got, want)
 
 
 @st.composite
@@ -339,7 +431,7 @@ def test_emulator_matches_the_reference_tick_loop(case):
     assert isinstance(got, str) == isinstance(want, str)
     if isinstance(want, str):
         return
-    for field in ("sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped"):
+    for field in PACKET_FIELDS:
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert list(got.epochs) == list(want.epochs)
     assert got.queued_end_pkts == want.queued_end_pkts

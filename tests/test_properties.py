@@ -1,6 +1,7 @@
 """Property tests for the columnar epoch-log path (the array composite,
 vectorised and scalar bucketing, bincount counting, the epoch CSV round
-trip) and for the runtime's window inversion."""
+trip), the runtime's window inversion, the trace and model file round
+trips, and the row tables."""
 
 import io
 import math
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from mdi.linksim import read_epoch_csv, write_epoch_csv
 from mdi.quantizer import QuantizerConfig, bucket, composite, composite_steps, compute_d_hat
 from mdi.runtime import _bisect_increasing, _dip_minimizer, invert_w_hat
-from mdi.trainer import EpochLog, TransitionModel, derive_states
+from mdi.trace import LinkTrace, load_trace, save_trace
+from mdi.trainer import EpochLog, TransitionModel, derive_states, load_model, save_model
 
 positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -157,3 +159,67 @@ def test_invert_w_hat_clamps_unreachable_targets(w_prev, excess):
     # The minimizer is the dip's lowest point.
     for w in (1.0 + 0.5 * (m - 1.0), m + 0.5 * (w_prev - m)):
         assert composite(m, w_prev) <= composite(w, w_prev)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2**40]),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=300),
+    st.integers(1, 9000),
+)
+def test_trace_file_round_trip(start, gaps, mtu_bytes):
+    trace = LinkTrace(start + np.cumsum(gaps), mtu_bytes=mtu_bytes)
+    buf = io.BytesIO()
+    save_trace(trace, buf)
+    back = load_trace(io.BytesIO(buf.getvalue()), mtu_bytes=mtu_bytes)
+    assert back == trace
+    again = io.BytesIO()
+    save_trace(back, again)
+    assert again.getvalue() == buf.getvalue()
+
+
+def edge_lists(n: int):
+    return st.lists(finite, min_size=n + 1, max_size=n + 1, unique=True).map(sorted)
+
+
+@st.composite
+def models(draw):
+    """A model over random edges with sparse counts written directly, up
+    to 2**40 per cell."""
+    n_d, n_w = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    cfg = QuantizerConfig(draw(edge_lists(n_d)), draw(edge_lists(n_w)), n_d=n_d, n_w=n_w)
+    model = TransitionModel(cfg)
+    cells = st.tuples(
+        st.integers(0, n_d - 1), st.integers(0, n_w - 1),
+        st.integers(0, n_d - 1), st.integers(0, n_w - 1),
+    )
+    for cell, count in draw(st.lists(st.tuples(cells, st.integers(1, 2**40)), max_size=40)):
+        model.counts[cell] += np.uint64(count)
+    return model
+
+
+@settings(max_examples=200, deadline=None)
+@given(models())
+def test_model_file_round_trip_is_byte_stable(model):
+    buf = io.BytesIO()
+    save_model(model, buf)
+    back = load_model(io.BytesIO(buf.getvalue()))
+    assert back.cfg == model.cfg
+    assert np.array_equal(back.counts, model.counts)
+    again = io.BytesIO()
+    save_model(back, again)
+    assert again.getvalue() == buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(models())
+def test_row_tables_are_stochastic_where_seen_and_zero_elsewhere(model):
+    n_d, n_w = model.cfg.n_d, model.cfg.n_w
+    for table, counts in (
+        (model.quadrant_rows, model.counts),
+        (model.full_rows, model.counts.reshape(n_d, n_w, -1)),
+    ):
+        seen = counts.sum(axis=-1) > 0
+        assert (table >= 0.0).all()
+        assert np.allclose(table[seen].sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        assert not table[~seen].any()
