@@ -9,7 +9,7 @@ its own is invisible.
 
 import numpy as np
 
-from mdi.quantizer import QuantizerConfig, compute_d_hat, compute_w_hat, fit_config
+from mdi.quantizer import QuantizerConfig, composite, fit_config
 
 
 def banner(title):
@@ -20,7 +20,7 @@ def banner(title):
 
 
 def show(curr, prev, label):
-    val = compute_d_hat(curr, prev)
+    val = composite(curr, prev)
     print(f"  {label:<38s} d_hat = {val:+.4f}")
 
 
@@ -39,7 +39,7 @@ def main():
 
     banner("2. Blind to absolute level")
     for base in (5.0, 50.0, 500.0):
-        print(f"  steady at {base:>5.0f} ms: d_hat = {compute_d_hat(base, base):+.4f}")
+        print(f"  steady at {base:>5.0f} ms: d_hat = {composite(base, base):+.4f}")
     print("  A full queue that stays full looks exactly like an empty one.")
 
     banner("3. The default grid")
@@ -47,8 +47,8 @@ def main():
     print(f"  delay axis:  {cfg.n_d} buckets over [{cfg.d_hat_edges[0]}, {cfg.d_hat_edges[-1]}]")
     print(f"  window axis: {cfg.n_w} buckets over [{cfg.w_hat_edges[0]}, {cfg.w_hat_edges[-1]}]")
     print(f"  states:      {cfg.n_states}")
-    d_idx = cfg.d_bucket(compute_d_hat(200.0, 100.0))
-    w_idx = cfg.w_bucket(compute_w_hat(12.0, 10.0))
+    d_idx = cfg.d_bucket(composite(200.0, 100.0))
+    w_idx = cfg.w_bucket(composite(12.0, 10.0))
     print(f"  (100->200 ms, 10->12 pkts) lands in state (d_idx={d_idx}, w_idx={w_idx})")
     print(
         f"  bucket midpoint: d_hat={cfg.d_midpoint(d_idx):+.3f}, "

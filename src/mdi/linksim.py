@@ -21,14 +21,14 @@ retransmissions; lost packets simply leave the in-flight budget).
 A packet log is five columns (send, delivery, ACK and RTT times, -1 for
 a stage never reached, and a drop flag); summarize() is the one
 definition of a run's throughput and delay. Packet and epoch logs both
-have a CSV form here, written a column at a time; the packet CSV holds
-only digits, commas and newlines, with a blank for -1, and is parsed in
-one pass by numpy.
+have a CSV form here, written a column at a time and read by one
+checked np.loadtxt whose errors name the body row. The packet CSV holds
+only digits, commas and newlines, with a blank for -1; the epoch CSV
+adds the '.', 'e', '+' and '-' of repr'd floats.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import re
@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
@@ -311,6 +311,58 @@ EPOCH_CSV_HEADER = [
 
 PACKET_CSV_HEADER = ["seq", "sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped"]
 
+_EPOCH_DTYPE = np.dtype({"names": EPOCH_CSV_HEADER, "formats": "i8 i8 f8 f8 f8 f8 i8 i8".split()})
+# An underived epoch log parses only its first four columns.
+_RAW_EPOCH_DTYPE = np.dtype(_EPOCH_DTYPE.descr[:4])
+_PACKET_DTYPE = np.dtype({"names": PACKET_CSV_HEADER, "formats": ["i8"] * 6})
+
+
+def _read_table(
+    source: TextIO, name: str, header: list[str], chars: bytes, layout: Callable
+) -> np.ndarray:
+    """Check a CSV file's shape and parse its body with one np.loadtxt.
+
+    The header line must be `header` exactly, and the body may hold only
+    `chars`; every row is non-empty, ends in a bare newline (one is added
+    after a last row that lacks it) and has one field per column.
+    `layout(body)` gives the text to parse, row for row, and its
+    structured dtype. Every error names the 0-based body row at fault.
+    """
+    head, _, body = source.read().partition("\n")
+    if head != ",".join(header):
+        raise ValueError(f"unexpected {name} CSV header: {head!r}")
+    if body and not body.endswith("\n"):
+        body += "\n"
+    raw = body.encode()
+    if raw.translate(None, chars):
+        at = re.search(f"[^{re.escape(chars.decode())}]", body).start()
+        row = body.count("\n", 0, at)
+        problem = "negative number" if body[at] == "-" else f"unexpected {body[at]!r}"
+        raise ValueError(f"{name} CSV row {row}: {problem}")
+    # loadtxt skips empty lines and reports field counts in its own row
+    # numbers, so both are checked here on the raw bytes.
+    flat = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(flat == ord("\n"))
+    empty = np.diff(ends, prepend=-1) == 1
+    if empty.any():
+        raise ValueError(f"{name} CSV row {int(np.argmax(empty))}: empty row")
+    fields = np.diff(np.searchsorted(np.flatnonzero(flat == ord(",")), ends), prepend=0) + 1
+    bad = fields != len(header)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{name} CSV row {row}: {fields[row]} fields, expected {len(header)}")
+    text, dtype = layout(body)
+    if not text:
+        return np.empty(0, dtype=dtype)
+    try:
+        return np.loadtxt(io.StringIO(text), delimiter=",", dtype=dtype, ndmin=1, comments=None)
+    except ValueError as exc:
+        # The checks above leave loadtxt only conversion errors, which it
+        # reports as "... at row R, column C" with R 0-based and C 1-based.
+        found = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
+        problem, row, column = found.groups()
+        raise ValueError(f"{name} CSV row {row}: {problem} in column {column}") from exc
+
 
 def write_epoch_csv(log: EpochLog, sink: TextIO) -> None:
     """Epoch log as CSV; derived columns are blank where an epoch has none."""
@@ -327,37 +379,31 @@ def write_epoch_csv(log: EpochLog, sink: TextIO) -> None:
 
 
 def read_epoch_csv(source: TextIO) -> EpochLog:
-    """Parse an epoch CSV back into a log (derived columns optional)."""
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header != EPOCH_CSV_HEADER:
-        raise ValueError(f"unexpected epoch CSV header: {header!r}")
-    rows = list(reader)
-    for row in rows:
-        if len(row) != len(EPOCH_CSV_HEADER):
-            raise ValueError(f"epoch CSV row has {len(row)} fields: {row!r}")
-    cols = list(zip(*rows)) or [()] * len(EPOCH_CSV_HEADER)
-    _, t_ms, delay_ms, window_pkts, *derived = cols
-    raw = (
-        [int(x) for x in t_ms],
-        [float(x) for x in delay_ms],
-        [float(x) for x in window_pkts],
-    )
-    if not any(any(col) for col in derived):
-        return EpochLog(*raw)
-    if any(col[0] or not all(col[1:]) for col in derived):
-        raise ValueError(
-            "epoch CSV must fill every derived field of every epoch "
-            "after the first, or none"
-        )
-    d_hat, w_hat, d_idx, w_idx = (col[1:] for col in derived)
-    return EpochLog(
-        *raw,
-        d_hat=[float(x) for x in d_hat],
-        w_hat=[float(x) for x in w_hat],
-        d_idx=[int(x) for x in d_idx],
-        w_idx=[int(x) for x in w_idx],
-    )
+    """Parse an epoch CSV back into a log (derived columns optional).
+
+    The first row's derived fields are blank; every later row's are all
+    filled or, in an underived log, all blank.
+    """
+
+    def layout(body: str) -> tuple[str, np.dtype]:
+        first, _, rest = body.partition("\n")
+        if first and not first.endswith(",,,,"):
+            raise ValueError("epoch CSV row 0: the first epoch has derived fields")
+        # A later row's derived fields can only be blank as its last four.
+        if rest.count(",,,,\n") == rest.count("\n"):
+            return body.replace(",,,,\n", "\n"), _RAW_EPOCH_DTYPE
+        # The first row's blank derived fields get placeholders, dropped
+        # below, so one table holds every row.
+        return first[:-3] + "0,0,0,0\n" + rest, _EPOCH_DTYPE
+
+    table = _read_table(source, "epoch", EPOCH_CSV_HEADER, b"0123456789.e+-,\n", layout)
+    index, *cols = (table[name].copy() for name in table.dtype.names)
+    bad = index != np.arange(index.size)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"epoch CSV row {row}: epoch_index is not the row number")
+    raw, derived = cols[:3], [col[1:] for col in cols[3:]]
+    return EpochLog(*raw, *derived)
 
 
 def write_packet_csv(log: PacketLog, sink: TextIO) -> None:
@@ -384,32 +430,15 @@ def read_packet_csv(source: TextIO) -> PacketLog:
     The body holds only digits, commas and newlines: one row per line,
     six integer fields, and a blank for a stage never reached.
     """
-    header, _, body = source.read().partition("\n")
-    if next(csv.reader([header]), None) != PACKET_CSV_HEADER:
-        raise ValueError(f"unexpected packet CSV header: {header!r}")
-    # Missing stages are blank, so no field carries a minus sign; nothing
-    # is quoted or padded, and every line ends in a bare newline.
-    if body.encode().translate(None, b"0123456789,\n"):
-        at = re.search(r"[^0-9,\n]", body).start()
-        row = body.count("\n", 0, at)
-        problem = "negative number" if body[at] == "-" else f"unexpected {body[at]!r}"
-        raise ValueError(f"packet CSV row {row}: {problem}")
-    # loadtxt skips empty lines, so they are rejected here.
-    at = ("\n" + body).find("\n\n")
-    if at >= 0:
-        row = body.count("\n", 0, at)
-        raise ValueError(f"packet CSV row {row}: empty row")
-    # A blank stage reads as -1. replace() skips overlapping matches, so a
-    # run of blanks needs a second pass.
-    filled = body.replace(",,", ",-1,").replace(",,", ",-1,")
-    table = (
-        np.loadtxt(io.StringIO(filled), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-        if body
-        else np.empty((0, len(PACKET_CSV_HEADER)), dtype=np.int64)
-    )
-    if table.shape[1] != len(PACKET_CSV_HEADER):
-        raise ValueError(f"packet CSV rows have {table.shape[1]} fields")
-    seq, sent, delivered, acked, rtt, dropped = table.T.copy()
+
+    def layout(body: str) -> tuple[str, np.dtype]:
+        # A blank stage reads as -1. replace() skips overlapping matches,
+        # so a run of blanks needs a second pass.
+        return body.replace(",,", ",-1,").replace(",,", ",-1,"), _PACKET_DTYPE
+
+    # Missing stages are blank, so no field carries a minus sign.
+    table = _read_table(source, "packet", PACKET_CSV_HEADER, b"0123456789,\n", layout)
+    seq, sent, delivered, acked, rtt, dropped = (table[name].copy() for name in PACKET_CSV_HEADER)
     problems = {
         "seq is not the row number": seq != np.arange(seq.size),
         "blank send time": sent < 0,

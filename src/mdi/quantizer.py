@@ -15,10 +15,10 @@ half-open [e_i, e_{i+1}) and out-of-range values clamp to the first or
 last bucket. A (d_idx, w_idx) pair is one discrete state; flat index is
 d_idx * n_w + w_idx.
 
-composite() is the only place the formula is written. compute_d_hat and
-compute_w_hat check their arguments and call it, composite_steps maps it
-over a column of an epoch log, and bucket() is the one bucketing rule,
-which d_bucket/w_bucket apply to one value with bisect.
+composite() is the only place the formula is written, for both axes;
+composite_steps maps it over a column of an epoch log. bucket() is the
+one bucketing rule, which d_bucket/w_bucket apply to one value with
+bisect.
 """
 
 from __future__ import annotations
@@ -49,37 +49,6 @@ def composite_steps(values: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(values, dtype=np.float64).tolist()
     return np.array(list(map(composite, v[1:], v[:-1])), dtype=np.float64)
-
-
-def _positive_finite(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
-def compute_d_hat(d_curr_ms: float, d_prev_ms: float) -> float:
-    """Delay composite: relative change scaled by log10 of the current delay.
-
-    Both delays are in milliseconds and must be strictly positive. Equal
-    delays give exactly 0.0. Callers keep delays >= 1 ms so the log factor
-    does not flip sign.
-    """
-    return composite(
-        _positive_finite(d_curr_ms, "d_curr_ms"), _positive_finite(d_prev_ms, "d_prev_ms")
-    )
-
-
-def compute_w_hat(w_curr_pkts: float, w_prev_pkts: float) -> float:
-    """Window composite, same shape as the delay composite.
-
-    Windows are in packets and must be strictly positive; the simulator
-    keeps them >= 1.
-    """
-    return composite(
-        _positive_finite(w_curr_pkts, "w_curr_pkts"),
-        _positive_finite(w_prev_pkts, "w_prev_pkts"),
-    )
 
 
 def bucket(values, edges: Sequence[float]) -> np.ndarray:

@@ -1,12 +1,14 @@
-"""The emulator's original tick loop and row-at-a-time packet CSV codec,
-kept as reference oracles.
+"""The emulator's original tick loop, its row-at-a-time packet CSV codec
+and its row-at-a-time epoch CSV reader, kept as reference oracles.
 
 The tick loop tracks a trace cursor, a dict of per-tick ACK lists and
 per-packet ACK and RTT columns; ``mdi.linksim.run_simulation`` derives
-all three. The codec writes and parses one row at a time through the
-csv module; ``mdi.linksim`` formats and parses whole columns. The
-differential tests in ``test_linksim.py`` require both to give identical
-results, so this code stays as it was written.
+all three. The codec and the epoch reader write and parse one row at a
+time through the csv module, with per-value ``int``/``float``;
+``mdi.linksim`` formats whole columns and parses each file with one
+``np.loadtxt``. The differential tests in ``test_linksim.py`` and
+``test_properties.py`` require both to give identical results, so this
+code stays as it was written.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from typing import TextIO
 import numpy as np
 
 from mdi.controllers import Controller, EpochFeedback
-from mdi.linksim import PACKET_CSV_HEADER, LinkParams, PacketLog, SimResult, SimulationError
+from mdi.linksim import (
+    EPOCH_CSV_HEADER,
+    PACKET_CSV_HEADER,
+    LinkParams,
+    PacketLog,
+    SimResult,
+    SimulationError,
+)
 from mdi.trainer import EpochLog
 
 
@@ -225,4 +234,38 @@ def reference_read_packet_csv(source: TextIO) -> PacketLog:
         raise ValueError(f"packet CSV row {row}: ACK delay is not one constant >= 1 ms")
     return PacketLog(
         sent_ms=sent, delivered_ms=delivered, acked_ms=acked, rtt_ms=rtt, dropped=dropped == 1
+    )
+
+
+def reference_read_epoch_csv(source: TextIO) -> EpochLog:
+    """Parse an epoch CSV back into a log (derived columns optional)."""
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header != EPOCH_CSV_HEADER:
+        raise ValueError(f"unexpected epoch CSV header: {header!r}")
+    rows = list(reader)
+    for row in rows:
+        if len(row) != len(EPOCH_CSV_HEADER):
+            raise ValueError(f"epoch CSV row has {len(row)} fields: {row!r}")
+    cols = list(zip(*rows)) or [()] * len(EPOCH_CSV_HEADER)
+    _, t_ms, delay_ms, window_pkts, *derived = cols
+    raw = (
+        [int(x) for x in t_ms],
+        [float(x) for x in delay_ms],
+        [float(x) for x in window_pkts],
+    )
+    if not any(any(col) for col in derived):
+        return EpochLog(*raw)
+    if any(col[0] or not all(col[1:]) for col in derived):
+        raise ValueError(
+            "epoch CSV must fill every derived field of every epoch "
+            "after the first, or none"
+        )
+    d_hat, w_hat, d_idx, w_idx = (col[1:] for col in derived)
+    return EpochLog(
+        *raw,
+        d_hat=[float(x) for x in d_hat],
+        w_hat=[float(x) for x in w_hat],
+        d_idx=[int(x) for x in d_idx],
+        w_idx=[int(x) for x in w_idx],
     )

@@ -18,7 +18,7 @@ from mdi.linksim import (
     write_packet_csv,
 )
 from mdi import markov
-from mdi.quantizer import QuantizerConfig, compute_d_hat
+from mdi.quantizer import QuantizerConfig, composite
 from mdi.trace import SyntheticTraceSpec, gen_rapidly_changing
 from mdi.trainer import TransitionModel, save_model
 
@@ -26,9 +26,9 @@ from mdi.trainer import TransitionModel, save_model
 def test_composite_reference_points_and_grid_round_trip():
     t0 = time.perf_counter()
     for d in (1.5, 10.0, 80.0, 300.0):
-        assert compute_d_hat(d, d) == 0.0
-    assert compute_d_hat(200.0, 100.0) == pytest.approx(2.30103, abs=1e-5)
-    assert compute_d_hat(50.0, 100.0) == pytest.approx(-0.849485, abs=1e-5)
+        assert composite(d, d) == 0.0
+    assert composite(200.0, 100.0) == pytest.approx(2.30103, abs=1e-5)
+    assert composite(50.0, 100.0) == pytest.approx(-0.849485, abs=1e-5)
     cfg = QuantizerConfig.uniform(-2.0, 2.0, -0.5, 0.5)
     assert cfg.n_states == 231
     for flat in range(cfg.n_states):

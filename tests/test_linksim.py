@@ -260,10 +260,27 @@ def test_epoch_csv_rejects_foreign_header():
         "0,40,12.5,0.5,,,,\n",  # window below one packet
         "0,40,12.5,8.0,,,,\n1,60,13.25,9.5,nan,0.2,5,11\n",  # non-finite composite
         "0,40,12.5,8.0,,,\n",  # short row
+        "7,40,12.5,8.0,,,,\n",  # epoch_index is not the row number
+        '"0",40,12.5,8.0,,,,\n',  # quoted field
+        "0,40,12.5,8.0,,,,\r\n",  # carriage return
+        "0, 40,12.5 ,8.0,,,,\n",  # padded fields
+        "0,4_0,12.5,8.0,,,,\n",  # digit separator
+        "0,40,12.5,8.0,,,,\n\n1,60,13.25,9.5,,,,\n",  # empty row
+        "0,40,12.5,8.0,,,,,\n",  # 9 fields
     ]
     for body in bad_bodies:
         with pytest.raises(ValueError):
             read_epoch_csv(io.StringIO(header + body))
+
+
+def test_epoch_csv_errors_name_the_body_row():
+    header = "epoch_index,t_ms,delay_ms,window_pkts,d_hat,w_hat,d_idx,w_idx\n"
+    first = "0,40,12.5,8.0,,,,\n"
+    for row in ("1,60,13.25\n", "1,60,13..25,9.5,,,,\n"):  # field count, conversion
+        with pytest.raises(ValueError, match="^epoch CSV row 1: "):
+            read_epoch_csv(io.StringIO(header + first + row))
+    with pytest.raises(ValueError, match="^epoch CSV row 0: "):  # derived first epoch
+        read_epoch_csv(io.StringIO(header + "0,40,12.5,8.0,0.1,0.2,5,11\n" + first))
 
 
 def test_packet_csv_round_trip():
@@ -323,6 +340,14 @@ def test_packet_csv_rejects_rows_no_run_could_write():
     for body in bad_bodies:
         with pytest.raises(ValueError):
             read_packet_csv(io.StringIO(header + body))
+
+
+def test_packet_csv_errors_name_the_body_row():
+    header = "seq,sent_ms,delivered_ms,acked_ms,rtt_ms,dropped\n"
+    first = "0,0,5,25,25,0\n"
+    for row in ("1,0\n", "1,0,5,25,25,\n"):  # field count, conversion
+        with pytest.raises(ValueError, match="^packet CSV row 1: "):
+            read_packet_csv(io.StringIO(header + first + row))
 
 
 PACKET_FIELDS = ("sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped")

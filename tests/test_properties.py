@@ -9,11 +9,12 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_linksim import reference_read_epoch_csv
 
 from mdi.linksim import read_epoch_csv, write_epoch_csv
-from mdi.quantizer import QuantizerConfig, bucket, composite, composite_steps, compute_d_hat
+from mdi.quantizer import QuantizerConfig, bucket, composite, composite_steps
 from mdi.runtime import _bisect_increasing, _dip_minimizer, invert_w_hat
 from mdi.trace import LinkTrace, load_trace, save_trace
 from mdi.trainer import EpochLog, TransitionModel, derive_states, load_model, save_model
@@ -26,7 +27,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @given(st.lists(positive, min_size=2, max_size=50))
 def test_array_composite_is_bit_identical_to_the_scalar(values):
     got = composite_steps(np.array(values))
-    want = np.array([compute_d_hat(c, p) for p, c in zip(values, values[1:])])
+    want = np.array([composite(c, p) for p, c in zip(values, values[1:])])
     assert got.tobytes() == want.tobytes()
 
 
@@ -86,16 +87,67 @@ def epoch_logs(draw):
     return EpochLog(t_ms, delay, window)
 
 
-@settings(max_examples=100, deadline=None)
-@given(epoch_logs(), st.booleans())
-def test_epoch_csv_round_trip_preserves_the_log(log, derive):
+def epoch_csv(log: EpochLog, derive: bool) -> tuple[EpochLog, str]:
     if derive and len(log) >= 2:
         log = derive_states(log, QuantizerConfig.uniform(-1.0, 1.0, -0.5, 0.5))
     buf = io.StringIO()
     write_epoch_csv(log, buf)
-    back = read_epoch_csv(io.StringIO(buf.getvalue()))
+    return log, buf.getvalue()
+
+
+EPOCH_FIELDS = ("t_ms", "delay_ms", "window_pkts", "d_hat", "w_hat", "d_idx", "w_idx")
+
+
+def assert_same_epochs(got: EpochLog, want: EpochLog) -> None:
+    assert got.derived == want.derived
+    for field in EPOCH_FIELDS if want.derived else EPOCH_FIELDS[:3]:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+@settings(max_examples=100, deadline=None)
+@given(epoch_logs(), st.booleans())
+def test_epoch_csv_round_trip_preserves_the_log(log, derive):
+    log, text = epoch_csv(log, derive)
+    back = read_epoch_csv(io.StringIO(text))
     assert list(back) == list(log)
     assert back.derived == log.derived
+    assert_same_epochs(back, reference_read_epoch_csv(io.StringIO(text)))
+
+
+def epoch_indices_in_order(text: str) -> bool:
+    try:
+        index = [int(row.split(",")[0]) for row in text.splitlines()[1:]]
+    except ValueError:
+        return False
+    return index == list(range(len(index)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(epoch_logs(), st.booleans(), st.data())
+def test_epoch_csv_reader_agrees_with_the_reference_on_edited_files(log, derive, data):
+    # One edit of the body from the characters an epoch CSV is made of;
+    # both readers must agree on each, except that the reference never
+    # reads the epoch_index column.
+    _, text = epoch_csv(log, derive)
+    at = data.draw(st.integers(text.index("\n") + 1, len(text)))
+    cut = data.draw(st.integers(0, 2))
+    edited = text[:at] + data.draw(st.text("019.e-,\n", max_size=2)) + text[at + cut :]
+    assume(edited != text)
+
+    def outcome(read):
+        try:
+            return read(io.StringIO(edited))
+        except ValueError:
+            return None
+
+    got, want = outcome(read_epoch_csv), outcome(reference_read_epoch_csv)
+    if got is None and want is not None:
+        assert not epoch_indices_in_order(edited)
+    else:
+        assert (got is None) == (want is None)
+    if got is not None:
+        assert_same_epochs(got, want)
 
 
 def reference_dip_minimizer(w_prev: float) -> float:

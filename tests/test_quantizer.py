@@ -11,8 +11,7 @@ from mdi.quantizer import (
     FitError,
     QuantizerConfig,
     bucket,
-    compute_d_hat,
-    compute_w_hat,
+    composite,
     fit_config,
 )
 from mdi.trainer import EpochLog
@@ -20,31 +19,23 @@ from mdi.trainer import EpochLog
 
 def test_equal_delays_give_exact_zero():
     for d in (0.5, 1.0, 7.25, 123.0):
-        assert compute_d_hat(d, d) == 0.0
-        assert compute_w_hat(d, d) == 0.0
+        assert composite(d, d) == 0.0
 
 
 def test_delay_composite_reference_values():
-    assert compute_d_hat(200.0, 100.0) == pytest.approx(2.30103, abs=1e-5)
-    assert compute_d_hat(50.0, 100.0) == pytest.approx(-0.849485, abs=1e-5)
-    assert compute_d_hat(20.0, 10.0) == pytest.approx(1.30103, abs=1e-5)
-    assert compute_d_hat(5.0, 10.0) == pytest.approx(-0.349485, abs=1e-5)
+    assert composite(200.0, 100.0) == pytest.approx(2.30103, abs=1e-5)
+    assert composite(50.0, 100.0) == pytest.approx(-0.849485, abs=1e-5)
+    assert composite(20.0, 10.0) == pytest.approx(1.30103, abs=1e-5)
+    assert composite(5.0, 10.0) == pytest.approx(-0.349485, abs=1e-5)
 
 
 def test_window_composite_matches_delay_form():
-    # Same functional form on windows, so the same reference points hold.
-    assert compute_w_hat(200.0, 100.0) == pytest.approx(2.30103, abs=1e-5)
-    assert compute_w_hat(5.0, 10.0) == pytest.approx(-0.349485, abs=1e-5)
-
-
-def test_composites_reject_nonpositive_and_nonfinite():
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            compute_d_hat(bad, 10.0)
-        with pytest.raises(ValueError):
-            compute_d_hat(10.0, bad)
-        with pytest.raises(ValueError):
-            compute_w_hat(bad, 10.0)
+    # A log's window column takes the same formula as its delay column,
+    # so the same reference points hold.
+    log = EpochLog([0, 20, 40], [10.0, 10.0, 10.0], [100.0, 200.0, 10.0])
+    d_hat, w_hat = log.composites
+    assert d_hat.tolist() == [0.0, 0.0]
+    assert w_hat == pytest.approx([2.30103, -0.95], abs=1e-5)
 
 
 def test_observation_rejects_nonfinite_fields():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mdi.controllers import EpochFeedback
-from mdi.quantizer import QuantizerConfig, compute_w_hat
+from mdi.quantizer import QuantizerConfig, composite
 from mdi.runtime import MdiController, invert_w_hat
 from mdi.trainer import TransitionModel
 
@@ -39,7 +39,7 @@ def test_invert_round_trips_reachable_targets():
             w_target = w_prev * factor
             if w_target < 1.0:
                 continue
-            target = compute_w_hat(w_target, w_prev)
+            target = composite(w_target, w_prev)
             got = invert_w_hat(target, w_prev)
             assert got == pytest.approx(w_target, rel=1e-6)
 
@@ -203,5 +203,5 @@ def test_boundary_event_updates_window_bucket_memory():
     ctrl.on_epoch(fb(10.0))
     ctrl.on_epoch(fb(20.0))
     grid = small_grid()
-    moved = compute_w_hat(8.0, 10.0)
+    moved = composite(8.0, 10.0)
     assert ctrl.w_idx_prev == grid.w_bucket(moved)
