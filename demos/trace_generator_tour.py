@@ -15,8 +15,8 @@ def segment_rates(trace, segment_s, duration_s):
     rates = []
     seg_ms = int(segment_s * 1000)
     for start in range(0, int(duration_s * 1000), seg_ms):
-        n = trace.count_in(start, start + seg_ms)
-        rates.append(n * trace.mtu_bytes * 8 / (segment_s * 1e6))
+        lo, hi = np.searchsorted(trace.opportunities, [start, start + seg_ms])
+        rates.append((hi - lo) * trace.mtu_bytes * 8 / (segment_s * 1e6))
     return rates
 
 

@@ -37,7 +37,7 @@ from .trace import (
     load_trace,
     save_trace,
 )
-from .trainer import TransitionModel, derive_states, load_model, save_model
+from .trainer import derive_states, load_model, save_model
 
 
 class CliError(ValueError):
@@ -196,30 +196,22 @@ def _parse_epsilons(text: str) -> list[float]:
     return eps
 
 
-def _load_trained_model(path) -> TransitionModel:
-    with open(path, "rb") as fh:
+def cmd_analyze(args) -> int:
+    if args.discard and args.result is None:
+        raise CliError("--discard needs --result")
+    with open(args.model, "rb") as fh:
         model = load_model(fh)
     if model.total_transitions == 0:
-        raise CliError(f"model {path} has no transitions; nothing to analyze")
-    return model
-
-
-def _stationary_chain(model: TransitionModel, args) -> tuple[np.ndarray, np.ndarray]:
-    """The model's chain as --smoothing/--empty-rows/--lazy ask, and its
-    stationary distribution."""
-    P = markov.to_stochastic(model, smoothing=args.smoothing, empty_rows=args.empty_rows)
+        raise CliError(f"model {args.model} has no transitions; nothing to analyze")
+    epsilons = _parse_epsilons(args.epsilons)
+    P = markov.to_stochastic(model, empty_rows=args.empty_rows)
     if args.lazy:
         P = markov.lazy(P)
     try:
-        return P, markov.stationary(P)
+        pi = markov.stationary(P)
     except markov.ConvergenceError as exc:
         raise CliError(f"{exc} (hint: pass --lazy)") from None
-
-
-def cmd_analyze(args) -> int:
-    model = _load_trained_model(args.model)
-    P, pi = _stationary_chain(model, args)
-    reports = markov.mixing_times(P, _parse_epsilons(args.epsilons))
+    reports = markov.mixing_times(P, epsilons)
 
     report = {
         "n_states": model.cfg.n_states,
@@ -227,7 +219,6 @@ def cmd_analyze(args) -> int:
         "n_w": model.cfg.n_w,
         "transitions": model.total_transitions,
         "empty_rows_policy": args.empty_rows,
-        "smoothing": args.smoothing,
         "lazy": bool(args.lazy),
         "irreducible": markov.is_irreducible(P),
         "stationary_residual": float(np.abs(pi @ P - pi).max()),
@@ -240,11 +231,30 @@ def cmd_analyze(args) -> int:
         },
         "stationary": pi.tolist(),
     }
-    _json_dump(report, Path(args.out) if args.out else None)
-    mix_line = ", ".join(
+    line = f"stationary over {model.cfg.n_states} states; " + ", ".join(
         f"eps={e:g}: t_mix={rep.t_mix}" for e, rep in sorted(reports.items())
     )
-    print(f"stationary over {model.cfg.n_states} states; {mix_line}", file=sys.stderr)
+    if args.result is not None:
+        # The run's states on this model's grid, whichever grid it was run on.
+        with open(args.result, "r", encoding="utf-8") as fh:
+            log = read_epoch_csv(fh)
+        if len(log) < 2:
+            raise CliError(f"epoch log {args.result} has fewer than 2 records")
+        derived = derive_states(log, model.cfg)
+        empirical = markov.empirical_distribution(derived, model.cfg, discard=args.discard)
+        report.update(
+            result=str(args.result),
+            discard=args.discard,
+            epochs_used=len(derived) - 1 - args.discard,
+            kl_empirical_vs_stationary=markov.kl_divergence(empirical, pi),
+            max_abs_diff=markov.max_abs_diff(empirical, pi),
+        )
+        line += (
+            f"; KL(empirical || stationary) = {report['kl_empirical_vs_stationary']:.4f}, "
+            f"max state gap = {report['max_abs_diff']:.4f}"
+        )
+    _json_dump(report, Path(args.out) if args.out else None)
+    print(line, file=sys.stderr)
     return 0
 
 
@@ -256,7 +266,7 @@ def _pdf(values: np.ndarray, edges: np.ndarray) -> list[float]:
     return (hist / total).tolist()
 
 
-def _compare_results(args) -> int:
+def cmd_compare(args) -> int:
     path_a, path_b = Path(args.a), Path(args.b)
     logs, stats = {}, {}
     for key, path in (("a", path_a), ("b", path_b)):
@@ -318,45 +328,11 @@ def _compare_results(args) -> int:
     return 0
 
 
-def _compare_distribution(args) -> int:
-    model = _load_trained_model(args.model)
-    with open(args.result, "r", encoding="utf-8") as fh:
-        log = read_epoch_csv(fh)
-    if len(log) < 2:
-        raise CliError(f"epoch log {args.result} has fewer than 2 records")
-    derived = derive_states(log, model.cfg)
-    empirical = markov.empirical_distribution(derived, model.cfg, discard=args.discard)
-    _P, pi = _stationary_chain(model, args)
-
-    report = {
-        "model": str(args.model),
-        "result": str(args.result),
-        "discard": args.discard,
-        "empty_rows_policy": args.empty_rows,
-        "smoothing": args.smoothing,
-        "lazy": bool(args.lazy),
-        "epochs_used": len(derived) - 1 - args.discard,
-        "kl_empirical_vs_stationary": markov.kl_divergence(empirical, pi),
-        "max_abs_diff": markov.max_abs_diff(empirical, pi),
-    }
-    _json_dump(report, Path(args.out) if args.out else None)
-    print(
-        f"KL(empirical || stationary) = {report['kl_empirical_vs_stationary']:.4f}, "
-        f"max state gap = {report['max_abs_diff']:.4f}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def cmd_compare(args) -> int:
-    if args.a is not None and args.b is not None:
-        return _compare_results(args)
-    if args.model is not None and args.result is not None:
-        return _compare_distribution(args)
-    raise CliError("compare needs either --a and --b, or --model and --result")
-
-
 def cmd_fingerprint(args) -> int:
+    out = Path(args.out)
+    csv_path = out.with_suffix(".csv")
+    if csv_path == out:
+        raise CliError(f"--out {out} would be overwritten by its own CSV; give the SVG path")
     with open(args.model, "rb") as fh:
         model = load_model(fh)
     if model.total_transitions == 0:
@@ -367,8 +343,6 @@ def cmd_fingerprint(args) -> int:
     cfg = model.cfg
     n = cfg.n_states
     quad = model.quadrant_rows.reshape(n, n)
-    out = Path(args.out)
-    csv_path = out.with_suffix(".csv")
     csv_buf, svg_buf = io.StringIO(), io.StringIO()
     heatmap_export(quad, cfg, csv_buf, svg_buf, title=args.title)
     out.write_text(svg_buf.getvalue(), encoding="utf-8")
@@ -386,17 +360,6 @@ def _add_link_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", type=float, default=0.0, help="random loss rate in [0, 1)")
     p.add_argument("--mtu", type=int, default=1500, help="packet size, bytes")
     p.add_argument("--seed", type=int, default=1, help="master seed")
-
-
-def _add_chain_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--smoothing", type=float, default=0.0)
-    p.add_argument(
-        "--empty-rows",
-        choices=["self-loop", "uniform"],
-        default="uniform",
-        help="policy for states with no observed outgoing transitions",
-    )
-    p.add_argument("--lazy", action="store_true", help="analyze (P + I) / 2 instead")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,25 +416,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="epoch CSV path (packet CSV sits beside)")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("analyze", help="stationary distribution and mixing times")
+    p = sub.add_parser(
+        "analyze",
+        help="stationary distribution and mixing times, and how a run's states fit them",
+    )
     p.add_argument("--model", required=True)
-    _add_chain_args(p)
+    p.add_argument(
+        "--empty-rows",
+        choices=["self-loop", "uniform"],
+        default="uniform",
+        help="policy for states with no observed outgoing transitions",
+    )
+    p.add_argument("--lazy", action="store_true", help="analyze (P + I) / 2 instead")
     p.add_argument(
         "--epsilons", default="1e-3,1e-5,1e-7", help="comma-separated thresholds"
     )
+    p.add_argument("--result", default=None, help="epoch CSV of a run to hold against pi")
+    p.add_argument("--discard", type=int, default=0, help="burn-in epochs to drop")
     p.add_argument("--out", default=None, help="JSON report path (default stdout)")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser(
-        "compare",
-        help="compare two run CSVs, or a model's stationary vs an observed run",
-    )
-    p.add_argument("--a", default=None, help="epoch CSV of run A")
-    p.add_argument("--b", default=None, help="epoch CSV of run B (reference)")
-    p.add_argument("--model", default=None, help="model for distribution mode")
-    p.add_argument("--result", default=None, help="epoch CSV for distribution mode")
-    p.add_argument("--discard", type=int, default=0, help="burn-in epochs to drop")
-    _add_chain_args(p)
+    p = sub.add_parser("compare", help="compare two runs' throughput and delay")
+    p.add_argument("--a", required=True, help="epoch CSV of run A")
+    p.add_argument("--b", required=True, help="epoch CSV of run B (reference)")
     p.add_argument("--out", default=None, help="JSON report path (default stdout)")
     p.set_defaults(func=cmd_compare)
 

@@ -1,15 +1,14 @@
-"""Deterministic CSV and SVG renderings of the model's probability surfaces.
+"""Deterministic CSV and SVG renderings of a model's transition surface.
 
-Two shapes are understood: a distribution over the flat composite states
-(rendered as an n_d x n_w grid with bucket-midpoint axis labels) and a
-full n x n transition matrix (rendered with gridlines every n_w cells, so
-the quadrant block structure is visible). Output bytes depend only on the
-input values; there is no plotting dependency.
+The input is a full n x n transition matrix over the flat composite
+states. The SVG draws gridlines every n_w cells, so the quadrant block
+structure is visible. Output bytes depend only on the input values;
+there is no plotting dependency.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -28,24 +27,13 @@ def _color(value: float, vmax: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
-def _svg_grid(
-    grid: np.ndarray,
-    row_labels: Sequence[tuple[int, str]],
-    col_labels: Sequence[tuple[int, str]],
-    cell: int,
-    line_every_row: int,
-    line_every_col: int,
-    title: str,
-) -> str:
-    rows, cols = grid.shape
+def _svg(mat: np.ndarray, cfg: QuantizerConfig, title: str) -> str:
+    n = mat.shape[0]
+    cell = 3  # pixels per state
     left, top, right, bottom = 64, 28, 8, 40
-    width = left + cols * cell + right
-    height = top + rows * cell + bottom
-    vmax = float(grid.max())
+    width = left + n * cell + right
+    height = top + n * cell + bottom
+    vmax = float(mat.max())
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -56,9 +44,9 @@ def _svg_grid(
             f'<text x="{left}" y="18" font-family="sans-serif" '
             f'font-size="13">{title}</text>'
         )
-    for i in range(rows):
-        for j in range(cols):
-            v = float(grid[i, j])
+    for i in range(n):
+        for j in range(n):
+            v = float(mat[i, j])
             if v <= 0.0:
                 continue
             parts.append(
@@ -66,48 +54,34 @@ def _svg_grid(
                 f'width="{cell}" height="{cell}" fill="{_color(v, vmax)}"/>'
             )
     x0, y0 = left, top
-    x1, y1 = left + cols * cell, top + rows * cell
-    for j in range(0, cols + 1, line_every_col):
+    x1, y1 = left + n * cell, top + n * cell
+    # Gridlines between quadrants: every n_w states on both axes.
+    for j in range(0, n + 1, cfg.n_w):
         parts.append(
             f'<line x1="{x0 + j * cell}" y1="{y0}" x2="{x0 + j * cell}" '
             f'y2="{y1}" stroke="#999999" stroke-width="1"/>'
         )
-    for i in range(0, rows + 1, line_every_row):
+    for i in range(0, n + 1, cfg.n_w):
         parts.append(
             f'<line x1="{x0}" y1="{y0 + i * cell}" x2="{x1}" '
             f'y2="{y0 + i * cell}" stroke="#999999" stroke-width="1"/>'
         )
-    for j, label in col_labels:
+    # Each quadrant is labelled by its delay bucket at its middle state.
+    mids = [(k, k * cfg.n_w + cfg.n_w // 2) for k in range(cfg.n_d)]
+    for k, j in mids:
         parts.append(
             f'<text x="{x0 + j * cell + cell // 2}" y="{y1 + 16}" '
             f'font-family="sans-serif" font-size="10" '
-            f'text-anchor="middle">{label}</text>'
+            f'text-anchor="middle">d{k}</text>'
         )
-    for i, label in row_labels:
+    for k, i in mids:
         parts.append(
             f'<text x="{x0 - 6}" y="{y0 + i * cell + cell // 2 + 4}" '
             f'font-family="sans-serif" font-size="10" '
-            f'text-anchor="end">{label}</text>'
+            f'text-anchor="end">d{k}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _distribution_grid(dist: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.shape != (cfg.n_states,):
-        raise ValueError(
-            f"expected a length-{cfg.n_states} distribution, got shape {dist.shape}"
-        )
-    return dist.reshape(cfg.n_d, cfg.n_w)
-
-
-def _write_distribution_csv(grid: np.ndarray, cfg: QuantizerConfig, sink: TextIO) -> None:
-    cols = ",".join(_fmt(cfg.w_midpoint(j)) for j in range(cfg.n_w))
-    sink.write("d_hat/w_hat," + cols + "\n")
-    for i in range(cfg.n_d):
-        row = ",".join(repr(float(v)) for v in grid[i])
-        sink.write(_fmt(cfg.d_midpoint(i)) + "," + row + "\n")
 
 
 def _write_matrix_csv(mat: np.ndarray, cfg: QuantizerConfig, sink: TextIO) -> None:
@@ -124,45 +98,10 @@ def heatmap_export(
     svg_sink: TextIO,
     title: str = "",
 ) -> None:
-    """Render a distribution or transition matrix to CSV and SVG.
-
-    Accepts a flat distribution (length n_states), an (n_d, n_w) grid, or
-    a full (n_states, n_states) matrix.
-    """
+    """Render a full (n_states, n_states) transition matrix to CSV and SVG."""
     data = np.asarray(data, dtype=np.float64)
     n = cfg.n_states
-    if data.shape == (n, n):
-        _write_matrix_csv(data, cfg, csv_sink)
-        row_labels = [(k * cfg.n_w + cfg.n_w // 2, f"d{k}") for k in range(cfg.n_d)]
-        col_labels = [(r * cfg.n_w + cfg.n_w // 2, f"d{r}") for r in range(cfg.n_d)]
-        svg_sink.write(
-            _svg_grid(
-                data,
-                row_labels,
-                col_labels,
-                cell=3,
-                line_every_row=cfg.n_w,
-                line_every_col=cfg.n_w,
-                title=title,
-            )
-        )
-        return
-    if data.shape in ((n,), (cfg.n_d, cfg.n_w)):
-        grid = _distribution_grid(data.reshape(-1), cfg)
-        _write_distribution_csv(grid, cfg, csv_sink)
-        row_labels = [(i, _fmt(cfg.d_midpoint(i))) for i in range(cfg.n_d)]
-        step = max(cfg.n_w // 7, 1)
-        col_labels = [(j, _fmt(cfg.w_midpoint(j))) for j in range(0, cfg.n_w, step)]
-        svg_sink.write(
-            _svg_grid(
-                grid,
-                row_labels,
-                col_labels,
-                cell=24,
-                line_every_row=1,
-                line_every_col=1,
-                title=title,
-            )
-        )
-        return
-    raise ValueError(f"cannot render data of shape {data.shape} on this grid")
+    if data.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix for this grid, got shape {data.shape}")
+    _write_matrix_csv(data, cfg, csv_sink)
+    svg_sink.write(_svg(data, cfg, title))

@@ -8,12 +8,10 @@ predicted stationary distribution and empirically observed state
 frequencies.
 
 Desk-scale training leaves some states with inflow but no observed
-outflow. Replacing their empty rows with self-loops (the conservative
-default) makes them absorbing, which can drain the stationary mass into
-states that were barely visited; the "uniform" policy instead lets such
-states diffuse and keeps the chain irreducible whenever anything was
-observed. Analysis pipelines should prefer "uniform" and record the
-choice alongside their results.
+outflow. The default "uniform" policy lets such states diffuse, which
+keeps the chain irreducible whenever anything was observed; "self-loop"
+makes them absorbing, which can drain the stationary mass into states
+that were barely visited. Record the choice alongside any result.
 """
 
 from __future__ import annotations
@@ -60,19 +58,12 @@ def check_distribution(p: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return p
 
 
-def to_stochastic(
-    model: TransitionModel,
-    smoothing: float = 0.0,
-    empty_rows: str = "self-loop",
-) -> np.ndarray:
+def to_stochastic(model: TransitionModel, empty_rows: str = "uniform") -> np.ndarray:
     """Full-row chain over flat states with a policy for unseen rows.
 
-    empty_rows is "self-loop" (unseen states hold) or "uniform" (unseen
-    states diffuse). Optional smoothing mixes every row with the uniform
-    distribution: P <- (1 - smoothing) * P + smoothing / n.
+    empty_rows is "uniform" (unseen states diffuse) or "self-loop"
+    (unseen states hold).
     """
-    if not 0.0 <= smoothing < 1.0:
-        raise ValueError(f"smoothing must be in [0, 1), got {smoothing!r}")
     n = model.cfg.n_states
     P = model.full_rows.reshape(n, n).copy()
     empty = P.sum(axis=1) == 0.0
@@ -83,8 +74,6 @@ def to_stochastic(
         P[empty] = 1.0 / n
     else:
         raise ValueError(f"empty_rows must be 'self-loop' or 'uniform', got {empty_rows!r}")
-    if smoothing > 0.0:
-        P = (1.0 - smoothing) * P + smoothing / n
     return check_stochastic(P)
 
 
@@ -151,7 +140,6 @@ def stationary(
 class MixingReport:
     """Mixing time at one threshold, with the per-start profile."""
 
-    epsilon: float
     t_mix: int
     per_start: np.ndarray
 
@@ -169,11 +157,12 @@ def mixing_times(
     iteration once they have resolved at the tightest threshold.
     """
     P = check_stochastic(P)
-    eps = sorted({float(e) for e in epsilons}, reverse=True)
+    eps = [float(e) for e in epsilons]
     if not eps:
         raise ValueError("need at least one epsilon")
-    if eps[-1] <= 0.0:
-        raise ValueError(f"epsilons must be > 0, got {eps[-1]}")
+    if not all(0.0 < e < np.inf for e in eps):
+        raise ValueError(f"epsilons must be finite and > 0, got {eps}")
+    eps = sorted(set(eps), reverse=True)
     n = P.shape[0]
     M = np.eye(n)
     hits = {e: np.full(n, -1, dtype=np.int64) for e in eps}
@@ -195,14 +184,9 @@ def mixing_times(
         active = active[tightest[active] < 0]
         t += 1
     return {
-        e: MixingReport(epsilon=e, t_mix=int(h.max()), per_start=h.copy())
+        e: MixingReport(t_mix=int(h.max()), per_start=h.copy())
         for e, h in hits.items()
     }
-
-
-def mixing_time(P: np.ndarray, epsilon: float, max_iter: int = 100_000) -> MixingReport:
-    """Mixing time at a single threshold (worst one-hot start)."""
-    return mixing_times(P, [epsilon], max_iter=max_iter)[float(epsilon)]
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray, floor: float = 1e-9) -> float:

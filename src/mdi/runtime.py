@@ -130,7 +130,6 @@ class MdiController(Controller):
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.epoch_ms = int(epoch_ms)
-        self.w_init = float(w_init)
         self.rng = np.random.default_rng(seed)
         self.window = float(w_init)
         self.d_prev_ms: float | None = None

@@ -70,12 +70,6 @@ class LinkTrace:
         span_ms = max(self.duration_ms, 1)
         return len(self) * self.mtu_bytes * 8.0 / (span_ms * 1000.0)
 
-    def count_in(self, start_ms: int, end_ms: int) -> int:
-        """Opportunities with timestamp in [start_ms, end_ms)."""
-        lo = np.searchsorted(self.opportunities, start_ms, side="left")
-        hi = np.searchsorted(self.opportunities, end_ms, side="left")
-        return int(hi - lo)
-
 
 def load_trace(source: BinaryIO, mtu_bytes: int = 1500) -> LinkTrace:
     """Parse a trace from a binary stream; errors carry the line number."""

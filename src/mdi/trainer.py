@@ -222,10 +222,6 @@ class TransitionModel:
         """Quadrant (k, r)'s pooled sampling row; None if the quadrant is unseen."""
         return _seen(self.quadrant_marginal_rows[k, r])
 
-    def full_row(self, k: int, l: int) -> Optional[np.ndarray]:
-        """Outgoing distribution of state (k, l) over flat states; None if unseen."""
-        return _seen(self.full_rows[k, l])
-
     def source_state_count(self) -> int:
         """Number of (k, l) states with at least one outgoing transition."""
         return int(np.count_nonzero(self.counts.sum(axis=(2, 3))))

@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from mdi import markov
 from mdi.cli import main
 from mdi.linksim import read_epoch_csv
 from mdi.quantizer import QuantizerConfig
-from mdi.trainer import TransitionModel, load_model, save_model
+from mdi.trainer import TransitionModel, derive_states, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -181,27 +182,55 @@ def test_compare_runs_reports_medians_and_delay_pdf(workspace, tmp_path):
     assert sum(pdf["b"]) == pytest.approx(1.0)
 
 
-def test_compare_distribution_mode_reports_divergences(workspace, tmp_path):
+def test_analyze_result_reports_divergences(workspace, tmp_path):
     out = tmp_path / "dist.json"
     rc = main(
         [
-            "compare", "--model", str(workspace / "verus.model"),
+            "analyze", "--model", str(workspace / "verus.model"),
             "--result", str(workspace / "driven.csv"),
             "--discard", "5", "--out", str(out),
         ]
     )
     assert rc == 0
     report = json.loads(out.read_text())
-    assert np.isfinite(report["kl_empirical_vs_stationary"])
-    assert report["kl_empirical_vs_stationary"] >= 0.0
-    assert 0.0 <= report["max_abs_diff"] <= 1.0
+    assert report["result"] == str(workspace / "driven.csv")
     assert report["discard"] == 5
+    # The run's states re-derived on the model's grid, after the burn-in,
+    # against the model's own stationary distribution.
+    with open(workspace / "verus.model", "rb") as fh:
+        model = load_model(fh)
+    log = derive_states(
+        read_epoch_csv(io.StringIO((workspace / "driven.csv").read_text())), model.cfg
+    )
+    empirical = markov.empirical_distribution(log, model.cfg, discard=5)
+    pi = markov.stationary(markov.to_stochastic(model))
+    assert report["epochs_used"] == len(log) - 1 - 5
+    assert report["kl_empirical_vs_stationary"] == markov.kl_divergence(empirical, pi)
+    assert report["max_abs_diff"] == markov.max_abs_diff(empirical, pi)
+    assert report["kl_empirical_vs_stationary"] > 0.0
+    assert 0.0 < report["max_abs_diff"] <= 1.0
+    assert report["stationary"] == pi.tolist()
+
+
+def test_analyze_discard_needs_a_result(workspace, capsys):
+    rc = main(["analyze", "--model", str(workspace / "verus.model"), "--discard", "5"])
+    assert rc == 1
+    assert "--discard needs --result" in capsys.readouterr().err
 
 
 def test_compare_requires_a_complete_mode(workspace, capsys):
-    rc = main(["compare", "--a", str(workspace / "native.csv")])
-    assert rc == 1
-    assert "compare needs" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--a", str(workspace / "native.csv")])
+    assert exc.value.code == 2
+    assert "--b" in capsys.readouterr().err
+    # The chain-against-run mode lives in analyze now.
+    with pytest.raises(SystemExit):
+        main(
+            [
+                "compare", "--model", str(workspace / "verus.model"),
+                "--result", str(workspace / "driven.csv"),
+            ]
+        )
 
 
 def test_compare_missing_packet_sibling_fails(workspace, tmp_path, capsys):
@@ -252,6 +281,14 @@ def test_fingerprint_writes_svg_with_csv_sibling(workspace, tmp_path):
     csv_text = (tmp_path / "fp.csv").read_text().splitlines()
     assert csv_text[0].startswith("from/to,")
     assert len(csv_text) == 232
+
+
+def test_fingerprint_rejects_an_svg_path_its_csv_would_overwrite(workspace, tmp_path, capsys):
+    out = tmp_path / "fp.csv"
+    rc = main(["fingerprint", "--model", str(workspace / "verus.model"), "--out", str(out)])
+    assert rc == 1
+    assert "overwritten by its own CSV" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fingerprint_of_empty_model_warns_but_succeeds(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""CSV and SVG rendering of probability surfaces."""
+"""CSV and SVG rendering of transition surfaces."""
 
 import csv
 import io
@@ -20,31 +20,6 @@ def render(data, cfg, title=""):
     return csv_buf.getvalue(), svg_buf.getvalue()
 
 
-def test_distribution_csv_carries_exact_values_and_axis_labels():
-    cfg = grid_cfg()
-    dist = np.array([0.1, 0.0, 0.2, 0.3, 0.15, 0.25])
-    text, svg = render(dist, cfg, title="visit mass")
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0][0] == "d_hat/w_hat"
-    # Column headers are window-bucket midpoints: -0.2, 0.0, 0.2.
-    assert [float(x) for x in rows[0][1:]] == pytest.approx([-0.2, 0.0, 0.2])
-    assert [float(x) for x in rows[1][1:]] == pytest.approx([0.1, 0.0, 0.2])
-    assert [float(x) for x in rows[2][1:]] == pytest.approx([0.3, 0.15, 0.25])
-    assert float(rows[1][0]) == pytest.approx(-0.5)  # delay-bucket midpoint
-    assert svg.startswith("<svg")
-    assert svg.rstrip().endswith("</svg>")
-    assert "visit mass" in svg
-
-
-def test_distribution_accepts_flat_and_grid_shapes():
-    cfg = grid_cfg()
-    dist = np.array([0.1, 0.0, 0.2, 0.3, 0.15, 0.25])
-    flat_csv, flat_svg = render(dist, cfg)
-    grid_csv, grid_svg = render(dist.reshape(2, 3), cfg)
-    assert flat_csv == grid_csv
-    assert flat_svg == grid_svg
-
-
 def test_matrix_rendering_has_quadrant_gridlines():
     cfg = grid_cfg()
     n = cfg.n_states
@@ -61,32 +36,36 @@ def test_matrix_rendering_has_quadrant_gridlines():
 def test_rendering_is_deterministic():
     cfg = grid_cfg()
     rng = np.random.default_rng(4)
-    dist = rng.dirichlet(np.ones(cfg.n_states))
-    assert render(dist, cfg) == render(dist, cfg)
+    P = rng.dirichlet(np.ones(cfg.n_states), size=cfg.n_states)
+    assert render(P, cfg, title="t") == render(P, cfg, title="t")
 
 
 def test_zero_cells_render_white_and_nonzero_colored():
     cfg = grid_cfg()
-    dist = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    _, svg = render(dist, cfg)
+    P = np.zeros((cfg.n_states, cfg.n_states))
+    P[4, 1] = 1.0
+    _, svg = render(P, cfg, title="one move")
     # Only the occupied cell draws a color rectangle (one background rect).
     assert svg.count("<rect") == 2
     assert "#08306b" in svg  # full-intensity cell uses the dark anchor
+    assert "one move" in svg
+    assert svg.startswith("<svg")
+    assert svg.rstrip().endswith("</svg>")
 
 
-def test_uniform_distribution_round_trips_through_csv():
+def test_matrix_values_round_trip_through_csv():
     cfg = grid_cfg(n_d=3, n_w=4)
-    dist = np.full(12, 1.0 / 12.0)
-    text, _ = render(dist, cfg)
+    rng = np.random.default_rng(9)
+    P = rng.dirichlet(np.ones(cfg.n_states), size=cfg.n_states)
+    text, _ = render(P, cfg)
     rows = list(csv.reader(io.StringIO(text)))
-    values = [float(v) for row in rows[1:] for v in row[1:]]
-    assert values == pytest.approx([1.0 / 12.0] * 12)
-    assert sum(values) == pytest.approx(1.0)
+    assert [row[0] for row in rows[1:]] == rows[0][1:]
+    assert np.array_equal(np.array([row[1:] for row in rows[1:]], dtype=float), P)
 
 
 def test_unrenderable_shapes_are_rejected():
     cfg = grid_cfg()
-    with pytest.raises(ValueError):
-        render(np.ones(5), cfg)
-    with pytest.raises(ValueError):
-        render(np.ones((3, 5)), cfg)
+    # A distribution over the states, flat or on the grid, is not a surface.
+    for shape in ((5,), (3, 5), (cfg.n_states,), (cfg.n_d, cfg.n_w)):
+        with pytest.raises(ValueError):
+            render(np.ones(shape), cfg)

@@ -13,7 +13,6 @@ from mdi.markov import (
     kl_divergence,
     lazy,
     max_abs_diff,
-    mixing_time,
     mixing_times,
     stationary,
     to_stochastic,
@@ -68,20 +67,9 @@ def test_to_stochastic_empty_row_policies():
     P_unif = to_stochastic(model, empty_rows="uniform")
     assert np.allclose(P_unif[2], 0.25)
     assert np.allclose(P_unif[3], 0.25)
+    assert np.array_equal(to_stochastic(model), P_unif)  # the default
     with pytest.raises(ValueError):
         to_stochastic(model, empty_rows="drop")
-
-
-def test_to_stochastic_smoothing_mixes_with_uniform():
-    model = counted_model({(0, 1): 1})
-    P = to_stochastic(model, smoothing=0.2, empty_rows="self-loop")
-    assert P[0, 1] == pytest.approx(0.8 + 0.05)
-    assert P[0, 0] == pytest.approx(0.05)
-    assert np.allclose(P.sum(axis=1), 1.0)
-    with pytest.raises(ValueError):
-        to_stochastic(model, smoothing=1.0)
-    with pytest.raises(ValueError):
-        to_stochastic(model, smoothing=-0.1)
 
 
 def test_lazy_preserves_stationary_and_kills_periodicity():
@@ -153,13 +141,13 @@ def test_stationary_raises_when_iteration_budget_exhausted():
 def test_rank_one_chain_mixes_in_one_step():
     q = np.array([0.1, 0.2, 0.3, 0.4])
     P = np.tile(q, (4, 1))
-    report = mixing_time(P, 1e-3)
+    report = mixing_times(P, [1e-3])[1e-3]
     assert report.t_mix == 1
     assert report.per_start.shape == (4,)
 
 
 def test_identity_chain_mixes_in_zero_steps():
-    assert mixing_time(np.eye(5), 1e-3).t_mix == 0
+    assert mixing_times(np.eye(5), [1e-3])[1e-3].t_mix == 0
 
 
 def test_mixing_time_thresholds_are_ordered():
@@ -171,16 +159,16 @@ def test_mixing_time_thresholds_are_ordered():
     t7 = reports[1e-7].t_mix
     assert t3 <= t5 <= t7
     assert reports[1e-3].t_mix == reports[1e-3].per_start.max()
-    single = mixing_time(P, 1e-5)
+    single = mixing_times(P, [1e-5])[1e-5]
     assert single.t_mix == t5
 
 
 def test_mixing_never_resolves_on_a_periodic_chain():
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ConvergenceError):
-        mixing_time(flip, 1e-3, max_iter=200)
+        mixing_times(flip, [1e-3], max_iter=200)
     # The lazy transform breaks the period and resolves immediately.
-    assert mixing_time(lazy(flip), 1e-3).t_mix <= 2
+    assert mixing_times(lazy(flip), [1e-3])[1e-3].t_mix <= 2
 
 
 def test_mixing_epsilon_validation():
@@ -188,6 +176,11 @@ def test_mixing_epsilon_validation():
         mixing_times(np.eye(2), [])
     with pytest.raises(ValueError):
         mixing_times(np.eye(2), [0.0])
+    # nan never resolves and inf resolves at t = 0; both are refused
+    # before the first step, alone or beside a good threshold.
+    for eps in ([np.nan], [np.inf], [1e-3, np.nan], [np.inf, 1e-3]):
+        with pytest.raises(ValueError, match="finite"):
+            mixing_times(np.eye(2), eps, max_iter=0)
 
 
 def test_kl_reference_values():

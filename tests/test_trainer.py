@@ -179,11 +179,10 @@ def test_quadrant_rows_normalize_within_next_delay_bucket():
 
 def test_full_rows_are_stochastic_where_observed():
     model = hand_model()
-    row = model.full_row(1, 1)
-    assert row is not None
+    row = model.full_rows[1, 1]
     assert row.sum() == pytest.approx(1.0, abs=1e-9)
     assert row[0 * 3 + 2] == pytest.approx(0.5)
-    assert model.full_row(2, 2) is None
+    assert not model.full_rows[2, 2].any()
     full = model.full_rows
     sums = full.reshape(-1, full.shape[-1]).sum(axis=1)
     assert set(np.round(sums, 9)) <= {0.0, 1.0}
@@ -203,7 +202,7 @@ def test_reading_the_tables_leaves_counts_unchanged():
     model = hand_model()
     before = model.counts.copy()
     first = model.quadrant_rows.copy()
-    model.full_rows, model.quadrant_marginal_rows, model.full_row(1, 1)
+    model.full_rows, model.quadrant_marginal_rows, model.quadrant_row(1, 1, 0)
     assert np.array_equal(model.counts, before)
     assert np.array_equal(model.quadrant_rows, first)
 
@@ -218,10 +217,10 @@ def test_tables_from_counts_written_directly():
     assert np.allclose(model.quadrant_row(1, 1, 0), [0.25, 0.0, 0.75])
     assert np.allclose(model.quadrant_row(1, 2, 0), [0.0, 1.0, 0.0])
     assert np.allclose(model.quadrant_marginal_row(1, 0), [1 / 8, 4 / 8, 3 / 8])
-    assert np.allclose(model.full_row(1, 1), [1 / 8, 0, 3 / 8, 0, 0, 0, 0, 4 / 8, 0])
+    assert np.allclose(model.full_rows[1, 1], [1 / 8, 0, 3 / 8, 0, 0, 0, 0, 4 / 8, 0])
     assert model.quadrant_row(1, 1, 1) is None
     assert model.quadrant_marginal_row(0, 0) is None
-    assert model.full_row(0, 0) is None
+    assert not model.full_rows[0, 0].any()
     assert model.quadrant_rows.shape == (3, 3, 3, 3)
     assert model.full_rows.shape == (3, 3, 9)
     assert model.quadrant_marginal_rows.shape == (3, 3, 3)
@@ -300,6 +299,6 @@ def test_recovers_known_chain_rows_from_samples():
     model = TransitionModel(cfg)
     model.add_transitions(np.array(walk) // 2, np.array(walk) % 2)
     for f in range(4):
-        learned = model.full_row(f // 2, f % 2)
+        learned = model.full_rows[f // 2, f % 2]
         tv = 0.5 * np.abs(learned - truth[f]).sum()
         assert tv <= 0.05
