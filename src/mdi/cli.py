@@ -120,6 +120,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_run(args) -> int:
+    kwargs = {}
+    if args.w_init is not None:
+        if args.controller == "pinned":
+            raise CliError("--w-init does not apply to --controller pinned")
+        kwargs["w_init"] = args.w_init
+    if args.epoch_ms is not None:
+        kwargs["epoch_ms"] = args.epoch_ms
     trace_path = Path(args.trace)
     trace = _load_trace_path(trace_path, args.mtu)
     model = None
@@ -130,18 +137,9 @@ def cmd_run(args) -> int:
     if args.controller == "mdi":
         if model is None:
             raise CliError("--controller mdi requires --model")
-        controller = MdiController(
-            model,
-            c1=args.c1,
-            c2=args.c2,
-            epoch_ms=args.epoch_ms if args.epoch_ms is not None else 20,
-            seed=derive_run_seed(args.seed, trace_path.name, 1),
-            w_init=args.w_init,
-        )
+        seed = derive_run_seed(args.seed, trace_path.name, 1)
+        controller = MdiController(model, c1=args.c1, c2=args.c2, seed=seed, **kwargs)
     else:
-        kwargs = {"w_init": args.w_init} if args.controller != "pinned" else {}
-        if args.epoch_ms is not None:
-            kwargs["epoch_ms"] = args.epoch_ms
         controller = make_controller(args.controller, **kwargs)
 
     params = LinkParams(
@@ -411,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epoch-ms", type=int, default=None, help="override epoch length")
     p.add_argument("--c1", type=float, default=1.25, help="below-range window gain")
     p.add_argument("--c2", type=float, default=0.8, help="above-range window cut")
-    p.add_argument("--w-init", type=float, default=2.0, help="initial window, packets")
+    p.add_argument("--w-init", type=float, default=None, help="initial window, packets")
     _add_link_args(p)
     p.add_argument("--out", required=True, help="epoch CSV path (packet CSV sits beside)")
     p.set_defaults(func=cmd_run)

@@ -8,6 +8,7 @@ there is no plotting dependency.
 
 from __future__ import annotations
 
+from html import escape
 from typing import TextIO
 
 import numpy as np
@@ -42,7 +43,7 @@ def _svg(mat: np.ndarray, cfg: QuantizerConfig, title: str) -> str:
     if title:
         parts.append(
             f'<text x="{left}" y="18" font-family="sans-serif" '
-            f'font-size="13">{title}</text>'
+            f'font-size="13">{escape(title)}</text>'
         )
     for i in range(n):
         for j in range(n):

@@ -62,16 +62,16 @@ def train_on_traces(
     d_pool, w_pool = zip(*(log.composites for log in run_logs))
     cfg = fit_config(np.concatenate(d_pool), np.concatenate(w_pool), n_d=n_d, n_w=n_w)
 
-    model = TransitionModel(cfg)
-    total_epochs = 0
+    counts = np.zeros((n_d, n_w, n_d, n_w), dtype=np.int64)
     for log in run_logs:
-        total_epochs += len(log)
         if len(log) >= 2:
-            count_transitions(derive_states(log, cfg), model)
+            derived = derive_states(log, cfg)
+            counts += count_transitions(cfg, derived.d_idx, derived.w_idx)
+    model = TransitionModel(cfg, counts)
 
     summary = {
         "runs": len(run_logs),
-        "epochs": total_epochs,
+        "epochs": sum(len(log) for log in run_logs),
         "transitions": model.total_transitions,
         "source_states": model.source_state_count(),
         "empty_quadrant_row_fraction": model.empty_quadrant_row_fraction(),

@@ -175,12 +175,12 @@ class MdiController(Controller):
             r = cfg.d_bucket(d_hat)
             k = self.d_idx_prev if self.d_idx_prev is not None else r
             l = self.w_idx_prev if self.w_idx_prev is not None else cfg.w_bucket(0.0)
-            row = self.model.quadrant_row(k, l, r)
-            if row is None:
-                row = self.model.quadrant_marginal_row(k, r)
-                if row is not None:
+            row = self.model.quadrant_rows[k, l, r]
+            if not row.any():
+                row = self.model.quadrant_marginal_rows[k, r]
+                if row.any():
                     self.marginal_count += 1
-            if row is None:
+            if not row.any():
                 self.fallback_count += 1
                 self.w_idx_prev = l
             else:

@@ -139,6 +139,8 @@ def gen_rapidly_changing(spec: SyntheticTraceSpec, mtu_bytes: int = 1500) -> Lin
     crosses an integer, so every window of the trace carries the segment
     rate exactly to within one packet. Same spec, same bytes.
     """
+    if mtu_bytes < 1:
+        raise ValueError(f"mtu_bytes must be >= 1, got {mtu_bytes}")
     duration_ms = int(round(spec.duration_s * 1000.0))
     segment_ms = max(int(round(spec.segment_s * 1000.0)), 1)
     n_segments = -(-duration_ms // segment_ms)

@@ -7,8 +7,8 @@ its predecessor and their bucket indices (d_idx, w_idx). Transitions
 are counted as consecutive state pairs with one bincount over the flat
 pair index, into a 4-D tensor indexed (k, l, r, v): (current delay
 bucket, current window bucket, next delay bucket, next window bucket).
-Three row tables are read off it, each built on first use and dropped
-when counts are added:
+A model holds one such tensor, read-only, and three row tables read off
+it, each built on first use:
 
 * quadrant rows p(v | k, l, r): within the quadrant selected by the pair
   of delay buckets (k, r), each window row l is normalized across the
@@ -154,49 +154,27 @@ def _rows(counts: np.ndarray) -> np.ndarray:
         return np.where(sums > 0, counts / sums, 0.0)
 
 
-def _seen(row: np.ndarray) -> Optional[np.ndarray]:
-    return row if row.any() else None
-
-
 class TransitionModel:
     """Transition counts over the composite state grid, plus row tables.
 
-    The tables are built from counts on first use; add_transitions drops
-    them. Code that writes counts directly must do so before reading a
-    table.
+    A model is a value: the counts are copied at construction and are
+    read-only, so each table, built from them on first use, stays valid.
     """
 
-    _TABLES = ("quadrant_rows", "full_rows", "quadrant_marginal_rows")
-
-    def __init__(self, cfg: QuantizerConfig) -> None:
+    def __init__(self, cfg: QuantizerConfig, counts=None) -> None:
+        shape = (cfg.n_d, cfg.n_w, cfg.n_d, cfg.n_w)
+        if counts is None:
+            counts = np.zeros(shape, dtype=np.uint64)
+        counts = np.array(counts, dtype=np.uint64)
+        if counts.shape != shape:
+            raise ValueError(f"counts must have shape {shape}, got {counts.shape}")
+        counts.flags.writeable = False
         self.cfg = cfg
-        self.counts = np.zeros((cfg.n_d, cfg.n_w, cfg.n_d, cfg.n_w), dtype=np.uint64)
+        self.counts = counts
 
     @property
     def total_transitions(self) -> int:
         return int(self.counts.sum())
-
-    def add_transitions(self, d_idx, w_idx) -> int:
-        """Count consecutive states of one run; returns pairs added.
-
-        The run is given as its two state-index columns.
-        """
-        n_d, n_w = self.cfg.n_d, self.cfg.n_w
-        d_idx = np.asarray(d_idx, dtype=np.int64)
-        w_idx = np.asarray(w_idx, dtype=np.int64)
-        if d_idx.ndim != 1 or d_idx.shape != w_idx.shape:
-            raise ValueError("need two equal-length state-index columns")
-        if ((d_idx < 0) | (d_idx >= n_d) | (w_idx < 0) | (w_idx >= n_w)).any():
-            raise ValueError(f"state outside {n_d}x{n_w} grid")
-        if d_idx.size < 2:
-            return 0
-        flat = d_idx * n_w + w_idx
-        n = self.cfg.n_states
-        pairs = np.bincount(flat[:-1] * n + flat[1:], minlength=n * n)
-        self.counts += pairs.reshape(self.counts.shape).astype(np.uint64)
-        for name in self._TABLES:
-            self.__dict__.pop(name, None)
-        return d_idx.size - 1
 
     @cached_property
     def quadrant_rows(self) -> np.ndarray:
@@ -214,14 +192,6 @@ class TransitionModel:
         shape (n_d, n_d, n_w)."""
         return _rows(self.counts.sum(axis=1))
 
-    def quadrant_row(self, k: int, l: int, r: int) -> Optional[np.ndarray]:
-        """Sampling row for (k, l) given next delay bucket r; None if unseen."""
-        return _seen(self.quadrant_rows[k, l, r])
-
-    def quadrant_marginal_row(self, k: int, r: int) -> Optional[np.ndarray]:
-        """Quadrant (k, r)'s pooled sampling row; None if the quadrant is unseen."""
-        return _seen(self.quadrant_marginal_rows[k, r])
-
     def source_state_count(self) -> int:
         """Number of (k, l) states with at least one outgoing transition."""
         return int(np.count_nonzero(self.counts.sum(axis=(2, 3))))
@@ -232,12 +202,23 @@ class TransitionModel:
         return float(np.count_nonzero(row_sums == 0) / row_sums.size)
 
 
-def count_transitions(derived: EpochLog, model: TransitionModel) -> TransitionModel:
-    """Accumulate one derived run into a model; run boundaries never chain."""
-    if not derived.derived:
-        raise ValueError("count_transitions needs a derived epoch log")
-    model.add_transitions(derived.d_idx, derived.w_idx)
-    return model
+def count_transitions(cfg: QuantizerConfig, d_idx, w_idx) -> np.ndarray:
+    """Consecutive state pairs of one run, shape (n_d, n_w, n_d, n_w).
+
+    The run is given as its two state-index columns. Counting one run at
+    a time keeps runs from chaining into each other.
+    """
+    n_d, n_w = cfg.n_d, cfg.n_w
+    d_idx = np.asarray(d_idx, dtype=np.int64)
+    w_idx = np.asarray(w_idx, dtype=np.int64)
+    if d_idx.ndim != 1 or d_idx.shape != w_idx.shape:
+        raise ValueError("need two equal-length state-index columns")
+    if ((d_idx < 0) | (d_idx >= n_d) | (w_idx < 0) | (w_idx >= n_w)).any():
+        raise ValueError(f"state outside {n_d}x{n_w} grid")
+    flat = d_idx * n_w + w_idx
+    n = cfg.n_states
+    pairs = np.bincount(flat[:-1] * n + flat[1:], minlength=n * n)
+    return pairs.reshape(n_d, n_w, n_d, n_w)
 
 
 _MAGIC = "MDIMODEL v1"
@@ -298,7 +279,7 @@ def load_model(source: BinaryIO) -> TransitionModel:
     except ValueError as exc:
         raise ModelFormatError(f"invalid quantizer config: {exc}") from None
 
-    model = TransitionModel(cfg)
+    counts = np.zeros((n_d, n_w, n_d, n_w), dtype=np.uint64)
     for lineno, line in enumerate(lines[4:], start=5):
         if not line.strip():
             raise ModelFormatError(f"line {lineno}: blank line")
@@ -313,7 +294,8 @@ def load_model(source: BinaryIO) -> TransitionModel:
             raise ModelFormatError(f"line {lineno}: index out of range")
         if c <= 0:
             raise ModelFormatError(f"line {lineno}: count must be > 0, got {c}")
-        model.counts[k, l, r, v] += np.uint64(c)
+        counts[k, l, r, v] += np.uint64(c)
+    model = TransitionModel(cfg, counts)
     if model.total_transitions != declared_total:
         raise ModelFormatError(
             f"count total mismatch: header says {declared_total}, "

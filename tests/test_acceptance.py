@@ -20,7 +20,7 @@ from mdi.linksim import (
 from mdi import markov
 from mdi.quantizer import QuantizerConfig, composite
 from mdi.trace import SyntheticTraceSpec, gen_rapidly_changing
-from mdi.trainer import TransitionModel, save_model
+from mdi.trainer import TransitionModel, count_transitions, save_model
 
 
 def test_composite_reference_points_and_grid_round_trip():
@@ -51,8 +51,8 @@ def build_sampled_chain(seed=11, steps=100_000):
     walk[0] = 0
     for t in range(steps):
         walk[t + 1] = np.searchsorted(cdfs[walk[t]], draws[t], side="right")
-    model = TransitionModel(cfg)
-    model.add_transitions(flats[walk] // cfg.n_w, flats[walk] % cfg.n_w)
+    counts = count_transitions(cfg, flats[walk] // cfg.n_w, flats[walk] % cfg.n_w)
+    model = TransitionModel(cfg, counts)
     return model, truth, flats
 
 

@@ -103,6 +103,18 @@ def test_run_mdi_without_model_fails_cleanly(workspace, tmp_path, capsys):
     assert not out.exists()  # no partial artifacts
 
 
+def test_run_w_init_applies_except_to_pinned(workspace, tmp_path, capsys):
+    trace = str(workspace / "traces" / "t0.trace")
+    out = tmp_path / "w.csv"
+    run = ["run", "--trace", trace, "--duration", "1", "--w-init", "4", "--out", str(out)]
+    assert main([*run, "--controller", "verus-like"]) == 0
+    assert read_epoch_csv(io.StringIO(out.read_text())).window_pkts[0] == 4.0
+    out.unlink()
+    assert main([*run, "--controller", "pinned"]) == 1
+    assert "--w-init" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_missing_or_empty_trace_dir(workspace, tmp_path, capsys):
     rc = main(
         ["train", "--traces", str(tmp_path / "nope"), "--out", str(tmp_path / "m")]

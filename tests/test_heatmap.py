@@ -2,6 +2,7 @@
 
 import csv
 import io
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -51,6 +52,14 @@ def test_zero_cells_render_white_and_nonzero_colored():
     assert "one move" in svg
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
+
+
+def test_title_is_escaped_into_well_formed_svg():
+    cfg = grid_cfg()
+    title = 'a < b & "c"'
+    _, svg = render(np.eye(cfg.n_states), cfg, title=title)
+    text = minidom.parseString(svg).getElementsByTagName("text")[0]
+    assert text.firstChild.data == title
 
 
 def test_matrix_values_round_trip_through_csv():

@@ -18,7 +18,7 @@ from mdi.markov import (
     to_stochastic,
 )
 from mdi.quantizer import QuantizerConfig
-from mdi.trainer import EpochLog, TransitionModel
+from mdi.trainer import EpochLog, TransitionModel, count_transitions
 
 
 def grid2() -> QuantizerConfig:
@@ -53,10 +53,10 @@ def test_check_distribution_validates():
 
 
 def counted_model(pairs) -> TransitionModel:
-    model = TransitionModel(grid2())
+    counts = np.zeros((2, 2, 2, 2), dtype=np.uint64)
     for (a, b), c in pairs.items():
-        model.counts[a // 2, a % 2, b // 2, b % 2] = c
-    return model
+        counts[a // 2, a % 2, b // 2, b % 2] = c
+    return TransitionModel(grid2(), counts)
 
 
 def test_to_stochastic_empty_row_policies():
@@ -282,8 +282,8 @@ def test_long_walk_frequencies_approach_stationary():
     walk = [0]
     for _ in range(10_000):
         walk.append(int(rng.choice(4, p=truth[walk[-1]])))
-    model = TransitionModel(cfg)
-    model.add_transitions(np.array(walk) // 2, np.array(walk) % 2)
+    walk = np.array(walk)
+    model = TransitionModel(cfg, count_transitions(cfg, walk // 2, walk % 2))
     P = to_stochastic(model, empty_rows="uniform")
     pi = stationary(P)
     emp = empirical_distribution(records_from_flats(walk, cfg), cfg, discard=100)

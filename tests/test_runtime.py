@@ -27,10 +27,10 @@ def small_grid() -> QuantizerConfig:
 
 
 def model_with(cells) -> TransitionModel:
-    model = TransitionModel(small_grid())
+    counts = np.zeros((3, 3, 3, 3), dtype=np.uint64)
     for (k, l, r, v), c in cells.items():
-        model.counts[k, l, r, v] = c
-    return model
+        counts[k, l, r, v] = c
+    return TransitionModel(small_grid(), counts)
 
 
 def test_invert_round_trips_reachable_targets():

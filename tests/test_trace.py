@@ -117,6 +117,15 @@ def test_generation_is_deterministic_and_seed_sensitive():
     assert gen_rapidly_changing(other) != gen_rapidly_changing(spec)
 
 
+def test_generation_rejects_an_mtu_below_one_byte():
+    spec = SyntheticTraceSpec(
+        duration_s=1, segment_s=1, rate_min_mbps=1, rate_max_mbps=2, seed=0
+    )
+    for mtu in (0, -1500):
+        with pytest.raises(ValueError, match="mtu_bytes must be >= 1"):
+            gen_rapidly_changing(spec, mtu_bytes=mtu)
+
+
 def test_distinct_seeds_give_distinct_traces():
     base = dict(duration_s=3, segment_s=1, rate_min_mbps=2, rate_max_mbps=40)
     traces = [

@@ -26,10 +26,14 @@ def records(delays, windows) -> EpochLog:
     return EpochLog([20 * (i + 1) for i in range(len(delays))], delays, windows)
 
 
-def add_walk(model: TransitionModel, states) -> int:
+def walk_counts(cfg: QuantizerConfig, states) -> np.ndarray:
     """Count a run given as a list of (d_idx, w_idx) pairs."""
     d_idx, w_idx = zip(*states) if states else ((), ())
-    return model.add_transitions(d_idx, w_idx)
+    return count_transitions(cfg, d_idx, w_idx)
+
+
+def model_of(cfg: QuantizerConfig, *runs) -> TransitionModel:
+    return TransitionModel(cfg, sum(walk_counts(cfg, run) for run in runs))
 
 
 def test_epoch_record_derived_fields_come_together():
@@ -105,41 +109,36 @@ def test_derive_needs_two_records_and_does_not_mutate():
 def test_two_record_run_yields_one_state_and_no_transitions():
     cfg = grid()
     derived = derive_states(records([10.0, 12.0], [2.0, 3.0]), cfg)
-    model = count_transitions(derived, TransitionModel(cfg))
-    assert model.total_transitions == 0
     assert derived.d_idx.size == 1
-    with pytest.raises(ValueError, match="derived"):
-        count_transitions(records([10.0, 12.0], [2.0, 3.0]), TransitionModel(cfg))
+    assert not count_transitions(cfg, derived.d_idx, derived.w_idx).any()
 
 
 def test_add_transitions_counts_consecutive_pairs():
-    model = TransitionModel(grid())
+    cfg = grid()
     a, b = (0, 1), (2, 0)
-    added = add_walk(model, [a, b, a])
-    assert added == 2
-    assert model.counts[0, 1, 2, 0] == 1
-    assert model.counts[2, 0, 0, 1] == 1
-    assert model.total_transitions == 2
-    assert add_walk(model, [a]) == 0
-    assert add_walk(model, []) == 0
+    counts = walk_counts(cfg, [a, b, a])
+    assert counts.shape == (3, 3, 3, 3)
+    assert counts[0, 1, 2, 0] == 1
+    assert counts[2, 0, 0, 1] == 1
+    assert counts.sum() == 2
+    assert TransitionModel(cfg, counts).total_transitions == 2
+    assert not walk_counts(cfg, [a]).any()
+    assert not walk_counts(cfg, []).any()
 
 
 def test_add_transitions_rejects_off_grid_states():
-    model = TransitionModel(grid())
+    cfg = grid()
     for bad in ((3, 0), (0, 3), (-1, 0), (0, -1)):
-        with pytest.raises(ValueError):
-            add_walk(model, [bad, (0, 0)])
-    with pytest.raises(ValueError):
-        model.add_transitions([0, 1], [0])
-    assert model.total_transitions == 0
+        with pytest.raises(ValueError, match="grid"):
+            walk_counts(cfg, [bad, (0, 0)])
+    with pytest.raises(ValueError, match="equal-length"):
+        count_transitions(cfg, [0, 1], [0])
 
 
 def test_runs_never_chain_across_boundaries():
     cfg = grid()
     a, b, c = (0, 0), (1, 1), (2, 2)
-    model = TransitionModel(cfg)
-    add_walk(model, [a, b])
-    add_walk(model, [b, c])
+    model = model_of(cfg, [a, b], [b, c])
     # No a->...->c path was ever observed as a single pair.
     assert model.counts[0, 0, 2, 2] == 0
     assert model.total_transitions == 2
@@ -151,30 +150,21 @@ def test_counting_is_order_invariant_across_runs():
         [(0, 0), (1, 1)],
         [(1, 1), (2, 2), (0, 0)],
     ]
-    m1, m2 = TransitionModel(cfg), TransitionModel(cfg)
-    for run in runs:
-        add_walk(m1, run)
-    for run in reversed(runs):
-        add_walk(m2, run)
+    m1, m2 = model_of(cfg, *runs), model_of(cfg, *reversed(runs))
     assert np.array_equal(m1.counts, m2.counts)
 
 
 def hand_model() -> TransitionModel:
-    model = TransitionModel(grid())
     s = (1, 1)
     targets = [(0, 0), (0, 1), (0, 2), (0, 2)]
-    for t in targets:
-        add_walk(model, [s, t])
-    return model
+    return model_of(grid(), *([s, t] for t in targets))
 
 
 def test_quadrant_rows_normalize_within_next_delay_bucket():
     model = hand_model()
-    row = model.quadrant_row(1, 1, 0)
-    assert row is not None
-    assert np.allclose(row, [0.25, 0.25, 0.5])
-    assert model.quadrant_row(1, 1, 2) is None
-    assert model.quadrant_row(0, 0, 0) is None
+    assert np.allclose(model.quadrant_rows[1, 1, 0], [0.25, 0.25, 0.5])
+    assert not model.quadrant_rows[1, 1, 2].any()
+    assert not model.quadrant_rows[0, 0, 0].any()
 
 
 def test_full_rows_are_stochastic_where_observed():
@@ -189,48 +179,55 @@ def test_full_rows_are_stochastic_where_observed():
 
 
 def test_marginal_rows_pool_window_buckets():
-    model = TransitionModel(grid())
-    add_walk(model, [(1, 0), (0, 1)])
-    add_walk(model, [(1, 2), (0, 2)])
-    marg = model.quadrant_marginal_row(1, 0)
-    assert marg is not None
-    assert np.allclose(marg, [0.0, 0.5, 0.5])
-    assert model.quadrant_marginal_row(2, 2) is None
+    model = model_of(grid(), [(1, 0), (0, 1)], [(1, 2), (0, 2)])
+    assert np.allclose(model.quadrant_marginal_rows[1, 0], [0.0, 0.5, 0.5])
+    assert not model.quadrant_marginal_rows[2, 2].any()
 
 
 def test_reading_the_tables_leaves_counts_unchanged():
     model = hand_model()
     before = model.counts.copy()
     first = model.quadrant_rows.copy()
-    model.full_rows, model.quadrant_marginal_rows, model.quadrant_row(1, 1, 0)
+    model.full_rows, model.quadrant_marginal_rows
     assert np.array_equal(model.counts, before)
     assert np.array_equal(model.quadrant_rows, first)
 
 
 def test_tables_from_counts_written_directly():
-    # Counts filled in place (as load_model does) before any table is read.
-    model = TransitionModel(grid())
-    model.counts[1, 1, 0, 0] = 1
-    model.counts[1, 1, 0, 2] = 3
-    model.counts[1, 2, 0, 1] = 4
-    model.counts[1, 1, 2, 1] = 4
-    assert np.allclose(model.quadrant_row(1, 1, 0), [0.25, 0.0, 0.75])
-    assert np.allclose(model.quadrant_row(1, 2, 0), [0.0, 1.0, 0.0])
-    assert np.allclose(model.quadrant_marginal_row(1, 0), [1 / 8, 4 / 8, 3 / 8])
+    # Counts filled in a local array (as load_model does), then handed over.
+    counts = np.zeros((3, 3, 3, 3), dtype=np.int64)
+    counts[1, 1, 0, 0] = 1
+    counts[1, 1, 0, 2] = 3
+    counts[1, 2, 0, 1] = 4
+    counts[1, 1, 2, 1] = 4
+    model = TransitionModel(grid(), counts)
+    assert np.allclose(model.quadrant_rows[1, 1, 0], [0.25, 0.0, 0.75])
+    assert np.allclose(model.quadrant_rows[1, 2, 0], [0.0, 1.0, 0.0])
+    assert np.allclose(model.quadrant_marginal_rows[1, 0], [1 / 8, 4 / 8, 3 / 8])
     assert np.allclose(model.full_rows[1, 1], [1 / 8, 0, 3 / 8, 0, 0, 0, 0, 4 / 8, 0])
-    assert model.quadrant_row(1, 1, 1) is None
-    assert model.quadrant_marginal_row(0, 0) is None
+    assert not model.quadrant_rows[1, 1, 1].any()
+    assert not model.quadrant_marginal_rows[0, 0].any()
     assert not model.full_rows[0, 0].any()
     assert model.quadrant_rows.shape == (3, 3, 3, 3)
     assert model.full_rows.shape == (3, 3, 9)
     assert model.quadrant_marginal_rows.shape == (3, 3, 3)
 
 
-def test_normalizations_refresh_after_new_counts():
-    model = hand_model()
-    assert model.quadrant_row(1, 1, 0) is not None
-    add_walk(model, [(1, 1), (0, 0)])
-    assert np.allclose(model.quadrant_row(1, 1, 0), [0.4, 0.2, 0.4])
+def test_model_counts_are_a_read_only_copy():
+    counts = np.zeros((3, 3, 3, 3), dtype=np.int64)
+    counts[1, 1, 0, 0] = 2
+    model = TransitionModel(grid(), counts)
+    counts[1, 1, 0, 0] = 5
+    assert model.counts[1, 1, 0, 0] == 2
+    assert model.counts.dtype == np.uint64
+    with pytest.raises(ValueError, match="read-only"):
+        model.counts[1, 1, 0, 0] = 3
+    with pytest.raises(ValueError, match="read-only"):
+        model.counts += np.uint64(1)
+    assert model.total_transitions == 2
+    with pytest.raises(ValueError, match="shape"):
+        TransitionModel(grid(), np.zeros((3, 3, 3)))
+    assert TransitionModel(grid()).total_transitions == 0
 
 
 def test_source_and_empty_row_accounting():
@@ -296,8 +293,8 @@ def test_recovers_known_chain_rows_from_samples():
     walk = [0]
     for _ in range(20_000):
         walk.append(int(rng.choice(4, p=truth[walk[-1]])))
-    model = TransitionModel(cfg)
-    model.add_transitions(np.array(walk) // 2, np.array(walk) % 2)
+    walk = np.array(walk)
+    model = TransitionModel(cfg, count_transitions(cfg, walk // 2, walk % 2))
     for f in range(4):
         learned = model.full_rows[f // 2, f % 2]
         tv = 0.5 * np.abs(learned - truth[f]).sum()
