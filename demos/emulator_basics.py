@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Ground truth tour of the bottleneck-link emulator.
 
-Four tiny experiments where the right answer is computable by hand:
+Five tiny experiments where the right answer is computable by hand:
 stop-and-wait on an idle link, a saturated buffer, fractional window
-accounting, and the stall flag on a silent trace.
+accounting, the stall flag on a silent trace, and conservation on a
+lossy, shaped link.
 """
 
 import numpy as np

@@ -65,26 +65,26 @@ def main():
     print("Training both controllers on their natural operating ranges...")
     jobs = [
         ("verus_like",
-         lambda: VerusLike(lam=1.2, inc=1.0, dec_mult=0.9,
+         lambda: VerusLike(lam=1.2, dec_mult=0.9,
                            rise_floor_ms=1.0, inc_frac=0.06, epoch_ms=20),
          make_traces(3.0, 50.0, 2.0)),
         ("copa_like",
-         lambda: CopaLike(delta=0.5, velocity=3.0, epoch_ms=60),
+         lambda: CopaLike(velocity=3.0, epoch_ms=60),
          make_traces(8.0, 16.0, 5.0)),
     ]
     print()
     print(f"  {'controller':<12s}{'transitions':>12s}{'src states':>12s}"
           f"{'dec share':>11s}")
     for label, make_controller, traces in jobs:
-        model, summary = train_on_traces(
+        model, _summary = train_on_traces(
             traces, make_controller,
             duration_ms=DURATION_MS, one_way_prop_ms=30,
             queue_capacity_pkts=2000, master_seed=MASTER_SEED,
         )
         share = decrease_share(model)
         path = export(model, label)
-        print(f"  {label:<12s}{summary['transitions']:>12d}"
-              f"{summary['source_states']:>12d}{share:>11.3f}")
+        print(f"  {label:<12s}{model.total_transitions:>12d}"
+              f"{model.source_state_count():>12d}{share:>11.3f}")
 
     print()
     print("Fingerprints written to", OUT_DIR)

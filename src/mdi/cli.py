@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import io
 import json
 import sys
@@ -96,7 +97,7 @@ def cmd_train(args) -> int:
     if args.epoch_ms is not None:
         ctrl_kwargs["epoch_ms"] = args.epoch_ms
 
-    model, summary = train_on_traces(
+    model, trained_from = train_on_traces(
         traces,
         lambda: make_controller(args.controller, **ctrl_kwargs),
         n_d=args.n_d,
@@ -111,22 +112,28 @@ def cmd_train(args) -> int:
     with open(args.out, "wb") as fh:
         save_model(model, fh)
     print(
-        f"wrote {args.out}: {summary['transitions']} transitions from "
-        f"{summary['runs']} runs ({summary['epochs']} epochs), "
-        f"{summary['source_states']}/{model.cfg.n_states} source states, "
-        f"{summary['empty_quadrant_row_fraction']:.3f} empty quadrant rows"
+        f"wrote {args.out}: {model.total_transitions} transitions from "
+        f"{trained_from['runs']} runs ({trained_from['epochs']} epochs), "
+        f"{model.source_state_count()}/{model.cfg.n_states} source states, "
+        f"{model.empty_quadrant_row_fraction():.3f} empty quadrant rows"
     )
     return 0
 
 
 def cmd_run(args) -> int:
+    # A flag is passed only when given, and only to a controller whose
+    # constructor takes it; the constructor holds the default.
+    cls = MdiController if args.controller == "mdi" else BASELINES[args.controller]
+    takes = inspect.signature(cls).parameters
     kwargs = {}
-    if args.w_init is not None:
-        if args.controller == "pinned":
-            raise CliError("--w-init does not apply to --controller pinned")
-        kwargs["w_init"] = args.w_init
-    if args.epoch_ms is not None:
-        kwargs["epoch_ms"] = args.epoch_ms
+    for name in ("epoch_ms", "w_init", "c1", "c2"):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in takes:
+            flag = "--" + name.replace("_", "-")
+            raise CliError(f"{flag} does not apply to --controller {args.controller}")
+        kwargs[name] = value
     trace_path = Path(args.trace)
     trace = _load_trace_path(trace_path, args.mtu)
     model = None
@@ -134,13 +141,11 @@ def cmd_run(args) -> int:
         with open(args.model, "rb") as fh:
             model = load_model(fh)
 
-    if args.controller == "mdi":
+    if cls is MdiController:
         if model is None:
             raise CliError("--controller mdi requires --model")
-        seed = derive_run_seed(args.seed, trace_path.name, 1)
-        controller = MdiController(model, c1=args.c1, c2=args.c2, seed=seed, **kwargs)
-    else:
-        controller = make_controller(args.controller, **kwargs)
+        kwargs.update(model=model, seed=derive_run_seed(args.seed, trace_path.name, 1))
+    controller = cls(**kwargs)
 
     params = LinkParams(
         trace=trace,
@@ -407,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", default=None, help="trained model (required for mdi)")
     p.add_argument("--epoch-ms", type=int, default=None, help="override epoch length")
-    p.add_argument("--c1", type=float, default=1.25, help="below-range window gain")
-    p.add_argument("--c2", type=float, default=0.8, help="above-range window cut")
+    p.add_argument("--c1", type=float, default=None, help="below-range window gain")
+    p.add_argument("--c2", type=float, default=None, help="above-range window cut")
     p.add_argument("--w-init", type=float, default=None, help="initial window, packets")
     _add_link_args(p)
     p.add_argument("--out", required=True, help="epoch CSV path (packet CSV sits beside)")

@@ -19,6 +19,15 @@ import abc
 import math
 from dataclasses import dataclass
 
+# The verus-like additive step (packets), the factor by which an epoch's
+# mean delay must exceed its EWMA to count as rising, and the EWMA's
+# weight on the newest epoch.
+VERUS_INC = 1.0
+VERUS_RISE_THRESH = 1.03
+VERUS_EWMA_ALPHA = 0.25
+# Copa's delta: the target window is 1 / (delta * queueing delay).
+COPA_DELTA = 0.5
+
 
 @dataclass(frozen=True)
 class EpochFeedback:
@@ -84,15 +93,17 @@ class VerusLike(Controller):
 
     Per epoch: decrease (w *= dec_mult) when the epoch's mean delay sits
     noticeably above its own smoothed history, or when it exceeds
-    lam * min_delay; otherwise increase (w += inc + inc_frac * w). The
-    smoothed reference (an EWMA of recent epoch means) lags a sustained
-    climb, so slow queue growth that never jumps much in one epoch still
-    trips the back-off, while one-epoch noise from millisecond RTT
-    quantization stays inside the threshold band. The optional inc_frac
-    term scales exploration with the operating point, so recovery after a
-    back-off takes a similar number of epochs on a 10 packet window as on
-    a 200 packet one; the default (0) keeps the increase purely additive.
-    Epochs with no ACKs hold the window.
+    lam * min_delay; otherwise increase (w += VERUS_INC + inc_frac * w).
+    The smoothed reference is an EWMA of recent epoch means with weight
+    VERUS_EWMA_ALPHA on the newest; "noticeably above" means more than
+    both VERUS_RISE_THRESH times it and rise_floor_ms over it. The EWMA
+    lags a sustained climb, so slow queue growth that never jumps much
+    in one epoch still trips the back-off, while one-epoch noise from
+    millisecond RTT quantization stays inside the threshold band. The
+    optional inc_frac term scales exploration with the operating point,
+    so recovery after a back-off takes a similar number of epochs on a
+    10 packet window as on a 200 packet one; the default (0) keeps the
+    increase purely additive. Epochs with no ACKs hold the window.
     """
 
     name = "verus-like"
@@ -100,37 +111,25 @@ class VerusLike(Controller):
     def __init__(
         self,
         lam: float = 1.5,
-        inc: float = 1.0,
         dec_mult: float = 0.7,
-        rise_thresh: float = 1.03,
         rise_floor_ms: float = 1.5,
-        ewma_alpha: float = 0.25,
         inc_frac: float = 0.0,
         epoch_ms: int = 20,
         w_init: float = 2.0,
     ) -> None:
         if lam < 1.0:
             raise ValueError(f"lam must be >= 1, got {lam}")
-        if inc <= 0.0:
-            raise ValueError(f"inc must be > 0, got {inc}")
         if not 0.0 < dec_mult < 1.0:
             raise ValueError(f"dec_mult must be in (0, 1), got {dec_mult}")
-        if rise_thresh < 1.0:
-            raise ValueError(f"rise_thresh must be >= 1, got {rise_thresh}")
         if rise_floor_ms < 0.0:
             raise ValueError(f"rise_floor_ms must be >= 0, got {rise_floor_ms}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
         if inc_frac < 0.0:
             raise ValueError(f"inc_frac must be >= 0, got {inc_frac}")
         if w_init < 1.0:
             raise ValueError(f"w_init must be >= 1, got {w_init}")
         self.lam = float(lam)
-        self.inc = float(inc)
         self.dec_mult = float(dec_mult)
-        self.rise_thresh = float(rise_thresh)
         self.rise_floor_ms = float(rise_floor_ms)
-        self.ewma_alpha = float(ewma_alpha)
         self.inc_frac = float(inc_frac)
         self.epoch_ms = int(epoch_ms)
         self.window = float(w_init)
@@ -140,28 +139,28 @@ class VerusLike(Controller):
         if feedback.acked_pkts > 0:
             mean = feedback.mean_delay_ms
             rising = self._ewma_ms is not None and mean > max(
-                self._ewma_ms * self.rise_thresh,
+                self._ewma_ms * VERUS_RISE_THRESH,
                 self._ewma_ms + self.rise_floor_ms,
             )
             high = mean > self.lam * feedback.min_delay_ms
             if rising or high:
                 self.window = max(1.0, self.window * self.dec_mult)
             else:
-                self.window = self.window + self.inc + self.inc_frac * self.window
+                self.window = self.window + VERUS_INC + self.inc_frac * self.window
             if self._ewma_ms is None:
                 self._ewma_ms = mean
             else:
-                self._ewma_ms += self.ewma_alpha * (mean - self._ewma_ms)
+                self._ewma_ms += VERUS_EWMA_ALPHA * (mean - self._ewma_ms)
         return ControllerDecision(self.window, self.epoch_ms)
 
 
 class CopaLike(Controller):
     """Step toward a target window derived from measured queueing delay.
 
-    The target follows target_w = mean_delay / (delta * dq) with
+    The target follows target_w = mean_delay / (COPA_DELTA * dq) with
     dq = max(mean_delay - min_delay, 0.1) ms, i.e. lower queueing delay
     justifies a larger window. Each epoch moves the window by
-    acked_pkts * velocity / (delta * w) toward the target, so steps
+    acked_pkts * velocity / (COPA_DELTA * w) toward the target, so steps
     self-scale and the controller overshoots then reverses rather than
     settling. Zero-ACK epochs hold.
     """
@@ -170,18 +169,14 @@ class CopaLike(Controller):
 
     def __init__(
         self,
-        delta: float = 0.5,
         velocity: float = 1.0,
         epoch_ms: int = 10,
         w_init: float = 2.0,
     ) -> None:
-        if delta <= 0.0:
-            raise ValueError(f"delta must be > 0, got {delta}")
         if velocity <= 0.0:
             raise ValueError(f"velocity must be > 0, got {velocity}")
         if w_init < 1.0:
             raise ValueError(f"w_init must be >= 1, got {w_init}")
-        self.delta = float(delta)
         self.velocity = float(velocity)
         self.epoch_ms = int(epoch_ms)
         self.window = float(w_init)
@@ -189,8 +184,8 @@ class CopaLike(Controller):
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
         if feedback.acked_pkts > 0:
             dq_ms = max(feedback.mean_delay_ms - feedback.min_delay_ms, 0.1)
-            target_w = feedback.mean_delay_ms / (self.delta * dq_ms)
-            step = feedback.acked_pkts * self.velocity / (self.delta * self.window)
+            target_w = feedback.mean_delay_ms / (COPA_DELTA * dq_ms)
+            step = feedback.acked_pkts * self.velocity / (COPA_DELTA * self.window)
             if self.window < target_w:
                 self.window += step
             else:

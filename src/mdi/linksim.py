@@ -42,7 +42,7 @@ import numpy as np
 
 from .controllers import Controller, EpochFeedback
 from .trace import LinkTrace
-from .trainer import EpochLog
+from .trainer import COLUMN_DTYPES, EpochLog
 
 
 class SimulationError(RuntimeError):
@@ -298,20 +298,12 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     )
 
 
-EPOCH_CSV_HEADER = [
-    "epoch_index",
-    "t_ms",
-    "delay_ms",
-    "window_pkts",
-    "d_hat",
-    "w_hat",
-    "d_idx",
-    "w_idx",
-]
+# An epoch CSV row is the epoch's index, then the log's own columns.
+_EPOCH_DTYPE = np.dtype([("epoch_index", np.int64), *COLUMN_DTYPES.items()])
+EPOCH_CSV_HEADER = list(_EPOCH_DTYPE.names)
 
 PACKET_CSV_HEADER = ["seq", "sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped"]
 
-_EPOCH_DTYPE = np.dtype({"names": EPOCH_CSV_HEADER, "formats": "i8 i8 f8 f8 f8 f8 i8 i8".split()})
 # An underived epoch log parses only its first four columns.
 _RAW_EPOCH_DTYPE = np.dtype(_EPOCH_DTYPE.descr[:4])
 _PACKET_DTYPE = np.dtype({"names": PACKET_CSV_HEADER, "formats": ["i8"] * 6})

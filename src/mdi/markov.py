@@ -33,7 +33,17 @@ class ConvergenceError(RuntimeError):
     """An iterative computation hit its cap before converging."""
 
 
-def check_stochastic(P: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+# How far a row or a distribution may sum from 1.
+SUM_TOL = 1e-9
+# Power iteration stops when successive distributions agree this closely
+# (max norm), and then fails if pi @ P - pi is larger than RESIDUAL_TOL.
+STATIONARY_TOL = 1e-12
+RESIDUAL_TOL = 1e-8
+# kl_divergence clips q below at this before renormalizing.
+KL_FLOOR = 1e-9
+
+
+def check_stochastic(P: np.ndarray) -> np.ndarray:
     """Validate a row-stochastic matrix; returns it as float64."""
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -41,20 +51,20 @@ def check_stochastic(P: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     if not np.all(np.isfinite(P)) or np.any(P < 0.0):
         raise AnalysisError("matrix entries must be finite and >= 0")
     row_err = np.abs(P.sum(axis=1) - 1.0).max()
-    if row_err > tol:
-        raise AnalysisError(f"rows must sum to 1 within {tol}, worst error {row_err}")
+    if row_err > SUM_TOL:
+        raise AnalysisError(f"rows must sum to 1 within {SUM_TOL}, worst error {row_err}")
     return P
 
 
-def check_distribution(p: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def check_distribution(p: np.ndarray) -> np.ndarray:
     """Validate a probability vector; returns it as float64."""
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise AnalysisError(f"expected a vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)) or np.any(p < 0.0):
         raise AnalysisError("probabilities must be finite and >= 0")
-    if abs(float(p.sum()) - 1.0) > tol:
-        raise AnalysisError(f"probabilities must sum to 1 within {tol}")
+    if abs(float(p.sum()) - 1.0) > SUM_TOL:
+        raise AnalysisError(f"probabilities must sum to 1 within {SUM_TOL}")
     return p
 
 
@@ -103,17 +113,13 @@ def _reaches_all(adj: np.ndarray, start: int) -> bool:
     return bool(seen.all())
 
 
-def stationary(
-    P: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
-    residual_tol: float = 1e-8,
-) -> np.ndarray:
+def stationary(P: np.ndarray, max_iter: int = 1_000_000) -> np.ndarray:
     """Stationary distribution by power iteration from uniform.
 
-    Iterates until successive distributions agree within tol in max norm,
-    then verifies the fixed-point residual. Periodic chains may never
-    converge; wrap them with lazy() first.
+    Iterates until successive distributions agree within STATIONARY_TOL
+    in max norm, then verifies the fixed-point residual against
+    RESIDUAL_TOL. Periodic chains may never converge; wrap them with
+    lazy() first.
     """
     P = check_stochastic(P)
     n = P.shape[0]
@@ -122,12 +128,12 @@ def stationary(
         nxt = pi @ P
         delta = float(np.abs(nxt - pi).max())
         pi = nxt
-        if delta < tol:
+        if delta < STATIONARY_TOL:
             pi = pi / pi.sum()
             residual = float(np.abs(pi @ P - pi).max())
-            if residual > residual_tol:
+            if residual > RESIDUAL_TOL:
                 raise ConvergenceError(
-                    f"fixed-point residual {residual} exceeds {residual_tol}"
+                    f"fixed-point residual {residual} exceeds {RESIDUAL_TOL}"
                 )
             return pi
     raise ConvergenceError(
@@ -189,19 +195,17 @@ def mixing_times(
     }
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray, floor: float = 1e-9) -> float:
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """D(p || q) in nats, flooring q's zeros so the result stays finite.
 
-    q is clipped below at floor and renormalized; terms with p == 0
+    q is clipped below at KL_FLOOR and renormalized; terms with p == 0
     contribute nothing.
     """
     p = check_distribution(p)
     q = check_distribution(q)
     if p.shape != q.shape:
         raise AnalysisError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if floor <= 0.0:
-        raise ValueError(f"floor must be > 0, got {floor!r}")
-    qf = np.maximum(q, floor)
+    qf = np.maximum(q, KL_FLOOR)
     qf = qf / qf.sum()
     mask = p > 0.0
     return float(np.sum(p[mask] * np.log(p[mask] / qf[mask])))

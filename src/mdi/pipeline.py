@@ -43,8 +43,8 @@ def train_on_traces(
 
     The remaining keywords are LinkParams fields other than trace and
     seed (each run's seed is derived from master_seed). Returns the
-    model and a summary dict (run/epoch/transition counts plus sparsity
-    diagnostics).
+    model and a summary of what it was trained from: the number of runs
+    and of epochs. The model reports its own transitions and sparsity.
     """
     if not traces:
         raise ValueError("need at least one trace to train on")
@@ -67,18 +67,8 @@ def train_on_traces(
         if len(log) >= 2:
             derived = derive_states(log, cfg)
             counts += count_transitions(cfg, derived.d_idx, derived.w_idx)
-    model = TransitionModel(cfg, counts)
-
-    summary = {
-        "runs": len(run_logs),
-        "epochs": sum(len(log) for log in run_logs),
-        "transitions": model.total_transitions,
-        "source_states": model.source_state_count(),
-        "empty_quadrant_row_fraction": model.empty_quadrant_row_fraction(),
-        "n_d": n_d,
-        "n_w": n_w,
-    }
-    return model, summary
+    summary = {"runs": len(run_logs), "epochs": sum(len(log) for log in run_logs)}
+    return TransitionModel(cfg, counts), summary
 
 
 def run_and_derive(

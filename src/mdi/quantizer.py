@@ -72,14 +72,9 @@ def _bucket_one(value: float, edges: Sequence[float]) -> int:
     return bisect_right(edges, value, 1, len(edges) - 1) - 1
 
 
-def _check_edges(edges: tuple[float, ...], count: int, name: str) -> None:
-    if count < 2:
-        raise ValueError(f"{name}: need at least 2 buckets, got {count}")
-    if len(edges) != count + 1:
-        raise ValueError(
-            f"{name}: expected {count + 1} edges for {count} buckets, "
-            f"got {len(edges)}"
-        )
+def _check_edges(edges: tuple[float, ...], name: str) -> None:
+    if len(edges) < 3:
+        raise ValueError(f"{name}: need at least 3 edges (2 buckets), got {len(edges)}")
     for a, b in zip(edges, edges[1:]):
         if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
             raise ValueError(f"{name}: edges must be finite and strictly increasing")
@@ -90,19 +85,17 @@ class QuantizerConfig:
     """Bucket edges for both composite dimensions.
 
     Edges are stored as tuples so configs compare and hash by value;
-    len(edges) == bucket count + 1 on each axis.
+    each axis has one bucket fewer than it has edges.
     """
 
     d_hat_edges: tuple[float, ...]
     w_hat_edges: tuple[float, ...]
-    n_d: int = 11
-    n_w: int = 21
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d_hat_edges", tuple(float(e) for e in self.d_hat_edges))
         object.__setattr__(self, "w_hat_edges", tuple(float(e) for e in self.w_hat_edges))
-        _check_edges(self.d_hat_edges, self.n_d, "d_hat_edges")
-        _check_edges(self.w_hat_edges, self.n_w, "w_hat_edges")
+        _check_edges(self.d_hat_edges, "d_hat_edges")
+        _check_edges(self.w_hat_edges, "w_hat_edges")
 
     @classmethod
     def uniform(
@@ -117,7 +110,15 @@ class QuantizerConfig:
         """Evenly spaced edges over explicit ranges."""
         d_edges = np.linspace(d_lo, d_hi, n_d + 1)
         w_edges = np.linspace(w_lo, w_hi, n_w + 1)
-        return cls(tuple(d_edges), tuple(w_edges), n_d=n_d, n_w=n_w)
+        return cls(tuple(d_edges), tuple(w_edges))
+
+    @property
+    def n_d(self) -> int:
+        return len(self.d_hat_edges) - 1
+
+    @property
+    def n_w(self) -> int:
+        return len(self.w_hat_edges) - 1
 
     @property
     def n_states(self) -> int:

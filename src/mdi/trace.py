@@ -7,7 +7,7 @@ leave in the same millisecond. When a simulation outlives the trace, the
 trace wraps by re-playing with all timestamps shifted by the last
 timestamp.
 
-The on-disk format is UTF-8 text, one integer per line.
+The on-disk format is text, one integer per line in ASCII digits.
 """
 
 from __future__ import annotations
@@ -77,15 +77,11 @@ def load_trace(source: BinaryIO, mtu_bytes: int = 1500) -> LinkTrace:
     stamps = []
     prev = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
-        s = line.strip()
-        if not s:
+        if not line.strip():
             raise TraceParseError(f"line {lineno}: blank line")
-        try:
-            ts = int(s)
-        except ValueError:
-            raise TraceParseError(f"line {lineno}: not an integer: {s!r}") from None
-        if ts < 0:
-            raise TraceParseError(f"line {lineno}: negative timestamp {ts}")
+        if not (line.isascii() and line.isdigit()):
+            raise TraceParseError(f"line {lineno}: not a non-negative integer: {line!r}")
+        ts = int(line)
         if ts < prev:
             raise TraceParseError(
                 f"line {lineno}: timestamp {ts} decreases below {prev}"
@@ -118,8 +114,9 @@ class SyntheticTraceSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s!r}")
+        # The trace is whole milliseconds long, so it needs at least one.
+        if not (math.isfinite(self.duration_s) and round(self.duration_s * 1000.0) >= 1):
+            raise ValueError(f"duration_s must round to at least 1 ms, got {self.duration_s!r}")
         if not (math.isfinite(self.segment_s) and self.segment_s > 0):
             raise ValueError(f"segment_s must be > 0, got {self.segment_s!r}")
         if not (math.isfinite(self.rate_min_mbps) and self.rate_min_mbps > 0):

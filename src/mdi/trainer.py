@@ -22,12 +22,14 @@ it, each built on first use:
 Runs never blend: transition counting restarts at every run boundary.
 
 Models serialize to a line-oriented text format ("MDIMODEL v1") holding
-the grid edges plus the sparse nonzero counts, with a declared total so
+the grid edges plus the sparse nonzero counts, one "k l r v count" line
+per cell in increasing (k, l, r, v) order, with a declared total so
 truncated files fail loudly.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -43,7 +45,8 @@ class ModelFormatError(ValueError):
 
 
 _DERIVED = ("d_hat", "w_hat", "d_idx", "w_idx")
-_DTYPES = {
+# Every column of an epoch log, in the order the epoch CSV lists them.
+COLUMN_DTYPES = {
     "t_ms": np.int64,
     "delay_ms": np.float64,
     "window_pkts": np.float64,
@@ -78,7 +81,7 @@ class EpochLog:
     w_idx: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        for name, dtype in _DTYPES.items():
+        for name, dtype in COLUMN_DTYPES.items():
             col = getattr(self, name)
             if col is not None:
                 col = np.asarray(col, dtype=dtype)
@@ -275,26 +278,30 @@ def load_model(source: BinaryIO) -> TransitionModel:
     d_edges = parse_edges(lines[2], n_d + 1, "d_hat_edges")
     w_edges = parse_edges(lines[3], n_w + 1, "w_hat_edges")
     try:
-        cfg = QuantizerConfig(d_edges, w_edges, n_d=n_d, n_w=n_w)
+        cfg = QuantizerConfig(d_edges, w_edges)
     except ValueError as exc:
         raise ModelFormatError(f"invalid quantizer config: {exc}") from None
 
     counts = np.zeros((n_d, n_w, n_d, n_w), dtype=np.uint64)
+    prev = (-1,)
     for lineno, line in enumerate(lines[4:], start=5):
-        if not line.strip():
-            raise ModelFormatError(f"line {lineno}: blank line")
-        parts = line.split()
-        if len(parts) != 5:
-            raise ModelFormatError(f"line {lineno}: expected 'k l r v count'")
-        try:
-            k, l, r, v, c = (int(p) for p in parts)
-        except ValueError:
-            raise ModelFormatError(f"line {lineno}: non-integer field") from None
-        if not (0 <= k < n_d and 0 <= r < n_d and 0 <= l < n_w and 0 <= v < n_w):
+        fields = re.fullmatch(r"(\d+) (\d+) (\d+) (\d+) (\d+)", line, re.ASCII)
+        if fields is None:
+            raise ModelFormatError(
+                f"line {lineno}: expected 'k l r v count' in ASCII digits and single spaces"
+            )
+        k, l, r, v, c = map(int, fields.groups())
+        if not (k < n_d and r < n_d and l < n_w and v < n_w):
             raise ModelFormatError(f"line {lineno}: index out of range")
-        if c <= 0:
-            raise ModelFormatError(f"line {lineno}: count must be > 0, got {c}")
-        counts[k, l, r, v] += np.uint64(c)
+        if not 0 < c < 2**64:
+            raise ModelFormatError(f"line {lineno}: count must be > 0 and fit 64 bits, got {c}")
+        if (k, l, r, v) <= prev:
+            raise ModelFormatError(
+                f"line {lineno}: cells must be listed once each, "
+                "in increasing (k, l, r, v) order"
+            )
+        prev = (k, l, r, v)
+        counts[prev] = c
     model = TransitionModel(cfg, counts)
     if model.total_transitions != declared_total:
         raise ModelFormatError(

@@ -57,7 +57,7 @@ def make_verus() -> VerusLike:
     # sawtooth short, and the small proportional increase term makes
     # recovery take similar epoch counts at every window scale.
     return VerusLike(
-        lam=1.2, inc=1.0, dec_mult=0.9, rise_floor_ms=1.0,
+        lam=1.2, dec_mult=0.9, rise_floor_ms=1.0,
         inc_frac=0.06, epoch_ms=20,
     )
 
@@ -65,7 +65,7 @@ def make_verus() -> VerusLike:
 def make_copa() -> CopaLike:
     # velocity 3 with a one-RTT epoch gives a constant 6-packet step,
     # large enough to swing queueing delay by whole milliseconds.
-    return CopaLike(delta=0.5, velocity=3.0, epoch_ms=60)
+    return CopaLike(velocity=3.0, epoch_ms=60)
 
 
 VERUS = HarnessSpec(

@@ -103,16 +103,58 @@ def test_run_mdi_without_model_fails_cleanly(workspace, tmp_path, capsys):
     assert not out.exists()  # no partial artifacts
 
 
-def test_run_w_init_applies_except_to_pinned(workspace, tmp_path, capsys):
-    trace = str(workspace / "traces" / "t0.trace")
-    out = tmp_path / "w.csv"
-    run = ["run", "--trace", trace, "--duration", "1", "--w-init", "4", "--out", str(out)]
-    assert main([*run, "--controller", "verus-like"]) == 0
-    assert read_epoch_csv(io.StringIO(out.read_text())).window_pkts[0] == 4.0
-    out.unlink()
-    assert main([*run, "--controller", "pinned"]) == 1
-    assert "--w-init" in capsys.readouterr().err
-    assert not out.exists()
+RUN_FLAGS = {"--epoch-ms": "30", "--w-init": "4", "--c1": "1.5", "--c2": "0.5"}
+# The run flags each controller's constructor takes.
+TAKES = {
+    "pinned": {"--epoch-ms"},
+    "verus-like": {"--epoch-ms", "--w-init"},
+    "copa-like": {"--epoch-ms", "--w-init"},
+    "mdi": set(RUN_FLAGS),
+}
+
+
+@pytest.mark.parametrize(
+    "controller, flag",
+    [
+        pytest.param(c, f, id=f"{c}{f}")
+        for c in sorted(TAKES)
+        for f in RUN_FLAGS
+    ],
+)
+def test_run_passes_a_flag_only_to_a_controller_that_takes_it(
+    workspace, tmp_path, capsys, controller, flag
+):
+    out = tmp_path / "f.csv"
+    argv = [
+        "run", "--trace", str(workspace / "traces" / "t0.trace"), "--duration", "1",
+        "--controller", controller, flag, RUN_FLAGS[flag], "--out", str(out),
+    ]
+    if controller == "mdi":
+        argv += ["--model", str(workspace / "verus.model")]
+    if flag not in TAKES[controller]:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert flag in err and controller in err
+        assert list(tmp_path.iterdir()) == []
+        return
+    assert main(argv) == 0
+    epochs = read_epoch_csv(io.StringIO(out.read_text()))
+    if flag == "--w-init":
+        assert epochs.window_pkts[0] == 4.0
+    if flag == "--epoch-ms":
+        assert set(np.diff(epochs.t_ms).tolist()) == {30}
+
+
+def test_run_mdi_gains_default_to_the_controller_own(workspace, tmp_path):
+    run = [
+        "run", "--trace", str(workspace / "traces" / "t0.trace"), "--duration", "2",
+        "--controller", "mdi", "--model", str(workspace / "verus.model"),
+    ]
+    assert main([*run, "--out", str(tmp_path / "a.csv")]) == 0
+    assert main([*run, "--c1", "1.25", "--c2", "0.8", "--out", str(tmp_path / "b.csv")]) == 0
+    for suffix in (".csv", ".packets.csv"):
+        a = (tmp_path / f"a{suffix}").read_bytes()
+        assert a == (tmp_path / f"b{suffix}").read_bytes()
 
 
 def test_train_rejects_missing_or_empty_trace_dir(workspace, tmp_path, capsys):

@@ -50,7 +50,7 @@ def test_pinned_never_moves():
 def test_verus_flat_delay_inspires_additive_increase():
     ctrl = VerusLike(w_init=2.0)
     d = ctrl.on_epoch(fb(10.0, 10.0))
-    assert d.window_pkts == pytest.approx(3.0)  # inc defaults to 1
+    assert d.window_pkts == pytest.approx(3.0)  # the additive step is 1
 
 
 def test_verus_high_delay_triggers_multiplicative_cut():
@@ -96,9 +96,8 @@ def test_verus_zero_ack_epoch_holds():
 
 def test_verus_parameter_validation():
     for kwargs in (
-        dict(lam=0.9), dict(inc=0.0), dict(dec_mult=1.0), dict(dec_mult=0.0),
-        dict(rise_thresh=0.99), dict(rise_floor_ms=-0.1),
-        dict(ewma_alpha=0.0), dict(inc_frac=-0.01), dict(w_init=0.5),
+        dict(lam=0.9), dict(dec_mult=1.0), dict(dec_mult=0.0),
+        dict(rise_floor_ms=-0.1), dict(inc_frac=-0.01), dict(w_init=0.5),
     ):
         with pytest.raises(ValueError):
             VerusLike(**kwargs)
@@ -127,10 +126,10 @@ def test_copa_below_target_steps_up():
 
 
 def test_copa_above_target_steps_down():
-    ctrl = CopaLike(delta=2.0, w_init=10.0)
-    # dq = 10, target = 10 / (2 * 10) = 0.5 < 10; step = 4 / (2 * 10) = 0.2
+    ctrl = CopaLike(w_init=10.0)
+    # dq = 10, target = 10 / (0.5 * 10) = 2 < 10; step = 4 / (0.5 * 10) = 0.8
     d = ctrl.on_epoch(fb(10.0, 0.0, acked=4))
-    assert d.window_pkts == pytest.approx(9.8)
+    assert d.window_pkts == pytest.approx(9.2)
 
 
 def test_copa_step_scales_with_acks_and_window():
@@ -141,7 +140,9 @@ def test_copa_step_scales_with_acks_and_window():
 
 
 def test_copa_window_floors_at_one():
-    ctrl = CopaLike(delta=2.0, w_init=1.0)
+    # Every target is at least 1 / delta = 2, so a window at 1 could
+    # only step up; start above the target and overshoot below 1.
+    ctrl = CopaLike(w_init=3.0)
     d = ctrl.on_epoch(fb(10.0, 0.0, acked=50))
     assert d.window_pkts == 1.0
 
@@ -160,7 +161,7 @@ def test_copa_dq_floor_prevents_divide_by_zero():
 
 
 def test_copa_parameter_validation():
-    for kwargs in (dict(delta=0.0), dict(velocity=0.0), dict(w_init=0.9)):
+    for kwargs in (dict(velocity=0.0), dict(w_init=0.9)):
         with pytest.raises(ValueError):
             CopaLike(**kwargs)
 
@@ -173,7 +174,7 @@ def test_copa_equilibrium_queue_tracks_delta():
         trace=constant_trace(12.0, 30.0), one_way_prop_ms=10,
         queue_capacity_pkts=500, duration_ms=30_000,
     )
-    res = run_simulation(params, CopaLike(delta=0.5, velocity=1.0, epoch_ms=10))
+    res = run_simulation(params, CopaLike(velocity=1.0, epoch_ms=10))
     rtts = res.rtt_ms[res.rtt_ms >= 0]
     settled = rtts[rtts.size // 2 :].astype(np.float64)
     dq = settled.mean() - rtts.min()
@@ -198,6 +199,6 @@ def test_registry_instantiates_by_name():
     ctrl = make_controller("pinned", window_pkts=7.0)
     assert isinstance(ctrl, Pinned)
     assert make_controller("verus-like").name == "verus-like"
-    assert make_controller("copa-like", delta=0.25).delta == 0.25
+    assert make_controller("copa-like", velocity=2.0).velocity == 2.0
     with pytest.raises(ValueError, match="unknown controller"):
         make_controller("reno")

@@ -39,15 +39,11 @@ def test_training_summary_is_consistent_with_the_model():
         traces, VerusLike, duration_ms=8000, one_way_prop_ms=10,
         queue_capacity_pkts=500, master_seed=3,
     )
+    assert summary.keys() == {"runs", "epochs"}
     assert summary["runs"] == 3
-    assert summary["transitions"] == model.total_transitions
-    assert summary["transitions"] > 0
-    assert summary["source_states"] == model.source_state_count()
-    assert summary["n_d"] == model.cfg.n_d == 11
-    assert summary["n_w"] == model.cfg.n_w == 21
+    assert (model.cfg.n_d, model.cfg.n_w) == (11, 21)
     # Each run of n epochs yields n-1 states and n-2 transitions.
-    assert summary["transitions"] == summary["epochs"] - 2 * summary["runs"]
-    assert 0.0 <= summary["empty_quadrant_row_fraction"] <= 1.0
+    assert 0 < model.total_transitions == summary["epochs"] - 2 * summary["runs"]
 
 
 def test_training_is_deterministic_in_the_master_seed():

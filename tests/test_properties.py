@@ -55,7 +55,7 @@ def test_vectorised_bucketing_matches_clamped_bisect(case):
     n = len(edges) - 1
     want = [min(max(bisect_right(edges, x) - 1, 0), n - 1) for x in values]
     assert bucket(values, edges).tolist() == want
-    cfg = QuantizerConfig(edges, edges, n_d=n, n_w=n)
+    cfg = QuantizerConfig(edges, edges)
     assert [cfg.d_bucket(x) for x in values] == want
     assert [cfg.w_bucket(x) for x in values] == want
 
@@ -244,7 +244,7 @@ def models(draw):
     """A model over random edges with sparse counts written directly, up
     to 2**40 per cell."""
     n_d, n_w = draw(st.integers(2, 5)), draw(st.integers(2, 5))
-    cfg = QuantizerConfig(draw(edge_lists(n_d)), draw(edge_lists(n_w)), n_d=n_d, n_w=n_w)
+    cfg = QuantizerConfig(draw(edge_lists(n_d)), draw(edge_lists(n_w)))
     counts = np.zeros((n_d, n_w, n_d, n_w), dtype=np.uint64)
     cells = st.tuples(
         st.integers(0, n_d - 1), st.integers(0, n_w - 1),
@@ -253,6 +253,16 @@ def models(draw):
     for cell, count in draw(st.lists(st.tuples(cells, st.integers(1, 2**40)), max_size=40)):
         counts[cell] += np.uint64(count)
     return TransitionModel(cfg, counts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(3, 40), st.integers(3, 40))
+def test_config_sizes_follow_any_edge_counts(d_edges, w_edges):
+    cfg = QuantizerConfig(range(d_edges), range(w_edges))
+    n_d, n_w = d_edges - 1, w_edges - 1
+    assert (cfg.n_d, cfg.n_w, cfg.n_states) == (n_d, n_w, n_d * n_w)
+    assert (cfg.d_bucket(d_edges), cfg.w_bucket(w_edges)) == (n_d - 1, n_w - 1)
+    assert TransitionModel(cfg).counts.shape == (n_d, n_w, n_d, n_w)
 
 
 @settings(max_examples=200, deadline=None)

@@ -86,11 +86,11 @@ def test_uniform_config_edge_layout():
 
 def test_config_rejects_bad_edges():
     with pytest.raises(ValueError):
-        QuantizerConfig((0.0, 1.0), (0.0, 0.5, 1.0), n_d=2, n_w=2)  # too few d edges
+        QuantizerConfig((0.0, 1.0), (0.0, 0.5, 1.0))  # too few d edges
     with pytest.raises(ValueError):
-        QuantizerConfig((0.0, 1.0, 0.5), (0.0, 0.5, 1.0), n_d=2, n_w=2)  # not increasing
+        QuantizerConfig((0.0, 1.0, 0.5), (0.0, 0.5, 1.0))  # not increasing
     with pytest.raises(ValueError):
-        QuantizerConfig((0.0, 0.5, 1.0), (0.0, math.inf, 2.0), n_d=2, n_w=2)
+        QuantizerConfig((0.0, 0.5, 1.0), (0.0, math.inf, 2.0))
 
 
 def test_buckets_are_half_open_and_clamp():

@@ -21,9 +21,7 @@ def fb(mean: float, acked: int = 10, idx: int = 1) -> EpochFeedback:
 def small_grid() -> QuantizerConfig:
     # Delay buckets (-inf-clamped) [-0.5,-0.1), [-0.1,0.1), [0.1,0.5];
     # window midpoints -0.2, 0.0, +0.2.
-    return QuantizerConfig(
-        (-0.5, -0.1, 0.1, 0.5), (-0.3, -0.1, 0.1, 0.3), n_d=3, n_w=3
-    )
+    return QuantizerConfig((-0.5, -0.1, 0.1, 0.5), (-0.3, -0.1, 0.1, 0.3))
 
 
 def model_with(cells) -> TransitionModel:

@@ -41,6 +41,12 @@ def test_load_rejects_garbage_with_line_number():
         _load("7\n\n9\n")
 
 
+@pytest.mark.parametrize("line", ["+20", " 1_0 ", "1_0", "\uff12", "3 "])
+def test_load_accepts_only_ascii_digit_lines(line):
+    with pytest.raises(TraceParseError, match="line 2:"):
+        _load(f"0\n{line}\n")
+
+
 def test_load_rejects_empty_file():
     with pytest.raises(TraceParseError):
         _load("")
@@ -133,6 +139,14 @@ def test_distinct_seeds_give_distinct_traces():
     ]
     seen = {tuple(tr.opportunities.tolist()) for tr in traces}
     assert len(seen) == 10
+
+
+def test_spec_rejects_a_duration_below_one_ms():
+    # 0.0001 s rounds to 0 ms, which would leave nothing to generate.
+    spec = dict(segment_s=1, rate_min_mbps=1, rate_max_mbps=2, seed=0)
+    with pytest.raises(ValueError, match="duration_s"):
+        SyntheticTraceSpec(duration_s=0.0001, **spec)
+    assert len(gen_rapidly_changing(SyntheticTraceSpec(duration_s=0.001, **spec))) >= 1
 
 
 def test_spec_validation():

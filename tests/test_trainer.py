@@ -277,6 +277,31 @@ def test_load_rejects_malformed_files():
         load_model(as_stream(lines[:-1]))
 
 
+# hand_model() saves as three count lines, 5-7: "1 1 0 0 1", "1 1 0 1 1"
+# and "1 1 0 2 2", with a declared total of 4.
+@pytest.mark.parametrize(
+    "total, cells, bad_line",
+    [
+        (6, ["1 1 0 0 1", "1 1 0 1 1", "1 1 0 2 2", "1 1 0 2 2"], 8),
+        (4, ["1 1 0 0 1", "1 1 0 2 2", "1 1 0 1 1"], 7),
+        (4, ["1 1 0 0 1", "1 1 0 1 1", "1 1 0 2 0_2"], 7),
+        (4, ["1 1 0 0 1", "1 1 0 1 1", "1 1 0 2 +2"], 7),
+        (4, ["1 1 0 0 1", "1 1 0 1 1", "1 1 0  2 2"], 7),
+        (4, ["1 1 0 0 1", "1 1 0 1 1", "1\t1 0 2 2"], 7),
+        (2 + 2**64, ["1 1 0 0 1", "1 1 0 1 1", f"1 1 0 2 {2**64}"], 7),
+    ],
+    ids=["twice", "out-of-order", "separator", "sign", "two-spaces", "tab", "above-64-bits"],
+)
+def test_load_accepts_only_count_lines_save_writes(total, cells, bad_line):
+    good = io.BytesIO()
+    save_model(hand_model(), good)
+    lines = good.getvalue().decode("utf-8").splitlines()
+    assert lines[1] == "3 3 4" and lines[4:] == ["1 1 0 0 1", "1 1 0 1 1", "1 1 0 2 2"]
+    text = "\n".join([lines[0], f"3 3 {total}", *lines[2:4], *cells]) + "\n"
+    with pytest.raises(ModelFormatError, match=f"line {bad_line}:"):
+        load_model(io.BytesIO(text.encode("utf-8")))
+
+
 def test_recovers_known_chain_rows_from_samples():
     # Sample a hand-specified chain and check the learned rows approach
     # the truth in total variation.
