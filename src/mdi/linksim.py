@@ -8,10 +8,20 @@ the head of the drop-tail queue. Opportunities per ms are counted once,
 before the run, from the trace replayed shifted by its last timestamp;
 unused ones are wasted, which makes the trace a capacity ceiling.
 
-The emulator decides only when each packet is sent, delivered or
-dropped. Its ACK returns a constant 2 * one-way propagation (at least
-1 ms) after delivery, so ACK times and RTTs (queueing plus the return
-legs) are derived from the delivery times once the run ends.
+Each tick costs a few steps, not a few per packet it moves. All
+packets sent in one tick share a send time, service is FIFO, and an ACK
+returns a constant 2 * one-way propagation (at least 1 ms) after
+delivery, so the ACKs arriving at tick t are exactly the packets served
+without loss at tick t - ack_delay. The loop therefore keeps running
+totals, one entry per tick: packets queued, packets served without loss
+and the sum of their queueing waits. In-flight is every packet queued
+so far minus the lost and the ACKed ones; an epoch's ACK count and RTT
+sum are differences of two reads at its boundaries; the minimum RTT is
+the return leg plus the least wait served so far. Sends and services
+are one batch each per tick, and random loss is drawn a block at a time
+in service order. The packet columns (send, delivery, ACK and RTT
+times, drop flags) are rebuilt from the per-tick counts once the run
+ends.
 
 Windows may be fractional; the integer send cap floors the running value
 and carries the remainder into the next epoch. Random loss, when enabled,
@@ -32,6 +42,7 @@ from __future__ import annotations
 import io
 import math
 import re
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +54,11 @@ import numpy as np
 from .controllers import Controller, EpochFeedback
 from .trace import LinkTrace
 from .trainer import COLUMN_DTYPES, EpochLog
+
+
+# Loss draws are taken this many at a time; rng.random(n) gives the same
+# doubles as n single draws.
+_LOSS_BLOCK = 4096
 
 
 class SimulationError(RuntimeError):
@@ -181,18 +197,31 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     opps_at = np.tile(np.bincount(opp[opp < n], minlength=n), -(-duration // n))[:duration]
     opps_at[span::span] += np.count_nonzero(opp == span)
     ack_delay = max(2 * params.one_way_prop_ms, 1)
-    qcap = params.queue_capacity_pkts
+    qcap = math.inf if params.queue_capacity_pkts is None else params.queue_capacity_pkts
     loss = params.loss_rate
     rng = np.random.default_rng(params.seed) if loss > 0.0 else None
 
-    sent: list[int] = []
-    delivered: list[int] = []
-    dropped: list[bool] = []
-    queue: deque[int] = deque()
-    # Delivered packets whose ACK is on its way back. The return leg is
-    # constant and service is FIFO, so ACKs come due in delivery order.
-    returning: deque[int] = deque()
-    in_flight = 0
+    # Packets queued by the end of each tick's sends. The queue holds
+    # queue positions served..enqueued-1, and position q was sent at the
+    # first tick whose count exceeds q; head is that tick for the head.
+    enq_cum: list[int] = []
+    enqueued = served = lost = head = 0
+    tail_ms: list[int] = []
+    # Packets served without loss, and the sum of their queueing waits,
+    # up to each tick, shifted by the return leg: ok_cum[t] is every ACK
+    # that has arrived by tick t.
+    ok_cum = [0] * ack_delay
+    wait_cum = [0] * ack_delay
+    ok_total = wait_total = 0
+    # Queue positions whose loss draw struck, drawn a block at a time;
+    # lost_at[:lost] are the ones served so far. A batch needs a look at
+    # the draws only if it reaches next_lost, the next lost position or
+    # the first one not yet drawn.
+    lost_at: list[int] = []
+    drawn = next_lost = math.inf if rng is None else 0
+    # (tick its ACK arrives, RTT) of each packet that lowers the minimum.
+    rtt_due: deque[tuple[int, float]] = deque()
+    best_wait = math.inf
     clamps = 0
 
     window = 1.0
@@ -223,65 +252,103 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     epoch_window: list[float] = []
     eidx = 1
     boundary = epoch_len
-    ack_sum = 0
-    ack_cnt = 0
-    min_rtt = -1
+    last_boundary = 0
+    min_rtt = 0.0
     last_mean = 0.0
-    any_ack = False
 
     for t, opps in enumerate(opps_at.tolist()):
-        while returning and delivered[returning[0]] + ack_delay <= t:
-            r = t - sent[returning.popleft()]
-            ack_sum += r
-            ack_cnt += 1
-            in_flight -= 1
-            any_ack = True
-            if min_rtt < 0 or r < min_rtt:
-                min_rtt = r
+        acked = ok_cum[t]
 
         if t == boundary:
-            if ack_cnt > 0:
-                last_mean = ack_sum / ack_cnt
-            if any_ack:
+            cnt = acked - ok_cum[last_boundary]
+            if cnt:
+                rtt_sum = ack_delay * cnt + wait_cum[t] - wait_cum[last_boundary]
+                last_mean = rtt_sum / cnt
+            while rtt_due and rtt_due[0][0] <= t:
+                min_rtt = rtt_due.popleft()[1]
+            if acked:
                 epoch_t.append(t)
                 epoch_delay.append(last_mean)
                 epoch_window.append(window)
             feedback = EpochFeedback(
                 epoch_index=eidx,
-                mean_delay_ms=last_mean if any_ack else 0.0,
-                min_delay_ms=float(min_rtt) if min_rtt >= 0 else 0.0,
-                acked_pkts=ack_cnt,
+                mean_delay_ms=last_mean,
+                min_delay_ms=min_rtt,
+                acked_pkts=cnt,
                 now_ms=t,
             )
             apply(controller.on_epoch(feedback))
-            ack_sum = 0
-            ack_cnt = 0
             eidx += 1
+            last_boundary = t
             boundary = t + epoch_len
 
-        while in_flight < send_cap:
-            s = len(sent)
-            sent.append(t)
-            delivered.append(-1)
-            if qcap is not None and len(queue) >= qcap:
+        sends = send_cap - (enqueued - lost - acked)
+        if sends > 0:
+            if enqueued - served + sends > qcap:
                 # Tail drop; stop bursting into a full buffer this tick.
-                dropped.append(True)
-                break
-            dropped.append(False)
-            queue.append(s)
-            in_flight += 1
+                sends = qcap - (enqueued - served)
+                tail_ms.append(t)
+            enqueued += sends
+        enq_cum.append(enqueued)
 
-        for _ in range(min(opps, len(queue))):
-            s = queue.popleft()
-            if rng is not None and rng.random() < loss:
-                dropped[s] = True
-                in_flight -= 1
-            else:
-                delivered[s] = t
-                returning.append(s)
+        n = enqueued - served
+        if opps < n:
+            n = opps
+        if n:
+            end = served + n
+            # The batch's queueing waits, one send tick at a time: served
+            # steps over each earlier tick's packets until head, the send
+            # tick of the batch's last packet, is reached.
+            ok = n
+            wait = n * t
+            while enq_cum[head] < end:
+                wait -= (enq_cum[head] - served) * head
+                served = enq_cum[head]
+                head += 1
+            wait -= (end - served) * head
+            if next_lost < end:
+                while drawn < end:
+                    block = rng.random(_LOSS_BLOCK)
+                    lost_at += (np.flatnonzero(block < loss) + drawn).tolist()
+                    drawn += _LOSS_BLOCK
+                # A lost packet is never ACKed, so its wait leaves the sum.
+                while lost < len(lost_at) and lost_at[lost] < end:
+                    ok -= 1
+                    wait -= t - bisect_right(enq_cum, lost_at[lost])
+                    lost += 1
+                next_lost = lost_at[lost] if lost < len(lost_at) else drawn
+            if ok:
+                # FIFO: the batch's last packet waited least.
+                if t - head < best_wait:
+                    last, i = end - 1, lost - 1
+                    while i >= 0 and lost_at[i] == last:
+                        last, i = last - 1, i - 1
+                    least = t - bisect_right(enq_cum, last)
+                    if least < best_wait:
+                        best_wait = least
+                        rtt_due.append((t + ack_delay, float(ack_delay + least)))
+                ok_total += ok
+                wait_total += wait
+            served = end
+        ok_cum.append(ok_total)
+        wait_cum.append(wait_total)
 
-    sent_ms = np.array(sent, dtype=np.int64)
-    delivered_ms = np.array(delivered, dtype=np.int64)
+    # Packet columns, from the per-tick counts. A tick's tail drop is the
+    # last packet it sent.
+    enq = np.array(enq_cum)
+    tail = np.array(tail_ms, dtype=np.intp)
+    sent_per_tick = np.diff(enq, prepend=0)
+    sent_per_tick[tail] += 1
+    ticks = np.arange(duration, dtype=np.int64)
+    sent_ms = np.repeat(ticks, sent_per_tick)
+    dropped = np.zeros(sent_ms.size, dtype=bool)
+    dropped[enq[tail] + np.arange(tail.size)] = True
+    queued_pkt = np.flatnonzero(~dropped)
+    lost_pos = np.array(lost_at[:lost], dtype=np.intp)
+    dropped[queued_pkt[lost_pos]] = True
+    delivered_ms = np.full(sent_ms.size, -1, dtype=np.int64)
+    ok_per_tick = np.diff(np.array(ok_cum[ack_delay - 1 :]))
+    delivered_ms[np.delete(queued_pkt[:served], lost_pos)] = np.repeat(ticks, ok_per_tick)
     acked_ms = delivered_ms + ack_delay
     acked_ms[(delivered_ms < 0) | (acked_ms >= duration)] = -1
     return SimResult(
@@ -290,8 +357,8 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
         delivered_ms=delivered_ms,
         acked_ms=acked_ms,
         rtt_ms=np.where(acked_ms >= 0, acked_ms - sent_ms, -1),
-        dropped=np.array(dropped, dtype=bool),
-        queued_end_pkts=len(queue),
+        dropped=dropped,
+        queued_end_pkts=enqueued - served,
         clamp_warnings=clamps,
         duration_ms=duration,
         mtu_bytes=params.trace.mtu_bytes,

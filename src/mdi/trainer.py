@@ -177,7 +177,8 @@ class TransitionModel:
 
     @property
     def total_transitions(self) -> int:
-        return int(self.counts.sum())
+        # Summed as Python ints: a uint64 sum wraps past 2**64.
+        return sum(self.counts.ravel().tolist())
 
     @cached_property
     def quadrant_rows(self) -> np.ndarray:
@@ -260,9 +261,12 @@ def load_model(source: BinaryIO) -> TransitionModel:
     if len(header) != 3:
         raise ModelFormatError(f"header needs 'n_d n_w total', got {lines[1]!r}")
     try:
-        n_d, n_w, declared_total = (int(x) for x in header)
+        n_d, n_w, declared_total = values = [int(x) for x in header]
     except ValueError:
-        raise ModelFormatError(f"non-integer header field in {lines[1]!r}") from None
+        values = []
+    # Only the plain decimal form save_model writes: no '+', no '_'.
+    if [str(x) for x in values] != header:
+        raise ModelFormatError(f"non-integer header field in {lines[1]!r}")
     if declared_total < 0:
         raise ModelFormatError(f"negative transition total {declared_total}")
 
@@ -271,9 +275,13 @@ def load_model(source: BinaryIO) -> TransitionModel:
         if len(parts) != expect:
             raise ModelFormatError(f"{name}: expected {expect} edges, got {len(parts)}")
         try:
-            return tuple(float(p) for p in parts)
+            edges = [float(p) for p in parts]
         except ValueError:
-            raise ModelFormatError(f"{name}: non-numeric edge") from None
+            edges = []
+        # Only the repr save_model writes: no '_', no spelling repr differs from.
+        if [repr(e) for e in edges] != parts:
+            raise ModelFormatError(f"{name}: non-numeric edge")
+        return tuple(edges)
 
     d_edges = parse_edges(lines[2], n_d + 1, "d_hat_edges")
     w_edges = parse_edges(lines[3], n_w + 1, "w_hat_edges")

@@ -13,6 +13,7 @@ from reference_linksim import (
     reference_write_packet_csv,
 )
 
+import harness
 from mdi.controllers import BASELINES, Controller, Pinned, make_controller
 from mdi.linksim import (
     LinkParams,
@@ -457,6 +458,71 @@ def test_emulator_matches_the_reference_tick_loop(case):
     assert isinstance(got, str) == isinstance(want, str)
     if isinstance(want, str):
         return
+    for field in PACKET_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert list(got.epochs) == list(want.epochs)
+    assert got.queued_end_pkts == want.queued_end_pkts
+    assert got.clamp_warnings == want.clamp_warnings
+
+
+class _Recorder(Controller):
+    """Hands each epoch's feedback on to `inner` and keeps a copy."""
+
+    def __init__(self, inner: Controller) -> None:
+        self.inner = inner
+        self.feedback: list = []
+
+    def on_epoch(self, feedback):
+        self.feedback.append(feedback)
+        return self.inner.on_epoch(feedback)
+
+
+def _feedback(run, params, name):
+    """The feedback a run hands its controller, or None if the run fails."""
+    recorder = _Recorder(make_controller(name))
+    try:
+        run(params, recorder)
+    except SimulationError:
+        return None
+    return recorder.feedback
+
+
+@settings(max_examples=200, deadline=None)
+@given(link_cases())
+def test_emulator_hands_the_controller_the_reference_feedback(case):
+    # No log holds acked_pkts, min_delay_ms or now_ms, yet controllers
+    # read them: MdiController holds on acked_pkts == 0.
+    params, name = case
+    got = _feedback(run_simulation, params, name)
+    want = _feedback(reference_run_simulation, params, name)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "make, queue_pkts, loss_rate",
+    [(harness.make_copa, 60, 0.01), (harness.make_verus, 20, 0.2)],
+    ids=["copa-q60-1pct", "verus-q20-20pct"],
+)
+def test_lossy_minute_matches_the_reference_tick_loop(make, queue_pkts, loss_rate):
+    # A minute of a harness trace serves over 110k packets, one loss draw
+    # each, so the emulator's draws span many blocks. The copa-like link
+    # is the train-copa-lossy benchmark's; the 20-packet one adds many
+    # tail drops to the random ones.
+    spec = harness.VERUS
+    trace = gen_rapidly_changing(
+        SyntheticTraceSpec(
+            duration_s=harness.DURATION_S,
+            segment_s=spec.segment_s,
+            rate_min_mbps=spec.rate_min_mbps,
+            rate_max_mbps=spec.rate_max_mbps,
+            seed=1000,
+        )
+    )
+    link = {**harness.LINK, "queue_capacity_pkts": queue_pkts}
+    params = LinkParams(trace=trace, loss_rate=loss_rate, seed=harness.MASTER_SEED, **link)
+    got = run_simulation(params, make())
+    want = reference_run_simulation(params, make())
+    assert got.delivered_pkts > 100_000
     for field in PACKET_FIELDS:
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert list(got.epochs) == list(want.epochs)

@@ -302,6 +302,47 @@ def test_load_accepts_only_count_lines_save_writes(total, cells, bad_line):
         load_model(io.BytesIO(text.encode("utf-8")))
 
 
+def empty_2x2_lines() -> list[str]:
+    """An empty 2x2 model as saved: magic, "2 2 0" and two edge lines
+    of "-1.0 0.0 1.0"."""
+    buf = io.BytesIO()
+    save_model(TransitionModel(grid(2, 2)), buf)
+    return buf.getvalue().decode("utf-8").splitlines()
+
+
+def load_lines(lines: list[str]) -> TransitionModel:
+    return load_model(io.BytesIO(("\n".join(lines) + "\n").encode("utf-8")))
+
+
+def test_model_totals_do_not_wrap_past_64_bits():
+    # Two cells of 2**63 sum to 0 in uint64, so a header total of 0
+    # would match a wrapped sum.
+    magic, _, *edges = empty_2x2_lines()
+    cells = [f"0 0 0 0 {2**63}", f"0 0 0 1 {2**63}"]
+    with pytest.raises(ModelFormatError, match=f"header says 0, entries sum to {2**64}"):
+        load_lines([magic, "2 2 0", *edges, *cells])
+    model = load_lines([magic, f"2 2 {2**64}", *edges, *cells])
+    assert model.total_transitions == 2**64
+    buf = io.BytesIO()
+    save_model(model, buf)
+    assert buf.getvalue().decode("utf-8").splitlines()[1] == f"2 2 {2**64}"
+
+
+def test_load_rejects_a_header_field_save_never_writes():
+    magic, header, *edges = empty_2x2_lines()
+    assert load_lines([magic, header, *edges]).total_transitions == 0
+    with pytest.raises(ModelFormatError, match="non-integer header field"):
+        load_lines([magic, "+2 +2 0", *edges])
+
+
+def test_load_rejects_an_edge_save_never_writes():
+    # int() and float() both take '_' between digits: 1_0.5 reads as 10.5.
+    magic, header, d_edges, w_edges = empty_2x2_lines()
+    assert d_edges == "-1.0 0.0 1.0"
+    with pytest.raises(ModelFormatError, match="d_hat_edges: non-numeric edge"):
+        load_lines([magic, header, "-1.0 0.0 1_0.5", w_edges])
+
+
 def test_recovers_known_chain_rows_from_samples():
     # Sample a hand-specified chain and check the learned rows approach
     # the truth in total variation.
