@@ -38,7 +38,7 @@ from .trace import (
     load_trace,
     save_trace,
 )
-from .trainer import derive_states, load_model, save_model
+from .trainer import load_model, save_model
 
 
 class CliError(ValueError):
@@ -157,13 +157,10 @@ def cmd_run(args) -> int:
     )
     result = run_simulation(params, controller)
 
-    log = result.epochs
-    if model is not None and len(log) >= 2:
-        log = derive_states(log, model.cfg)
     out = Path(args.out)
     packets_path, params_path = _run_siblings(out)
     with open(out, "w", encoding="utf-8") as fh:
-        write_epoch_csv(log, fh)
+        write_epoch_csv(result.epochs, fh)
     with open(packets_path, "w", encoding="utf-8") as fh:
         write_packet_csv(result, fh)
     _json_dump({"duration_ms": result.duration_ms, "mtu_bytes": result.mtu_bytes}, params_path)
@@ -243,12 +240,11 @@ def cmd_analyze(args) -> int:
             log = read_epoch_csv(fh)
         if len(log) < 2:
             raise CliError(f"epoch log {args.result} has fewer than 2 records")
-        derived = derive_states(log, model.cfg)
-        empirical = markov.empirical_distribution(derived, model.cfg, discard=args.discard)
+        empirical = markov.empirical_distribution(log, model.cfg, discard=args.discard)
         report.update(
             result=str(args.result),
             discard=args.discard,
-            epochs_used=len(derived) - 1 - args.discard,
+            epochs_used=len(log) - 1 - args.discard,
             kl_empirical_vs_stationary=markov.kl_divergence(empirical, pi),
             max_abs_diff=markov.max_abs_diff(empirical, pi),
         )

@@ -33,8 +33,9 @@ a stage never reached, and a drop flag); summarize() is the one
 definition of a run's throughput and delay. Packet and epoch logs both
 have a CSV form here, written a column at a time and read by one
 checked np.loadtxt whose errors name the body row. The packet CSV holds
-only digits, commas and newlines, with a blank for -1; the epoch CSV
-adds the '.', 'e', '+' and '-' of repr'd floats.
+only digits, commas and newlines, with a blank for -1. The epoch CSV has
+one layout for every controller, the epoch index and the log's three
+columns, and adds the '.', 'e', '+' and '-' of repr'd floats.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
 from typing import Callable, Optional, TextIO
 
 import numpy as np
@@ -371,8 +371,6 @@ EPOCH_CSV_HEADER = list(_EPOCH_DTYPE.names)
 
 PACKET_CSV_HEADER = ["seq", "sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped"]
 
-# An underived epoch log parses only its first four columns.
-_RAW_EPOCH_DTYPE = np.dtype(_EPOCH_DTYPE.descr[:4])
 _PACKET_DTYPE = np.dtype({"names": PACKET_CSV_HEADER, "formats": ["i8"] * 6})
 
 
@@ -424,45 +422,24 @@ def _read_table(
 
 
 def write_epoch_csv(log: EpochLog, sink: TextIO) -> None:
-    """Epoch log as CSV; derived columns are blank where an epoch has none."""
-    n = len(log)
-    cols = [map(repr, range(n))]
+    """Epoch log as CSV, one row per epoch."""
+    cols = [map(repr, range(len(log)))]
     cols += [map(repr, col.tolist()) for col in (log.t_ms, log.delay_ms, log.window_pkts)]
-    derived = (log.d_hat, log.w_hat, log.d_idx, log.w_idx)
-    if log.derived:
-        cols += [chain([""], map(repr, col.tolist())) for col in derived]
-    else:
-        cols += [repeat("", n) for _ in derived]
     sink.write(",".join(EPOCH_CSV_HEADER) + "\n")
-    sink.write("".join(map("{},{},{},{},{},{},{},{}\n".format, *cols)))
+    sink.write("".join(map("{},{},{},{}\n".format, *cols)))
 
 
 def read_epoch_csv(source: TextIO) -> EpochLog:
-    """Parse an epoch CSV back into a log (derived columns optional).
-
-    The first row's derived fields are blank; every later row's are all
-    filled or, in an underived log, all blank.
-    """
-
-    def layout(body: str) -> tuple[str, np.dtype]:
-        first, _, rest = body.partition("\n")
-        if first and not first.endswith(",,,,"):
-            raise ValueError("epoch CSV row 0: the first epoch has derived fields")
-        # A later row's derived fields can only be blank as its last four.
-        if rest.count(",,,,\n") == rest.count("\n"):
-            return body.replace(",,,,\n", "\n"), _RAW_EPOCH_DTYPE
-        # The first row's blank derived fields get placeholders, dropped
-        # below, so one table holds every row.
-        return first[:-3] + "0,0,0,0\n" + rest, _EPOCH_DTYPE
-
-    table = _read_table(source, "epoch", EPOCH_CSV_HEADER, b"0123456789.e+-,\n", layout)
+    """Parse an epoch CSV back into a log."""
+    table = _read_table(
+        source, "epoch", EPOCH_CSV_HEADER, b"0123456789.e+-,\n", lambda body: (body, _EPOCH_DTYPE)
+    )
     index, *cols = (table[name].copy() for name in table.dtype.names)
     bad = index != np.arange(index.size)
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(f"epoch CSV row {row}: epoch_index is not the row number")
-    raw, derived = cols[:3], [col[1:] for col in cols[3:]]
-    return EpochLog(*raw, *derived)
+    return EpochLog(*cols)
 
 
 def write_packet_csv(log: PacketLog, sink: TextIO) -> None:

@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .quantizer import QuantizerConfig
-from .trainer import EpochLog, TransitionModel
+from .trainer import EpochLog, TransitionModel, derive_states
 
 
 class AnalysisError(ValueError):
@@ -225,20 +225,14 @@ def empirical_distribution(
     cfg: QuantizerConfig,
     discard: int = 0,
 ) -> np.ndarray:
-    """State-visit frequencies of a derived epoch log.
+    """State-visit frequencies of an epoch log's states on cfg's grid.
 
     The first epoch of a run has no state; the first `discard` states
-    are dropped as burn-in. States outside cfg's grid are an error.
+    are dropped as burn-in.
     """
     if discard < 0:
         raise ValueError(f"discard must be >= 0, got {discard}")
-    if not log.derived:
-        raise AnalysisError("epoch log has no derived states")
-    d_idx, w_idx = log.d_idx, log.w_idx
-    if (d_idx >= cfg.n_d).any() or (w_idx >= cfg.n_w).any():
-        raise AnalysisError(
-            f"epoch states fall outside the {cfg.n_d}x{cfg.n_w} quantizer grid"
-        )
+    d_idx, w_idx = derive_states(log, cfg)
     kept = (d_idx * cfg.n_w + w_idx)[discard:]
     if not kept.size:
         raise AnalysisError(f"no epochs left after discarding {discard} of {d_idx.size}")

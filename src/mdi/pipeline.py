@@ -65,8 +65,7 @@ def train_on_traces(
     counts = np.zeros((n_d, n_w, n_d, n_w), dtype=np.int64)
     for log in run_logs:
         if len(log) >= 2:
-            derived = derive_states(log, cfg)
-            counts += count_transitions(cfg, derived.d_idx, derived.w_idx)
+            counts += count_transitions(cfg, *derive_states(log, cfg))
     summary = {"runs": len(run_logs), "epochs": sum(len(log) for log in run_logs)}
     return TransitionModel(cfg, counts), summary
 
@@ -74,11 +73,11 @@ def train_on_traces(
 def run_and_derive(
     trace: LinkTrace, controller: Controller, cfg, **link
 ) -> tuple[SimResult, EpochLog]:
-    """Run one controller and return the result plus its derived epoch log.
+    """Run one controller and return the result plus its epoch log.
 
-    The keywords are LinkParams fields other than trace. A run with
-    fewer than two epochs cannot be derived; its derived log is empty.
+    The keywords are LinkParams fields other than trace. The log is
+    result.epochs: its states are derived where they are used, so cfg
+    is not read.
     """
     result = run_simulation(LinkParams(trace=trace, **link), controller)
-    log = result.epochs
-    return result, derive_states(log, cfg) if len(log) >= 2 else EpochLog([], [], [])
+    return result, result.epochs

@@ -1,14 +1,16 @@
 """From epoch logs to a quadrant-structured transition model.
 
 A controller run is one columnar EpochLog: the epoch time, mean delay
-and window in effect, one array each. Deriving a log adds four columns
-for every epoch after the first: the composites (d_hat, w_hat) against
-its predecessor and their bucket indices (d_idx, w_idx). Transitions
-are counted as consecutive state pairs with one bincount over the flat
-pair index, into a 4-D tensor indexed (k, l, r, v): (current delay
-bucket, current window bucket, next delay bucket, next window bucket).
-A model holds one such tensor, read-only, and three row tables read off
-it, each built on first use:
+and window in effect, one array each, and nothing else. A run's states
+follow from the log and a quantizer grid, so they are derived where
+they are used: derive_states buckets the composites (d_hat, w_hat) of
+every epoch after the first, against its predecessor, into state
+indices (d_idx, w_idx). Transitions are counted as consecutive state
+pairs with one bincount over the flat pair index, into a 4-D tensor
+indexed (k, l, r, v): (current delay bucket, current window bucket,
+next delay bucket, next window bucket). A model holds one such
+tensor, read-only, and three row tables read off it, each built on
+first use:
 
 * quadrant rows p(v | k, l, r): within the quadrant selected by the pair
   of delay buckets (k, r), each window row l is normalized across the
@@ -32,8 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import BinaryIO, Iterator, Optional
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -44,16 +45,11 @@ class ModelFormatError(ValueError):
     """A serialized model violated the MDIMODEL format."""
 
 
-_DERIVED = ("d_hat", "w_hat", "d_idx", "w_idx")
 # Every column of an epoch log, in the order the epoch CSV lists them.
 COLUMN_DTYPES = {
     "t_ms": np.int64,
     "delay_ms": np.float64,
     "window_pkts": np.float64,
-    "d_hat": np.float64,
-    "w_hat": np.float64,
-    "d_idx": np.int64,
-    "w_idx": np.int64,
 }
 
 
@@ -62,32 +58,23 @@ class EpochLog:
     """One controller run, one column per field.
 
     delay_ms is the mean ACKed delay observed during each epoch and
-    window_pkts the window that was in effect while it elapsed. The
-    derived columns are all present or all absent; when present they
-    hold one value per epoch after the first, which has no predecessor.
+    window_pkts the window that was in effect while it elapsed.
 
-    Iterating yields one row tuple (t_ms, delay_ms, window_pkts, d_hat,
-    w_hat, d_idx, w_idx) of Python scalars per epoch, with None for
-    fields the epoch does not have, so two rows compare equal exactly
-    when their values do; compare logs by their rows.
+    Iterating yields one row tuple (t_ms, delay_ms, window_pkts) of
+    Python scalars per epoch, so two rows compare equal exactly when
+    their values do; compare logs by their rows.
     """
 
     t_ms: np.ndarray
     delay_ms: np.ndarray
     window_pkts: np.ndarray
-    d_hat: Optional[np.ndarray] = None
-    w_hat: Optional[np.ndarray] = None
-    d_idx: Optional[np.ndarray] = None
-    w_idx: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         for name, dtype in COLUMN_DTYPES.items():
-            col = getattr(self, name)
-            if col is not None:
-                col = np.asarray(col, dtype=dtype)
-                if col.ndim != 1:
-                    raise ValueError(f"{name} must be one-dimensional")
-                object.__setattr__(self, name, col)
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            if col.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional")
+            object.__setattr__(self, name, col)
         n = self.t_ms.size
         if self.delay_ms.size != n or self.window_pkts.size != n:
             raise ValueError("t_ms, delay_ms and window_pkts must have equal lengths")
@@ -95,32 +82,12 @@ class EpochLog:
             raise ValueError("delay_ms must be finite and > 0")
         if not (np.isfinite(self.window_pkts) & (self.window_pkts >= 1.0)).all():
             raise ValueError("window_pkts must be finite and >= 1")
-        derived = [getattr(self, name) for name in _DERIVED]
-        if all(col is None for col in derived):
-            return
-        if any(col is None for col in derived):
-            raise ValueError("d_hat, w_hat, d_idx and w_idx must be set together")
-        if n < 2 or any(col.size != n - 1 for col in derived):
-            raise ValueError("derived columns need one value per epoch after the first")
-        if not (np.isfinite(self.d_hat).all() and np.isfinite(self.w_hat).all()):
-            raise ValueError("d_hat and w_hat must be finite")
-        if (self.d_idx < 0).any() or (self.w_idx < 0).any():
-            raise ValueError("state indices must be >= 0")
 
     def __len__(self) -> int:
         return self.t_ms.size
 
     def __iter__(self) -> Iterator[tuple]:
-        raw = zip(self.t_ms.tolist(), self.delay_ms.tolist(), self.window_pkts.tolist())
-        none = (None,) * len(_DERIVED)
-        if not self.derived:
-            return (row + none for row in raw)
-        rest = zip(*(getattr(self, name).tolist() for name in _DERIVED))
-        return (row + d for row, d in zip(raw, chain([none], rest)))
-
-    @property
-    def derived(self) -> bool:
-        return self.d_hat is not None
+        return zip(self.t_ms.tolist(), self.delay_ms.tolist(), self.window_pkts.tolist())
 
     @cached_property
     def composites(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,25 +95,16 @@ class EpochLog:
         return composite_steps(self.delay_ms), composite_steps(self.window_pkts)
 
 
-def derive_states(log: EpochLog, cfg: QuantizerConfig) -> EpochLog:
-    """The log with composites and quantized states attached.
+def derive_states(log: EpochLog, cfg: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(d_idx, w_idx) of every epoch after the first, on cfg's grid.
 
-    Composites are computed from the raw columns against each epoch's
-    predecessor, so the first epoch stays underived. The input log is not
-    changed.
+    Each state buckets the composites of an epoch against its
+    predecessor, so the first epoch has none.
     """
     if len(log) < 2:
         raise ValueError(f"need at least 2 epoch records, got {len(log)}")
     d_hat, w_hat = log.composites
-    return EpochLog(
-        log.t_ms,
-        log.delay_ms,
-        log.window_pkts,
-        d_hat=d_hat,
-        w_hat=w_hat,
-        d_idx=bucket(d_hat, cfg.d_hat_edges),
-        w_idx=bucket(w_hat, cfg.w_hat_edges),
-    )
+    return bucket(d_hat, cfg.d_hat_edges), bucket(w_hat, cfg.w_hat_edges)
 
 
 def _rows(counts: np.ndarray) -> np.ndarray:
@@ -194,16 +152,17 @@ class TransitionModel:
     def quadrant_marginal_rows(self) -> np.ndarray:
         """p(v | k, r) with the window bucket marginalized out,
         shape (n_d, n_d, n_w)."""
-        return _rows(self.counts.sum(axis=1))
+        # Summed in float64: a uint64 sum wraps past 2**64.
+        return _rows(self.counts.astype(np.float64).sum(axis=1))
 
     def source_state_count(self) -> int:
         """Number of (k, l) states with at least one outgoing transition."""
-        return int(np.count_nonzero(self.counts.sum(axis=(2, 3))))
+        return int(np.count_nonzero(self.counts.any(axis=(2, 3))))
 
     def empty_quadrant_row_fraction(self) -> float:
         """Fraction of (k, l, r) rows that were never observed."""
-        row_sums = self.counts.sum(axis=3)
-        return float(np.count_nonzero(row_sums == 0) / row_sums.size)
+        observed = self.counts.any(axis=3)
+        return float(np.count_nonzero(~observed) / observed.size)
 
 
 def count_transitions(cfg: QuantizerConfig, d_idx, w_idx) -> np.ndarray:

@@ -8,7 +8,8 @@ time through the csv module, with per-value ``int``/``float``;
 ``mdi.linksim`` formats whole columns and parses each file with one
 ``np.loadtxt``. The differential tests in ``test_linksim.py`` and
 ``test_properties.py`` require both to give identical results, so this
-code stays as it was written.
+code stays as it was written; the epoch reader only follows the epoch
+CSV to its one layout of four columns.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def reference_read_packet_csv(source: TextIO) -> PacketLog:
 
 
 def reference_read_epoch_csv(source: TextIO) -> EpochLog:
-    """Parse an epoch CSV back into a log (derived columns optional)."""
+    """Parse an epoch CSV back into a log."""
     reader = csv.reader(source)
     header = next(reader, None)
     if header != EPOCH_CSV_HEADER:
@@ -248,24 +249,9 @@ def reference_read_epoch_csv(source: TextIO) -> EpochLog:
         if len(row) != len(EPOCH_CSV_HEADER):
             raise ValueError(f"epoch CSV row has {len(row)} fields: {row!r}")
     cols = list(zip(*rows)) or [()] * len(EPOCH_CSV_HEADER)
-    _, t_ms, delay_ms, window_pkts, *derived = cols
-    raw = (
+    _, t_ms, delay_ms, window_pkts = cols
+    return EpochLog(
         [int(x) for x in t_ms],
         [float(x) for x in delay_ms],
         [float(x) for x in window_pkts],
-    )
-    if not any(any(col) for col in derived):
-        return EpochLog(*raw)
-    if any(col[0] or not all(col[1:]) for col in derived):
-        raise ValueError(
-            "epoch CSV must fill every derived field of every epoch "
-            "after the first, or none"
-        )
-    d_hat, w_hat, d_idx, w_idx = (col[1:] for col in derived)
-    return EpochLog(
-        *raw,
-        d_hat=[float(x) for x in d_hat],
-        w_hat=[float(x) for x in w_hat],
-        d_idx=[int(x) for x in d_idx],
-        w_idx=[int(x) for x in w_idx],
     )

@@ -10,7 +10,7 @@ from mdi import markov
 from mdi.cli import main
 from mdi.linksim import read_epoch_csv
 from mdi.quantizer import QuantizerConfig
-from mdi.trainer import TransitionModel, derive_states, load_model, save_model
+from mdi.trainer import TransitionModel, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -77,17 +77,18 @@ def test_trained_model_file_parses_and_has_mass(workspace):
 def test_run_writes_epoch_and_packet_csvs(workspace):
     epochs = read_epoch_csv(io.StringIO((workspace / "native.csv").read_text()))
     assert len(epochs) > 100
-    # Native runs carry no model, so no derived columns.
-    assert not epochs.derived
     packets = (workspace / "native.packets.csv").read_text().splitlines()
     assert packets[0] == "seq,sent_ms,delivered_ms,acked_ms,rtt_ms,dropped"
     assert len(packets) > 500
 
 
-def test_model_driven_run_derives_states(workspace):
-    epochs = read_epoch_csv(io.StringIO((workspace / "driven.csv").read_text()))
-    assert epochs.derived
-    assert epochs.d_idx.size == len(epochs) - 1
+def test_native_and_model_driven_runs_share_one_epoch_layout(workspace):
+    # A model-driven run's epoch log is the measurement alone, as a
+    # native run's is; its states are derived where they are used.
+    for name in ("native.csv", "driven.csv"):
+        text = (workspace / name).read_text()
+        assert text.partition("\n")[0] == "epoch_index,t_ms,delay_ms,window_pkts"
+        assert len(read_epoch_csv(io.StringIO(text))) > 100
 
 
 def test_run_mdi_without_model_fails_cleanly(workspace, tmp_path, capsys):
@@ -253,9 +254,7 @@ def test_analyze_result_reports_divergences(workspace, tmp_path):
     # against the model's own stationary distribution.
     with open(workspace / "verus.model", "rb") as fh:
         model = load_model(fh)
-    log = derive_states(
-        read_epoch_csv(io.StringIO((workspace / "driven.csv").read_text())), model.cfg
-    )
+    log = read_epoch_csv(io.StringIO((workspace / "driven.csv").read_text()))
     empirical = markov.empirical_distribution(log, model.cfg, discard=5)
     pi = markov.stationary(markov.to_stochastic(model))
     assert report["epochs_used"] == len(log) - 1 - 5

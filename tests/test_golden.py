@@ -18,16 +18,16 @@ from mdi.trainer import save_model
 GOLDEN = {
     "verus-like": {
         "model": "72e3e7f49d88a170246e382072d35aaee0b5b53bd2b9899597c7690332cd7ffc",
-        "native.epochs": "ad0087ab39dd2bc2733507de5935ccaecf47aec64dca5e860f69a8bf572c2e36",
+        "native.epochs": "b0402ffe4fbff8f3a126ffc5af5b8a4d8194f98a32fd392b8b81a2040ab50648",
         "native.packets": "5a23ad01b1e12706c18b8a22b084e3f00be386c95dd318112a9a3ed75c3535d1",
-        "mdi.epochs": "f124898481b88a3384edcd552e9be7e1141de2f7ec0d88b586ec5fd52652451d",
+        "mdi.epochs": "e686c9aa8ece2edfbb263dbf11b200262e33fda1df6cdb173d2657b71bd3c609",
         "mdi.packets": "54b4b8319d494e71079ae65c742ae132bb1ed3fe03638e302a0263587c0b6617",
     },
     "copa-like": {
         "model": "8d90c73c496262da26a9f94af6a712b090ee9f0e260e26eb0c42becda765ec5e",
-        "native.epochs": "0c182165023877dc3f72cfca9f5a47b13443b89521223a1a44c9933ff91beaef",
+        "native.epochs": "ffeea03a4d82a45ad892a14967053b1d8e67b0a81b107468596470aa5dbaa909",
         "native.packets": "b30723b82c3907b13f1cad9a227c0fd440defd140ffdc80a6b8295b219063c9e",
-        "mdi.epochs": "ec9fa96620c59ffff264a6101ac44c5e94f439e2b469e05904e5c94e6a76635f",
+        "mdi.epochs": "8d0c8760a56ff953e53ac0a8492759351aa3dde04cb756419494a89a0853788d",
         "mdi.packets": "b04304bbd912bc95f8324e8e68e2af203600db28652abcbbe9797e2ca5975d49",
     },
 }

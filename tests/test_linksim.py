@@ -1,6 +1,8 @@
 """Bottleneck link emulator: oracles, conservation, serialization."""
 
 import io
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,8 @@ from reference_linksim import (
 import harness
 from mdi.controllers import BASELINES, Controller, Pinned, make_controller
 from mdi.linksim import (
+    EPOCH_CSV_HEADER,
+    PACKET_CSV_HEADER,
     LinkParams,
     PacketLog,
     SimulationError,
@@ -83,7 +87,6 @@ def test_epoch_log_appears_once_acks_flow():
     assert res.epochs.t_ms[0] == 40  # first boundary after the first ack
     assert np.all(res.epochs.delay_ms == 40.0)
     assert np.all(np.diff(res.epochs.t_ms) == 20)
-    assert not res.epochs.derived
 
 
 def test_conservation_and_capacity_randomized():
@@ -232,57 +235,66 @@ def test_link_params_validation():
 
 
 def test_epoch_csv_round_trip():
-    derived = EpochLog(
-        [40, 60], [12.5, 13.25], [8.0, 9.5],
-        d_hat=[0.0625], w_hat=[0.181], d_idx=[5], w_idx=[11],
-    )
-    for log in (derived, EpochLog([40, 60], [12.5, 13.25], [8.0, 9.5])):
-        buf = io.StringIO()
-        write_epoch_csv(log, buf)
-        buf.seek(0)
-        assert list(read_epoch_csv(buf)) == list(log)
+    log = EpochLog([40, 60], [12.5, 13.25], [8.0, 9.5])
     buf = io.StringIO()
-    write_epoch_csv(derived, buf)
+    write_epoch_csv(log, buf)
     assert buf.getvalue().splitlines() == [
-        "epoch_index,t_ms,delay_ms,window_pkts,d_hat,w_hat,d_idx,w_idx",
-        "0,40,12.5,8.0,,,,",
-        "1,60,13.25,9.5,0.0625,0.181,5,11",
+        "epoch_index,t_ms,delay_ms,window_pkts",
+        "0,40,12.5,8.0",
+        "1,60,13.25,9.5",
     ]
+    buf.seek(0)
+    assert list(read_epoch_csv(buf)) == list(log)
 
 
 def test_epoch_csv_rejects_foreign_header():
     with pytest.raises(ValueError):
         read_epoch_csv(io.StringIO("a,b,c\n1,2,3\n"))
-    header = "epoch_index,t_ms,delay_ms,window_pkts,d_hat,w_hat,d_idx,w_idx\n"
+    # A file from before states were derived where used, with its four
+    # state columns, fails at the header instead of being misread.
+    old = (
+        "epoch_index,t_ms,delay_ms,window_pkts,d_hat,w_hat,d_idx,w_idx\n"
+        "0,40,12.5,8.0,,,,\n1,60,13.25,9.5,0.0625,0.181,5,11\n"
+    )
+    with pytest.raises(ValueError, match="^unexpected epoch CSV header: "):
+        read_epoch_csv(io.StringIO(old))
+    header = "epoch_index,t_ms,delay_ms,window_pkts\n"
     bad_bodies = [
-        "0,40,12.5,8.0,,,,\n1,60,13.25,9.5,0.1,,5,11\n",  # partial derived row
-        "0,40,12.5,8.0,0.1,0.2,5,11\n1,60,13.25,9.5,0.1,0.2,5,11\n",  # derived head
-        "0,40,12.5,8.0,,,,\n1,60,13.25,9.5,0.1,0.2,5,11\n2,80,13.0,9.0,,,,\n",  # gap
-        "0,40,0.0,8.0,,,,\n",  # zero delay
-        "0,40,12.5,0.5,,,,\n",  # window below one packet
-        "0,40,12.5,8.0,,,,\n1,60,13.25,9.5,nan,0.2,5,11\n",  # non-finite composite
-        "0,40,12.5,8.0,,,\n",  # short row
-        "7,40,12.5,8.0,,,,\n",  # epoch_index is not the row number
-        '"0",40,12.5,8.0,,,,\n',  # quoted field
-        "0,40,12.5,8.0,,,,\r\n",  # carriage return
-        "0, 40,12.5 ,8.0,,,,\n",  # padded fields
-        "0,4_0,12.5,8.0,,,,\n",  # digit separator
-        "0,40,12.5,8.0,,,,\n\n1,60,13.25,9.5,,,,\n",  # empty row
-        "0,40,12.5,8.0,,,,,\n",  # 9 fields
+        "0,40,0.0,8.0\n",  # zero delay
+        "0,40,12.5,0.5\n",  # window below one packet
+        "0,40,nan,8.0\n",  # non-finite delay
+        "0,40,12.5\n",  # short row
+        "7,40,12.5,8.0\n",  # epoch_index is not the row number
+        '"0",40,12.5,8.0\n',  # quoted field
+        "0,40,12.5,8.0\r\n",  # carriage return
+        "0, 40,12.5 ,8.0\n",  # padded fields
+        "0,4_0,12.5,8.0\n",  # digit separator
+        "0,40,12.5,8.0\n\n1,60,13.25,9.5\n",  # empty row
+        "0,40,12.5,8.0,\n",  # 5 fields
+        "0,40,12.5,8.0,,,,\n",  # the old layout's blank state fields
     ]
     for body in bad_bodies:
         with pytest.raises(ValueError):
             read_epoch_csv(io.StringIO(header + body))
 
 
+def test_readme_states_the_csv_headers_the_code_writes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = dict(re.findall(r"The (packet|epoch) CSV has the header\s+`([^`]*)`", readme))
+    assert stated == {
+        "packet": ",".join(PACKET_CSV_HEADER),
+        "epoch": ",".join(EPOCH_CSV_HEADER),
+    }
+
+
 def test_epoch_csv_errors_name_the_body_row():
-    header = "epoch_index,t_ms,delay_ms,window_pkts,d_hat,w_hat,d_idx,w_idx\n"
-    first = "0,40,12.5,8.0,,,,\n"
-    for row in ("1,60,13.25\n", "1,60,13..25,9.5,,,,\n"):  # field count, conversion
+    header = "epoch_index,t_ms,delay_ms,window_pkts\n"
+    first = "0,40,12.5,8.0\n"
+    for row in ("1,60,13.25\n", "1,60,13..25,9.5\n"):  # field count, conversion
         with pytest.raises(ValueError, match="^epoch CSV row 1: "):
             read_epoch_csv(io.StringIO(header + first + row))
-    with pytest.raises(ValueError, match="^epoch CSV row 0: "):  # derived first epoch
-        read_epoch_csv(io.StringIO(header + "0,40,12.5,8.0,0.1,0.2,5,11\n" + first))
+    with pytest.raises(ValueError, match="^epoch CSV row 1: "):  # index out of order
+        read_epoch_csv(io.StringIO(header + first + "2,60,13.25,9.5\n"))
 
 
 def test_packet_csv_round_trip():

@@ -221,46 +221,41 @@ def test_max_abs_diff():
         max_abs_diff(p, np.array([0.5, 0.5]))
 
 
-def records_from_flats(flats, cfg) -> EpochLog:
-    n = len(flats)
-    d_idx, w_idx = np.divmod(np.asarray(flats, dtype=np.int64), cfg.n_w)
-    return EpochLog(
-        20 * np.arange(n + 1), np.full(n + 1, 10.0), np.full(n + 1, 2.0),
-        d_hat=np.zeros(n), w_hat=np.zeros(n), d_idx=d_idx, w_idx=w_idx,
-    )
+def log_from_flats(flats) -> EpochLog:
+    """A raw log whose states on grid2(), which splits both axes at 0,
+    are the flat states `flats`.
+
+    The direction of each change picks the bucket: a rise lands in
+    bucket 1, a fall in bucket 0. Values stay near 1e6, where log10 is
+    positive, so the composite has the sign of the change.
+    """
+    d_up, w_up = np.divmod(np.asarray(flats), 2)
+
+    def walk(up):
+        return 1e6 + np.cumsum(np.r_[0.0, np.where(up, 1.0, -1.0)])
+
+    return EpochLog(20 * np.arange(len(flats) + 1), walk(d_up), walk(w_up))
 
 
 def test_empirical_distribution_counts_states():
     cfg = grid2()
-    recs = records_from_flats([0, 1, 1, 3], cfg)
-    emp = empirical_distribution(recs, cfg)
+    log = log_from_flats([0, 1, 1, 3])
+    emp = empirical_distribution(log, cfg)
     assert np.allclose(emp, [0.25, 0.5, 0.0, 0.25])
 
 
 def test_empirical_distribution_discard_and_errors():
     cfg = grid2()
-    recs = records_from_flats([0, 1, 1, 3], cfg)
-    emp = empirical_distribution(recs, cfg, discard=2)
+    log = log_from_flats([0, 1, 1, 3])
+    emp = empirical_distribution(log, cfg, discard=2)
     assert np.allclose(emp, [0.0, 0.5, 0.0, 0.5])
     with pytest.raises(AnalysisError):
-        empirical_distribution(recs, cfg, discard=4)
+        empirical_distribution(log, cfg, discard=4)
     with pytest.raises(ValueError):
-        empirical_distribution(recs, cfg, discard=-1)
-    with pytest.raises(AnalysisError):
-        empirical_distribution(EpochLog([0, 20], [10.0, 11.0], [2.0, 2.0]), cfg)
-
-
-def test_empirical_distribution_rejects_states_off_the_grid():
-    # On an 11x21 grid, (0, 25) has flat index 25 < 231 but is not a
-    # state of the grid; it must not be counted as state (1, 4).
-    cfg = QuantizerConfig.uniform(-1.0, 1.0, -1.0, 1.0)
-    for d_idx, w_idx in ((0, 25), (11, 0), (0, 21)):
-        log = EpochLog(
-            [0, 20], [10.0, 10.0], [2.0, 2.0],
-            d_hat=[0.0], w_hat=[0.0], d_idx=[d_idx], w_idx=[w_idx],
-        )
-        with pytest.raises(AnalysisError, match="outside"):
-            empirical_distribution(log, cfg)
+        empirical_distribution(log, cfg, discard=-1)
+    # One epoch has no state.
+    with pytest.raises(ValueError, match="at least 2"):
+        empirical_distribution(EpochLog([0], [10.0], [2.0]), cfg)
 
 
 def test_long_walk_frequencies_approach_stationary():
@@ -284,7 +279,7 @@ def test_long_walk_frequencies_approach_stationary():
     model = TransitionModel(cfg, count_transitions(cfg, walk // 2, walk % 2))
     P = to_stochastic(model, empty_rows="uniform")
     pi = stationary(P)
-    emp = empirical_distribution(records_from_flats(walk, cfg), cfg, discard=100)
+    emp = np.bincount(walk[100:], minlength=4) / walk[100:].size
     assert kl_divergence(emp, pi) <= 0.05
     assert max_abs_diff(emp, pi) <= 0.02
     # Two steps of the extracted chain stay on the simplex.

@@ -1,6 +1,5 @@
 """Batch training orchestration and seed derivation."""
 
-import numpy as np
 import pytest
 
 from mdi.controllers import Pinned, VerusLike
@@ -94,12 +93,10 @@ def test_run_and_derive_aligns_with_the_epoch_log():
     model, _ = train_on_traces(
         traces, VerusLike, duration_ms=8000, master_seed=2
     )
-    result, derived = run_and_derive(
+    result, log = run_and_derive(
         traces[0][1], VerusLike(), model.cfg, duration_ms=8000, seed=9
     )
-    assert len(derived) == len(result.epochs)
-    assert derived.derived and derived.d_idx.size == len(derived) - 1
-    assert np.array_equal(derived.t_ms, result.epochs.t_ms)
+    assert log is result.epochs and len(log) > 100
 
 
 def test_run_and_derive_passes_link_keywords_to_the_run():

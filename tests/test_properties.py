@@ -1,5 +1,6 @@
 """Property tests for the columnar epoch-log path (the array composite,
-vectorised and scalar bucketing, bincount counting, the epoch CSV round
+vectorised and scalar bucketing, bincount counting, the one state
+derivation both counting and visit frequencies read, the epoch CSV round
 trip), the runtime's window inversion, the trace and model file round
 trips, and the row tables."""
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from reference_linksim import reference_read_epoch_csv
 
 from mdi.linksim import read_epoch_csv, write_epoch_csv
+from mdi.markov import empirical_distribution
 from mdi.quantizer import QuantizerConfig, bucket, composite, composite_steps
 from mdi.runtime import _bisect_increasing, _dip_minimizer, invert_w_hat
 from mdi.trace import LinkTrace, load_trace, save_trace
@@ -84,40 +86,46 @@ def test_bincount_counting_matches_a_pairwise_loop(case):
 
 
 @st.composite
-def epoch_logs(draw):
-    n = draw(st.integers(0, 30))
+def epoch_logs(draw, min_size=0):
+    n = draw(st.integers(min_size, 30))
     t_ms = sorted(draw(st.lists(st.integers(0, 10**7), min_size=n, max_size=n)))
     delay = draw(st.lists(st.floats(1.0, 1e4), min_size=n, max_size=n))
     window = draw(st.lists(st.floats(1.0, 1e5), min_size=n, max_size=n))
     return EpochLog(t_ms, delay, window)
 
 
-def epoch_csv(log: EpochLog, derive: bool) -> tuple[EpochLog, str]:
-    if derive and len(log) >= 2:
-        log = derive_states(log, QuantizerConfig.uniform(-1.0, 1.0, -0.5, 0.5))
+def epoch_csv(log: EpochLog) -> str:
     buf = io.StringIO()
     write_epoch_csv(log, buf)
-    return log, buf.getvalue()
-
-
-EPOCH_FIELDS = ("t_ms", "delay_ms", "window_pkts", "d_hat", "w_hat", "d_idx", "w_idx")
+    return buf.getvalue()
 
 
 def assert_same_epochs(got: EpochLog, want: EpochLog) -> None:
-    assert got.derived == want.derived
-    for field in EPOCH_FIELDS if want.derived else EPOCH_FIELDS[:3]:
+    for field in ("t_ms", "delay_ms", "window_pkts"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 @settings(max_examples=100, deadline=None)
-@given(epoch_logs(), st.booleans())
-def test_epoch_csv_round_trip_preserves_the_log(log, derive):
-    log, text = epoch_csv(log, derive)
+@given(epoch_logs())
+def test_epoch_csv_round_trip_preserves_the_log(log):
+    text = epoch_csv(log)
     back = read_epoch_csv(io.StringIO(text))
     assert list(back) == list(log)
-    assert back.derived == log.derived
     assert_same_epochs(back, reference_read_epoch_csv(io.StringIO(text)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(epoch_logs(min_size=2))
+def test_both_consumers_read_the_one_derivation(log):
+    # The visit frequencies and the transition counts of a run come from
+    # the same states: one per epoch after the first, one transition
+    # between each consecutive pair.
+    cfg = QuantizerConfig.uniform(-1.0, 1.0, -0.5, 0.5)
+    d_idx, w_idx = derive_states(log, cfg)
+    visits = np.bincount(d_idx * cfg.n_w + w_idx, minlength=cfg.n_states)
+    assert np.array_equal(empirical_distribution(log, cfg), visits / (len(log) - 1))
+    assert count_transitions(cfg, d_idx, w_idx).sum() == len(log) - 2
 
 
 def epoch_indices_in_order(text: str) -> bool:
@@ -129,12 +137,12 @@ def epoch_indices_in_order(text: str) -> bool:
 
 
 @settings(max_examples=200, deadline=None)
-@given(epoch_logs(), st.booleans(), st.data())
-def test_epoch_csv_reader_agrees_with_the_reference_on_edited_files(log, derive, data):
+@given(epoch_logs(), st.data())
+def test_epoch_csv_reader_agrees_with_the_reference_on_edited_files(log, data):
     # One edit of the body from the characters an epoch CSV is made of;
     # both readers must agree on each, except that the reference never
     # reads the epoch_index column.
-    _, text = epoch_csv(log, derive)
+    text = epoch_csv(log)
     at = data.draw(st.integers(text.index("\n") + 1, len(text)))
     cut = data.draw(st.integers(0, 2))
     edited = text[:at] + data.draw(st.text("019.e-,\n", max_size=2)) + text[at + cut :]

@@ -51,11 +51,15 @@ def test_observation_rejects_nonfinite_fields():
             bucket(spoiled, (-1.0, 0.0, 1.0))
 
 
-def one_state_log(d_idx: int, w_idx: int) -> EpochLog:
-    return EpochLog(
-        [0, 20], [10.0, 10.0], [2.0, 2.0],
-        d_hat=[0.0], w_hat=[0.0], d_idx=[d_idx], w_idx=[w_idx],
-    )
+def one_state_log(cfg: QuantizerConfig, d_idx: int, w_idx: int) -> EpochLog:
+    """A two-epoch log whose one state is (d_idx, w_idx) on cfg's grid.
+
+    The second epoch's values are 10, where log10 is 1, so each
+    composite is the ratio to the first epoch's value minus one; the
+    first epoch's values put it at the bucket's midpoint.
+    """
+    d, w = cfg.d_midpoint(d_idx), cfg.w_midpoint(w_idx)
+    return EpochLog([0, 20], [10.0 / (1.0 + d), 10.0], [10.0 / (1.0 + w), 10.0])
 
 
 def test_state_index_flat_round_trip():
@@ -63,16 +67,9 @@ def test_state_index_flat_round_trip():
     cfg = QuantizerConfig.uniform(-1.0, 1.0, -1.0, 1.0)
     for d_idx in range(cfg.n_d):
         for w_idx in range(cfg.n_w):
-            flat = np.flatnonzero(empirical_distribution(one_state_log(d_idx, w_idx), cfg))
+            flat = np.flatnonzero(empirical_distribution(one_state_log(cfg, d_idx, w_idx), cfg))
             assert flat.tolist() == [d_idx * cfg.n_w + w_idx]
             assert divmod(int(flat[0]), cfg.n_w) == (d_idx, w_idx)
-
-
-def test_state_index_rejects_negative():
-    with pytest.raises(ValueError):
-        one_state_log(-1, 0)
-    with pytest.raises(ValueError):
-        one_state_log(0, -2)
 
 
 def test_uniform_config_edge_layout():

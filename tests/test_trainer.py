@@ -36,64 +36,51 @@ def model_of(cfg: QuantizerConfig, *runs) -> TransitionModel:
     return TransitionModel(cfg, sum(walk_counts(cfg, run) for run in runs))
 
 
-def test_epoch_record_derived_fields_come_together():
+def test_epoch_log_validates_its_columns():
     raw = ([0, 20], [10.0, 11.0], [2.0, 3.0])
     EpochLog(*raw)
-    EpochLog(*raw, d_hat=[0.1], w_hat=[0.2], d_idx=[0], w_idx=[0])
-    with pytest.raises(ValueError, match="together"):
-        EpochLog(*raw, d_hat=[0.1])
-    with pytest.raises(ValueError, match="together"):
-        EpochLog(*raw, d_hat=[0.1], w_hat=[0.2], d_idx=[0])
-    # Derived columns cover every epoch after the first, no more, no less.
-    with pytest.raises(ValueError, match="after the first"):
-        EpochLog(*raw, d_hat=[0.1, 0.1], w_hat=[0.2, 0.2], d_idx=[0, 0], w_idx=[0, 0])
-    with pytest.raises(ValueError, match="after the first"):
-        EpochLog([0], [10.0], [2.0], d_hat=[], w_hat=[], d_idx=[], w_idx=[])
     with pytest.raises(ValueError, match="equal lengths"):
         EpochLog([0, 20], [10.0], [2.0, 3.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        EpochLog([[0, 20]], [[10.0, 11.0]], [[2.0, 3.0]])
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="delay_ms"):
             EpochLog(*raw[:1], [10.0, bad], raw[2])
     for bad in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="window_pkts"):
             EpochLog(*raw[:2], [2.0, bad])
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            EpochLog(*raw, d_hat=[bad], w_hat=[0.2], d_idx=[0], w_idx=[0])
-        with pytest.raises(ValueError, match="finite"):
-            EpochLog(*raw, d_hat=[0.1], w_hat=[bad], d_idx=[0], w_idx=[0])
 
 
 def test_epoch_log_rows_compare_by_value():
     raw = ([0, 20], [10.0, 11.0], [2.0, 3.0])
-    a = EpochLog(*raw, d_hat=[0.1], w_hat=[0.2], d_idx=[1], w_idx=[2])
-    assert list(a) == [
-        (0, 10.0, 2.0, None, None, None, None),
-        (20, 11.0, 3.0, 0.1, 0.2, 1, 2),
-    ]
-    assert list(a) == list(EpochLog(*raw, [0.1], [0.2], [1], [2]))
-    assert list(a) != list(EpochLog(*raw, [0.1], [0.2], [1], [3]))
-    assert list(a) != list(EpochLog(*raw))
-    assert list(EpochLog([0], [10.0], [2.0])) == [(0, 10.0, 2.0, None, None, None, None)]
+    a = EpochLog(*raw)
+    assert list(a) == [(0, 10.0, 2.0), (20, 11.0, 3.0)]
+    assert list(a) == list(EpochLog(*raw))
+    assert list(a) != list(EpochLog(*raw[:2], [2.0, 3.5]))
+    assert list(EpochLog([], [], [])) == []
 
 
 def test_derive_constant_run_lands_in_the_zero_bucket():
     cfg = grid()
-    derived = derive_states(records([10.0] * 5, [4.0] * 5), cfg)
-    assert len(derived) == 5 and derived.d_hat.size == 4
-    assert np.all(derived.d_hat == 0.0)
-    assert np.all(derived.w_hat == 0.0)
-    assert np.all(derived.d_idx == cfg.d_bucket(0.0))
-    assert np.all(derived.w_idx == cfg.w_bucket(0.0))
+    log = records([10.0] * 5, [4.0] * 5)
+    d_idx, w_idx = derive_states(log, cfg)
+    d_hat, w_hat = log.composites
+    assert d_idx.size == w_idx.size == 4
+    assert np.all(d_hat == 0.0)
+    assert np.all(w_hat == 0.0)
+    assert np.all(d_idx == cfg.d_bucket(0.0))
+    assert np.all(w_idx == cfg.w_bucket(0.0))
 
 
 def test_derive_uses_consecutive_ratios():
     cfg = grid()
-    derived = derive_states(records([100.0, 200.0], [10.0, 20.0]), cfg)
-    assert derived.d_hat[0] == pytest.approx(2.30103, abs=1e-5)
-    assert derived.w_hat[0] == pytest.approx(1.30103, abs=1e-5)
+    log = records([100.0, 200.0], [10.0, 20.0])
+    d_hat, w_hat = log.composites
+    assert d_hat[0] == pytest.approx(2.30103, abs=1e-5)
+    assert w_hat[0] == pytest.approx(1.30103, abs=1e-5)
     # Both composites exceed the grid, so the state clamps to the corner.
-    assert (derived.d_idx[0], derived.w_idx[0]) == (cfg.n_d - 1, cfg.n_w - 1)
+    d_idx, w_idx = derive_states(log, cfg)
+    assert (d_idx[0], w_idx[0]) == (cfg.n_d - 1, cfg.n_w - 1)
 
 
 def test_derive_needs_two_records_and_does_not_mutate():
@@ -102,15 +89,14 @@ def test_derive_needs_two_records_and_does_not_mutate():
         derive_states(records([10.0], [2.0]), cfg)
     original = records([10.0, 12.0], [2.0, 3.0])
     derive_states(original, cfg)
-    assert not original.derived
     assert list(original) == list(records([10.0, 12.0], [2.0, 3.0]))
 
 
 def test_two_record_run_yields_one_state_and_no_transitions():
     cfg = grid()
-    derived = derive_states(records([10.0, 12.0], [2.0, 3.0]), cfg)
-    assert derived.d_idx.size == 1
-    assert not count_transitions(cfg, derived.d_idx, derived.w_idx).any()
+    d_idx, w_idx = derive_states(records([10.0, 12.0], [2.0, 3.0]), cfg)
+    assert d_idx.size == w_idx.size == 1
+    assert not count_transitions(cfg, d_idx, w_idx).any()
 
 
 def test_add_transitions_counts_consecutive_pairs():
@@ -182,6 +168,31 @@ def test_marginal_rows_pool_window_buckets():
     model = model_of(grid(), [(1, 0), (0, 1)], [(1, 2), (0, 2)])
     assert np.allclose(model.quadrant_marginal_rows[1, 0], [0.0, 0.5, 0.5])
     assert not model.quadrant_marginal_rows[2, 2].any()
+
+
+def huge_counts(*cells) -> np.ndarray:
+    """3x3-grid counts with 2**63 in each given cell, so uint64 sums wrap."""
+    counts = np.zeros((3, 3, 3, 3), dtype=np.uint64)
+    for cell in cells:
+        counts[cell] = 2**63
+    return counts
+
+
+def test_marginal_rows_do_not_wrap_on_huge_counts():
+    counts = huge_counts((0, 0, 0, 0), (0, 1, 0, 0))
+    counts[0, 0, 0, 1] = 1
+    row = TransitionModel(grid(), counts).quadrant_marginal_rows[0, 0]
+    assert np.allclose(row, [1.0, 0.0, 0.0])
+
+
+def test_source_state_count_does_not_wrap_on_huge_counts():
+    model = TransitionModel(grid(), huge_counts((0, 0, 0, 0), (0, 0, 0, 1)))
+    assert model.source_state_count() == 1
+
+
+def test_empty_row_fraction_does_not_wrap_on_huge_counts():
+    model = TransitionModel(grid(), huge_counts((0, 0, 0, 0), (0, 0, 0, 1)))
+    assert model.empty_quadrant_row_fraction() == pytest.approx(26 / 27)
 
 
 def test_reading_the_tables_leaves_counts_unchanged():
