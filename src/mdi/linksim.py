@@ -31,11 +31,15 @@ retransmissions; lost packets simply leave the in-flight budget).
 A packet log is five columns (send, delivery, ACK and RTT times, -1 for
 a stage never reached, and a drop flag); summarize() is the one
 definition of a run's throughput and delay. Packet and epoch logs both
-have a CSV form here, written a column at a time and read by one
-checked np.loadtxt whose errors name the body row. The packet CSV holds
-only digits, commas and newlines, with a blank for -1. The epoch CSV has
-one layout for every controller, the epoch index and the log's three
-columns, and adds the '.', 'e', '+' and '-' of repr'd floats.
+have a CSV form here, written a column at a time. Both readers first
+check the file's shape on its bytes, and every error names the body
+row. The packet CSV holds only digits, commas and newlines, with a blank
+for -1, and its codec works on byte arrays: the writer gathers each
+cell's 3-digit groups from tables, and the reader builds each column
+with a Horner loop over digit positions. The epoch CSV has one layout
+for every controller, the epoch index and the log's three columns, adds
+the '.', 'e', '+' and '-' of repr'd floats, and is parsed by one
+checked np.loadtxt.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, TextIO
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -371,19 +375,50 @@ EPOCH_CSV_HEADER = list(_EPOCH_DTYPE.names)
 
 PACKET_CSV_HEADER = ["seq", "sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped"]
 
-_PACKET_DTYPE = np.dtype({"names": PACKET_CSV_HEADER, "formats": ["i8"] * 6})
+# The packet CSV writer lays each cell out in 4-byte words, one per
+# 3-digit group, most significant first. A leading group's word is a
+# spare byte and the group's digits; the last group's word is its digits
+# and the separator after the cell. A cell of d digits (0 for a blank)
+# then keeps the bytes _KEEP_WORDS marks: its last d digits and the
+# separator. 2**63 - 1 has 19 digits, so a cell spans at most 7 words.
+_MAX_DIGITS = 19
+_MAX_GROUPS = -(-_MAX_DIGITS // 3)
+_GROUP_DIGITS = np.frombuffer(b"".join(b"%03d" % k for k in range(1000)), np.uint8).reshape(1000, 3)
+_LEAD_WORDS = np.hstack([np.zeros((1000, 1), np.uint8), _GROUP_DIGITS]).view(np.uint32).ravel()
+_LAST_WORDS = {
+    sep: np.hstack([_GROUP_DIGITS, np.full((1000, 1), ord(sep), np.uint8)]).view(np.uint32).ravel()
+    for sep in ",\n"
+}
+
+
+def _keep_words() -> np.ndarray:
+    """Keep masks of a 7-word cell layout: [word, digit count] -> word."""
+    layout = np.arange(4 * _MAX_GROUPS).reshape(_MAX_GROUPS, 4)
+    digit_at = np.concatenate([layout[:-1, 1:].ravel(), layout[-1, :3]])
+    keep = np.zeros((_MAX_DIGITS + 1, 4 * _MAX_GROUPS), np.uint8)
+    keep[:, -1] = 1
+    for d in range(1, _MAX_DIGITS + 1):
+        keep[d, digit_at[-d:]] = 1
+    return np.ascontiguousarray(keep.view(np.uint32).T)
+
+
+_KEEP_WORDS = _keep_words()
+# Digit count of v >= 0 is the number of these at most v; a negative has 0.
+_DIGIT_STEPS = np.array([0] + [10**k for k in range(1, _MAX_DIGITS)])
+_INT64_MAX = np.uint64(2**63 - 1)
 
 
 def _read_table(
-    source: TextIO, name: str, header: list[str], chars: bytes, layout: Callable
-) -> np.ndarray:
-    """Check a CSV file's shape and parse its body with one np.loadtxt.
+    source: TextIO, name: str, header: list[str], chars: bytes
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check a CSV file's shape; return its body and field separators.
 
     The header line must be `header` exactly, and the body may hold only
     `chars`; every row is non-empty, ends in a bare newline (one is added
-    after a last row that lacks it) and has one field per column.
-    `layout(body)` gives the text to parse, row for row, and its
-    structured dtype. Every error names the 0-based body row at fault.
+    after a last row that lacks it) and has one field per column. Returns
+    the body's bytes as a uint8 array and, row by row, the position of
+    the comma or newline that closes each field, shape (rows, columns).
+    Every error names the 0-based body row at fault.
     """
     head, _, body = source.read().partition("\n")
     if head != ",".join(header):
@@ -396,29 +431,20 @@ def _read_table(
         row = body.count("\n", 0, at)
         problem = "negative number" if body[at] == "-" else f"unexpected {body[at]!r}"
         raise ValueError(f"{name} CSV row {row}: {problem}")
-    # loadtxt skips empty lines and reports field counts in its own row
-    # numbers, so both are checked here on the raw bytes.
     flat = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(flat == ord("\n"))
-    empty = np.diff(ends, prepend=-1) == 1
+    is_sep = flat == ord(",")
+    is_sep |= flat == ord("\n")
+    seps = np.flatnonzero(is_sep).astype(np.int32 if flat.size < 2**31 else np.int64)
+    row_end = np.flatnonzero(flat[seps] == ord("\n"))
+    empty = np.diff(seps[row_end], prepend=-1) == 1
     if empty.any():
         raise ValueError(f"{name} CSV row {int(np.argmax(empty))}: empty row")
-    fields = np.diff(np.searchsorted(np.flatnonzero(flat == ord(",")), ends), prepend=0) + 1
+    fields = np.diff(row_end, prepend=-1)
     bad = fields != len(header)
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(f"{name} CSV row {row}: {fields[row]} fields, expected {len(header)}")
-    text, dtype = layout(body)
-    if not text:
-        return np.empty(0, dtype=dtype)
-    try:
-        return np.loadtxt(io.StringIO(text), delimiter=",", dtype=dtype, ndmin=1, comments=None)
-    except ValueError as exc:
-        # The checks above leave loadtxt only conversion errors, which it
-        # reports as "... at row R, column C" with R 0-based and C 1-based.
-        found = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
-        problem, row, column = found.groups()
-        raise ValueError(f"{name} CSV row {row}: {problem} in column {column}") from exc
+    return flat, seps.reshape(-1, len(header))
 
 
 def write_epoch_csv(log: EpochLog, sink: TextIO) -> None:
@@ -430,10 +456,21 @@ def write_epoch_csv(log: EpochLog, sink: TextIO) -> None:
 
 
 def read_epoch_csv(source: TextIO) -> EpochLog:
-    """Parse an epoch CSV back into a log."""
-    table = _read_table(
-        source, "epoch", EPOCH_CSV_HEADER, b"0123456789.e+-,\n", lambda body: (body, _EPOCH_DTYPE)
-    )
+    """Parse an epoch CSV back into a log with one checked np.loadtxt."""
+    flat, _ = _read_table(source, "epoch", EPOCH_CSV_HEADER, b"0123456789.e+-,\n")
+    if not flat.size:
+        table = np.empty(0, dtype=_EPOCH_DTYPE)
+    else:
+        text = io.StringIO(flat.tobytes().decode())
+        try:
+            table = np.loadtxt(text, delimiter=",", dtype=_EPOCH_DTYPE, ndmin=1, comments=None)
+        except ValueError as exc:
+            # The shape checks leave loadtxt only conversion errors, which
+            # it reports as "... at row R, column C" with R 0-based and C
+            # 1-based.
+            found = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
+            problem, row, column = found.groups()
+            raise ValueError(f"epoch CSV row {row}: {problem} in column {column}") from exc
     index, *cols = (table[name].copy() for name in table.dtype.names)
     bad = index != np.arange(index.size)
     if bad.any():
@@ -445,36 +482,85 @@ def read_epoch_csv(source: TextIO) -> EpochLog:
 def write_packet_csv(log: PacketLog, sink: TextIO) -> None:
     """Packet log as CSV; missing stages are blank, dropped is 0/1.
 
-    Each distinct value is formatted once, with its trailing comma, and
-    every cell is joined in one pass.
+    Each column's cells are split into 3-digit groups and gathered as
+    words from the group tables; one boolean compress keeps the bytes of
+    the text. A negative value is written as a blank.
     """
     n = log.sent_ms.size
-    values = np.stack([np.arange(n), log.sent_ms, log.delivered_ms, log.acked_ms, log.rtt_ms])
-    distinct, inverse = np.unique(values, return_inverse=True)
-    cells = np.empty((n, len(PACKET_CSV_HEADER)), dtype=object)
-    formatted = np.array([f"{v}," for v in distinct.tolist()], dtype=object)
-    cells[:, :5] = formatted[inverse.reshape(values.shape).T]
-    cells[:, 2:5][values[2:].T < 0] = ","
-    cells[:, 5] = np.array(["0\n", "1\n"], dtype=object)[log.dropped.astype(np.intp)]
+    cols = (
+        np.arange(n), log.sent_ms, log.delivered_ms, log.acked_ms, log.rtt_ms,
+        log.dropped.astype(np.uint8),
+    )
+    groups = [-(-len(str(int(col.max(initial=0)))) // 3) for col in cols]
+    words = np.empty((n, sum(groups)), dtype=np.uint32)
+    keep = np.empty_like(words)
+    at = 0
+    for col, g, last in zip(cols, groups, [","] * 5 + ["\n"]):
+        digits = np.searchsorted(_DIGIT_STEPS[: 3 * g], col, side="right")
+        table, rest = _LAST_WORDS[last], col
+        for j in reversed(range(g)):
+            group = rest
+            if j:
+                rest = rest // 1000
+                group = group - rest * 1000
+            # A blank's groups are never kept; "wrap" gives them a word.
+            words[:, at + j] = table.take(group, mode="wrap")
+            keep[:, at + j] = _KEEP_WORDS[_MAX_GROUPS - g + j].take(digits)
+            table = _LEAD_WORDS
+        at += g
+    text = words.view(np.uint8)[keep.view(bool)]
     sink.write(",".join(PACKET_CSV_HEADER) + "\n")
-    sink.write("".join(cells.ravel().tolist()))
+    sink.write(text.tobytes().decode("ascii"))
 
 
 def read_packet_csv(source: TextIO) -> PacketLog:
     """Parse a packet CSV, rejecting rows no run could have written.
 
     The body holds only digits, commas and newlines: one row per line,
-    six integer fields, and a blank for a stage never reached.
+    six integer fields, and a blank for a stage never reached. Each
+    column is read from the body's bytes by a Horner loop over digit
+    positions, counted back from each field's separator.
     """
-
-    def layout(body: str) -> tuple[str, np.dtype]:
-        # A blank stage reads as -1. replace() skips overlapping matches,
-        # so a run of blanks needs a second pass.
-        return body.replace(",,", ",-1,").replace(",,", ",-1,"), _PACKET_DTYPE
-
-    # Missing stages are blank, so no field carries a minus sign.
-    table = _read_table(source, "packet", PACKET_CSV_HEADER, b"0123456789,\n", layout)
-    seq, sent, delivered, acked, rtt, dropped = (table[name].copy() for name in PACKET_CSV_HEADER)
+    flat, seps = _read_table(source, "packet", PACKET_CSV_HEADER, b"0123456789,\n")
+    # A field starts just after the separator before it.
+    starts = np.roll(seps.ravel(), 1).reshape(seps.shape) + 1
+    starts.flat[:1] = 0
+    cols, wrong = [], []
+    for name, start, end in zip(PACKET_CSV_HEADER, starts.T, seps.T):
+        end = end.astype(np.intp)
+        length = end - start
+        value = np.zeros(end.size, dtype=np.uint64)
+        # Bytes counted back past a field's start are masked off; they
+        # reach at most the longest field's length before the body, which
+        # still indexes it.
+        for back in range(min(int(length.max(initial=0)), _MAX_DIGITS), 0, -1):
+            digit = flat.take(end - back)
+            digit -= ord("0")
+            digit *= length >= back
+            value *= 10
+            value += digit
+        # Out of int64 range: 19 digits above its maximum, or a nonzero
+        # digit before the last 19.
+        bad = value > _INT64_MAX
+        for row in np.flatnonzero(length > _MAX_DIGITS).tolist():
+            bad[row] |= bool((flat[start[row] : end[row] - _MAX_DIGITS] != ord("0")).any())
+        # Only a stage never reached may be blank, and reads as -1.
+        if name in ("seq", "dropped"):
+            bad |= length == 0
+        col = value.view(np.int64)
+        col[length == 0] = -1
+        cols.append(col)
+        wrong.append(bad)
+    # The first field that does not convert, row by row.
+    first = [int(np.argmax(bad)) if bad.any() else bad.size for bad in wrong]
+    row = min(first)
+    if row < seps.shape[0]:
+        k = first.index(row)
+        field = flat[starts[row, k] : seps[row, k]].tobytes().decode()
+        raise ValueError(
+            f"packet CSV row {row}: could not convert string {field!r} to int64 in column {k + 1}"
+        )
+    seq, sent, delivered, acked, rtt, dropped = cols
     problems = {
         "seq is not the row number": seq != np.arange(seq.size),
         "blank send time": sent < 0,

@@ -5,11 +5,13 @@ The tick loop tracks a trace cursor, a dict of per-tick ACK lists and
 per-packet ACK and RTT columns; ``mdi.linksim.run_simulation`` derives
 all three. The codec and the epoch reader write and parse one row at a
 time through the csv module, with per-value ``int``/``float``;
-``mdi.linksim`` formats whole columns and parses each file with one
-``np.loadtxt``. The differential tests in ``test_linksim.py`` and
-``test_properties.py`` require both to give identical results, so this
-code stays as it was written; the epoch reader only follows the epoch
-CSV to its one layout of four columns.
+``mdi.linksim`` works on whole columns: the packet codec on the file's
+bytes, the epoch reader with one ``np.loadtxt``. The differential tests
+in ``test_linksim.py`` and ``test_properties.py`` require both to give
+identical results, so this code stays as it was written; the epoch
+reader only follows the epoch CSV to its one layout of four columns,
+and the packet reader rejects a value outside int64 with ValueError, as
+it does every other malformed field.
 """
 
 from __future__ import annotations
@@ -205,16 +207,23 @@ def reference_read_packet_csv(source: TextIO) -> PacketLog:
     if "-" in body:
         row = body.count("\n", 0, body.index("-"))
         raise ValueError(f"packet CSV row {row}: negative number")
+
+    def int64(field: str) -> int:
+        value = int(field)
+        if value >= 2**63:
+            raise ValueError(f"packet CSV field {field!r} is out of int64 range")
+        return value
+
     cols = seq, sent, delivered, acked, rtt, dropped = [array("q") for _ in range(6)]
     for row in csv.reader(body.splitlines()):
         if len(row) != len(PACKET_CSV_HEADER):
             raise ValueError(f"packet CSV row has {len(row)} fields: {row!r}")
-        seq.append(int(row[0]))
-        sent.append(int(row[1]))
-        delivered.append(int(row[2]) if row[2] else -1)
-        acked.append(int(row[3]) if row[3] else -1)
-        rtt.append(int(row[4]) if row[4] else -1)
-        dropped.append(int(row[5]))
+        seq.append(int64(row[0]))
+        sent.append(int64(row[1]))
+        delivered.append(int64(row[2]) if row[2] else -1)
+        acked.append(int64(row[3]) if row[3] else -1)
+        rtt.append(int64(row[4]) if row[4] else -1)
+        dropped.append(int64(row[5]))
     seq, sent, delivered, acked, rtt, dropped = (np.frombuffer(c, dtype=np.int64) for c in cols)
     problems = {
         "seq is not the row number": seq != np.arange(seq.size),

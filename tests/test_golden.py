@@ -3,16 +3,20 @@
 For each baseline bundle this hashes the trained model file and the
 epoch and packet CSVs of the first held-out trace's native and
 model-driven runs, and compares them with digests recorded from an
-earlier build. A refactor that is meant to keep behaviour must pass this
-test unchanged; a change that moves these bytes says so and why.
+earlier build. Those runs drop nothing, so one more digest pins a short
+lossy run whose packet CSV has both kinds of dropped row. A refactor
+that is meant to keep behaviour must pass this test unchanged; a change
+that moves these bytes says so and why.
 """
 
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
-from mdi.linksim import write_epoch_csv, write_packet_csv
+import harness
+from mdi.linksim import LinkParams, run_simulation, write_epoch_csv, write_packet_csv
 from mdi.trainer import save_model
 
 GOLDEN = {
@@ -31,6 +35,10 @@ GOLDEN = {
         "mdi.packets": "b04304bbd912bc95f8324e8e68e2af203600db28652abcbbe9797e2ca5975d49",
     },
 }
+
+# A copa-like sender on a 3-50 Mbps harness trace overruns a 60-packet
+# queue, and 1% random loss strikes the packets that get in.
+LOSSY_PACKETS = "6c85eac86d863030951da4dd9455373d7f75cc2e8a6265ecccf37606efaed881"
 
 
 def _sha(write, obj, binary: bool = False) -> str:
@@ -55,3 +63,19 @@ def bundle_digests(bundle) -> dict[str, str]:
 def test_seeded_outputs_match_golden_digests(bundle_name, request):
     bundle = request.getfixturevalue(bundle_name)
     assert bundle_digests(bundle) == GOLDEN[bundle.spec.label]
+
+
+def test_lossy_run_packet_csv_matches_golden_digest():
+    _, trace = harness.build_traces(harness.VERUS, 1)[0]
+    link = {**harness.LINK, "queue_capacity_pkts": 60, "duration_ms": 10_000}
+    params = LinkParams(trace=trace, loss_rate=0.01, seed=harness.MASTER_SEED, **link)
+    run = run_simulation(params, harness.make_copa())
+    # A tail drop ends its tick's sends, so a dropped packet with a later
+    # one sent in the same tick is a random loss. Loss is drawn once per
+    # queued packet in service order, so drops beyond the draws that
+    # struck among the first sent_pkts are tail drops.
+    same_tick_next = np.append(run.sent_ms[1:] == run.sent_ms[:-1], False)
+    assert np.count_nonzero(run.dropped & same_tick_next) > 0
+    draws = np.random.default_rng(params.seed).random(run.sent_pkts)
+    assert run.dropped_pkts > np.count_nonzero(draws < params.loss_rate)
+    assert _sha(write_packet_csv, run) == LOSSY_PACKETS

@@ -364,6 +364,28 @@ def test_packet_csv_errors_name_the_body_row():
             read_packet_csv(io.StringIO(header + first + row))
 
 
+def test_packet_csv_reads_every_int64_and_rejects_wider_values():
+    header = "seq,sent_ms,delivered_ms,acked_ms,rtt_ms,dropped\n"
+    first = "0,0,,,,1\n"
+    top = str(2**63 - 1)
+    text = header + first + f"1,{top},{top},,,0\n"
+    log = read_packet_csv(io.StringIO(text))
+    assert log.sent_ms[1] == log.delivered_ms[1] == 2**63 - 1
+    assert_same_packets(log, reference_read_packet_csv(io.StringIO(text)))
+    assert packet_csv(write_packet_csv, log) == text
+    # Leading zeros past the 19th digit are still zeros.
+    one, five, zero = "1".rjust(22, "0"), "5".rjust(22, "0"), "0" * 22
+    log = read_packet_csv(io.StringIO(header + first + f"{one},{five},{five},,,{zero}\n"))
+    assert (log.sent_ms[1], log.delivered_ms[1], log.dropped[1]) == (5, 5, False)
+    for wide in (str(2**63), "9" * 20, "0" + str(2**63), str(10**19)):
+        for row in (f"1,{wide},,,,1\n", f"1,0,{wide},,,0\n"):
+            text = header + first + row
+            with pytest.raises(ValueError, match="^packet CSV row 1: "):
+                read_packet_csv(io.StringIO(text))
+            with pytest.raises(ValueError):
+                reference_read_packet_csv(io.StringIO(text))
+
+
 PACKET_FIELDS = ("sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped")
 
 
@@ -371,10 +393,11 @@ PACKET_FIELDS = ("sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped")
 def packet_logs(draw):
     """Logs of the kinds a run writes: sends in order, then each packet
     ACKed, delivered but not yet ACKed, still queued, or dropped; one
-    constant ACK delay; times from zero up to about 2**40 ms. Hypothesis
+    constant ACK delay; times from zero up to about 2**62 ms, so a cell
+    can have 19 digits and every ACK time stays within int64. Hypothesis
     draws the shape, a seeded generator the columns."""
     n = draw(st.integers(0, 300))
-    start = draw(st.sampled_from([0, 1, 2**40]))
+    start = draw(st.sampled_from([0, 1, 2**40, 2**62]))
     gap, wait = (draw(st.sampled_from([1, 10, 10**6])) for _ in range(2))
     fate_weights = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any))
     ack_delay = draw(st.integers(1, 10**6))
