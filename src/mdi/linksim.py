@@ -406,6 +406,11 @@ _KEEP_WORDS = _keep_words()
 # Digit count of v >= 0 is the number of these at most v; a negative has 0.
 _DIGIT_STEPS = np.array([0] + [10**k for k in range(1, _MAX_DIGITS)])
 _INT64_MAX = np.uint64(2**63 - 1)
+# The least value a field of each width holds without a leading zero:
+# 10**(width - 1) from two digits on. A field wider than 19 digits is
+# clipped to the last entry, which no 19 digits reach: no such field is
+# within int64.
+_FIELD_MIN = np.array([0, *_DIGIT_STEPS.tolist(), 2**64 - 1], dtype=np.uint64)
 
 
 def _read_table(
@@ -517,9 +522,9 @@ def read_packet_csv(source: TextIO) -> PacketLog:
     """Parse a packet CSV, rejecting rows no run could have written.
 
     The body holds only digits, commas and newlines: one row per line,
-    six integer fields, and a blank for a stage never reached. Each
-    column is read from the body's bytes by a Horner loop over digit
-    positions, counted back from each field's separator.
+    six integer fields with no leading zeros, and a blank for a stage
+    never reached. Each column is read from the body's bytes by a Horner
+    loop over digit positions, counted back from each field's separator.
     """
     flat, seps = _read_table(source, "packet", PACKET_CSV_HEADER, b"0123456789,\n")
     # A field starts just after the separator before it.
@@ -539,11 +544,10 @@ def read_packet_csv(source: TextIO) -> PacketLog:
             digit *= length >= back
             value *= 10
             value += digit
-        # Out of int64 range: 19 digits above its maximum, or a nonzero
-        # digit before the last 19.
+        # Out of int64 range (above its maximum, or wider than 19 digits)
+        # or zero-padded.
         bad = value > _INT64_MAX
-        for row in np.flatnonzero(length > _MAX_DIGITS).tolist():
-            bad[row] |= bool((flat[start[row] : end[row] - _MAX_DIGITS] != ord("0")).any())
+        bad |= value < _FIELD_MIN.take(length, mode="clip")
         # Only a stage never reached may be blank, and reads as -1.
         if name in ("seq", "dropped"):
             bad |= length == 0

@@ -7,7 +7,12 @@ leave in the same millisecond. When a simulation outlives the trace, the
 trace wraps by re-playing with all timestamps shifted by the last
 timestamp.
 
-The on-disk format is text, one integer per line in ASCII digits.
+The on-disk format is text, one integer per line in ASCII digits. In
+memory a trace holds its timestamps at the width they need: int32 when
+the last one is below 2**30, as any trace shorter than 12 days is, and
+int64 otherwise. The bound leaves room for one wrap: a timestamp plus
+the wrap span is below 2**31, so arithmetic that shifts the trace by
+its last timestamp stays within int32.
 """
 
 from __future__ import annotations
@@ -24,20 +29,34 @@ class TraceParseError(ValueError):
 
 
 class LinkTrace:
-    """Immutable sequence of per-packet delivery opportunity times (ms)."""
+    """Immutable sequence of per-packet delivery opportunity times (ms).
+
+    Timestamps must be given as integers (a list of ints or an integer
+    array; floats, bools and strings are rejected), start at or above 0,
+    never decrease and stay below 2**63. The trace keeps a read-only
+    copy of them, as int32 when the last one is below 2**30 and as int64
+    otherwise; the bound keeps a timestamp plus one wrap span within
+    int32.
+    """
 
     __slots__ = ("opportunities", "mtu_bytes")
 
     def __init__(self, opportunities, mtu_bytes: int = 1500) -> None:
-        arr = np.asarray(opportunities, dtype=np.int64)
+        arr = np.asarray(opportunities)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("trace needs at least one delivery opportunity")
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"timestamps must be integers, got dtype {arr.dtype}")
         if arr[0] < 0:
             raise ValueError(f"timestamps must be >= 0, got {arr[0]}")
-        if np.any(np.diff(arr) < 0):
+        # Compared, not differenced: a difference can wrap past int64.
+        if np.any(arr[1:] < arr[:-1]):
             raise ValueError("timestamps must be non-decreasing")
+        if arr[-1] >= 2**63:
+            raise ValueError(f"timestamps must be below 2**63, got {arr[-1]}")
         if mtu_bytes <= 0:
             raise ValueError(f"mtu_bytes must be positive, got {mtu_bytes}")
+        arr = arr.astype(np.int32 if arr[-1] < 2**30 else np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "opportunities", arr)
         object.__setattr__(self, "mtu_bytes", int(mtu_bytes))

@@ -10,8 +10,8 @@ bytes, the epoch reader with one ``np.loadtxt``. The differential tests
 in ``test_linksim.py`` and ``test_properties.py`` require both to give
 identical results, so this code stays as it was written; the epoch
 reader only follows the epoch CSV to its one layout of four columns,
-and the packet reader rejects a value outside int64 with ValueError, as
-it does every other malformed field.
+and the packet reader rejects a value outside int64 or a zero-padded
+field with ValueError, as it does every other malformed field.
 """
 
 from __future__ import annotations
@@ -209,6 +209,8 @@ def reference_read_packet_csv(source: TextIO) -> PacketLog:
         raise ValueError(f"packet CSV row {row}: negative number")
 
     def int64(field: str) -> int:
+        if len(field) > 1 and field[0] == "0":
+            raise ValueError(f"packet CSV field {field!r} is zero-padded")
         value = int(field)
         if value >= 2**63:
             raise ValueError(f"packet CSV field {field!r} is out of int64 range")

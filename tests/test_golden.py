@@ -4,7 +4,8 @@ For each baseline bundle this hashes the trained model file and the
 epoch and packet CSVs of the first held-out trace's native and
 model-driven runs, and compares them with digests recorded from an
 earlier build. Those runs drop nothing, so one more digest pins a short
-lossy run whose packet CSV has both kinds of dropped row. A refactor
+lossy run whose packet CSV has both kinds of dropped row, and another
+pins the trace file of the first harness trace. A refactor
 that is meant to keep behaviour must pass this test unchanged; a change
 that moves these bytes says so and why.
 """
@@ -17,6 +18,7 @@ import pytest
 
 import harness
 from mdi.linksim import LinkParams, run_simulation, write_epoch_csv, write_packet_csv
+from mdi.trace import save_trace
 from mdi.trainer import save_model
 
 GOLDEN = {
@@ -35,6 +37,10 @@ GOLDEN = {
         "mdi.packets": "b04304bbd912bc95f8324e8e68e2af203600db28652abcbbe9797e2ca5975d49",
     },
 }
+
+# The first verus-like harness trace, t00: 60 s of 2 s segments at
+# 3-50 Mbps, seed 1000, as save_trace writes it.
+TRACE_T00 = "253674df13822b741df1f21cba4192d60c4a1171e8d8284ce375bb8521e49b48"
 
 # A copa-like sender on a 3-50 Mbps harness trace overruns a 60-packet
 # queue, and 1% random loss strikes the packets that get in.
@@ -63,6 +69,11 @@ def bundle_digests(bundle) -> dict[str, str]:
 def test_seeded_outputs_match_golden_digests(bundle_name, request):
     bundle = request.getfixturevalue(bundle_name)
     assert bundle_digests(bundle) == GOLDEN[bundle.spec.label]
+
+
+def test_harness_trace_file_matches_golden_digest():
+    _, trace = harness.build_traces(harness.VERUS, 1)[0]
+    assert _sha(save_trace, trace, binary=True) == TRACE_T00
 
 
 def test_lossy_run_packet_csv_matches_golden_digest():

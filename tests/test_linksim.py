@@ -348,6 +348,8 @@ def test_packet_csv_rejects_rows_no_run_could_write():
         "0,,,,,1\n",  # blank send time, every other field consistent
         '"0",0,5,25,25,0\n',  # quoted field
         "0,0,5,25,25,0 \n",  # padded field
+        "0,0,05,25,25,0\n",  # zero-padded field
+        "00,0,5,25,25,0\n",  # zero-padded seq
         "0,0,5,25,25,0\r\n",  # carriage return
         "0,0,5,25,25,0\x0c\n",  # form feed, a line break to str.splitlines
     ]
@@ -359,7 +361,8 @@ def test_packet_csv_rejects_rows_no_run_could_write():
 def test_packet_csv_errors_name_the_body_row():
     header = "seq,sent_ms,delivered_ms,acked_ms,rtt_ms,dropped\n"
     first = "0,0,5,25,25,0\n"
-    for row in ("1,0\n", "1,0,5,25,25,\n"):  # field count, conversion
+    # Field count, conversion, padding.
+    for row in ("1,0\n", "1,0,5,25,25,\n", "1,0,05,25,25,0\n"):
         with pytest.raises(ValueError, match="^packet CSV row 1: "):
             read_packet_csv(io.StringIO(header + first + row))
 
@@ -373,11 +376,9 @@ def test_packet_csv_reads_every_int64_and_rejects_wider_values():
     assert log.sent_ms[1] == log.delivered_ms[1] == 2**63 - 1
     assert_same_packets(log, reference_read_packet_csv(io.StringIO(text)))
     assert packet_csv(write_packet_csv, log) == text
-    # Leading zeros past the 19th digit are still zeros.
-    one, five, zero = "1".rjust(22, "0"), "5".rjust(22, "0"), "0" * 22
-    log = read_packet_csv(io.StringIO(header + first + f"{one},{five},{five},,,{zero}\n"))
-    assert (log.sent_ms[1], log.delivered_ms[1], log.dropped[1]) == (5, 5, False)
-    for wide in (str(2**63), "9" * 20, "0" + str(2**63), str(10**19)):
+    # No field is zero-padded, not even past the 19th digit.
+    padded = ("5".rjust(22, "0"), "0" * 22, "00", "05", "0" + top)
+    for wide in (str(2**63), "9" * 20, "0" + str(2**63), str(10**19), *padded):
         for row in (f"1,{wide},,,,1\n", f"1,0,{wide},,,0\n"):
             text = header + first + row
             with pytest.raises(ValueError, match="^packet CSV row 1: "):
@@ -463,8 +464,12 @@ def test_packet_csv_reader_agrees_with_the_reference_on_edited_files(log, data):
 @st.composite
 def link_cases(draw):
     gaps = draw(st.lists(st.integers(0, 4), min_size=1, max_size=400))
+    stamps = np.cumsum(gaps)
+    # A last stamp of 2**30 or more makes the trace store 8-byte stamps.
+    if draw(st.booleans()):
+        stamps = np.append(stamps, draw(st.integers(2**30, 2**40)))
     params = LinkParams(
-        trace=LinkTrace(np.cumsum(gaps)),
+        trace=LinkTrace(stamps),
         one_way_prop_ms=draw(st.integers(0, 40)),
         queue_capacity_pkts=draw(st.one_of(st.none(), st.integers(1, 50))),
         loss_rate=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3))),

@@ -61,7 +61,7 @@ def test_single_opportunity_and_repeats_are_valid():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one delivery opportunity"):
         LinkTrace([])
     with pytest.raises(ValueError):
         LinkTrace([-1, 0])
@@ -69,6 +69,50 @@ def test_constructor_validation():
         LinkTrace([3, 2])
     with pytest.raises(ValueError):
         LinkTrace([0, 1], mtu_bytes=0)
+    # Only integers: nothing is rounded, cast from bool or parsed.
+    for stamps in ([0.5, 1.7, 2.9], np.array([True, True]), ["1", "2"]):
+        with pytest.raises(ValueError, match="must be integers"):
+            LinkTrace(stamps)
+    # 2**63 and up do not fit int64, whether given as ints or as uint64.
+    for stamps in ([2**63], [0, 2**64], np.array([5, 2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError):
+            LinkTrace(stamps)
+    # A decrease whose difference would wrap past int64 is still one.
+    with pytest.raises(ValueError, match="non-decreasing"):
+        LinkTrace([0, 2**63 - 1, -(2**63)])
+
+
+def test_stamps_are_stored_at_the_width_they_need():
+    # A stamp plus one wrap span must fit int32, so 4 bytes hold a
+    # trace whose last stamp is below 2**30.
+    for last, itemsize in ((2**30 - 1, 4), (2**30, 8), (2**63 - 1, 8)):
+        tr = LinkTrace([0, 5, last])
+        assert tr.opportunities.itemsize == itemsize
+        assert tr.opportunities.tolist() == [0, 5, last]
+        assert tr.duration_ms == last
+        with pytest.raises(ValueError):
+            tr.opportunities[0] = 1
+
+
+def test_list_and_integer_arrays_of_one_trace_are_equal():
+    stamps = [0, 3, 3, 10, 500]
+    arrays = [np.array(stamps, dtype=dtype) for dtype in ("i4", "i8", "u2")]
+    traces = [LinkTrace(stamps)] + [LinkTrace(a) for a in arrays]
+    assert all(tr == traces[0] for tr in traces)
+    # The trace holds its own copy; the caller's array stays writable.
+    for dtype in ("i4", "i8"):
+        given = np.array(stamps, dtype=dtype)
+        tr = LinkTrace(given)
+        given[0] = 1
+        assert tr.opportunities[0] == 0
+
+
+def test_generated_harness_trace_stores_4_bytes_per_stamp():
+    spec = SyntheticTraceSpec(
+        duration_s=60, segment_s=2, rate_min_mbps=3, rate_max_mbps=50, seed=1000
+    )
+    tr = gen_rapidly_changing(spec)
+    assert tr.opportunities.nbytes == 4 * len(tr)
 
 
 def test_trace_is_immutable():
