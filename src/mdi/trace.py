@@ -7,12 +7,17 @@ leave in the same millisecond. When a simulation outlives the trace, the
 trace wraps by re-playing with all timestamps shifted by the last
 timestamp.
 
-The on-disk format is text, one integer per line in ASCII digits. In
-memory a trace holds its timestamps at the width they need: int32 when
-the last one is below 2**30, as any trace shorter than 12 days is, and
-int64 otherwise. The bound leaves room for one wrap: a timestamp plus
-the wrap span is below 2**31, so arithmetic that shifts the trace by
-its last timestamp stays within int32.
+The on-disk format is text, one integer per line in ASCII digits, each
+line ending in a newline. Both directions work on the file's bytes as
+arrays: the reader builds the stamps with a Horner loop over digit
+positions counted back from each line's end, and the writer lays the
+stamps of each digit count out as one block of fixed-width rows.
+
+In memory a trace holds its first timestamp and the gaps between
+consecutive ones, in the narrowest unsigned integer type that fits the
+largest gap: one byte when no gap reaches 256 ms, as in every generated
+trace, and two once one does, as after a long outage. The timestamps
+are rebuilt as int64 on each read of `opportunities`.
 """
 
 from __future__ import annotations
@@ -33,13 +38,14 @@ class LinkTrace:
 
     Timestamps must be given as integers (a list of ints or an integer
     array; floats, bools and strings are rejected), start at or above 0,
-    never decrease and stay below 2**63. The trace keeps a read-only
-    copy of them, as int32 when the last one is below 2**30 and as int64
-    otherwise; the bound keeps a timestamp plus one wrap span within
-    int32.
+    never decrease and stay below 2**63. The trace keeps its own
+    read-only copy of them as the first timestamp plus the gaps between
+    neighbours, each gap in the narrowest unsigned type that holds the
+    largest one, and its last timestamp, so that len() and duration_ms
+    read no array.
     """
 
-    __slots__ = ("opportunities", "mtu_bytes")
+    __slots__ = ("_first", "_gaps", "_last", "mtu_bytes")
 
     def __init__(self, opportunities, mtu_bytes: int = 1500) -> None:
         arr = np.asarray(opportunities)
@@ -56,22 +62,28 @@ class LinkTrace:
             raise ValueError(f"timestamps must be below 2**63, got {arr[-1]}")
         if mtu_bytes <= 0:
             raise ValueError(f"mtu_bytes must be positive, got {mtu_bytes}")
-        arr = arr.astype(np.int32 if arr[-1] < 2**30 else np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "opportunities", arr)
+        # Non-negative and non-decreasing, so no gap wraps in arr's dtype.
+        gaps = np.diff(arr)
+        gaps = gaps.astype(np.min_scalar_type(gaps.max(initial=0)), copy=False)
+        gaps.setflags(write=False)
+        object.__setattr__(self, "_first", int(arr[0]))
+        object.__setattr__(self, "_gaps", gaps)
+        object.__setattr__(self, "_last", int(arr[-1]))
         object.__setattr__(self, "mtu_bytes", int(mtu_bytes))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinkTrace is immutable")
 
     def __len__(self) -> int:
-        return int(self.opportunities.size)
+        return self._gaps.size + 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinkTrace):
             return NotImplemented
-        return self.mtu_bytes == other.mtu_bytes and np.array_equal(
-            self.opportunities, other.opportunities
+        return (
+            self.mtu_bytes == other.mtu_bytes
+            and self._first == other._first
+            and np.array_equal(self._gaps, other._gaps)
         )
 
     def __repr__(self) -> str:
@@ -81,41 +93,101 @@ class LinkTrace:
         )
 
     @property
+    def opportunities(self) -> np.ndarray:
+        """The timestamps as a read-only int64 array, rebuilt on each read."""
+        opp = np.empty(len(self), dtype=np.int64)
+        opp[0] = self._first
+        opp[1:] = self._gaps
+        np.cumsum(opp, out=opp)
+        opp.setflags(write=False)
+        return opp
+
+    @property
     def duration_ms(self) -> int:
         """Timestamp of the last opportunity; also the wrap offset."""
-        return int(self.opportunities[-1])
+        return self._last
 
     def mean_rate_mbps(self) -> float:
         span_ms = max(self.duration_ms, 1)
         return len(self) * self.mtu_bytes * 8.0 / (span_ms * 1000.0)
 
 
+_NEWLINE = ord("\n")
+# 2**63 - 1 has 19 digits; the Horner loop reads at most the last 19.
+_MAX_DIGITS = 19
+_MAX_STAMP = np.uint64(2**63 - 1)
+
+
 def load_trace(source: BinaryIO, mtu_bytes: int = 1500) -> LinkTrace:
-    """Parse a trace from a binary stream; errors carry the line number."""
-    text = source.read().decode("utf-8")
-    stamps = []
-    prev = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            raise TraceParseError(f"line {lineno}: blank line")
-        if not (line.isascii() and line.isdigit()):
-            raise TraceParseError(f"line {lineno}: not a non-negative integer: {line!r}")
-        ts = int(line)
-        if ts < prev:
-            raise TraceParseError(
-                f"line {lineno}: timestamp {ts} decreases below {prev}"
-            )
-        prev = ts
-        stamps.append(ts)
-    if not stamps:
+    """Parse a trace from a binary stream; errors carry the line number.
+
+    Every line ends in a newline byte, except that the last may lack
+    it, and holds only ASCII digits. The first line at fault is reported: a blank
+    line, one that is not a non-negative integer, a timestamp that
+    decreases, or one of 2**63 or more.
+    """
+    data = source.read()
+    if not data:
         raise TraceParseError("empty trace file")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == _NEWLINE)
+    length = np.diff(ends, prepend=-1) - 1
+    digit = buf - np.uint8(ord("0"))  # wraps above 9 for every non-digit
+    bad = length == 0
+    stray = np.flatnonzero((digit > 9) & (buf != _NEWLINE))
+    bad[np.searchsorted(ends, stray)] = True
+    # Bytes counted back past a line's start are masked off; counted back
+    # from the first line, they index from the buffer's end.
+    value = np.zeros(ends.size, dtype=np.uint64)
+    for back in range(min(int(length.max()), _MAX_DIGITS), 0, -1):
+        d = digit.take(ends - back)
+        d *= length >= back
+        value *= 10
+        value += d
+    over = value > _MAX_STAMP
+    # A nonzero digit before the last 19 puts a line past 2**63 too.
+    for i in np.flatnonzero((length > _MAX_DIGITS) & ~bad):
+        over[i] |= bool(data[ends[i] - length[i] : ends[i] - _MAX_DIGITS].lstrip(b"0"))
+    bad |= over
+    stop = int(np.argmax(bad)) if bad.any() else bad.size
+    stamps = value[:stop].view(np.int64)
+    down = np.flatnonzero(stamps[1:] < stamps[:-1])
+    if down.size:
+        i = int(down[0]) + 1
+        raise TraceParseError(
+            f"line {i + 1}: timestamp {stamps[i]} decreases below {stamps[i - 1]}"
+        )
+    if stop < bad.size:
+        line = data[ends[stop] - length[stop] : ends[stop]].decode("utf-8", "backslashreplace")
+        if over[stop]:
+            raise TraceParseError(f"line {stop + 1}: timestamp {line} is not below 2**63")
+        if not line.strip():
+            raise TraceParseError(f"line {stop + 1}: blank line")
+        raise TraceParseError(f"line {stop + 1}: not a non-negative integer: {line!r}")
     return LinkTrace(stamps, mtu_bytes=mtu_bytes)
 
 
 def save_trace(trace: LinkTrace, sink: BinaryIO) -> None:
-    """Write the one-integer-per-line form; round-trips with load_trace."""
-    body = "\n".join(str(int(t)) for t in trace.opportunities)
-    sink.write((body + "\n").encode("utf-8"))
+    """Write the one-integer-per-line form; round-trips with load_trace.
+
+    Every stamp is laid out right-aligned in a row as wide as the last
+    one, newline included. The stamps never decrease, so those of one
+    digit count are one run of rows, written from its first digit on.
+    """
+    opp = trace.opportunities
+    width = len(str(trace.duration_ms))
+    rows = np.empty((opp.size, width + 1), dtype=np.uint8)
+    rows[:, width] = _NEWLINE
+    rest = opp
+    for col in reversed(range(width)):
+        rest, digit = np.divmod(rest, 10)
+        rows[:, col] = digit
+    rows[:, :width] += ord("0")
+    cuts = [0, *np.searchsorted(opp, [10**d for d in range(1, width)]).tolist(), opp.size]
+    for digits, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
+        sink.write(rows[lo:hi, width - digits :].tobytes())
 
 
 @dataclass(frozen=True)

@@ -465,7 +465,7 @@ def test_packet_csv_reader_agrees_with_the_reference_on_edited_files(log, data):
 def link_cases(draw):
     gaps = draw(st.lists(st.integers(0, 4), min_size=1, max_size=400))
     stamps = np.cumsum(gaps)
-    # A last stamp of 2**30 or more makes the trace store 8-byte stamps.
+    # A last gap of 2**30 or more makes the trace store 4- or 8-byte gaps.
     if draw(st.booleans()):
         stamps = np.append(stamps, draw(st.integers(2**30, 2**40)))
     params = LinkParams(

@@ -4,6 +4,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_trace import reference_load_trace, reference_save_trace
 
 from mdi.trace import (
     LinkTrace,
@@ -23,6 +26,8 @@ def test_load_small_trace():
     tr = _load("0\n1\n2\n")
     assert len(tr) == 3
     assert list(tr.opportunities) == [0, 1, 2]
+    # The last line may lack its newline.
+    assert _load("0\n1\n2") == tr
     # 3 packets * 1500 B * 8 over 2 ms is 18 Mbps.
     assert tr.mean_rate_mbps() == pytest.approx(18.0)
 
@@ -30,6 +35,9 @@ def test_load_small_trace():
 def test_load_reports_line_of_decreasing_timestamp():
     with pytest.raises(TraceParseError, match="line 2"):
         _load("5\n3\n")
+    # The first line at fault is reported, whatever is wrong further on.
+    with pytest.raises(TraceParseError, match="^line 2: timestamp 3 decreases below 5$"):
+        _load("5\n3\nbanana\n")
 
 
 def test_load_rejects_garbage_with_line_number():
@@ -45,6 +53,23 @@ def test_load_rejects_garbage_with_line_number():
 def test_load_accepts_only_ascii_digit_lines(line):
     with pytest.raises(TraceParseError, match="line 2:"):
         _load(f"0\n{line}\n")
+
+
+# A form feed, CRLF and U+2028 each end a line for str.splitlines, but
+# a trace line ends only at "\n".
+@pytest.mark.parametrize("data", [b"0\x0c5\n", b"0\r\n5\r\n", "0\u20285\n".encode()])
+def test_load_ends_lines_only_at_newline(data):
+    with pytest.raises(TraceParseError, match="^line 1: not a non-negative integer"):
+        load_trace(io.BytesIO(data))
+
+
+def test_load_names_the_line_of_a_stamp_past_int64():
+    assert _load("0\n9223372036854775807\n").duration_ms == 2**63 - 1
+    # Zero padding does not count against the 19 digits.
+    assert _load("0\n" + "0" * 25 + "5\n").opportunities.tolist() == [0, 5]
+    for line in ("9223372036854775808", "1" + "0" * 19, "0" * 30 + "9223372036854775808"):
+        with pytest.raises(TraceParseError, match=r"^line 2: timestamp \d+ is not below 2\*\*63"):
+            _load(f"0\n{line}\n")
 
 
 def test_load_rejects_empty_file():
@@ -82,16 +107,47 @@ def test_constructor_validation():
         LinkTrace([0, 2**63 - 1, -(2**63)])
 
 
-def test_stamps_are_stored_at_the_width_they_need():
-    # A stamp plus one wrap span must fit int32, so 4 bytes hold a
-    # trace whose last stamp is below 2**30.
-    for last, itemsize in ((2**30 - 1, 4), (2**30, 8), (2**63 - 1, 8)):
-        tr = LinkTrace([0, 5, last])
-        assert tr.opportunities.itemsize == itemsize
-        assert tr.opportunities.tolist() == [0, 5, last]
-        assert tr.duration_ms == last
-        with pytest.raises(ValueError):
-            tr.opportunities[0] = 1
+# Gaps at the edges of each unsigned width.
+GAP_EDGES = [0, 1, 2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32]
+
+
+@st.composite
+def stamp_inputs(draw):
+    """Non-decreasing stamps, as a list and as the array a caller passes:
+    a list of ints below 2**63 or an i4, i8 or u2 array within its dtype."""
+    kind = draw(st.sampled_from(["list", "i4", "i8", "u2"]))
+    top = 2**63 - 1 if kind == "list" else int(np.iinfo(kind).max)
+    stamps = [draw(st.sampled_from([0, 1, 2**15, 2**62]).filter(lambda s: s <= top))]
+    gap = st.integers(0, 3) | st.sampled_from(GAP_EDGES) | st.integers(0, 2**40)
+    for step in draw(st.lists(gap, max_size=40)):
+        if stamps[-1] + step > top:
+            break
+        stamps.append(stamps[-1] + step)
+    return stamps, stamps if kind == "list" else np.array(stamps, dtype=kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stamp_inputs())
+def test_trace_stores_its_gaps_in_the_narrowest_unsigned_type(case):
+    stamps, given_stamps = case
+    tr = LinkTrace(given_stamps)
+    opp = tr.opportunities
+    assert opp.dtype == np.int64 and opp.tolist() == stamps
+    assert not opp.flags.writeable
+    with pytest.raises(ValueError):
+        opp[0] = 1
+    assert len(tr) == len(stamps) and tr.duration_ms == stamps[-1]
+    assert tr == LinkTrace(stamps)
+    assert tr != LinkTrace(stamps, mtu_bytes=9000)
+    assert tr != LinkTrace(stamps + [stamps[-1]])
+    if len(stamps) > 1 and stamps[-1] > stamps[-2]:
+        assert tr != LinkTrace(stamps[:-1] + [stamps[-2]])
+    # The same gaps from another first stamp.
+    if stamps[-1] < 2**63 - 1:
+        assert tr != LinkTrace([s + 1 for s in stamps])
+    largest = max((b - a for a, b in zip(stamps, stamps[1:])), default=0)
+    width = next(w for w in (1, 2, 4, 8) if largest < 2 ** (8 * w))
+    assert tr._gaps.dtype == np.dtype(f"u{width}")
 
 
 def test_list_and_integer_arrays_of_one_trace_are_equal():
@@ -107,12 +163,16 @@ def test_list_and_integer_arrays_of_one_trace_are_equal():
         assert tr.opportunities[0] == 0
 
 
-def test_generated_harness_trace_stores_4_bytes_per_stamp():
+def test_generated_harness_trace_stores_1_byte_per_gap():
     spec = SyntheticTraceSpec(
         duration_s=60, segment_s=2, rate_min_mbps=3, rate_max_mbps=50, seed=1000
     )
     tr = gen_rapidly_changing(spec)
-    assert tr.opportunities.nbytes == 4 * len(tr)
+    assert tr._gaps.nbytes == len(tr) - 1
+    # One 256 ms outage widens every gap to 2 bytes.
+    stamps = tr.opportunities
+    outage = LinkTrace(np.append(stamps, stamps[-1] + 256))
+    assert outage._gaps.nbytes == 2 * len(tr)
 
 
 def test_trace_is_immutable():
@@ -129,6 +189,63 @@ def test_save_load_round_trip():
     save_trace(tr, buf)
     buf.seek(0)
     assert load_trace(buf) == tr
+
+
+@st.composite
+def trace_files(draw, starts=(0, 1, 9, 99_999, 2**40, 10**18 - 1, 2**62)):
+    """A trace file the line-at-a-time reader accepts: digit lines that
+    never decrease, some zero-padded, the last newline optional. Some
+    start just below a power of ten, so the digit count changes."""
+    start = draw(st.sampled_from(starts))
+    gaps = draw(st.lists(st.integers(0, 300) | st.sampled_from([0, 2**20]), max_size=60))
+    stamps = [start]
+    for gap in gaps:
+        stamps.append(stamps[-1] + gap)
+    pads = draw(st.lists(st.integers(0, 3), min_size=len(stamps), max_size=len(stamps)))
+    lines = ["0" * pad + str(stamp) for pad, stamp in zip(pads, stamps)]
+    end = draw(st.sampled_from(["\n", ""]))
+    return ("\n".join(lines) + end).encode(), stamps
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_files())
+def test_trace_codec_matches_the_line_at_a_time_reference(case):
+    data, stamps = case
+    tr = load_trace(io.BytesIO(data))
+    assert tr == reference_load_trace(io.BytesIO(data))
+    assert tr.opportunities.tolist() == stamps
+    ours, ref = io.BytesIO(), io.BytesIO()
+    save_trace(tr, ours)
+    reference_save_trace(tr, ref)
+    assert ours.getvalue() == ref.getvalue()
+
+
+def _outcome(load, data: bytes):
+    try:
+        return load(io.BytesIO(data))
+    except TraceParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_files(starts=(0, 1)), st.data())
+def test_trace_reader_agrees_with_the_reference_on_edited_files(case, data):
+    # Small stamps keep every merged or grown line far below 2**63, where
+    # the reference fails in the LinkTrace constructor, with no line.
+    raw = bytearray(case[0])
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(raw)))
+        op = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+        char = data.draw(st.sampled_from(b"0159\n a-"))
+        if op == "insert":
+            raw.insert(at, char)
+        elif at < len(raw):
+            if op == "replace":
+                raw[at] = char
+            else:
+                del raw[at]
+    edited = bytes(raw)
+    assert _outcome(load_trace, edited) == _outcome(reference_load_trace, edited)
 
 
 def test_constant_rate_generation_is_even():
