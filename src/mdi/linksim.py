@@ -34,9 +34,8 @@ definition of a run's throughput and delay. Packet and epoch logs both
 have a CSV form here, written a column at a time. Both readers first
 check the file's shape on its bytes, and every error names the body
 row. The packet CSV holds only digits, commas and newlines, with a blank
-for -1, and its codec works on byte arrays: the writer gathers each
-cell's 3-digit groups from tables, and the reader builds each column
-with a Horner loop over digit positions. The epoch CSV has one layout
+for -1, and `mdi.cells` writes and reads its integers; the reader adds
+the file's own rules, such as no zero padding. The epoch CSV has one layout
 for every controller, the epoch index and the log's three columns, adds
 the '.', 'e', '+' and '-' of repr'd floats, and is parsed by one
 checked np.loadtxt.
@@ -55,6 +54,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
+from . import cells
 from .controllers import Controller, EpochFeedback
 from .trace import LinkTrace
 from .trainer import COLUMN_DTYPES, EpochLog
@@ -374,43 +374,9 @@ _EPOCH_DTYPE = np.dtype([("epoch_index", np.int64), *COLUMN_DTYPES.items()])
 EPOCH_CSV_HEADER = list(_EPOCH_DTYPE.names)
 
 PACKET_CSV_HEADER = ["seq", "sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped"]
-
-# The packet CSV writer lays each cell out in 4-byte words, one per
-# 3-digit group, most significant first. A leading group's word is a
-# spare byte and the group's digits; the last group's word is its digits
-# and the separator after the cell. A cell of d digits (0 for a blank)
-# then keeps the bytes _KEEP_WORDS marks: its last d digits and the
-# separator. 2**63 - 1 has 19 digits, so a cell spans at most 7 words.
-_MAX_DIGITS = 19
-_MAX_GROUPS = -(-_MAX_DIGITS // 3)
-_GROUP_DIGITS = np.frombuffer(b"".join(b"%03d" % k for k in range(1000)), np.uint8).reshape(1000, 3)
-_LEAD_WORDS = np.hstack([np.zeros((1000, 1), np.uint8), _GROUP_DIGITS]).view(np.uint32).ravel()
-_LAST_WORDS = {
-    sep: np.hstack([_GROUP_DIGITS, np.full((1000, 1), ord(sep), np.uint8)]).view(np.uint32).ravel()
-    for sep in ",\n"
-}
-
-
-def _keep_words() -> np.ndarray:
-    """Keep masks of a 7-word cell layout: [word, digit count] -> word."""
-    layout = np.arange(4 * _MAX_GROUPS).reshape(_MAX_GROUPS, 4)
-    digit_at = np.concatenate([layout[:-1, 1:].ravel(), layout[-1, :3]])
-    keep = np.zeros((_MAX_DIGITS + 1, 4 * _MAX_GROUPS), np.uint8)
-    keep[:, -1] = 1
-    for d in range(1, _MAX_DIGITS + 1):
-        keep[d, digit_at[-d:]] = 1
-    return np.ascontiguousarray(keep.view(np.uint32).T)
-
-
-_KEEP_WORDS = _keep_words()
-# Digit count of v >= 0 is the number of these at most v; a negative has 0.
-_DIGIT_STEPS = np.array([0] + [10**k for k in range(1, _MAX_DIGITS)])
-_INT64_MAX = np.uint64(2**63 - 1)
-# The least value a field of each width holds without a leading zero:
-# 10**(width - 1) from two digits on. A field wider than 19 digits is
-# clipped to the last entry, which no 19 digits reach: no such field is
-# within int64.
-_FIELD_MIN = np.array([0, *_DIGIT_STEPS.tolist(), 2**64 - 1], dtype=np.uint64)
+# The least value a field of each width holds without a leading zero. A
+# field wider than 19 digits is clipped to the last entry, which none reach.
+_FIELD_MIN = np.array([0, 0, *(10**k for k in range(1, cells.MAX_DIGITS)), 2**64 - 1], np.uint64)
 
 
 def _read_table(
@@ -485,37 +451,13 @@ def read_epoch_csv(source: TextIO) -> EpochLog:
 
 
 def write_packet_csv(log: PacketLog, sink: TextIO) -> None:
-    """Packet log as CSV; missing stages are blank, dropped is 0/1.
-
-    Each column's cells are split into 3-digit groups and gathered as
-    words from the group tables; one boolean compress keeps the bytes of
-    the text. A negative value is written as a blank.
-    """
-    n = log.sent_ms.size
-    cols = (
-        np.arange(n), log.sent_ms, log.delivered_ms, log.acked_ms, log.rtt_ms,
+    """Packet log as CSV; missing stages are blank, dropped is 0/1."""
+    cols = [
+        np.arange(log.sent_ms.size), log.sent_ms, log.delivered_ms, log.acked_ms, log.rtt_ms,
         log.dropped.astype(np.uint8),
-    )
-    groups = [-(-len(str(int(col.max(initial=0)))) // 3) for col in cols]
-    words = np.empty((n, sum(groups)), dtype=np.uint32)
-    keep = np.empty_like(words)
-    at = 0
-    for col, g, last in zip(cols, groups, [","] * 5 + ["\n"]):
-        digits = np.searchsorted(_DIGIT_STEPS[: 3 * g], col, side="right")
-        table, rest = _LAST_WORDS[last], col
-        for j in reversed(range(g)):
-            group = rest
-            if j:
-                rest = rest // 1000
-                group = group - rest * 1000
-            # A blank's groups are never kept; "wrap" gives them a word.
-            words[:, at + j] = table.take(group, mode="wrap")
-            keep[:, at + j] = _KEEP_WORDS[_MAX_GROUPS - g + j].take(digits)
-            table = _LEAD_WORDS
-        at += g
-    text = words.view(np.uint8)[keep.view(bool)]
+    ]
     sink.write(",".join(PACKET_CSV_HEADER) + "\n")
-    sink.write(text.tobytes().decode("ascii"))
+    sink.write(cells.format_cells(cols, ",,,,,\n").decode("ascii"))
 
 
 def read_packet_csv(source: TextIO) -> PacketLog:
@@ -523,8 +465,7 @@ def read_packet_csv(source: TextIO) -> PacketLog:
 
     The body holds only digits, commas and newlines: one row per line,
     six integer fields with no leading zeros, and a blank for a stage
-    never reached. Each column is read from the body's bytes by a Horner
-    loop over digit positions, counted back from each field's separator.
+    never reached. `mdi.cells` reads each column from the body's bytes.
     """
     flat, seps = _read_table(source, "packet", PACKET_CSV_HEADER, b"0123456789,\n")
     # A field starts just after the separator before it.
@@ -534,20 +475,8 @@ def read_packet_csv(source: TextIO) -> PacketLog:
     for name, start, end in zip(PACKET_CSV_HEADER, starts.T, seps.T):
         end = end.astype(np.intp)
         length = end - start
-        value = np.zeros(end.size, dtype=np.uint64)
-        # Bytes counted back past a field's start are masked off; they
-        # reach at most the longest field's length before the body, which
-        # still indexes it.
-        for back in range(min(int(length.max(initial=0)), _MAX_DIGITS), 0, -1):
-            digit = flat.take(end - back)
-            digit -= ord("0")
-            digit *= length >= back
-            value *= 10
-            value += digit
-        # Out of int64 range (above its maximum, or wider than 19 digits)
-        # or zero-padded.
-        bad = value > _INT64_MAX
-        bad |= value < _FIELD_MIN.take(length, mode="clip")
+        value, bad = cells.parse_fields(flat, end, length)
+        bad |= value < _FIELD_MIN.take(length, mode="clip")  # zero-padded
         # Only a stage never reached may be blank, and reads as -1.
         if name in ("seq", "dropped"):
             bad |= length == 0

@@ -7,11 +7,11 @@ from worst-case one-hot starts, and divergence metrics between the
 predicted stationary distribution and empirically observed state
 frequencies.
 
-Desk-scale training leaves some states with inflow but no observed
-outflow. The default "uniform" policy lets such states diffuse, which
-keeps the chain irreducible whenever anything was observed; "self-loop"
-makes them absorbing, which can drain the stationary mass into states
-that were barely visited. Record the choice alongside any result.
+Desk-scale training leaves states with no observed outflow. The default
+"uniform" policy lets them diffuse; "self-loop" makes them absorbing,
+which can drain the stationary mass into barely visited states. While
+a state was never entered, neither makes the chain irreducible: no
+state the runs visited leads to it (ROADMAP open item 2).
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ trace wraps by re-playing with all timestamps shifted by the last
 timestamp.
 
 The on-disk format is text, one integer per line in ASCII digits, each
-line ending in a newline. Both directions work on the file's bytes as
-arrays: the reader builds the stamps with a Horner loop over digit
-positions counted back from each line's end, and the writer lays the
-stamps of each digit count out as one block of fixed-width rows.
+line ending in a newline; `mdi.cells` writes and reads the integers.
+The reader adds the file's own rules: where lines end, blank lines and
+stray bytes, and stamps that decrease. It accepts zero padding, since
+trace files come from outside the program.
 
 In memory a trace holds its first timestamp and the gaps between
 consecutive ones, in the narrowest unsigned integer type that fits the
@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
+
+from . import cells
 
 
 class TraceParseError(ValueError):
@@ -113,9 +115,6 @@ class LinkTrace:
 
 
 _NEWLINE = ord("\n")
-# 2**63 - 1 has 19 digits; the Horner loop reads at most the last 19.
-_MAX_DIGITS = 19
-_MAX_STAMP = np.uint64(2**63 - 1)
 
 
 def load_trace(source: BinaryIO, mtu_bytes: int = 1500) -> LinkTrace:
@@ -138,18 +137,9 @@ def load_trace(source: BinaryIO, mtu_bytes: int = 1500) -> LinkTrace:
     bad = length == 0
     stray = np.flatnonzero((digit > 9) & (buf != _NEWLINE))
     bad[np.searchsorted(ends, stray)] = True
-    # Bytes counted back past a line's start are masked off; counted back
-    # from the first line, they index from the buffer's end.
-    value = np.zeros(ends.size, dtype=np.uint64)
-    for back in range(min(int(length.max()), _MAX_DIGITS), 0, -1):
-        d = digit.take(ends - back)
-        d *= length >= back
-        value *= 10
-        value += d
-    over = value > _MAX_STAMP
-    # A nonzero digit before the last 19 puts a line past 2**63 too.
-    for i in np.flatnonzero((length > _MAX_DIGITS) & ~bad):
-        over[i] |= bool(data[ends[i] - length[i] : ends[i] - _MAX_DIGITS].lstrip(b"0"))
+    value, over = cells.parse_fields(buf, ends, length)
+    # Only a line of digits is a timestamp, too large or not.
+    over &= ~bad
     bad |= over
     stop = int(np.argmax(bad)) if bad.any() else bad.size
     stamps = value[:stop].view(np.int64)
@@ -170,24 +160,8 @@ def load_trace(source: BinaryIO, mtu_bytes: int = 1500) -> LinkTrace:
 
 
 def save_trace(trace: LinkTrace, sink: BinaryIO) -> None:
-    """Write the one-integer-per-line form; round-trips with load_trace.
-
-    Every stamp is laid out right-aligned in a row as wide as the last
-    one, newline included. The stamps never decrease, so those of one
-    digit count are one run of rows, written from its first digit on.
-    """
-    opp = trace.opportunities
-    width = len(str(trace.duration_ms))
-    rows = np.empty((opp.size, width + 1), dtype=np.uint8)
-    rows[:, width] = _NEWLINE
-    rest = opp
-    for col in reversed(range(width)):
-        rest, digit = np.divmod(rest, 10)
-        rows[:, col] = digit
-    rows[:, :width] += ord("0")
-    cuts = [0, *np.searchsorted(opp, [10**d for d in range(1, width)]).tolist(), opp.size]
-    for digits, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
-        sink.write(rows[lo:hi, width - digits :].tobytes())
+    """Write the one-integer-per-line form; round-trips with load_trace."""
+    sink.write(cells.format_cells([trace.opportunities], "\n"))
 
 
 @dataclass(frozen=True)
