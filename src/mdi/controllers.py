@@ -33,15 +33,11 @@ COPA_DELTA = 0.5
 class EpochFeedback:
     """Aggregate link feedback for one elapsed epoch."""
 
-    epoch_index: int
     mean_delay_ms: float
     min_delay_ms: float
     acked_pkts: int
-    now_ms: int
 
     def __post_init__(self) -> None:
-        if self.epoch_index < 0:
-            raise ValueError(f"epoch_index must be >= 0, got {self.epoch_index}")
         if self.acked_pkts < 0:
             raise ValueError(f"acked_pkts must be >= 0, got {self.acked_pkts}")
         if not math.isfinite(self.mean_delay_ms) or self.mean_delay_ms < 0:

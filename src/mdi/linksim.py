@@ -249,12 +249,11 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
         send_cap = int(total)
         carry = total - send_cap
 
-    apply(controller.on_epoch(EpochFeedback(0, 0.0, 0.0, 0, 0)))
+    apply(controller.on_epoch(EpochFeedback(0.0, 0.0, 0)))
 
     epoch_t: list[int] = []
     epoch_delay: list[float] = []
     epoch_window: list[float] = []
-    eidx = 1
     boundary = epoch_len
     last_boundary = 0
     min_rtt = 0.0
@@ -274,15 +273,8 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
                 epoch_t.append(t)
                 epoch_delay.append(last_mean)
                 epoch_window.append(window)
-            feedback = EpochFeedback(
-                epoch_index=eidx,
-                mean_delay_ms=last_mean,
-                min_delay_ms=min_rtt,
-                acked_pkts=cnt,
-                now_ms=t,
-            )
+            feedback = EpochFeedback(mean_delay_ms=last_mean, min_delay_ms=min_rtt, acked_pkts=cnt)
             apply(controller.on_epoch(feedback))
-            eidx += 1
             last_boundary = t
             boundary = t + epoch_len
 

@@ -19,8 +19,9 @@ them, so a negative target selects the branch rising back toward w_prev
 the dip's minimum clamp to the minimizer; positive targets are bisected
 on [w_prev, 1000 * w_prev].
 
-An unseen (k, l, r) row first backs off to the quadrant's row with the
-window bucket marginalized out, i.e. p(v | k, r); only when the whole
+Each (k, l, r) row's tier and CDF come from the model's decision table,
+built once per model. An unseen row backs off to the quadrant's row with
+the window bucket marginalized out, i.e. p(v | k, r); only when the whole
 quadrant is unseen does the controller hold the window and count a
 fallback. Without the marginal tier a model-driven run can wedge: holding
 keeps w_hat at exactly 0, and if training never visited that window
@@ -37,7 +38,7 @@ import numpy as np
 
 from .controllers import Controller, ControllerDecision, EpochFeedback
 from .quantizer import composite
-from .trainer import TransitionModel
+from .trainer import HOLD, MARGINAL, TransitionModel
 
 _BISECT_STEPS = 80
 _POS_SPAN = 1000.0
@@ -134,22 +135,14 @@ class MdiController(Controller):
         self.window = float(w_init)
         self.d_prev_ms: float | None = None
         self.d_idx_prev: int | None = None
-        self.w_idx_prev: int | None = None
+        self.w_idx_prev = model.cfg.w_bucket(0.0)
         self.fallback_count = 0
         self.marginal_count = 0
         self.boundary_count = 0
         self.epoch_count = 0
 
-    def _apply_multiplier(self, mult: float) -> None:
-        cfg = self.model.cfg
-        w_old = self.window
-        self.window = max(1.0, w_old * mult)
-        self.w_idx_prev = cfg.w_bucket(composite(self.window, w_old))
-        self.boundary_count += 1
-
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
         self.epoch_count += 1
-        cfg = self.model.cfg
 
         if feedback.acked_pkts == 0:
             # A silent epoch carries no delay sample. At small windows
@@ -164,32 +157,27 @@ class MdiController(Controller):
             self.d_prev_ms = d_new
             return ControllerDecision(self.window, self.epoch_ms)
 
+        cfg = self.model.cfg
         d_hat = composite(d_new, self.d_prev_ms)
-        if d_hat < cfg.d_hat_edges[0]:
-            self._apply_multiplier(self.c1)
-            self.d_idx_prev = cfg.d_bucket(d_hat)
-        elif d_hat > cfg.d_hat_edges[-1]:
-            self._apply_multiplier(self.c2)
-            self.d_idx_prev = cfg.d_bucket(d_hat)
+        r = cfg.d_bucket(d_hat)
+        lo, hi = cfg.d_hat_edges[0], cfg.d_hat_edges[-1]
+        if not lo <= d_hat <= hi:
+            w_old = self.window
+            self.window = max(1.0, w_old * (self.c1 if d_hat < lo else self.c2))
+            self.w_idx_prev = cfg.w_bucket(composite(self.window, w_old))
+            self.boundary_count += 1
         else:
-            r = cfg.d_bucket(d_hat)
             k = self.d_idx_prev if self.d_idx_prev is not None else r
-            l = self.w_idx_prev if self.w_idx_prev is not None else cfg.w_bucket(0.0)
-            row = self.model.quadrant_rows[k, l, r]
-            if not row.any():
-                row = self.model.quadrant_marginal_rows[k, r]
-                if row.any():
-                    self.marginal_count += 1
-            if not row.any():
+            tier, cdf = self.model.decision_table[k, self.w_idx_prev, r]
+            if tier == HOLD:
                 self.fallback_count += 1
-                self.w_idx_prev = l
             else:
-                cdf = np.cumsum(row)
+                if tier == MARGINAL:
+                    self.marginal_count += 1
                 v = int(np.searchsorted(cdf, self.rng.random(), side="right"))
                 v = min(v, cfg.n_w - 1)
-                target = cfg.w_midpoint(v)
-                self.window = max(1.0, invert_w_hat(target, self.window))
+                self.window = max(1.0, invert_w_hat(cfg.w_midpoint(v), self.window))
                 self.w_idx_prev = v
-            self.d_idx_prev = r
+        self.d_idx_prev = r
         self.d_prev_ms = d_new
         return ControllerDecision(self.window, self.epoch_ms)

@@ -9,14 +9,17 @@ indices (d_idx, w_idx). Transitions are counted as consecutive state
 pairs with one bincount over the flat pair index, into a 4-D tensor
 indexed (k, l, r, v): (current delay bucket, current window bucket,
 next delay bucket, next window bucket). A model holds one such
-tensor, read-only, and three row tables read off it, each built on
-first use:
+tensor, read-only, and three tables read off it, each built on first
+use:
 
 * quadrant rows p(v | k, l, r): within the quadrant selected by the pair
   of delay buckets (k, r), each window row l is normalized across the
-  next-window cells v. This is what the runtime controller samples.
-* quadrant marginal rows p(v | k, r): the same with the current window
-  bucket summed out, the runtime's fallback for an unseen (k, l, r) row.
+  next-window cells v.
+* the decision table: for each (k, l, r), the tier the runtime walk
+  takes and the CDF it samples. A seen row is EXACT and samples its
+  quadrant row; an unseen row whose quadrant holds mass is MARGINAL and
+  samples p(v | k, r), the quadrant with the window bucket summed out;
+  a wholly unseen quadrant is HOLD, with an all-zero CDF.
 * full rows p(r, v | k, l): each (k, l) state's outgoing mass normalized
   across all (r, v), giving an ordinary row-stochastic chain for
   analysis.
@@ -44,6 +47,10 @@ from .quantizer import QuantizerConfig, bucket, composite_steps
 class ModelFormatError(ValueError):
     """A serialized model violated the MDIMODEL format."""
 
+
+# The runtime walk's tiers, per (k, l, r) row: sample the row itself,
+# sample its quadrant with the window bucket summed out, or hold.
+EXACT, MARGINAL, HOLD = 0, 1, 2
 
 # Every column of an epoch log, in the order the epoch CSV lists them.
 COLUMN_DTYPES = {
@@ -116,7 +123,7 @@ def _rows(counts: np.ndarray) -> np.ndarray:
 
 
 class TransitionModel:
-    """Transition counts over the composite state grid, plus row tables.
+    """Transition counts over the composite state grid, plus tables.
 
     A model is a value: the counts are copied at construction and are
     read-only, so each table, built from them on first use, stays valid.
@@ -149,11 +156,22 @@ class TransitionModel:
         return _rows(self.counts.reshape(self.cfg.n_d, self.cfg.n_w, -1))
 
     @cached_property
-    def quadrant_marginal_rows(self) -> np.ndarray:
-        """p(v | k, r) with the window bucket marginalized out,
-        shape (n_d, n_d, n_w)."""
+    def decision_table(self) -> np.ndarray:
+        """The runtime walk's tier and CDF for each (k, l, r), shape
+        (n_d, n_w, n_d), read-only; fields "tier" and "cdf" (n_w floats)."""
+        seen = self.counts.any(axis=3)
+        fields = [("tier", np.int8), ("cdf", np.float64, (self.cfg.n_w,))]
+        table = np.empty(seen.shape, dtype=fields)
+        table["tier"] = np.where(seen, EXACT, np.where(seen.any(axis=1)[:, None], MARGINAL, HOLD))
+        # Filled in place: a full-size temporary stays in the heap and
+        # raises the peak RSS of a process that drives runs.
+        cdf = table["cdf"]
         # Summed in float64: a uint64 sum wraps past 2**64.
-        return _rows(self.counts.astype(np.float64).sum(axis=1))
+        cdf[...] = _rows(self.counts.astype(np.float64).sum(axis=1))[:, None]
+        cdf[seen] = self.quadrant_rows[seen]
+        np.cumsum(cdf, axis=-1, out=cdf)
+        table.flags.writeable = False
+        return table
 
     def source_state_count(self) -> int:
         """Number of (k, l) states with at least one outgoing transition."""

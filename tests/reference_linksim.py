@@ -81,12 +81,11 @@ def reference_run_simulation(params: LinkParams, controller: Controller) -> SimR
         send_cap = int(total)
         carry = total - send_cap
 
-    apply(controller.on_epoch(EpochFeedback(0, 0.0, 0.0, 0, 0)))
+    apply(controller.on_epoch(EpochFeedback(0.0, 0.0, 0)))
 
     epoch_t: list[int] = []
     epoch_delay: list[float] = []
     epoch_window: list[float] = []
-    eidx = 1
     boundary = epoch_len
     ack_sum = 0
     ack_cnt = 0
@@ -118,16 +117,13 @@ def reference_run_simulation(params: LinkParams, controller: Controller) -> SimR
                 epoch_delay.append(last_mean)
                 epoch_window.append(window)
             feedback = EpochFeedback(
-                epoch_index=eidx,
                 mean_delay_ms=last_mean if any_ack else 0.0,
                 min_delay_ms=float(min_rtt) if min_rtt >= 0 else 0.0,
                 acked_pkts=ack_cnt,
-                now_ms=t,
             )
             apply(controller.on_epoch(feedback))
             ack_sum = 0
             ack_cnt = 0
-            eidx += 1
             boundary = t + epoch_len
 
         while in_flight < send_cap:

@@ -15,11 +15,8 @@ from mdi.linksim import LinkParams, run_simulation
 from mdi.trace import SyntheticTraceSpec, gen_rapidly_changing
 
 
-def fb(mean: float, mn: float, acked: int = 10, idx: int = 1) -> EpochFeedback:
-    return EpochFeedback(
-        epoch_index=idx, mean_delay_ms=mean, min_delay_ms=mn,
-        acked_pkts=acked, now_ms=idx * 20,
-    )
+def fb(mean: float, mn: float, acked: int = 10) -> EpochFeedback:
+    return EpochFeedback(mean_delay_ms=mean, min_delay_ms=mn, acked_pkts=acked)
 
 
 def constant_trace(mbps: float, duration_s: float):
@@ -43,7 +40,7 @@ def test_decision_contract():
 def test_pinned_never_moves():
     ctrl = Pinned(window_pkts=4.0, epoch_ms=20)
     for i in range(5):
-        d = ctrl.on_epoch(fb(10.0 * (i + 1), 5.0, acked=i, idx=i))
+        d = ctrl.on_epoch(fb(10.0 * (i + 1), 5.0, acked=i))
         assert d == ControllerDecision(4.0, 20)
 
 
@@ -182,7 +179,7 @@ def test_copa_equilibrium_queue_tracks_delta():
 
 
 def test_controllers_are_deterministic():
-    seq = [fb(10.0 + 3 * i, 10.0, acked=5, idx=i) for i in range(20)]
+    seq = [fb(10.0 + 3 * i, 10.0, acked=5) for i in range(20)]
     for make in (lambda: VerusLike(), lambda: CopaLike()):
         a = [make().on_epoch(f).window_pkts for f in seq]
         b = [make().on_epoch(f).window_pkts for f in seq]

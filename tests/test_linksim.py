@@ -530,8 +530,8 @@ def _feedback(run, params, name):
 @settings(max_examples=200, deadline=None)
 @given(link_cases())
 def test_emulator_hands_the_controller_the_reference_feedback(case):
-    # No log holds acked_pkts, min_delay_ms or now_ms, yet controllers
-    # read them: MdiController holds on acked_pkts == 0.
+    # No log holds acked_pkts or min_delay_ms, yet controllers read
+    # them: MdiController holds on acked_pkts == 0.
     params, name = case
     got = _feedback(run_simulation, params, name)
     want = _feedback(reference_run_simulation, params, name)

@@ -2,11 +2,12 @@
 vectorised and scalar bucketing, bincount counting, the one state
 derivation both counting and visit frequencies read, the epoch CSV round
 trip), the runtime's window inversion, the trace and model file round
-trips, and the row tables."""
+trips, the row tables and the runtime's decision table."""
 
 import io
 import math
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from mdi.quantizer import QuantizerConfig, bucket, composite, composite_steps
 from mdi.runtime import _bisect_increasing, _dip_minimizer, invert_w_hat
 from mdi.trace import LinkTrace, load_trace, save_trace
 from mdi.trainer import (
+    EXACT,
+    HOLD,
+    MARGINAL,
     EpochLog,
     TransitionModel,
     count_transitions,
@@ -298,3 +302,45 @@ def test_row_tables_are_stochastic_where_seen_and_zero_elsewhere(model):
         assert (table >= 0.0).all()
         assert np.allclose(table[seen].sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
         assert not table[~seen].any()
+
+
+@st.composite
+def sparse_counts(draw):
+    """Counts on a grid of 2x2 to 4x4. Each draw puts one count on a
+    (k, r, v) cell for a set of window buckets l, so counts of 2**63
+    make uint64 sums over l, or over a row, wrap."""
+    n_d, n_w = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    counts = np.zeros((n_d, n_w, n_d, n_w), dtype=np.uint64)
+    d, w = st.integers(0, n_d - 1), st.integers(0, n_w - 1)
+    sizes = st.sampled_from([1, 3, 2**40, 2**63])
+    for k, ls, r, v, count in draw(st.lists(st.tuples(d, st.sets(w, min_size=1), d, w, sizes))):
+        counts[k, list(ls), r, v] = count
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_counts())
+def test_decision_table_tiers_follow_the_counts(counts):
+    n_d, n_w = counts.shape[:2]
+    model = TransitionModel(QuantizerConfig(range(n_d + 1), range(n_w + 1)), counts)
+    table = model.decision_table
+    assert table.shape == (n_d, n_w, n_d) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table["tier"][0, 0, 0] = HOLD
+    for k, l, r in np.ndindex(table.shape):
+        tier, cdf = table[k, l, r]
+        if counts[k, l, r].any():
+            assert tier == EXACT
+            # The same draw as the cumsum of the row taken at each epoch.
+            assert cdf.tobytes() == np.cumsum(model.quadrant_rows[k, l, r]).tobytes()
+        elif counts[k, :, r].any():
+            assert tier == MARGINAL
+            # Pooled over l in Python ints, which do not wrap.
+            pooled = list(accumulate(sum(counts[k, :, r, v].tolist()) for v in range(n_w)))
+            assert np.allclose(cdf, [c / pooled[-1] for c in pooled], rtol=0.0, atol=1e-12)
+        else:
+            assert tier == HOLD
+            assert not cdf.any()
+            continue
+        assert (np.diff(cdf) >= 0.0).all()
+        assert cdf[-1] == pytest.approx(1.0, rel=0.0, abs=1e-12)

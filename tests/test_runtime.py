@@ -11,11 +11,8 @@ from mdi.runtime import MdiController, invert_w_hat
 from mdi.trainer import TransitionModel
 
 
-def fb(mean: float, acked: int = 10, idx: int = 1) -> EpochFeedback:
-    return EpochFeedback(
-        epoch_index=idx, mean_delay_ms=mean, min_delay_ms=min(mean, 20.0),
-        acked_pkts=acked, now_ms=idx * 20,
-    )
+def fb(mean: float, acked: int = 10) -> EpochFeedback:
+    return EpochFeedback(mean_delay_ms=mean, min_delay_ms=min(mean, 20.0), acked_pkts=acked)
 
 
 def small_grid() -> QuantizerConfig:

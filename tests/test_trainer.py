@@ -8,6 +8,9 @@ import pytest
 
 from mdi.quantizer import QuantizerConfig
 from mdi.trainer import (
+    EXACT,
+    HOLD,
+    MARGINAL,
     EpochLog,
     ModelFormatError,
     TransitionModel,
@@ -166,8 +169,13 @@ def test_full_rows_are_stochastic_where_observed():
 
 def test_marginal_rows_pool_window_buckets():
     model = model_of(grid(), [(1, 0), (0, 1)], [(1, 2), (0, 2)])
-    assert np.allclose(model.quadrant_marginal_rows[1, 0], [0.0, 0.5, 0.5])
-    assert not model.quadrant_marginal_rows[2, 2].any()
+    table = model.decision_table
+    assert table["tier"][1, 1, 0] == MARGINAL
+    assert np.allclose(table["cdf"][1, 1, 0], [0.0, 0.5, 1.0])
+    assert table["tier"][1, 0, 0] == EXACT
+    assert np.allclose(table["cdf"][1, 0, 0], [0.0, 1.0, 1.0])
+    assert (table["tier"][2, :, 2] == HOLD).all()
+    assert not table["cdf"][2, :, 2].any()
 
 
 def huge_counts(*cells) -> np.ndarray:
@@ -181,8 +189,10 @@ def huge_counts(*cells) -> np.ndarray:
 def test_marginal_rows_do_not_wrap_on_huge_counts():
     counts = huge_counts((0, 0, 0, 0), (0, 1, 0, 0))
     counts[0, 0, 0, 1] = 1
-    row = TransitionModel(grid(), counts).quadrant_marginal_rows[0, 0]
-    assert np.allclose(row, [1.0, 0.0, 0.0])
+    table = TransitionModel(grid(), counts).decision_table
+    # Pooled over l in uint64, the two 2**63 cells would sum to 0.
+    assert table["tier"][0, 2, 0] == MARGINAL
+    assert np.allclose(table["cdf"][0, 2, 0], [1.0, 1.0, 1.0])
 
 
 def test_source_state_count_does_not_wrap_on_huge_counts():
@@ -199,7 +209,7 @@ def test_reading_the_tables_leaves_counts_unchanged():
     model = hand_model()
     before = model.counts.copy()
     first = model.quadrant_rows.copy()
-    model.full_rows, model.quadrant_marginal_rows
+    model.full_rows, model.decision_table
     assert np.array_equal(model.counts, before)
     assert np.array_equal(model.quadrant_rows, first)
 
@@ -214,14 +224,20 @@ def test_tables_from_counts_written_directly():
     model = TransitionModel(grid(), counts)
     assert np.allclose(model.quadrant_rows[1, 1, 0], [0.25, 0.0, 0.75])
     assert np.allclose(model.quadrant_rows[1, 2, 0], [0.0, 1.0, 0.0])
-    assert np.allclose(model.quadrant_marginal_rows[1, 0], [1 / 8, 4 / 8, 3 / 8])
+    table = model.decision_table
+    assert table["tier"][1, 0, 0] == MARGINAL
+    assert np.allclose(table["cdf"][1, 0, 0], [1 / 8, 5 / 8, 1.0])
+    assert table["tier"][1, 1, 0] == EXACT
+    assert np.allclose(table["cdf"][1, 1, 0], [0.25, 0.25, 1.0])
     assert np.allclose(model.full_rows[1, 1], [1 / 8, 0, 3 / 8, 0, 0, 0, 0, 4 / 8, 0])
     assert not model.quadrant_rows[1, 1, 1].any()
-    assert not model.quadrant_marginal_rows[0, 0].any()
+    assert (table["tier"][0, :, 0] == HOLD).all()
+    assert not table["cdf"][0, :, 0].any()
     assert not model.full_rows[0, 0].any()
     assert model.quadrant_rows.shape == (3, 3, 3, 3)
     assert model.full_rows.shape == (3, 3, 9)
-    assert model.quadrant_marginal_rows.shape == (3, 3, 3)
+    assert table.shape == (3, 3, 3)
+    assert table["cdf"].shape == (3, 3, 3, 3)
 
 
 def test_model_counts_are_a_read_only_copy():
