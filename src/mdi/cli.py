@@ -285,8 +285,7 @@ def cmd_compare(args) -> int:
             "dropped": log.dropped_pkts,
             **dataclasses.asdict(summary),
         }
-    rtt_a = logs["a"].rtt_ms[logs["a"].rtt_ms >= 0]
-    rtt_b = logs["b"].rtt_ms[logs["b"].rtt_ms >= 0]
+    rtt_a, rtt_b = (log.rtt_ms[log.acked_ms >= 0] for log in (logs["a"], logs["b"]))
     if rtt_a.size and rtt_b.size:
         lo = float(min(rtt_a.min(), rtt_b.min()))
         hi = float(max(rtt_a.max(), rtt_b.max())) + 1.0

@@ -19,8 +19,8 @@ so far minus the lost and the ACKed ones; an epoch's ACK count and RTT
 sum are differences of two reads at its boundaries; the minimum RTT is
 the return leg plus the least wait served so far. Sends and services
 are one batch each per tick, and random loss is drawn a block at a time
-in service order. The packet columns (send, delivery, ACK and RTT
-times, drop flags) are rebuilt from the per-tick counts once the run
+in service order. The packet columns (send, delivery and ACK times,
+drop flags) are rebuilt from the per-tick counts once the run
 ends.
 
 Windows may be fractional; the integer send cap floors the running value
@@ -28,17 +28,17 @@ and carries the remainder into the next epoch. Random loss, when enabled,
 strikes packets at service time and the sender notices immediately (no
 retransmissions; lost packets simply leave the in-flight budget).
 
-A packet log is five columns (send, delivery, ACK and RTT times, -1 for
-a stage never reached, and a drop flag); summarize() is the one
-definition of a run's throughput and delay. Packet and epoch logs both
-have a CSV form here, written a column at a time. Both readers first
-check the file's shape on its bytes, and every error names the body
-row. The packet CSV holds only digits, commas and newlines, with a blank
-for -1, and `mdi.cells` writes and reads its integers; the reader adds
-the file's own rules, such as no zero padding. The epoch CSV has one layout
-for every controller, the epoch index and the log's three columns, adds
-the '.', 'e', '+' and '-' of repr'd floats, and is parsed by one
-checked np.loadtxt.
+A packet log is four columns (send, delivery and ACK times, -1 for a
+stage never reached, and a drop flag); PacketLog.rtt_ms derives RTTs
+and summarize() is the one definition of a run's throughput and delay.
+Packet and epoch logs both have a CSV form here, written a column at a
+time, stating each value once. Both readers first check the file's
+shape on its bytes, and every error names the body row. The packet CSV
+holds only digits, commas and newlines, with a blank for -1, and
+`mdi.cells` writes and reads its integers; the reader adds the file's
+own rules, such as no zero padding. The epoch CSV is the log's three
+columns for every controller, adds the '.', 'e', '+' and '-' of repr'd
+floats, and is parsed by one checked np.loadtxt.
 """
 
 from __future__ import annotations
@@ -138,8 +138,12 @@ class PacketLog:
     sent_ms: np.ndarray
     delivered_ms: np.ndarray
     acked_ms: np.ndarray
-    rtt_ms: np.ndarray
     dropped: np.ndarray
+
+    @property
+    def rtt_ms(self) -> np.ndarray:
+        """ACK time minus send time, -1 if never ACKed; rebuilt on each read."""
+        return np.where(self.acked_ms >= 0, self.acked_ms - self.sent_ms, -1)
 
     @property
     def sent_pkts(self) -> int:
@@ -160,7 +164,7 @@ def summarize(log: PacketLog, duration_ms: int, mtu_bytes: int) -> SimSummary:
         raise ValueError(f"need duration_ms, mtu_bytes >= 1, got {duration_ms}, {mtu_bytes}")
     delivered = log.delivered_ms[log.delivered_ms >= 0]
     tput = per_second_mbps(delivered, duration_ms, mtu_bytes)
-    rtts = log.rtt_ms[log.rtt_ms >= 0].astype(np.float64)
+    rtts = log.rtt_ms[log.acked_ms >= 0].astype(np.float64)
     return SimSummary(throughput_mbps=_stats(tput), delay_ms=_stats(rtts))
 
 
@@ -352,7 +356,6 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
         sent_ms=sent_ms,
         delivered_ms=delivered_ms,
         acked_ms=acked_ms,
-        rtt_ms=np.where(acked_ms >= 0, acked_ms - sent_ms, -1),
         dropped=dropped,
         queued_end_pkts=enqueued - served,
         clamp_warnings=clamps,
@@ -361,11 +364,11 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     )
 
 
-# An epoch CSV row is the epoch's index, then the log's own columns.
-_EPOCH_DTYPE = np.dtype([("epoch_index", np.int64), *COLUMN_DTYPES.items()])
+# An epoch CSV row is the log's own columns.
+_EPOCH_DTYPE = np.dtype(list(COLUMN_DTYPES.items()))
 EPOCH_CSV_HEADER = list(_EPOCH_DTYPE.names)
 
-PACKET_CSV_HEADER = ["seq", "sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped"]
+PACKET_CSV_HEADER = ["sent_ms", "delivered_ms", "acked_ms", "dropped"]
 # The least value a field of each width holds without a leading zero. A
 # field wider than 19 digits is clipped to the last entry, which none reach.
 _FIELD_MIN = np.array([0, 0, *(10**k for k in range(1, cells.MAX_DIGITS)), 2**64 - 1], np.uint64)
@@ -412,10 +415,9 @@ def _read_table(
 
 def write_epoch_csv(log: EpochLog, sink: TextIO) -> None:
     """Epoch log as CSV, one row per epoch."""
-    cols = [map(repr, range(len(log)))]
-    cols += [map(repr, col.tolist()) for col in (log.t_ms, log.delay_ms, log.window_pkts)]
+    cols = [map(repr, col.tolist()) for col in (log.t_ms, log.delay_ms, log.window_pkts)]
     sink.write(",".join(EPOCH_CSV_HEADER) + "\n")
-    sink.write("".join(map("{},{},{},{}\n".format, *cols)))
+    sink.write("".join(map("{},{},{}\n".format, *cols)))
 
 
 def read_epoch_csv(source: TextIO) -> EpochLog:
@@ -434,29 +436,26 @@ def read_epoch_csv(source: TextIO) -> EpochLog:
             found = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
             problem, row, column = found.groups()
             raise ValueError(f"epoch CSV row {row}: {problem} in column {column}") from exc
-    index, *cols = (table[name].copy() for name in table.dtype.names)
-    bad = index != np.arange(index.size)
+    t_ms, delay_ms, window_pkts = (table[name].copy() for name in table.dtype.names)
+    bad = t_ms <= np.append(-1, t_ms[:-1])  # a run logs its boundaries in order
     if bad.any():
         row = int(np.argmax(bad))
-        raise ValueError(f"epoch CSV row {row}: epoch_index is not the row number")
-    return EpochLog(*cols)
+        raise ValueError(f"epoch CSV row {row}: t_ms is negative or not above the row before")
+    return EpochLog(t_ms, delay_ms, window_pkts)
 
 
 def write_packet_csv(log: PacketLog, sink: TextIO) -> None:
     """Packet log as CSV; missing stages are blank, dropped is 0/1."""
-    cols = [
-        np.arange(log.sent_ms.size), log.sent_ms, log.delivered_ms, log.acked_ms, log.rtt_ms,
-        log.dropped.astype(np.uint8),
-    ]
+    cols = [log.sent_ms, log.delivered_ms, log.acked_ms, log.dropped.astype(np.uint8)]
     sink.write(",".join(PACKET_CSV_HEADER) + "\n")
-    sink.write(cells.format_cells(cols, ",,,,,\n").decode("ascii"))
+    sink.write(cells.format_cells(cols, ",,,\n").decode("ascii"))
 
 
 def read_packet_csv(source: TextIO) -> PacketLog:
     """Parse a packet CSV, rejecting rows no run could have written.
 
     The body holds only digits, commas and newlines: one row per line,
-    six integer fields with no leading zeros, and a blank for a stage
+    four integer fields with no leading zeros, and a blank for a stage
     never reached. `mdi.cells` reads each column from the body's bytes.
     """
     flat, seps = _read_table(source, "packet", PACKET_CSV_HEADER, b"0123456789,\n")
@@ -470,7 +469,7 @@ def read_packet_csv(source: TextIO) -> PacketLog:
         value, bad = cells.parse_fields(flat, end, length)
         bad |= value < _FIELD_MIN.take(length, mode="clip")  # zero-padded
         # Only a stage never reached may be blank, and reads as -1.
-        if name in ("seq", "dropped"):
+        if name == "dropped":
             bad |= length == 0
         col = value.view(np.int64)
         col[length == 0] = -1
@@ -485,14 +484,12 @@ def read_packet_csv(source: TextIO) -> PacketLog:
         raise ValueError(
             f"packet CSV row {row}: could not convert string {field!r} to int64 in column {k + 1}"
         )
-    seq, sent, delivered, acked, rtt, dropped = cols
+    sent, delivered, acked, dropped = cols
     problems = {
-        "seq is not the row number": seq != np.arange(seq.size),
         "blank send time": sent < 0,
         "dropped is not 0 or 1": (dropped != 0) & (dropped != 1),
         "ACK without a delivery": (acked >= 0) & (delivered < 0),
         "packet both delivered and dropped": (delivered >= 0) & (dropped == 1),
-        "rtt_ms is not acked_ms - sent_ms": rtt != np.where(acked >= 0, acked - sent, -1),
         "delivered before it was sent": (delivered >= 0) & (delivered < sent),
     }
     for problem, bad in problems.items():
@@ -504,6 +501,4 @@ def read_packet_csv(source: TextIO) -> PacketLog:
     if bad.any():
         row = int(np.flatnonzero(acked >= 0)[np.argmax(bad)])
         raise ValueError(f"packet CSV row {row}: ACK delay is not one constant >= 1 ms")
-    return PacketLog(
-        sent_ms=sent, delivered_ms=delivered, acked_ms=acked, rtt_ms=rtt, dropped=dropped == 1
-    )
+    return PacketLog(sent_ms=sent, delivered_ms=delivered, acked_ms=acked, dropped=dropped == 1)

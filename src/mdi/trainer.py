@@ -227,41 +227,41 @@ def save_model(model: TransitionModel, sink: BinaryIO) -> None:
 
 def load_model(source: BinaryIO) -> TransitionModel:
     """Parse a serialized model, validating structure and count totals."""
-    text = source.read().decode("utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise ModelFormatError(f"bad magic line, expected {_MAGIC!r}")
+    # Only save_model's line ends and separators: "\n" and one space.
+    lines = source.read().decode("utf-8").removesuffix("\n").split("\n")
+    if lines[0] != _MAGIC:
+        raise ModelFormatError(f"line 1: bad magic line, expected {_MAGIC!r}")
     if len(lines) < 4:
         raise ModelFormatError("file truncated before edge lines")
 
-    header = lines[1].split()
+    header = lines[1].split(" ")
     if len(header) != 3:
-        raise ModelFormatError(f"header needs 'n_d n_w total', got {lines[1]!r}")
+        raise ModelFormatError(f"line 2: header needs 'n_d n_w total', got {lines[1]!r}")
     try:
         n_d, n_w, declared_total = values = [int(x) for x in header]
     except ValueError:
         values = []
     # Only the plain decimal form save_model writes: no '+', no '_'.
     if [str(x) for x in values] != header:
-        raise ModelFormatError(f"non-integer header field in {lines[1]!r}")
+        raise ModelFormatError(f"line 2: non-integer header field in {lines[1]!r}")
     if declared_total < 0:
-        raise ModelFormatError(f"negative transition total {declared_total}")
+        raise ModelFormatError(f"line 2: negative transition total {declared_total}")
 
-    def parse_edges(line: str, expect: int, name: str) -> tuple[float, ...]:
-        parts = line.split()
+    def parse_edges(lineno: int, expect: int, name: str) -> tuple[float, ...]:
+        parts = lines[lineno - 1].split(" ")
         if len(parts) != expect:
-            raise ModelFormatError(f"{name}: expected {expect} edges, got {len(parts)}")
+            raise ModelFormatError(f"line {lineno}: {name}: expected {expect} edges")
         try:
             edges = [float(p) for p in parts]
         except ValueError:
             edges = []
         # Only the repr save_model writes: no '_', no spelling repr differs from.
         if [repr(e) for e in edges] != parts:
-            raise ModelFormatError(f"{name}: non-numeric edge")
+            raise ModelFormatError(f"line {lineno}: {name}: non-numeric edge")
         return tuple(edges)
 
-    d_edges = parse_edges(lines[2], n_d + 1, "d_hat_edges")
-    w_edges = parse_edges(lines[3], n_w + 1, "w_hat_edges")
+    d_edges = parse_edges(3, n_d + 1, "d_hat_edges")
+    w_edges = parse_edges(4, n_w + 1, "w_hat_edges")
     try:
         cfg = QuantizerConfig(d_edges, w_edges)
     except ValueError as exc:

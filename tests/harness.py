@@ -168,7 +168,7 @@ def per_second_mbps(result: SimResult) -> np.ndarray:
 
 
 def packet_rtts(result: SimResult) -> np.ndarray:
-    return result.rtt_ms[result.rtt_ms >= 0].astype(np.float64)
+    return result.rtt_ms[result.acked_ms >= 0].astype(np.float64)
 
 
 def pooled_median_gap(bundle: Bundle) -> tuple[float, float]:

@@ -3,15 +3,19 @@ and its row-at-a-time epoch CSV reader, kept as reference oracles.
 
 The tick loop tracks a trace cursor, a dict of per-tick ACK lists and
 per-packet ACK and RTT columns; ``mdi.linksim.run_simulation`` derives
-all three. The codec and the epoch reader write and parse one row at a
-time through the csv module, with per-value ``int``/``float``;
+all three, and its RTT is ``PacketLog.rtt_ms``. The loop's own RTT
+column is returned beside its result, so the differential tests check
+that derivation too. The codec and the epoch reader write and parse one
+row at a time through the csv module, with per-value ``int``/``float``;
 ``mdi.linksim`` works on whole columns: the packet codec on the file's
 bytes, the epoch reader with one ``np.loadtxt``. The differential tests
 in ``test_linksim.py`` and ``test_properties.py`` require both to give
-identical results, so this code stays as it was written; the epoch
-reader only follows the epoch CSV to its one layout of four columns,
-and the packet reader rejects a value outside int64 or a zero-padded
-field with ValueError, as it does every other malformed field.
+identical results, so this code stays as it was written, except that
+the codec and the epoch reader follow each CSV to its one layout, which
+states each value once; the epoch reader rejects a ``t_ms`` that is
+negative or not above the row before; and the packet reader rejects a
+value outside int64 or a zero-padded field with ValueError, as it does
+every other malformed field.
 """
 
 from __future__ import annotations
@@ -36,8 +40,11 @@ from mdi.linksim import (
 from mdi.trainer import EpochLog
 
 
-def reference_run_simulation(params: LinkParams, controller: Controller) -> SimResult:
-    """Run one controller over one link configuration.
+def reference_run_simulation(
+    params: LinkParams, controller: Controller
+) -> tuple[SimResult, np.ndarray]:
+    """Run one controller over one link configuration; return the result
+    and each packet's RTT, -1 if never ACKed.
 
     Same params and controller state always produce the same result; the
     only randomness is the loss process, driven by params.seed.
@@ -160,18 +167,18 @@ def reference_run_simulation(params: LinkParams, controller: Controller) -> SimR
                     delivered[s] = t
                     ack_at.setdefault(t + ack_delay, []).append(s)
 
-    return SimResult(
+    result = SimResult(
         epochs=EpochLog(epoch_t, epoch_delay, epoch_window),
         sent_ms=np.array(sent, dtype=np.int64),
         delivered_ms=np.array(delivered, dtype=np.int64),
         acked_ms=np.array(acked, dtype=np.int64),
-        rtt_ms=np.array(rtts, dtype=np.int64),
         dropped=np.array(dropped, dtype=bool),
         queued_end_pkts=len(queue),
         clamp_warnings=clamps,
         duration_ms=params.duration_ms,
         mtu_bytes=params.trace.mtu_bytes,
     )
+    return result, np.array(rtts, dtype=np.int64)
 
 
 def reference_write_packet_csv(log: PacketLog, sink: TextIO) -> None:
@@ -184,11 +191,9 @@ def reference_write_packet_csv(log: PacketLog, sink: TextIO) -> None:
     writer.writerow(PACKET_CSV_HEADER)
     writer.writerows(
         zip(
-            range(log.sent_ms.size),
             memoryview(log.sent_ms),
             blank_missing(log.delivered_ms),
             blank_missing(log.acked_ms),
-            blank_missing(log.rtt_ms),
             memoryview(log.dropped.astype(np.uint8)),
         )
     )
@@ -212,23 +217,19 @@ def reference_read_packet_csv(source: TextIO) -> PacketLog:
             raise ValueError(f"packet CSV field {field!r} is out of int64 range")
         return value
 
-    cols = seq, sent, delivered, acked, rtt, dropped = [array("q") for _ in range(6)]
+    cols = sent, delivered, acked, dropped = [array("q") for _ in range(4)]
     for row in csv.reader(body.splitlines()):
         if len(row) != len(PACKET_CSV_HEADER):
             raise ValueError(f"packet CSV row has {len(row)} fields: {row!r}")
-        seq.append(int64(row[0]))
-        sent.append(int64(row[1]))
-        delivered.append(int64(row[2]) if row[2] else -1)
-        acked.append(int64(row[3]) if row[3] else -1)
-        rtt.append(int64(row[4]) if row[4] else -1)
-        dropped.append(int64(row[5]))
-    seq, sent, delivered, acked, rtt, dropped = (np.frombuffer(c, dtype=np.int64) for c in cols)
+        sent.append(int64(row[0]))
+        delivered.append(int64(row[1]) if row[1] else -1)
+        acked.append(int64(row[2]) if row[2] else -1)
+        dropped.append(int64(row[3]))
+    sent, delivered, acked, dropped = (np.frombuffer(c, dtype=np.int64) for c in cols)
     problems = {
-        "seq is not the row number": seq != np.arange(seq.size),
         "dropped is not 0 or 1": (dropped != 0) & (dropped != 1),
         "ACK without a delivery": (acked >= 0) & (delivered < 0),
         "packet both delivered and dropped": (delivered >= 0) & (dropped == 1),
-        "rtt_ms is not acked_ms - sent_ms": rtt != np.where(acked >= 0, acked - sent, -1),
         "delivered before it was sent": (delivered >= 0) & (delivered < sent),
     }
     for problem, bad in problems.items():
@@ -240,9 +241,7 @@ def reference_read_packet_csv(source: TextIO) -> PacketLog:
     if bad.any():
         row = int(np.flatnonzero(acked >= 0)[np.argmax(bad)])
         raise ValueError(f"packet CSV row {row}: ACK delay is not one constant >= 1 ms")
-    return PacketLog(
-        sent_ms=sent, delivered_ms=delivered, acked_ms=acked, rtt_ms=rtt, dropped=dropped == 1
-    )
+    return PacketLog(sent_ms=sent, delivered_ms=delivered, acked_ms=acked, dropped=dropped == 1)
 
 
 def reference_read_epoch_csv(source: TextIO) -> EpochLog:
@@ -256,9 +255,11 @@ def reference_read_epoch_csv(source: TextIO) -> EpochLog:
         if len(row) != len(EPOCH_CSV_HEADER):
             raise ValueError(f"epoch CSV row has {len(row)} fields: {row!r}")
     cols = list(zip(*rows)) or [()] * len(EPOCH_CSV_HEADER)
-    _, t_ms, delay_ms, window_pkts = cols
-    return EpochLog(
-        [int(x) for x in t_ms],
-        [float(x) for x in delay_ms],
-        [float(x) for x in window_pkts],
-    )
+    t_ms, delay_ms, window_pkts = cols
+    t_ms = [int(x) for x in t_ms]
+    prev = -1
+    for row, t in enumerate(t_ms):
+        if t <= prev:
+            raise ValueError(f"epoch CSV row {row}: t_ms is negative or not above the row before")
+        prev = t
+    return EpochLog(t_ms, [float(x) for x in delay_ms], [float(x) for x in window_pkts])

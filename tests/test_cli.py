@@ -9,6 +9,7 @@ import pytest
 from mdi import markov
 from mdi.cli import main
 from mdi.linksim import read_epoch_csv
+from mdi.pipeline import derive_run_seed
 from mdi.quantizer import QuantizerConfig
 from mdi.trainer import TransitionModel, load_model, save_model
 
@@ -78,7 +79,7 @@ def test_run_writes_epoch_and_packet_csvs(workspace):
     epochs = read_epoch_csv(io.StringIO((workspace / "native.csv").read_text()))
     assert len(epochs) > 100
     packets = (workspace / "native.packets.csv").read_text().splitlines()
-    assert packets[0] == "seq,sent_ms,delivered_ms,acked_ms,rtt_ms,dropped"
+    assert packets[0] == "sent_ms,delivered_ms,acked_ms,dropped"
     assert len(packets) > 500
 
 
@@ -87,7 +88,7 @@ def test_native_and_model_driven_runs_share_one_epoch_layout(workspace):
     # native run's is; its states are derived where they are used.
     for name in ("native.csv", "driven.csv"):
         text = (workspace / name).read_text()
-        assert text.partition("\n")[0] == "epoch_index,t_ms,delay_ms,window_pkts"
+        assert text.partition("\n")[0] == "t_ms,delay_ms,window_pkts"
         assert len(read_epoch_csv(io.StringIO(text))) > 100
 
 
@@ -317,6 +318,35 @@ def test_compare_throughput_matches_run_off_1500_byte_packets(tmp_path, capsys):
     rc = main(["compare", "--a", str(out), "--b", str(out), "--out", str(report)])
     assert rc == 0
     assert json.loads(report.read_text())["a"]["throughput_mbps"]["p50"] == 2.0
+
+
+def test_compare_reads_back_the_drops_and_delays_run_printed(workspace, tmp_path, capsys):
+    # Random loss and a 20-packet queue, which a 100-packet initial
+    # window overruns, drop packets both ways; compare derives each RTT
+    # from the packet CSV's send and ACK times.
+    trace = workspace / "traces" / "t0.trace"
+    out, report = tmp_path / "lossy.csv", tmp_path / "c.json"
+    run = [
+        "run", "--trace", str(trace), "--controller", "copa-like", "--w-init", "100",
+        "--duration", "8", "--loss", "0.05", "--queue", "20", "--seed", "1", "--out", str(out),
+    ]
+    assert main(run) == 0
+    printed = capsys.readouterr().out
+    assert main(["compare", "--a", str(out), "--b", str(out), "--out", str(report)]) == 0
+    a = json.loads(report.read_text())["a"]
+    d = a["delay_ms"]
+    assert f"dropped {a['dropped']}" in printed
+    assert f"delay ms median {d['p50']:.3f} (p25 {d['p25']:.3f}, p75 {d['p75']:.3f})" in printed
+    # A tail drop ends its tick's sends, so a drop with a later packet
+    # sent in the same tick is a random loss. Loss is drawn once per
+    # queued packet, so drops beyond the draws that struck among the
+    # first sent_pkts are tail drops.
+    packets = np.loadtxt(tmp_path / "lossy.packets.csv", delimiter=",", skiprows=1, dtype=str)
+    sent_ms, dropped = packets[:, 0].astype(np.int64), packets[:, 3] == "1"
+    same_tick_next = np.append(sent_ms[1:] == sent_ms[:-1], False)
+    assert np.count_nonzero(dropped & same_tick_next) > 0
+    draws = np.random.default_rng(derive_run_seed(1, trace.name, 0)).random(dropped.size)
+    assert a["dropped"] == np.count_nonzero(dropped) > np.count_nonzero(draws < 0.05)
 
 
 def test_fingerprint_writes_svg_with_csv_sibling(workspace, tmp_path):

@@ -24,17 +24,17 @@ from mdi.trainer import save_model
 GOLDEN = {
     "verus-like": {
         "model": "72e3e7f49d88a170246e382072d35aaee0b5b53bd2b9899597c7690332cd7ffc",
-        "native.epochs": "b0402ffe4fbff8f3a126ffc5af5b8a4d8194f98a32fd392b8b81a2040ab50648",
-        "native.packets": "5a23ad01b1e12706c18b8a22b084e3f00be386c95dd318112a9a3ed75c3535d1",
-        "mdi.epochs": "e686c9aa8ece2edfbb263dbf11b200262e33fda1df6cdb173d2657b71bd3c609",
-        "mdi.packets": "54b4b8319d494e71079ae65c742ae132bb1ed3fe03638e302a0263587c0b6617",
+        "native.epochs": "bfbd3780925922ff0f773e9ef328af6dde2f4940fd33c7146948f0f2d10f9307",
+        "native.packets": "7604cec79b4693f19b614599397298e3b802c993dad9b8218bff9da5eb3b23bd",
+        "mdi.epochs": "255c90cbdc3b7c3d960315bd7256398bd376a978b67c829693bacad4184a6f06",
+        "mdi.packets": "36e4c34f682916948f0cddfd55006f4d631edf1cd59d589fe255b4062a663859",
     },
     "copa-like": {
         "model": "8d90c73c496262da26a9f94af6a712b090ee9f0e260e26eb0c42becda765ec5e",
-        "native.epochs": "ffeea03a4d82a45ad892a14967053b1d8e67b0a81b107468596470aa5dbaa909",
-        "native.packets": "b30723b82c3907b13f1cad9a227c0fd440defd140ffdc80a6b8295b219063c9e",
-        "mdi.epochs": "8d0c8760a56ff953e53ac0a8492759351aa3dde04cb756419494a89a0853788d",
-        "mdi.packets": "b04304bbd912bc95f8324e8e68e2af203600db28652abcbbe9797e2ca5975d49",
+        "native.epochs": "21a025713bb27539b6da37b79cc0a7e06709aa5c8256f58f3f5c9741e6071327",
+        "native.packets": "8c66dd2876ba344d20a8d48801c71268ddf53c9ccff0a3e56edd284f13eb7073",
+        "mdi.epochs": "9d9f56176fc7573ff8ca65f9cbd5276d2c41f4d62c03e3a79face6488c2920ad",
+        "mdi.packets": "fbef55dad61403d8a8f68c2bf2d9d5c642b9b6a7e8ea1386339d375aba4f585f",
     },
 }
 
@@ -44,7 +44,7 @@ TRACE_T00 = "253674df13822b741df1f21cba4192d60c4a1171e8d8284ce375bb8521e49b48"
 
 # A copa-like sender on a 3-50 Mbps harness trace overruns a 60-packet
 # queue, and 1% random loss strikes the packets that get in.
-LOSSY_PACKETS = "6c85eac86d863030951da4dd9455373d7f75cc2e8a6265ecccf37606efaed881"
+LOSSY_PACKETS = "5108efcf8dd0433962e0a138c246589fc061baf7ad28208ae8c73e16e9b2d1c7"
 
 
 def _sha(write, obj, binary: bool = False) -> str:

@@ -22,6 +22,7 @@ from mdi.linksim import (
     PACKET_CSV_HEADER,
     LinkParams,
     PacketLog,
+    SimResult,
     SimulationError,
     read_epoch_csv,
     read_packet_csv,
@@ -138,7 +139,7 @@ def test_identical_runs_are_bit_identical():
     )
     a = run_simulation(params, Pinned(window_pkts=30.0, epoch_ms=20))
     b = run_simulation(params, Pinned(window_pkts=30.0, epoch_ms=20))
-    for field in ("sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped"):
+    for field in PACKET_FIELDS:
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
     other = LinkParams(
@@ -239,9 +240,9 @@ def test_epoch_csv_round_trip():
     buf = io.StringIO()
     write_epoch_csv(log, buf)
     assert buf.getvalue().splitlines() == [
-        "epoch_index,t_ms,delay_ms,window_pkts",
-        "0,40,12.5,8.0",
-        "1,60,13.25,9.5",
+        "t_ms,delay_ms,window_pkts",
+        "40,12.5,8.0",
+        "60,13.25,9.5",
     ]
     buf.seek(0)
     assert list(read_epoch_csv(buf)) == list(log)
@@ -258,20 +259,26 @@ def test_epoch_csv_rejects_foreign_header():
     )
     with pytest.raises(ValueError, match="^unexpected epoch CSV header: "):
         read_epoch_csv(io.StringIO(old))
-    header = "epoch_index,t_ms,delay_ms,window_pkts\n"
+    # The layout with an epoch_index column before the log's own fails
+    # at the header too.
+    with pytest.raises(ValueError, match="^unexpected epoch CSV header: "):
+        read_epoch_csv(io.StringIO("epoch_index,t_ms,delay_ms,window_pkts\n0,40,12.5,8.0\n"))
+    header = "t_ms,delay_ms,window_pkts\n"
     bad_bodies = [
-        "0,40,0.0,8.0\n",  # zero delay
-        "0,40,12.5,0.5\n",  # window below one packet
-        "0,40,nan,8.0\n",  # non-finite delay
-        "0,40,12.5\n",  # short row
-        "7,40,12.5,8.0\n",  # epoch_index is not the row number
-        '"0",40,12.5,8.0\n',  # quoted field
-        "0,40,12.5,8.0\r\n",  # carriage return
-        "0, 40,12.5 ,8.0\n",  # padded fields
-        "0,4_0,12.5,8.0\n",  # digit separator
-        "0,40,12.5,8.0\n\n1,60,13.25,9.5\n",  # empty row
-        "0,40,12.5,8.0,\n",  # 5 fields
-        "0,40,12.5,8.0,,,,\n",  # the old layout's blank state fields
+        "40,0.0,8.0\n",  # zero delay
+        "40,12.5,0.5\n",  # window below one packet
+        "40,nan,8.0\n",  # non-finite delay
+        "40,12.5\n",  # short row
+        '"40",12.5,8.0\n',  # quoted field
+        "40,12.5,8.0\r\n",  # carriage return
+        " 40,12.5 ,8.0\n",  # padded fields
+        "4_0,12.5,8.0\n",  # digit separator
+        "40,12.5,8.0\n\n60,13.25,9.5\n",  # empty row
+        "40,12.5,8.0,\n",  # 4 fields
+        "40,12.5,8.0,,,,\n",  # blank state fields
+        "-5,12.5,8.0\n",  # negative t_ms
+        "40,12.5,8.0\n20,13.25,9.5\n",  # t_ms going back
+        "40,12.5,8.0\n40,13.25,9.5\n",  # t_ms repeated
     ]
     for body in bad_bodies:
         with pytest.raises(ValueError):
@@ -288,13 +295,16 @@ def test_readme_states_the_csv_headers_the_code_writes():
 
 
 def test_epoch_csv_errors_name_the_body_row():
-    header = "epoch_index,t_ms,delay_ms,window_pkts\n"
-    first = "0,40,12.5,8.0\n"
-    for row in ("1,60,13.25\n", "1,60,13..25,9.5\n"):  # field count, conversion
+    header = "t_ms,delay_ms,window_pkts\n"
+    first = "40,12.5,8.0\n"
+    for row in ("60,13.25\n", "60,13..25,9.5\n"):  # field count, conversion
         with pytest.raises(ValueError, match="^epoch CSV row 1: "):
             read_epoch_csv(io.StringIO(header + first + row))
-    with pytest.raises(ValueError, match="^epoch CSV row 1: "):  # index out of order
-        read_epoch_csv(io.StringIO(header + first + "2,60,13.25,9.5\n"))
+    for row in ("20,13.25,9.5\n", "40,13.25,9.5\n", "-5,13.25,9.5\n"):  # t_ms order
+        with pytest.raises(ValueError, match="^epoch CSV row 1: t_ms is negative or not above"):
+            read_epoch_csv(io.StringIO(header + first + row))
+    with pytest.raises(ValueError, match="^epoch CSV row 0: t_ms is negative"):
+        read_epoch_csv(io.StringIO(header + "-5,12.5,8.0\n"))
 
 
 def test_packet_csv_round_trip():
@@ -318,40 +328,41 @@ def test_packet_csv_round_trip():
 
 
 def test_packet_csv_rejects_rows_no_run_could_write():
-    header = "seq,sent_ms,delivered_ms,acked_ms,rtt_ms,dropped\n"
-    good = "0,0,5,25,25,0\n1,0,,,,1\n"
-    assert read_packet_csv(io.StringIO(header + good)).dropped_pkts == 1
+    header = "sent_ms,delivered_ms,acked_ms,dropped\n"
+    good = "0,5,25,0\n0,,,1\n"
+    log = read_packet_csv(io.StringIO(header + good))
+    assert log.dropped_pkts == 1
+    assert log.rtt_ms.tolist() == [25, -1]
     for empty in (header, header.rstrip("\n")):
         assert read_packet_csv(io.StringIO(empty)).sent_pkts == 0
+    # The layout with seq and rtt_ms columns fails at the header.
+    old = "seq,sent_ms,delivered_ms,acked_ms,rtt_ms,dropped\n0,0,5,25,25,0\n"
+    with pytest.raises(ValueError, match="^unexpected packet CSV header: "):
+        read_packet_csv(io.StringIO(old))
     bad_bodies = [
-        "0,0,5,25,25,0\n99,0,,,,1\n",  # seq is not the row number
-        "0,0,5,25,25,7\n",  # dropped is not 0 or 1
-        "0,-3,5,25,28,0\n",  # negative send time
-        "0,0,-1,,,1\n",  # explicit negative instead of a blank
-        "0,0,,25,25,0\n",  # ACK without a delivery
-        "0,0,5,,,1\n",  # delivered and dropped
-        "0,0,5,25,24,0\n",  # rtt is not acked - sent
-        "0,0,5,25,,0\n",  # ACK without an RTT
-        "0,0,5,,25,0\n",  # RTT without an ACK
-        "0,,5,25,25,0\n",  # blank send time
-        "0,0,5,25,25\n",  # short row
-        "0,10,5,25,15,0\n",  # delivered before it was sent
-        "0,0,1,3,3,0\n1,0,2,9,9,0\n",  # ACK delay not one constant
-        "0,0,5,5,5,0\n",  # ACK delay of 0 ms
-        "0,0,5,25,25,0\n\n1,0,,,,1\n",  # empty row
-        "\n0,0,5,25,25,0\n",  # leading empty row
-        "0,0,5,25,25,0\n\n",  # trailing empty row
-        "0,0,5,25,25,0,0\n",  # 7 fields
-        "0,0,5.0,25,25,0\n",  # not an integer
-        "0,0,5,25,25,\n",  # blank drop flag
-        ",0,5,25,25,0\n",  # blank seq
-        "0,,,,,1\n",  # blank send time, every other field consistent
-        '"0",0,5,25,25,0\n',  # quoted field
-        "0,0,5,25,25,0 \n",  # padded field
-        "0,0,05,25,25,0\n",  # zero-padded field
-        "00,0,5,25,25,0\n",  # zero-padded seq
-        "0,0,5,25,25,0\r\n",  # carriage return
-        "0,0,5,25,25,0\x0c\n",  # form feed, a line break to str.splitlines
+        "0,5,25,7\n",  # dropped is not 0 or 1
+        "-3,5,25,0\n",  # negative send time
+        "0,-1,,1\n",  # explicit negative instead of a blank
+        "0,,25,0\n",  # ACK without a delivery
+        "0,5,,1\n",  # delivered and dropped
+        ",5,25,0\n",  # blank send time
+        "0,5,25\n",  # short row
+        "10,5,25,0\n",  # delivered before it was sent
+        "0,1,3,0\n0,2,9,0\n",  # ACK delay not one constant
+        "0,5,5,0\n",  # ACK delay of 0 ms
+        "0,5,25,0\n\n0,,,1\n",  # empty row
+        "\n0,5,25,0\n",  # leading empty row
+        "0,5,25,0\n\n",  # trailing empty row
+        "0,5,25,0,0\n",  # 5 fields
+        "0,5.0,25,0\n",  # not an integer
+        "0,5,25,\n",  # blank drop flag
+        ",,,1\n",  # blank send time, every other field consistent
+        '"0",5,25,0\n',  # quoted field
+        "0,5,25,0 \n",  # padded field
+        "0,05,25,0\n",  # zero-padded field
+        "00,5,25,0\n",  # zero-padded send time
+        "0,5,25,0\r\n",  # carriage return
+        "0,5,25,0\x0c\n",  # form feed, a line break to str.splitlines
     ]
     for body in bad_bodies:
         with pytest.raises(ValueError):
@@ -359,19 +370,19 @@ def test_packet_csv_rejects_rows_no_run_could_write():
 
 
 def test_packet_csv_errors_name_the_body_row():
-    header = "seq,sent_ms,delivered_ms,acked_ms,rtt_ms,dropped\n"
-    first = "0,0,5,25,25,0\n"
+    header = "sent_ms,delivered_ms,acked_ms,dropped\n"
+    first = "0,5,25,0\n"
     # Field count, conversion, padding.
-    for row in ("1,0\n", "1,0,5,25,25,\n", "1,0,05,25,25,0\n"):
+    for row in ("0,5\n", "0,5,25,\n", "0,05,25,0\n"):
         with pytest.raises(ValueError, match="^packet CSV row 1: "):
             read_packet_csv(io.StringIO(header + first + row))
 
 
 def test_packet_csv_reads_every_int64_and_rejects_wider_values():
-    header = "seq,sent_ms,delivered_ms,acked_ms,rtt_ms,dropped\n"
-    first = "0,0,,,,1\n"
+    header = "sent_ms,delivered_ms,acked_ms,dropped\n"
+    first = "0,,,1\n"
     top = str(2**63 - 1)
-    text = header + first + f"1,{top},{top},,,0\n"
+    text = header + first + f"{top},{top},,0\n"
     log = read_packet_csv(io.StringIO(text))
     assert log.sent_ms[1] == log.delivered_ms[1] == 2**63 - 1
     assert_same_packets(log, reference_read_packet_csv(io.StringIO(text)))
@@ -379,7 +390,7 @@ def test_packet_csv_reads_every_int64_and_rejects_wider_values():
     # No field is zero-padded, not even past the 19th digit.
     padded = ("5".rjust(22, "0"), "0" * 22, "00", "05", "0" + top)
     for wide in (str(2**63), "9" * 20, "0" + str(2**63), str(10**19), *padded):
-        for row in (f"1,{wide},,,,1\n", f"1,0,{wide},,,0\n"):
+        for row in (f"{wide},,,1\n", f"0,{wide},,0\n"):
             text = header + first + row
             with pytest.raises(ValueError, match="^packet CSV row 1: "):
                 read_packet_csv(io.StringIO(text))
@@ -387,7 +398,7 @@ def test_packet_csv_reads_every_int64_and_rejects_wider_values():
                 reference_read_packet_csv(io.StringIO(text))
 
 
-PACKET_FIELDS = ("sent_ms", "delivered_ms", "acked_ms", "rtt_ms", "dropped")
+PACKET_FIELDS = ("sent_ms", "delivered_ms", "acked_ms", "dropped")
 
 
 @st.composite
@@ -411,7 +422,6 @@ def packet_logs(draw):
         sent_ms=sent,
         delivered_ms=delivered,
         acked_ms=acked,
-        rtt_ms=np.where(acked >= 0, acked - sent, -1),
         dropped=fates == 3,
     )
 
@@ -479,6 +489,15 @@ def link_cases(draw):
     return params, draw(st.sampled_from(sorted(BASELINES)))
 
 
+def assert_same_run(got: SimResult, want: SimResult, want_rtt: np.ndarray) -> None:
+    """A run equals the reference loop's, whose RTT column is its own."""
+    assert_same_packets(got, want)
+    assert np.array_equal(got.rtt_ms, want_rtt)
+    assert list(got.epochs) == list(want.epochs)
+    assert got.queued_end_pkts == want.queued_end_pkts
+    assert got.clamp_warnings == want.clamp_warnings
+
+
 def _run_or_error(run, params, name):
     try:
         return run(params, make_controller(name))
@@ -496,13 +515,8 @@ def test_emulator_matches_the_reference_tick_loop(case):
     got = _run_or_error(run_simulation, params, name)
     want = _run_or_error(reference_run_simulation, params, name)
     assert isinstance(got, str) == isinstance(want, str)
-    if isinstance(want, str):
-        return
-    for field in PACKET_FIELDS:
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
-    assert list(got.epochs) == list(want.epochs)
-    assert got.queued_end_pkts == want.queued_end_pkts
-    assert got.clamp_warnings == want.clamp_warnings
+    if not isinstance(want, str):
+        assert_same_run(got, *want)
 
 
 class _Recorder(Controller):
@@ -561,10 +575,5 @@ def test_lossy_minute_matches_the_reference_tick_loop(make, queue_pkts, loss_rat
     link = {**harness.LINK, "queue_capacity_pkts": queue_pkts}
     params = LinkParams(trace=trace, loss_rate=loss_rate, seed=harness.MASTER_SEED, **link)
     got = run_simulation(params, make())
-    want = reference_run_simulation(params, make())
     assert got.delivered_pkts > 100_000
-    for field in PACKET_FIELDS:
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
-    assert list(got.epochs) == list(want.epochs)
-    assert got.queued_end_pkts == want.queued_end_pkts
-    assert got.clamp_warnings == want.clamp_warnings
+    assert_same_run(got, *reference_run_simulation(params, make()))

@@ -370,6 +370,23 @@ def test_load_rejects_an_edge_save_never_writes():
         load_lines([magic, header, "-1.0 0.0 1_0.5", w_edges])
 
 
+def test_load_accepts_only_the_line_ends_and_spaces_save_writes():
+    good = io.BytesIO()
+    save_model(hand_model(), good)
+    text = good.getvalue().decode("utf-8")
+    lines = text.splitlines()
+    assert load_model(io.BytesIO(text.rstrip("\n").encode("utf-8"))).total_transitions == 4
+    # str.splitlines breaks lines at each of these; save_model writes "\n".
+    endings = ("\r\n", "\x0c", "\x1c", "\u2028")
+    files = {ending: (text.replace("\n", ending), 1) for ending in endings}
+    files["tabs"] = ("\n".join([lines[0], lines[1].replace(" ", "\t"), *lines[2:]]) + "\n", 2)
+    doubled = lines[3].replace(" ", "  ")
+    files["doubled spaces"] = ("\n".join([*lines[:3], doubled, *lines[4:]]) + "\n", 4)
+    for name, (bad, line) in files.items():
+        with pytest.raises(ModelFormatError, match=f"^line {line}: "):
+            load_model(io.BytesIO(bad.encode("utf-8")))
+
+
 def test_recovers_known_chain_rows_from_samples():
     # Sample a hand-specified chain and check the learned rows approach
     # the truth in total variation.
