@@ -12,13 +12,14 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import markov
-from .controllers import BASELINES, make_controller
+from .controllers import BASELINES
 from .heatmap import heatmap_export
 from .linksim import (
     LinkParams,
@@ -52,6 +53,13 @@ def _load_trace_path(path: Path, mtu: int) -> LinkTrace:
 
 def _queue_arg(value: int) -> int | None:
     return None if value == 0 else value
+
+
+def _duration_ms(seconds: float) -> int:
+    """--duration in whole milliseconds; the link checks that it is >= 1."""
+    if not math.isfinite(seconds):
+        raise CliError(f"--duration must be finite, got {seconds!r}")
+    return int(round(seconds * 1000))
 
 
 def _run_siblings(out: Path) -> tuple[Path, Path]:
@@ -99,10 +107,10 @@ def cmd_train(args) -> int:
 
     model, trained_from = train_on_traces(
         traces,
-        lambda: make_controller(args.controller, **ctrl_kwargs),
+        lambda: BASELINES[args.controller](**ctrl_kwargs),
         n_d=args.n_d,
         n_w=args.n_w,
-        duration_ms=int(round(args.duration * 1000)),
+        duration_ms=_duration_ms(args.duration),
         one_way_prop_ms=args.prop_ms,
         queue_capacity_pkts=_queue_arg(args.queue),
         loss_rate=args.loss,
@@ -153,7 +161,7 @@ def cmd_run(args) -> int:
         queue_capacity_pkts=_queue_arg(args.queue),
         loss_rate=args.loss,
         seed=derive_run_seed(args.seed, trace_path.name, 0),
-        duration_ms=int(round(args.duration * 1000)),
+        duration_ms=_duration_ms(args.duration),
     )
     result = run_simulation(params, controller)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # The verus-like additive step (packets), the factor by which an epoch's
 # mean delay must exceed its EWMA to count as rising, and the EWMA's
@@ -29,43 +29,38 @@ VERUS_EWMA_ALPHA = 0.25
 COPA_DELTA = 0.5
 
 
-@dataclass(frozen=True)
-class EpochFeedback:
-    """Aggregate link feedback for one elapsed epoch."""
+class EpochFeedback(NamedTuple):
+    """Aggregate link feedback for one elapsed epoch; only the emulator builds it."""
 
     mean_delay_ms: float
     min_delay_ms: float
     acked_pkts: int
 
-    def __post_init__(self) -> None:
-        if self.acked_pkts < 0:
-            raise ValueError(f"acked_pkts must be >= 0, got {self.acked_pkts}")
-        if not math.isfinite(self.mean_delay_ms) or self.mean_delay_ms < 0:
-            raise ValueError(f"mean_delay_ms out of range: {self.mean_delay_ms!r}")
-        if not math.isfinite(self.min_delay_ms) or self.min_delay_ms < 0:
-            raise ValueError(f"min_delay_ms out of range: {self.min_delay_ms!r}")
-        if self.acked_pkts > 0 and self.mean_delay_ms < self.min_delay_ms:
-            raise ValueError("mean_delay_ms cannot undercut min_delay_ms")
 
+class ControllerDecision(NamedTuple):
+    """Window for the next epoch and how long that epoch lasts.
 
-@dataclass(frozen=True)
-class ControllerDecision:
-    """Window for the next epoch and how long that epoch lasts."""
+    The emulator clamps a window that is not finite or below 1 and an
+    epoch below 1 ms, and counts each clamp in its clamp_warnings.
+    """
 
     window_pkts: float
     epoch_len_ms: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.window_pkts) or self.window_pkts < 1.0:
-            raise ValueError(f"window_pkts must be >= 1, got {self.window_pkts!r}")
-        if self.epoch_len_ms < 1:
-            raise ValueError(f"epoch_len_ms must be >= 1, got {self.epoch_len_ms}")
 
 
 class Controller(abc.ABC):
     """Decides the congestion window once per epoch."""
 
     name: str = "controller"
+
+    def __init__(self, window: float, epoch_ms: int) -> None:
+        """Check and keep the starting window and the epoch length."""
+        if not math.isfinite(window) or window < 1.0:
+            raise ValueError(f"initial window must be finite and >= 1, got {window!r}")
+        if epoch_ms < 1:
+            raise ValueError(f"epoch_ms must be >= 1, got {epoch_ms!r}")
+        self.window = float(window)
+        self.epoch_ms = int(epoch_ms)
 
     @abc.abstractmethod
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
@@ -78,7 +73,8 @@ class Pinned(Controller):
     name = "pinned"
 
     def __init__(self, window_pkts: float = 10.0, epoch_ms: int = 20) -> None:
-        self.decision = ControllerDecision(float(window_pkts), int(epoch_ms))
+        super().__init__(window_pkts, epoch_ms)
+        self.decision = ControllerDecision(self.window, self.epoch_ms)
 
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
         return self.decision
@@ -113,22 +109,19 @@ class VerusLike(Controller):
         epoch_ms: int = 20,
         w_init: float = 2.0,
     ) -> None:
-        if lam < 1.0:
+        if not lam >= 1.0:
             raise ValueError(f"lam must be >= 1, got {lam}")
         if not 0.0 < dec_mult < 1.0:
             raise ValueError(f"dec_mult must be in (0, 1), got {dec_mult}")
-        if rise_floor_ms < 0.0:
+        if not rise_floor_ms >= 0.0:
             raise ValueError(f"rise_floor_ms must be >= 0, got {rise_floor_ms}")
-        if inc_frac < 0.0:
+        if not inc_frac >= 0.0:
             raise ValueError(f"inc_frac must be >= 0, got {inc_frac}")
-        if w_init < 1.0:
-            raise ValueError(f"w_init must be >= 1, got {w_init}")
+        super().__init__(w_init, epoch_ms)
         self.lam = float(lam)
         self.dec_mult = float(dec_mult)
         self.rise_floor_ms = float(rise_floor_ms)
         self.inc_frac = float(inc_frac)
-        self.epoch_ms = int(epoch_ms)
-        self.window = float(w_init)
         self._ewma_ms: float | None = None
 
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
@@ -169,13 +162,10 @@ class CopaLike(Controller):
         epoch_ms: int = 10,
         w_init: float = 2.0,
     ) -> None:
-        if velocity <= 0.0:
+        if not velocity > 0.0:
             raise ValueError(f"velocity must be > 0, got {velocity}")
-        if w_init < 1.0:
-            raise ValueError(f"w_init must be >= 1, got {w_init}")
+        super().__init__(w_init, epoch_ms)
         self.velocity = float(velocity)
-        self.epoch_ms = int(epoch_ms)
-        self.window = float(w_init)
 
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
         if feedback.acked_pkts > 0:
@@ -195,13 +185,3 @@ BASELINES = {
     VerusLike.name: VerusLike,
     CopaLike.name: CopaLike,
 }
-
-
-def make_controller(name: str, **params) -> Controller:
-    """Instantiate a baseline controller by its registry name."""
-    try:
-        cls = BASELINES[name]
-    except KeyError:
-        known = ", ".join(sorted(BASELINES))
-        raise ValueError(f"unknown controller {name!r} (known: {known})") from None
-    return cls(**params)

@@ -441,7 +441,10 @@ def read_epoch_csv(source: TextIO) -> EpochLog:
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(f"epoch CSV row {row}: t_ms is negative or not above the row before")
-    return EpochLog(t_ms, delay_ms, window_pkts)
+    try:
+        return EpochLog(t_ms, delay_ms, window_pkts)
+    except ValueError as exc:  # the log's own value rules, which name the row
+        raise ValueError(f"epoch CSV {exc}") from None
 
 
 def write_packet_csv(log: PacketLog, sink: TextIO) -> None:

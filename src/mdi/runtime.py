@@ -119,20 +119,15 @@ class MdiController(Controller):
         seed: int = 0,
         w_init: float = 2.0,
     ) -> None:
-        if c1 <= 1.0:
+        if not c1 > 1.0:
             raise ValueError(f"c1 must be > 1, got {c1}")
         if not 0.0 < c2 < 1.0:
             raise ValueError(f"c2 must be in (0, 1), got {c2}")
-        if epoch_ms < 1:
-            raise ValueError(f"epoch_ms must be >= 1, got {epoch_ms}")
-        if w_init < 1.0:
-            raise ValueError(f"w_init must be >= 1, got {w_init}")
+        super().__init__(w_init, epoch_ms)
         self.model = model
         self.c1 = float(c1)
         self.c2 = float(c2)
-        self.epoch_ms = int(epoch_ms)
         self.rng = np.random.default_rng(seed)
-        self.window = float(w_init)
         self.d_prev_ms: float | None = None
         self.d_idx_prev: int | None = None
         self.w_idx_prev = model.cfg.w_bucket(0.0)

@@ -85,10 +85,13 @@ class EpochLog:
         n = self.t_ms.size
         if self.delay_ms.size != n or self.window_pkts.size != n:
             raise ValueError("t_ms, delay_ms and window_pkts must have equal lengths")
-        if not (np.isfinite(self.delay_ms) & (self.delay_ms > 0.0)).all():
-            raise ValueError("delay_ms must be finite and > 0")
-        if not (np.isfinite(self.window_pkts) & (self.window_pkts >= 1.0)).all():
-            raise ValueError("window_pkts must be finite and >= 1")
+        delay, window = self.delay_ms, self.window_pkts
+        for rule, ok in (
+            ("delay_ms must be finite and > 0", np.isfinite(delay) & (delay > 0.0)),
+            ("window_pkts must be finite and >= 1", np.isfinite(window) & (window >= 1.0)),
+        ):
+            if not ok.all():
+                raise ValueError(f"row {int(np.argmin(ok))}: {rule}")
 
     def __len__(self) -> int:
         return self.t_ms.size

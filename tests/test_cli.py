@@ -147,6 +147,34 @@ def test_run_passes_a_flag_only_to_a_controller_that_takes_it(
         assert set(np.diff(epochs.t_ms).tolist()) == {30}
 
 
+@pytest.mark.parametrize("controller", ["pinned", "verus-like", "copa-like", "mdi"])
+def test_run_rejects_a_zero_ms_epoch(workspace, tmp_path, capsys, controller):
+    # The controller's constructor rejects it before the run starts.
+    argv = [
+        "run", "--trace", str(workspace / "traces" / "t0.trace"), "--duration", "1",
+        "--controller", controller, "--epoch-ms", "0", "--out", str(tmp_path / "e.csv"),
+    ]
+    if controller == "mdi":
+        argv += ["--model", str(workspace / "verus.model")]
+    assert main(argv) == 1
+    assert "error: epoch_ms must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+@pytest.mark.parametrize("duration", ["inf", "nan"])
+def test_a_non_finite_duration_fails_cleanly(workspace, tmp_path, capsys, command, duration):
+    out = tmp_path / "x.csv"
+    if command == "run":
+        argv = ["run", "--trace", str(workspace / "traces" / "t0.trace"), "--controller", "pinned"]
+    else:
+        argv = ["train", "--traces", str(workspace / "traces")]
+    assert main([*argv, "--duration", duration, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--duration" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_mdi_gains_default_to_the_controller_own(workspace, tmp_path):
     run = [
         "run", "--trace", str(workspace / "traces" / "t0.trace"), "--duration", "2",

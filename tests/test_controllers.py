@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from mdi.controllers import (
+    BASELINES,
     ControllerDecision,
     CopaLike,
     EpochFeedback,
     Pinned,
     VerusLike,
-    make_controller,
 )
 from mdi.linksim import LinkParams, run_simulation
 from mdi.trace import SyntheticTraceSpec, gen_rapidly_changing
@@ -27,21 +27,20 @@ def constant_trace(mbps: float, duration_s: float):
     return gen_rapidly_changing(spec)
 
 
-def test_decision_contract():
-    ControllerDecision(1.0, 1)
-    with pytest.raises(ValueError):
-        ControllerDecision(0.99, 20)
-    with pytest.raises(ValueError):
-        ControllerDecision(float("nan"), 20)
-    with pytest.raises(ValueError):
-        ControllerDecision(5.0, 0)
-
-
 def test_pinned_never_moves():
     ctrl = Pinned(window_pkts=4.0, epoch_ms=20)
     for i in range(5):
         d = ctrl.on_epoch(fb(10.0 * (i + 1), 5.0, acked=i))
         assert d == ControllerDecision(4.0, 20)
+
+
+def test_pinned_parameter_validation():
+    for kwargs in (
+        dict(window_pkts=0.5), dict(window_pkts=float("nan")),
+        dict(window_pkts=float("inf")), dict(epoch_ms=0),
+    ):
+        with pytest.raises(ValueError):
+            Pinned(**kwargs)
 
 
 def test_verus_flat_delay_inspires_additive_increase():
@@ -95,6 +94,8 @@ def test_verus_parameter_validation():
     for kwargs in (
         dict(lam=0.9), dict(dec_mult=1.0), dict(dec_mult=0.0),
         dict(rise_floor_ms=-0.1), dict(inc_frac=-0.01), dict(w_init=0.5),
+        dict(w_init=float("nan")), dict(epoch_ms=0), dict(lam=float("nan")),
+        dict(rise_floor_ms=float("nan")), dict(inc_frac=float("nan")),
     ):
         with pytest.raises(ValueError):
             VerusLike(**kwargs)
@@ -158,7 +159,9 @@ def test_copa_dq_floor_prevents_divide_by_zero():
 
 
 def test_copa_parameter_validation():
-    for kwargs in (dict(velocity=0.0), dict(w_init=0.9)):
+    for kwargs in (
+        dict(velocity=0.0), dict(velocity=float("nan")), dict(w_init=0.9), dict(epoch_ms=0),
+    ):
         with pytest.raises(ValueError):
             CopaLike(**kwargs)
 
@@ -193,9 +196,7 @@ def test_controllers_are_deterministic():
 
 
 def test_registry_instantiates_by_name():
-    ctrl = make_controller("pinned", window_pkts=7.0)
-    assert isinstance(ctrl, Pinned)
-    assert make_controller("verus-like").name == "verus-like"
-    assert make_controller("copa-like", velocity=2.0).velocity == 2.0
-    with pytest.raises(ValueError, match="unknown controller"):
-        make_controller("reno")
+    for name, cls in BASELINES.items():
+        assert cls.name == name
+    assert BASELINES["pinned"](window_pkts=7.0).decision == ControllerDecision(7.0, 20)
+    assert BASELINES["copa-like"](velocity=2.0).velocity == 2.0

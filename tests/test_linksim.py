@@ -1,9 +1,9 @@
 """Bottleneck link emulator: oracles, conservation, serialization."""
 
 import io
+import math
 import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from reference_linksim import (
 )
 
 import harness
-from mdi.controllers import BASELINES, Controller, Pinned, make_controller
+from mdi.controllers import BASELINES, Controller, ControllerDecision, Pinned
 from mdi.linksim import (
     EPOCH_CSV_HEADER,
     PACKET_CSV_HEADER,
@@ -164,20 +164,31 @@ def test_random_loss_drops_at_service_time():
 
 
 class _Rogue(Controller):
-    """Returns an out-of-contract decision to exercise the safety clamp."""
+    """Returns one out-of-contract decision every epoch and counts the calls."""
 
     name = "rogue"
 
+    def __init__(self, window_pkts: float, epoch_len_ms: int) -> None:
+        self.decision = ControllerDecision(window_pkts, epoch_len_ms)
+        self.calls = 0
+
     def on_epoch(self, feedback):
-        return SimpleNamespace(window_pkts=0.0, epoch_len_ms=0)
+        self.calls += 1
+        return self.decision
 
 
 def test_out_of_contract_decisions_are_clamped_and_counted():
     params = LinkParams(trace=constant_trace(12.0, 4.0), duration_ms=500)
-    res = run_simulation(params, _Rogue())
-    assert res.clamp_warnings > 0
-    # The clamp floors the window at one packet, so traffic still flows.
-    assert res.delivered_pkts > 0
+    for window_pkts, epoch_len_ms in ((0.99, 20), (float("nan"), 20), (5.0, 0)):
+        rogue = _Rogue(window_pkts, epoch_len_ms)
+        res = run_simulation(params, rogue)
+        # Each decision breaks one bound, and each is clamped and counted.
+        assert rogue.calls > 1
+        assert res.clamp_warnings == rogue.calls
+        # The clamp floors the window at one packet and the epoch at
+        # 1 ms, so traffic still flows.
+        assert res.delivered_pkts > 0
+    assert rogue.calls == params.duration_ms  # a 1 ms epoch, every tick
 
 
 def test_zero_delivery_run_is_flagged():
@@ -305,6 +316,15 @@ def test_epoch_csv_errors_name_the_body_row():
             read_epoch_csv(io.StringIO(header + first + row))
     with pytest.raises(ValueError, match="^epoch CSV row 0: t_ms is negative"):
         read_epoch_csv(io.StringIO(header + "-5,12.5,8.0\n"))
+    # Values no run could log: an infinite or non-positive delay, an
+    # infinite window or one below a packet.
+    for row, column in (
+        ("60,1e999,9.5\n", "delay_ms"), ("60,0.0,9.5\n", "delay_ms"),
+        ("60,13.25,1e999\n", "window_pkts"), ("60,13.25,-1\n", "window_pkts"),
+        ("60,13.25,0.5\n", "window_pkts"),
+    ):
+        with pytest.raises(ValueError, match=f"^epoch CSV row 1: {column} must be finite"):
+            read_epoch_csv(io.StringIO(header + first + row))
 
 
 def test_packet_csv_round_trip():
@@ -500,7 +520,7 @@ def assert_same_run(got: SimResult, want: SimResult, want_rtt: np.ndarray) -> No
 
 def _run_or_error(run, params, name):
     try:
-        return run(params, make_controller(name))
+        return run(params, BASELINES[name]())
     except SimulationError as exc:
         return str(exc)
 
@@ -533,7 +553,7 @@ class _Recorder(Controller):
 
 def _feedback(run, params, name):
     """The feedback a run hands its controller, or None if the run fails."""
-    recorder = _Recorder(make_controller(name))
+    recorder = _Recorder(BASELINES[name]())
     try:
         run(params, recorder)
     except SimulationError:
@@ -550,6 +570,13 @@ def test_emulator_hands_the_controller_the_reference_feedback(case):
     got = _feedback(run_simulation, params, name)
     want = _feedback(reference_run_simulation, params, name)
     assert got == want
+    # The emulator is the only builder of feedback; these are its bounds.
+    for mean, least, acked in got or ():
+        assert acked >= 0
+        assert math.isfinite(mean) and mean >= 0.0
+        assert math.isfinite(least) and least >= 0.0
+        if acked > 0:
+            assert mean >= least
 
 
 @pytest.mark.parametrize(

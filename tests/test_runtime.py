@@ -79,8 +79,8 @@ def test_invert_validates_inputs():
 def test_controller_parameter_validation():
     model = model_with({})
     for kwargs in (
-        dict(c1=1.0), dict(c2=0.0), dict(c2=1.0),
-        dict(epoch_ms=0), dict(w_init=0.5),
+        dict(c1=1.0), dict(c1=float("nan")), dict(c2=0.0), dict(c2=1.0),
+        dict(epoch_ms=0), dict(w_init=0.5), dict(w_init=float("nan")),
     ):
         with pytest.raises(ValueError):
             MdiController(model, **kwargs)
