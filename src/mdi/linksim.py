@@ -31,6 +31,9 @@ retransmissions; lost packets simply leave the in-flight budget).
 A packet log is four columns (send, delivery and ACK times, -1 for a
 stage never reached, and a drop flag); PacketLog.rtt_ms derives RTTs
 and summarize() is the one definition of a run's throughput and delay.
+The time columns are int32 when every time fits, and int64 otherwise
+(time_dtype, the one rule the emulator and the packet reader share), so
+a packet of an int32 log takes 13 bytes: three 4-byte times and the flag.
 Packet and epoch logs both have a CSV form here, written a column at a
 time, stating each value once. Both readers first check the file's
 shape on its bytes, and every error names the body row. The packet CSV
@@ -131,9 +134,19 @@ def per_second_mbps(
     return counts.astype(np.float64) * pkt_mbits
 
 
+def time_dtype(largest: int) -> np.dtype:
+    """The dtype of a packet log's time columns whose largest time is
+    `largest`: int32 when it fits, int64 otherwise."""
+    return np.dtype(np.int32 if largest <= np.iinfo(np.int32).max else np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class PacketLog:
-    """Columnar packet log; -1 marks a stage the packet never reached."""
+    """Columnar packet log; -1 marks a stage the packet never reached.
+
+    The three time columns share one dtype, time_dtype of the largest
+    time, and `dropped` is bool: 13 bytes a packet while times fit int32.
+    """
 
     sent_ms: np.ndarray
     delivered_ms: np.ndarray
@@ -334,19 +347,22 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
         wait_cum.append(wait_total)
 
     # Packet columns, from the per-tick counts. A tick's tail drop is the
-    # last packet it sent.
+    # last packet it sent. The latest time is an ACK at duration - 1, but
+    # delivered_ms + ack_delay is formed before the ACK mask, so the
+    # dtype must hold duration + ack_delay.
     enq = np.array(enq_cum)
     tail = np.array(tail_ms, dtype=np.intp)
     sent_per_tick = np.diff(enq, prepend=0)
     sent_per_tick[tail] += 1
-    ticks = np.arange(duration, dtype=np.int64)
+    times = time_dtype(duration + ack_delay)
+    ticks = np.arange(duration, dtype=times)
     sent_ms = np.repeat(ticks, sent_per_tick)
     dropped = np.zeros(sent_ms.size, dtype=bool)
     dropped[enq[tail] + np.arange(tail.size)] = True
     queued_pkt = np.flatnonzero(~dropped)
     lost_pos = np.array(lost_at[:lost], dtype=np.intp)
     dropped[queued_pkt[lost_pos]] = True
-    delivered_ms = np.full(sent_ms.size, -1, dtype=np.int64)
+    delivered_ms = np.full(sent_ms.size, -1, dtype=times)
     ok_per_tick = np.diff(np.array(ok_cum[ack_delay - 1 :]))
     delivered_ms[np.delete(queued_pkt[:served], lost_pos)] = np.repeat(ticks, ok_per_tick)
     acked_ms = delivered_ms + ack_delay
@@ -386,13 +402,15 @@ def _read_table(
     the comma or newline that closes each field, shape (rows, columns).
     Every error names the 0-based body row at fault.
     """
-    head, _, body = source.read().partition("\n")
-    if head != ",".join(header):
-        raise ValueError(f"unexpected {name} CSV header: {head!r}")
-    if body and not body.endswith("\n"):
-        body += "\n"
-    raw = body.encode()
+    # The file is held once, as bytes: the text is encoded once, and the
+    # body is decoded again only to name a stray character.
+    head, _, raw = source.read().encode().partition(b"\n")
+    if head != ",".join(header).encode():
+        raise ValueError(f"unexpected {name} CSV header: {head.decode()!r}")
+    if raw and not raw.endswith(b"\n"):
+        raw += b"\n"
     if raw.translate(None, chars):
+        body = raw.decode()
         at = re.search(f"[^{re.escape(chars.decode())}]", body).start()
         row = body.count("\n", 0, at)
         problem = "negative number" if body[at] == "-" else f"unexpected {body[at]!r}"
@@ -454,14 +472,9 @@ def write_packet_csv(log: PacketLog, sink: TextIO) -> None:
     sink.write(cells.format_cells(cols, ",,,\n").decode("ascii"))
 
 
-def read_packet_csv(source: TextIO) -> PacketLog:
-    """Parse a packet CSV, rejecting rows no run could have written.
-
-    The body holds only digits, commas and newlines: one row per line,
-    four integer fields with no leading zeros, and a blank for a stage
-    never reached. `mdi.cells` reads each column from the body's bytes.
-    """
-    flat, seps = _read_table(source, "packet", PACKET_CSV_HEADER, b"0123456789,\n")
+def _packet_columns(flat: np.ndarray, seps: np.ndarray) -> list[np.ndarray]:
+    """The four columns of a packet CSV body as int64, -1 for a blank;
+    raises on the first field, row by row, that does not convert."""
     # A field starts just after the separator before it.
     starts = np.roll(seps.ravel(), 1).reshape(seps.shape) + 1
     starts.flat[:1] = 0
@@ -487,7 +500,24 @@ def read_packet_csv(source: TextIO) -> PacketLog:
         raise ValueError(
             f"packet CSV row {row}: could not convert string {field!r} to int64 in column {k + 1}"
         )
-    sent, delivered, acked, dropped = cols
+    return cols
+
+
+def read_packet_csv(source: TextIO) -> PacketLog:
+    """Parse a packet CSV, rejecting rows no run could have written.
+
+    The body holds only digits, commas and newlines: one row per line,
+    four integer fields with no leading zeros, and a blank for a stage
+    never reached. `mdi.cells` reads each column from the body's bytes.
+    The time columns take time_dtype of their largest value.
+    """
+    # The body's bytes are freed once its fields are read, so they are
+    # never held with both widths of the time columns.
+    sent, delivered, acked, dropped = _packet_columns(
+        *_read_table(source, "packet", PACKET_CSV_HEADER, b"0123456789,\n")
+    )
+    times = time_dtype(max(int(col.max(initial=-1)) for col in (sent, delivered, acked)))
+    sent, delivered, acked = (col.astype(times, copy=False) for col in (sent, delivered, acked))
     problems = {
         "blank send time": sent < 0,
         "dropped is not 0 or 1": (dropped != 0) & (dropped != 1),

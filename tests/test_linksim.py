@@ -27,6 +27,7 @@ from mdi.linksim import (
     read_epoch_csv,
     read_packet_csv,
     run_simulation,
+    time_dtype,
     write_epoch_csv,
     write_packet_csv,
 )
@@ -396,6 +397,16 @@ def test_packet_csv_errors_name_the_body_row():
     for row in ("0,5\n", "0,5,25,\n", "0,05,25,0\n"):
         with pytest.raises(ValueError, match="^packet CSV row 1: "):
             read_packet_csv(io.StringIO(header + first + row))
+    # A stray character is named as the text has it, one of several
+    # bytes too.
+    for row, problem in (
+        ("0,5,25,x\n", "unexpected 'x'"), ("0,5,25,é\n", "unexpected 'é'"),
+        ("0,-5,25,0\n", "negative number"),
+    ):
+        with pytest.raises(ValueError, match=f"^packet CSV row 1: {problem}$"):
+            read_packet_csv(io.StringIO(header + first + row))
+    with pytest.raises(ValueError, match="^unexpected packet CSV header: 'sént_ms,"):
+        read_packet_csv(io.StringIO(header.replace("sent", "sént") + first))
 
 
 def test_packet_csv_reads_every_int64_and_rejects_wider_values():
@@ -405,7 +416,7 @@ def test_packet_csv_reads_every_int64_and_rejects_wider_values():
     text = header + first + f"{top},{top},,0\n"
     log = read_packet_csv(io.StringIO(text))
     assert log.sent_ms[1] == log.delivered_ms[1] == 2**63 - 1
-    assert_same_packets(log, reference_read_packet_csv(io.StringIO(text)))
+    assert_same_packets(log, reference_read_packet_csv(io.StringIO(text)), np.int64)
     assert packet_csv(write_packet_csv, log) == text
     # No field is zero-padded, not even past the 19th digit.
     padded = ("5".rjust(22, "0"), "0" * 22, "00", "05", "0" + top)
@@ -416,6 +427,39 @@ def test_packet_csv_reads_every_int64_and_rejects_wider_values():
                 read_packet_csv(io.StringIO(text))
             with pytest.raises(ValueError):
                 reference_read_packet_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "largest, times", [(2**31 - 1, np.int32), (2**31, np.int64), (2**63 - 1, np.int64)]
+)
+def test_packet_csv_times_are_int32_while_every_time_fits(largest, times):
+    # The largest time is an ACK's; all three time columns take its width.
+    header = "sent_ms,delivered_ms,acked_ms,dropped\n"
+    text = f"{header}0,,,1\n{largest - 5},{largest - 3},{largest},0\n"
+    log = read_packet_csv(io.StringIO(text))
+    assert_same_packets(log, reference_read_packet_csv(io.StringIO(text)), times)
+    assert log.rtt_ms.tolist() == [-1, 5]
+    assert packet_csv(write_packet_csv, log) == text
+
+
+def test_emulator_times_are_int32_while_duration_plus_ack_delay_fits():
+    # The emulator forms delivered_ms + ack_delay, up to duration_ms +
+    # ack_delay, before it masks the ACKs past the run's end.
+    top = 2**31 - 1
+    for duration, ack_delay in ((top - 1, 1), (1, top - 1), (60_000, top - 60_000)):
+        assert time_dtype(duration + ack_delay) == np.int32
+        assert time_dtype(duration + ack_delay + 1) == np.int64
+    assert time_dtype(2**63 - 1) == np.int64
+
+
+def test_a_minute_of_packets_takes_13_bytes_each(verus_bundle):
+    # Three 4-byte times and a 1-byte drop flag, in a run and in its
+    # read-back alike.
+    held = verus_bundle.held[0]
+    for run in (held.native, held.mdi):
+        back = read_packet_csv(io.StringIO(packet_csv(write_packet_csv, run)))
+        for log in (run, back):
+            assert sum(getattr(log, f).nbytes for f in PACKET_FIELDS) == 13 * log.sent_pkts
 
 
 PACKET_FIELDS = ("sent_ms", "delivered_ms", "acked_ms", "dropped")
@@ -446,10 +490,24 @@ def packet_logs(draw):
     )
 
 
-def assert_same_packets(got: PacketLog, want: PacketLog) -> None:
+def assert_same_packets(got: PacketLog, want: PacketLog, times) -> None:
+    """`got` holds `want`'s values, with its times in dtype `times`; the
+    reference code keeps every time in int64."""
     for field in PACKET_FIELDS:
         a, b = getattr(got, field), getattr(want, field)
-        assert a.dtype == b.dtype and np.array_equal(a, b), field
+        dtype = b.dtype if field == "dropped" else np.dtype(times)
+        assert a.dtype == dtype and np.array_equal(a, b), field
+
+
+def read_times(log: PacketLog) -> np.dtype:
+    """The reader's rule: time_dtype of the log's largest time."""
+    return time_dtype(max(int(getattr(log, f).max(initial=-1)) for f in PACKET_FIELDS[:3]))
+
+
+def run_times(params: LinkParams) -> np.dtype:
+    """The emulator's rule: time_dtype of the run's length plus the ACK
+    delay, the largest time it forms."""
+    return time_dtype(params.duration_ms + max(2 * params.one_way_prop_ms, 1))
 
 
 def packet_csv(write, log: PacketLog) -> str:
@@ -464,7 +522,8 @@ def test_packet_csv_codec_matches_the_row_at_a_time_reference(log):
     text = packet_csv(write_packet_csv, log)
     assert text == packet_csv(reference_write_packet_csv, log)
     back = read_packet_csv(io.StringIO(text))
-    assert_same_packets(back, reference_read_packet_csv(io.StringIO(text)))
+    want = reference_read_packet_csv(io.StringIO(text))
+    assert_same_packets(back, want, read_times(want))
     assert packet_csv(write_packet_csv, back) == text
 
 
@@ -488,7 +547,7 @@ def test_packet_csv_reader_agrees_with_the_reference_on_edited_files(log, data):
     got, want = outcome(read_packet_csv), outcome(reference_read_packet_csv)
     assert (got is None) == (want is None)
     if want is not None:
-        assert_same_packets(got, want)
+        assert_same_packets(got, want, read_times(want))
 
 
 @st.composite
@@ -509,9 +568,11 @@ def link_cases(draw):
     return params, draw(st.sampled_from(sorted(BASELINES)))
 
 
-def assert_same_run(got: SimResult, want: SimResult, want_rtt: np.ndarray) -> None:
+def assert_same_run(
+    params: LinkParams, got: SimResult, want: SimResult, want_rtt: np.ndarray
+) -> None:
     """A run equals the reference loop's, whose RTT column is its own."""
-    assert_same_packets(got, want)
+    assert_same_packets(got, want, run_times(params))
     assert np.array_equal(got.rtt_ms, want_rtt)
     assert list(got.epochs) == list(want.epochs)
     assert got.queued_end_pkts == want.queued_end_pkts
@@ -536,7 +597,7 @@ def test_emulator_matches_the_reference_tick_loop(case):
     want = _run_or_error(reference_run_simulation, params, name)
     assert isinstance(got, str) == isinstance(want, str)
     if not isinstance(want, str):
-        assert_same_run(got, *want)
+        assert_same_run(params, got, *want)
 
 
 class _Recorder(Controller):
@@ -603,4 +664,4 @@ def test_lossy_minute_matches_the_reference_tick_loop(make, queue_pkts, loss_rat
     params = LinkParams(trace=trace, loss_rate=loss_rate, seed=harness.MASTER_SEED, **link)
     got = run_simulation(params, make())
     assert got.delivered_pkts > 100_000
-    assert_same_run(got, *reference_run_simulation(params, make()))
+    assert_same_run(params, got, *reference_run_simulation(params, make()))
