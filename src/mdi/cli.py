@@ -180,7 +180,7 @@ def cmd_run(args) -> int:
         f"delay ms median {s.delay_ms.p50:.3f} "
         f"(p25 {s.delay_ms.p25:.3f}, p75 {s.delay_ms.p75:.3f}), "
         f"sent {result.sent_pkts}, delivered {result.delivered_pkts}, "
-        f"dropped {result.dropped_pkts}"
+        f"dropped {result.dropped_pkts}, silent epochs {result.silent_epochs}"
     )
     if isinstance(controller, MdiController) and controller.epoch_count:
         line += (

@@ -183,11 +183,16 @@ def summarize(log: PacketLog, duration_ms: int, mtu_bytes: int) -> SimSummary:
 
 @dataclass(frozen=True, eq=False)
 class SimResult(PacketLog):
-    """Everything one run produced: packet log, epoch log, counters."""
+    """Everything one run produced: packet log, epoch log, counters.
+
+    The epoch log holds the epochs that carried ACKs; silent_epochs
+    counts the others.
+    """
 
     epochs: EpochLog
     queued_end_pkts: int
     clamp_warnings: int
+    silent_epochs: int
     duration_ms: int
     mtu_bytes: int
 
@@ -274,23 +279,24 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     boundary = epoch_len
     last_boundary = 0
     min_rtt = 0.0
-    last_mean = 0.0
+    silent = 0
 
     for t, opps in enumerate(opps_at.tolist()):
         acked = ok_cum[t]
 
         if t == boundary:
             cnt = acked - ok_cum[last_boundary]
+            mean = 0.0  # a silent epoch has no delay: it is counted, not logged
             if cnt:
-                rtt_sum = ack_delay * cnt + wait_cum[t] - wait_cum[last_boundary]
-                last_mean = rtt_sum / cnt
+                mean = (ack_delay * cnt + wait_cum[t] - wait_cum[last_boundary]) / cnt
+                epoch_t.append(t)
+                epoch_delay.append(mean)
+                epoch_window.append(window)
+            else:
+                silent += 1
             while rtt_due and rtt_due[0][0] <= t:
                 min_rtt = rtt_due.popleft()[1]
-            if acked:
-                epoch_t.append(t)
-                epoch_delay.append(last_mean)
-                epoch_window.append(window)
-            feedback = EpochFeedback(mean_delay_ms=last_mean, min_delay_ms=min_rtt, acked_pkts=cnt)
+            feedback = EpochFeedback(mean_delay_ms=mean, min_delay_ms=min_rtt, acked_pkts=cnt)
             apply(controller.on_epoch(feedback))
             last_boundary = t
             boundary = t + epoch_len
@@ -375,6 +381,7 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
         dropped=dropped,
         queued_end_pkts=enqueued - served,
         clamp_warnings=clamps,
+        silent_epochs=silent,
         duration_ms=duration,
         mtu_bytes=params.trace.mtu_bytes,
     )

@@ -11,6 +11,12 @@ delay, then either:
   next window bucket v by inverse CDF from one uniform draw, and moves
   the window to realize that bucket's midpoint composite.
 
+Either way, the window bucket the walk carries into the next epoch is
+the bucket of the composite the window reached, not the one drawn: the
+inversion below can clamp short of v. That is the state derive_states
+reads off the run's own epoch log, so the walk looks up exactly the
+(k, l, r) rows its log derives.
+
 Realizing a window composite means inverting
 f(w) = (w / w_prev - 1) * log10(w) for w at fixed w_prev. f is not
 monotone: it is zero at w = 1 and w = w_prev and dips negative between
@@ -156,10 +162,9 @@ class MdiController(Controller):
         d_hat = composite(d_new, self.d_prev_ms)
         r = cfg.d_bucket(d_hat)
         lo, hi = cfg.d_hat_edges[0], cfg.d_hat_edges[-1]
+        w_old = self.window
         if not lo <= d_hat <= hi:
-            w_old = self.window
             self.window = max(1.0, w_old * (self.c1 if d_hat < lo else self.c2))
-            self.w_idx_prev = cfg.w_bucket(composite(self.window, w_old))
             self.boundary_count += 1
         else:
             k = self.d_idx_prev if self.d_idx_prev is not None else r
@@ -171,8 +176,9 @@ class MdiController(Controller):
                     self.marginal_count += 1
                 v = int(np.searchsorted(cdf, self.rng.random(), side="right"))
                 v = min(v, cfg.n_w - 1)
-                self.window = max(1.0, invert_w_hat(cfg.w_midpoint(v), self.window))
-                self.w_idx_prev = v
+                self.window = max(1.0, invert_w_hat(cfg.w_midpoint(v), w_old))
+        # The bucket reached, not the one drawn: derive_states' state.
+        self.w_idx_prev = cfg.w_bucket(composite(self.window, w_old))
         self.d_idx_prev = r
         self.d_prev_ms = d_new
         return ControllerDecision(self.window, self.epoch_ms)

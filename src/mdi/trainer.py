@@ -64,8 +64,9 @@ COLUMN_DTYPES = {
 class EpochLog:
     """One controller run, one column per field.
 
-    delay_ms is the mean ACKed delay observed during each epoch and
-    window_pkts the window that was in effect while it elapsed.
+    A run logs each epoch that carried ACKs: delay_ms is the mean
+    ACKed delay observed during it and window_pkts the window that was
+    in effect while it elapsed.
 
     Iterating yields one row tuple (t_ms, delay_ms, window_pkts) of
     Python scalars per epoch, so two rows compare equal exactly when

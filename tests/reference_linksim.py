@@ -13,9 +13,11 @@ in ``test_linksim.py`` and ``test_properties.py`` require both to give
 identical results, so this code stays as it was written, except that
 the codec and the epoch reader follow each CSV to its one layout, which
 states each value once; the epoch reader rejects a ``t_ms`` that is
-negative or not above the row before; and the packet reader rejects a
+negative or not above the row before; the packet reader rejects a
 value outside int64 or a zero-padded field with ValueError, as it does
-every other malformed field.
+every other malformed field; and the tick loop logs only the epochs
+that carried ACKs, counting the silent ones, whose feedback's mean
+delay is 0.0.
 """
 
 from __future__ import annotations
@@ -97,8 +99,7 @@ def reference_run_simulation(
     ack_sum = 0
     ack_cnt = 0
     min_rtt = -1
-    last_mean = 0.0
-    any_ack = False
+    silent = 0
     opp_i = 0
     offset = 0
 
@@ -114,17 +115,18 @@ def reference_run_simulation(
                 if min_rtt < 0 or r < min_rtt:
                     min_rtt = r
             in_flight -= len(arrivals)
-            any_ack = True
 
         if t == boundary:
+            mean = 0.0
             if ack_cnt > 0:
-                last_mean = ack_sum / ack_cnt
-            if any_ack:
+                mean = ack_sum / ack_cnt
                 epoch_t.append(t)
-                epoch_delay.append(last_mean)
+                epoch_delay.append(mean)
                 epoch_window.append(window)
+            else:
+                silent += 1
             feedback = EpochFeedback(
-                mean_delay_ms=last_mean if any_ack else 0.0,
+                mean_delay_ms=mean,
                 min_delay_ms=float(min_rtt) if min_rtt >= 0 else 0.0,
                 acked_pkts=ack_cnt,
             )
@@ -175,6 +177,7 @@ def reference_run_simulation(
         dropped=np.array(dropped, dtype=bool),
         queued_end_pkts=len(queue),
         clamp_warnings=clamps,
+        silent_epochs=silent,
         duration_ms=params.duration_ms,
         mtu_bytes=params.trace.mtu_bytes,
     )

@@ -348,6 +348,23 @@ def test_compare_throughput_matches_run_off_1500_byte_packets(tmp_path, capsys):
     assert json.loads(report.read_text())["a"]["throughput_mbps"]["p50"] == 2.0
 
 
+def test_run_prints_the_silent_epochs_it_left_out_of_the_log(tmp_path, capsys):
+    # 20 ms epochs over 5 s give 249 boundaries, each a log row or a
+    # silent epoch; a 60 ms round trip makes the first two silent.
+    trace, out = tmp_path / "t.trace", tmp_path / "p.csv"
+    assert main(["gen-trace", "--duration", "5", "--out", str(trace)]) == 0
+    run = ["run", "--trace", str(trace), "--controller", "pinned", "--epoch-ms", "20"]
+    assert main([*run, "--duration", "5", "--prop-ms", "30", "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        rows = len(read_epoch_csv(fh))
+    assert 249 - rows >= 2
+    assert f"silent epochs {249 - rows}" in capsys.readouterr().out
+    # compare hands run.json to summarize(), so the count stays out of it.
+    assert json.loads((tmp_path / "p.run.json").read_text()) == {
+        "duration_ms": 5000, "mtu_bytes": 1500,
+    }
+
+
 def test_compare_reads_back_the_drops_and_delays_run_printed(workspace, tmp_path, capsys):
     # Random loss and a 20-packet queue, which a 100-packet initial
     # window overruns, drop packets both ways; compare derives each RTT

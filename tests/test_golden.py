@@ -23,18 +23,18 @@ from mdi.trainer import save_model
 
 GOLDEN = {
     "verus-like": {
-        "model": "72e3e7f49d88a170246e382072d35aaee0b5b53bd2b9899597c7690332cd7ffc",
-        "native.epochs": "bfbd3780925922ff0f773e9ef328af6dde2f4940fd33c7146948f0f2d10f9307",
+        "model": "557dd7dd8fdc138038e35d9c1d49e72ac2029fbc5652e4b172a8deb62aa7e625",
+        "native.epochs": "6d5dabf97b9df8d1abd93a2986dc9579d1c9c46d4c6071c1fe22b6f07ea07590",
         "native.packets": "7604cec79b4693f19b614599397298e3b802c993dad9b8218bff9da5eb3b23bd",
-        "mdi.epochs": "255c90cbdc3b7c3d960315bd7256398bd376a978b67c829693bacad4184a6f06",
-        "mdi.packets": "36e4c34f682916948f0cddfd55006f4d631edf1cd59d589fe255b4062a663859",
+        "mdi.epochs": "95a69a9994bc9bb732e5c2e583f5d9b40bec93d9f33a184eadbde66fee784cc9",
+        "mdi.packets": "356402f3fad5bd1fafc89fe1af7130ea58a26268526e4f05f3ced63e938407e3",
     },
     "copa-like": {
         "model": "8d90c73c496262da26a9f94af6a712b090ee9f0e260e26eb0c42becda765ec5e",
         "native.epochs": "21a025713bb27539b6da37b79cc0a7e06709aa5c8256f58f3f5c9741e6071327",
         "native.packets": "8c66dd2876ba344d20a8d48801c71268ddf53c9ccff0a3e56edd284f13eb7073",
-        "mdi.epochs": "9d9f56176fc7573ff8ca65f9cbd5276d2c41f4d62c03e3a79face6488c2920ad",
-        "mdi.packets": "fbef55dad61403d8a8f68c2bf2d9d5c642b9b6a7e8ea1386339d375aba4f585f",
+        "mdi.epochs": "8f28930cf7221dfa73cb9be9e16dce5bc94a1a8611b8c564206c2f048faef9db",
+        "mdi.packets": "3dd8e9fcc40b7332e4d5a0e963cbc2f60242dfab1bc30593180eec789edfca2a",
     },
 }
 

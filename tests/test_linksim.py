@@ -82,13 +82,19 @@ def test_full_buffer_delay_matches_queue_plus_propagation():
 
 
 def test_epoch_log_appears_once_acks_flow():
+    # One packet per 40 ms round trip and a boundary every 20 ms: ACKs
+    # land on every other boundary, from t = 40 on. The 99 boundaries
+    # before 2 s give 49 rows; the other 50 epochs are silent, counted
+    # and not logged.
     params = LinkParams(
         trace=constant_trace(12.0, 10.0), one_way_prop_ms=20, duration_ms=2000
     )
     res = run_simulation(params, Pinned(window_pkts=1.0, epoch_ms=20))
+    assert len(res.epochs) == 49
+    assert res.silent_epochs == 50
     assert res.epochs.t_ms[0] == 40  # first boundary after the first ack
     assert np.all(res.epochs.delay_ms == 40.0)
-    assert np.all(np.diff(res.epochs.t_ms) == 20)
+    assert np.all(np.diff(res.epochs.t_ms) == 40)
 
 
 def test_conservation_and_capacity_randomized():
@@ -577,6 +583,7 @@ def assert_same_run(
     assert list(got.epochs) == list(want.epochs)
     assert got.queued_end_pkts == want.queued_end_pkts
     assert got.clamp_warnings == want.clamp_warnings
+    assert got.silent_epochs == want.silent_epochs
 
 
 def _run_or_error(run, params, name):

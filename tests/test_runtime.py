@@ -1,14 +1,21 @@
 """Model-driven controller: composite inversion and the guided walk."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import harness
 from mdi.controllers import EpochFeedback
+from mdi.linksim import LinkParams, SimResult, run_simulation
+from mdi.pipeline import derive_run_seed
 from mdi.quantizer import QuantizerConfig, composite
 from mdi.runtime import MdiController, invert_w_hat
-from mdi.trainer import TransitionModel
+from mdi.trace import LinkTrace
+from mdi.trainer import TransitionModel, derive_states
 
 
 def fb(mean: float, acked: int = 10) -> EpochFeedback:
@@ -200,3 +207,117 @@ def test_boundary_event_updates_window_bucket_memory():
     grid = small_grid()
     moved = composite(8.0, 10.0)
     assert ctrl.w_idx_prev == grid.w_bucket(moved)
+
+
+def test_state_records_the_bucket_the_window_reached():
+    # Flat delay keeps r = 1. From the flat bucket the walk grows (v2),
+    # and from growth it draws a decrease (v0), whose -0.2 midpoint lies
+    # below the composite's dip once the window is small, so the
+    # inversion clamps short of it. Remembering the drawn v0 would keep
+    # drawing decreases until the window sits at one packet; the bucket
+    # reached is flat, which draws growth again.
+    cells = {(1, 0, 1, 0): 5, (1, 1, 1, 2): 5, (1, 2, 1, 0): 5}
+    ctrl = MdiController(model_with(cells), w_init=4.0, seed=0)
+    grid = small_grid()
+    for _ in range(300):
+        before = ctrl.window
+        ctrl.on_epoch(fb(10.0))
+        assert ctrl.w_idx_prev == grid.w_bucket(composite(ctrl.window, before))
+        assert ctrl.window != 1.0
+
+
+def test_verus_model_keeps_trace_t41_off_the_one_packet_floor(verus_bundle):
+    # On t41 with these seeds the walk once reached a row whose only
+    # counts draw a decrease at flat delay, and sat at one packet for
+    # most of the minute, at 6% of native's median throughput.
+    name, trace = verus_bundle.traces[41]
+    params = LinkParams(trace=trace, seed=derive_run_seed(99, name, 0), **harness.LINK)
+    native = run_simulation(params, harness.make_verus())
+    ctrl = MdiController(
+        verus_bundle.model, epoch_ms=harness.VERUS.epoch_ms, seed=derive_run_seed(99, name, 1)
+    )
+    mdi = run_simulation(params, ctrl)
+    ratio = np.median(harness.per_second_mbps(mdi)) / np.median(harness.per_second_mbps(native))
+    assert ratio >= 0.5
+
+
+def walk_reads(model: TransitionModel, params: LinkParams, **kwargs) -> tuple[SimResult, dict]:
+    """Run a walk on `model` and record each key it reads from the
+    decision table, under the epoch-log row it was handling."""
+    table = model.decision_table
+    reads: dict[int, tuple] = {}
+    row = -1
+
+    class Table:
+        def __getitem__(self, key):
+            assert row not in reads  # one read per epoch
+            reads[row] = tuple(map(int, key))
+            return table[key]
+
+    class Walk(MdiController):
+        def on_epoch(self, feedback):
+            nonlocal row
+            row += feedback.acked_pkts > 0  # an epoch with ACKs is the log's next row
+            return super().on_epoch(feedback)
+
+    stand_in = SimpleNamespace(cfg=model.cfg, decision_table=Table())
+    return run_simulation(params, Walk(stand_in, **kwargs)), reads
+
+
+def assert_walk_reads_its_log(cfg: QuantizerConfig, result: SimResult, reads: dict) -> None:
+    """The walk looked up, at each log row j >= 1 whose delay composite
+    is in range, the state derive_states gives there; nothing else."""
+    log = result.epochs
+    want = {}
+    if len(log) >= 2:
+        d, w = derive_states(log, cfg)
+        d_hat, _ = log.composites
+        lo, hi = cfg.d_hat_edges[0], cfg.d_hat_edges[-1]
+        for j in range(1, len(log)):
+            if lo <= d_hat[j - 1] <= hi:  # a range exit looks nothing up
+                want[j] = (int(d[max(j - 2, 0)]), int(w[j - 1]), int(d[j - 1]))
+    assert reads == want
+
+
+@pytest.mark.parametrize("bundle_name", ["verus_bundle", "copa_bundle"])
+def test_walk_reads_the_states_its_own_log_derives(bundle_name, request):
+    bundle = request.getfixturevalue(bundle_name)
+    for run in bundle.held:
+        params = LinkParams(
+            trace=run.trace, seed=derive_run_seed(harness.MASTER_SEED, run.name + ":m", 0),
+            **harness.LINK,
+        )
+        result, reads = walk_reads(
+            bundle.model, params, epoch_ms=bundle.spec.epoch_ms,
+            seed=derive_run_seed(harness.MASTER_SEED, run.name + ":m", 1),
+        )
+        assert list(result.epochs) == list(run.mdi_records)  # the same walk
+        assert len(reads) > len(result.epochs) // 2  # not a vacuous match
+        assert_walk_reads_its_log(bundle.model.cfg, result, reads)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    counts=st.lists(st.sampled_from([0, 0, 0, 1, 5]), min_size=81, max_size=81),
+    gaps=st.lists(st.integers(0, 6), min_size=1, max_size=200),
+    prop_ms=st.integers(5, 40),
+    queue=st.one_of(st.none(), st.integers(1, 20)),
+    loss=st.floats(0.0, 0.3),
+    duration_ms=st.integers(100, 3000),
+    w_init=st.floats(1.0, 3.0),
+    epoch_ms=st.integers(5, 30),
+    seed=st.integers(0, 2**32),
+)
+def test_walk_reads_its_log_on_short_lossy_links(
+    counts, gaps, prop_ms, queue, loss, duration_ms, w_init, epoch_ms, seed
+):
+    # A window of a few packets on a round trip longer than the epoch
+    # leaves many epochs without ACKs, which the log leaves out.
+    stamps = np.cumsum(gaps)  # one more stamp below, so the trace can wrap
+    params = LinkParams(
+        trace=LinkTrace(np.append(stamps, stamps[-1] + 1)), one_way_prop_ms=prop_ms,
+        queue_capacity_pkts=queue, loss_rate=loss, seed=seed, duration_ms=duration_ms,
+    )
+    model = TransitionModel(small_grid(), np.reshape(counts, (3, 3, 3, 3)))
+    result, reads = walk_reads(model, params, w_init=w_init, epoch_ms=epoch_ms, seed=seed)
+    assert_walk_reads_its_log(model.cfg, result, reads)
