@@ -246,13 +246,12 @@ def cmd_analyze(args) -> int:
         # The run's states on this model's grid, whichever grid it was run on.
         with open(args.result, "r", encoding="utf-8") as fh:
             log = read_epoch_csv(fh)
-        if len(log) < 2:
-            raise CliError(f"epoch log {args.result} has fewer than 2 records")
-        empirical = markov.empirical_distribution(log, model.cfg, discard=args.discard)
+        visits = markov.state_visits(log, model.cfg, discard=args.discard)
+        empirical = visits / visits.sum()
         report.update(
             result=str(args.result),
             discard=args.discard,
-            epochs_used=len(log) - 1 - args.discard,
+            epochs_used=int(visits.sum()),
             kl_empirical_vs_stationary=markov.kl_divergence(empirical, pi),
             max_abs_diff=markov.max_abs_diff(empirical, pi),
         )
@@ -438,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilons", default="1e-3,1e-5,1e-7", help="comma-separated thresholds"
     )
     p.add_argument("--result", default=None, help="epoch CSV of a run to hold against pi")
-    p.add_argument("--discard", type=int, default=0, help="burn-in epochs to drop")
+    p.add_argument("--discard", type=int, default=0, help="burn-in states to drop")
     p.add_argument("--out", default=None, help="JSON report path (default stdout)")
     p.set_defaults(func=cmd_analyze)
 

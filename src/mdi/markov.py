@@ -11,7 +11,8 @@ Desk-scale training leaves states with no observed outflow. The default
 "uniform" policy lets them diffuse; "self-loop" makes them absorbing,
 which can drain the stationary mass into barely visited states. While
 a state was never entered, neither makes the chain irreducible: no
-state the runs visited leads to it (ROADMAP open item 2).
+state the runs visited leads to it, so the chain analyzed is not the
+one the protocol visits.
 """
 
 from __future__ import annotations
@@ -220,21 +221,22 @@ def max_abs_diff(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.abs(p - q).max())
 
 
-def empirical_distribution(
-    log: EpochLog,
-    cfg: QuantizerConfig,
-    discard: int = 0,
-) -> np.ndarray:
-    """State-visit frequencies of an epoch log's states on cfg's grid.
+def state_visits(log: EpochLog, cfg: QuantizerConfig, discard: int = 0) -> np.ndarray:
+    """Visit counts of an epoch log's states on cfg's grid.
 
-    The first epoch of a run has no state; the first `discard` states
-    are dropped as burn-in.
+    The first and the last epoch of a run have no state (derive_states
+    says why); the first `discard` states are dropped as burn-in.
     """
     if discard < 0:
         raise ValueError(f"discard must be >= 0, got {discard}")
     d_idx, w_idx = derive_states(log, cfg)
     kept = (d_idx * cfg.n_w + w_idx)[discard:]
     if not kept.size:
-        raise AnalysisError(f"no epochs left after discarding {discard} of {d_idx.size}")
-    hist = np.bincount(kept, minlength=cfg.n_states).astype(np.float64)
-    return hist / hist.sum()
+        raise AnalysisError(f"no states left after discarding {discard} of {d_idx.size}")
+    return np.bincount(kept, minlength=cfg.n_states)
+
+
+def empirical_distribution(log: EpochLog, cfg: QuantizerConfig, discard: int = 0) -> np.ndarray:
+    """State-visit frequencies of an epoch log: its state_visits, normalized."""
+    visits = state_visits(log, cfg, discard)
+    return visits / visits.sum()

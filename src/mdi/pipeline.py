@@ -64,8 +64,7 @@ def train_on_traces(
 
     counts = np.zeros((n_d, n_w, n_d, n_w), dtype=np.int64)
     for log in run_logs:
-        if len(log) >= 2:
-            counts += count_transitions(cfg, *derive_states(log, cfg))
+        counts += count_transitions(cfg, *derive_states(log, cfg))
     summary = {"runs": len(run_logs), "epochs": sum(len(log) for log in run_logs)}
     return TransitionModel(cfg, counts), summary
 
@@ -76,8 +75,9 @@ def run_and_derive(
     """Run one controller and return the result plus its epoch log.
 
     The keywords are LinkParams fields other than trace. The log is
-    result.epochs: its states are derived where they are used, so cfg
-    is not read.
+    result.epochs and cfg is not read: call run_simulation and read
+    result.epochs instead; bench/workloads.py is its one caller outside
+    the tests.
     """
     result = run_simulation(LinkParams(trace=trace, **link), controller)
     return result, result.epochs

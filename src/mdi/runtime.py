@@ -11,11 +11,9 @@ delay, then either:
   next window bucket v by inverse CDF from one uniform draw, and moves
   the window to realize that bucket's midpoint composite.
 
-Either way, the window bucket the walk carries into the next epoch is
-the bucket of the composite the window reached, not the one drawn: the
-inversion below can clamp short of v. That is the state derive_states
-reads off the run's own epoch log, so the walk looks up exactly the
-(k, l, r) rows its log derives.
+Either way, the walk then remembers (r, bucket of the window composite
+reached), which is derive_states' state of the log row it just closed,
+so each (k, l, r) it looks up is a transition its own log counts.
 
 Realizing a window composite means inverting
 f(w) = (w / w_prev - 1) * log10(w) for w at fixed w_prev. f is not
@@ -177,7 +175,8 @@ class MdiController(Controller):
                 v = int(np.searchsorted(cdf, self.rng.random(), side="right"))
                 v = min(v, cfg.n_w - 1)
                 self.window = max(1.0, invert_w_hat(cfg.w_midpoint(v), w_old))
-        # The bucket reached, not the one drawn: derive_states' state.
+        # The bucket reached, not the one drawn (the inversion can clamp
+        # short of v): derive_states' state of this row.
         self.w_idx_prev = cfg.w_bucket(composite(self.window, w_old))
         self.d_idx_prev = r
         self.d_prev_ms = d_new

@@ -3,8 +3,8 @@
 A controller run is one columnar EpochLog: the epoch time, mean delay
 and window in effect, one array each, and nothing else. A run's states
 follow from the log and a quantizer grid, so they are derived where
-they are used: derive_states buckets the composites (d_hat, w_hat) of
-every epoch after the first, against its predecessor, into state
+they are used: derive_states buckets each epoch's delay composite and
+the composite of the window move chosen after that delay, into state
 indices (d_idx, w_idx). Transitions are counted as consecutive state
 pairs with one bincount over the flat pair index, into a 4-D tensor
 indexed (k, l, r, v): (current delay bucket, current window bucket,
@@ -107,15 +107,15 @@ class EpochLog:
 
 
 def derive_states(log: EpochLog, cfg: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(d_idx, w_idx) of every epoch after the first, on cfg's grid.
+    """(d_idx, w_idx) of every epoch but the first and the last, on cfg's grid.
 
-    Each state buckets the composites of an epoch against its
-    predecessor, so the first epoch has none.
+    Row m's state pairs the delay composite of d_m against d_{m-1} with
+    the window move chosen once that delay was seen: w_{m+1} against
+    w_m. The first row has no delay before it and the last no window
+    after it, so a log of n rows gives max(n - 2, 0) states.
     """
-    if len(log) < 2:
-        raise ValueError(f"need at least 2 epoch records, got {len(log)}")
     d_hat, w_hat = log.composites
-    return bucket(d_hat, cfg.d_hat_edges), bucket(w_hat, cfg.w_hat_edges)
+    return bucket(d_hat[:-1], cfg.d_hat_edges), bucket(w_hat[1:], cfg.w_hat_edges)
 
 
 def _rows(counts: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from mdi.controllers import Controller, CopaLike, VerusLike
 from mdi import linksim
 from mdi.linksim import LinkParams, SimResult, run_simulation
-from mdi.pipeline import derive_run_seed, run_and_derive, train_on_traces
+from mdi.pipeline import derive_run_seed, train_on_traces
 from mdi.runtime import MdiController
 from mdi.trace import LinkTrace, SyntheticTraceSpec, gen_rapidly_changing
 from mdi.trainer import EpochLog, TransitionModel
@@ -110,10 +110,9 @@ def run_mdi(
         epoch_ms=spec.epoch_ms,
         seed=derive_run_seed(MASTER_SEED, name + ":m", 1),
     )
-    result, records = run_and_derive(
-        trace, ctrl, model.cfg, seed=derive_run_seed(MASTER_SEED, name + ":m", 0), **LINK
-    )
-    return result, records, ctrl
+    params = LinkParams(trace=trace, seed=derive_run_seed(MASTER_SEED, name + ":m", 0), **LINK)
+    result = run_simulation(params, ctrl)
+    return result, result.epochs, ctrl
 
 
 @dataclass

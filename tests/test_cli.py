@@ -286,12 +286,30 @@ def test_analyze_result_reports_divergences(workspace, tmp_path):
     log = read_epoch_csv(io.StringIO((workspace / "driven.csv").read_text()))
     empirical = markov.empirical_distribution(log, model.cfg, discard=5)
     pi = markov.stationary(markov.to_stochastic(model))
-    assert report["epochs_used"] == len(log) - 1 - 5
+    # The first and the last epoch have no state.
+    assert report["epochs_used"] == len(log) - 2 - 5
     assert report["kl_empirical_vs_stationary"] == markov.kl_divergence(empirical, pi)
     assert report["max_abs_diff"] == markov.max_abs_diff(empirical, pi)
     assert report["kl_empirical_vs_stationary"] > 0.0
     assert 0.0 < report["max_abs_diff"] <= 1.0
     assert report["stationary"] == pi.tolist()
+
+
+def test_analyze_counts_the_states_it_used(workspace, tmp_path, capsys):
+    # Five epochs give three states (1, 2 and 3: epoch 0 has no delay
+    # before it, epoch 4 no window move after it); one is burn-in.
+    log = tmp_path / "short.csv"
+    log.write_text(
+        "t_ms,delay_ms,window_pkts\n"
+        + "".join(f"{20 * i},{10.0 + i},{2.0 + i}\n" for i in range(5))
+    )
+    out = tmp_path / "short.json"
+    args = ["analyze", "--model", str(workspace / "verus.model"), "--result", str(log)]
+    assert main([*args, "--discard", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["epochs_used"] == 2
+    capsys.readouterr()
+    assert main([*args, "--discard", "3", "--out", str(out)]) == 1
+    assert "no states left after discarding 3 of 3" in capsys.readouterr().err
 
 
 def test_analyze_discard_needs_a_result(workspace, capsys):

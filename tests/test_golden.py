@@ -1,7 +1,7 @@
 """Golden digests: the seeded corpus must keep producing the same bytes.
 
-For each baseline bundle this hashes the trained model file and the
-epoch and packet CSVs of the first held-out trace's native and
+For each baseline bundle this hashes the trained model file, its
+heatmap fingerprint (CSV and SVG) and the epoch and packet CSVs of the first held-out trace's native and
 model-driven runs, and compares them with digests recorded from an
 earlier build. Those runs drop nothing, so one more digest pins a short
 lossy run whose packet CSV has both kinds of dropped row, and another
@@ -17,24 +17,27 @@ import numpy as np
 import pytest
 
 import harness
+from mdi.heatmap import heatmap_export
 from mdi.linksim import LinkParams, run_simulation, write_epoch_csv, write_packet_csv
 from mdi.trace import save_trace
 from mdi.trainer import save_model
 
 GOLDEN = {
     "verus-like": {
-        "model": "557dd7dd8fdc138038e35d9c1d49e72ac2029fbc5652e4b172a8deb62aa7e625",
+        "model": "e2ce7715fd0c65e8737d6c8895e016d3d31a84b8d1dd308feccfff43c1d7b327",
+        "fingerprint": "c0d5f6407d67c7c9df9461fe5b7e8fc0778d5a439098848563fec605100e4f67",
         "native.epochs": "6d5dabf97b9df8d1abd93a2986dc9579d1c9c46d4c6071c1fe22b6f07ea07590",
         "native.packets": "7604cec79b4693f19b614599397298e3b802c993dad9b8218bff9da5eb3b23bd",
-        "mdi.epochs": "95a69a9994bc9bb732e5c2e583f5d9b40bec93d9f33a184eadbde66fee784cc9",
-        "mdi.packets": "356402f3fad5bd1fafc89fe1af7130ea58a26268526e4f05f3ced63e938407e3",
+        "mdi.epochs": "bde5d6bf773a421bd4a31f009570f632897720e7687dbaaaa25d630c5301f0cc",
+        "mdi.packets": "80b03cfcdfa5904d21059e6a8d7194ede175ee8d8e11ab546e4728470e7f82a7",
     },
     "copa-like": {
-        "model": "8d90c73c496262da26a9f94af6a712b090ee9f0e260e26eb0c42becda765ec5e",
+        "model": "e7bff196b61032b9e7905a87123b90848fc4f80becea36789811a6125ee7b03a",
+        "fingerprint": "bf43d80e5d6528555cd633a9b4eec0afb239eab68ed494e8934de702dd02c3eb",
         "native.epochs": "21a025713bb27539b6da37b79cc0a7e06709aa5c8256f58f3f5c9741e6071327",
         "native.packets": "8c66dd2876ba344d20a8d48801c71268ddf53c9ccff0a3e56edd284f13eb7073",
-        "mdi.epochs": "8f28930cf7221dfa73cb9be9e16dce5bc94a1a8611b8c564206c2f048faef9db",
-        "mdi.packets": "3dd8e9fcc40b7332e4d5a0e963cbc2f60242dfab1bc30593180eec789edfca2a",
+        "mdi.epochs": "e5d7bd254011506b15e2e931954b98d1173d3ff4f47b2eb55732bb0e3dd7eb84",
+        "mdi.packets": "94666afb50251570874049b4de86ff7ce5bc30c65bdabf66b7a79a0234612ec7",
     },
 }
 
@@ -54,10 +57,19 @@ def _sha(write, obj, binary: bool = False) -> str:
     return hashlib.sha256(data if binary else data.encode("utf-8")).hexdigest()
 
 
+def _fingerprint(model, title: str) -> str:
+    """Digest of heatmap_export's CSV then SVG, as `mdi fingerprint` renders a model."""
+    csv_buf, svg_buf = io.StringIO(), io.StringIO()
+    n = model.cfg.n_states
+    heatmap_export(model.quadrant_rows.reshape(n, n), model.cfg, csv_buf, svg_buf, title=title)
+    return hashlib.sha256((csv_buf.getvalue() + svg_buf.getvalue()).encode("utf-8")).hexdigest()
+
+
 def bundle_digests(bundle) -> dict[str, str]:
     run = bundle.held[0]
     return {
         "model": _sha(save_model, bundle.model, binary=True),
+        "fingerprint": _fingerprint(bundle.model, bundle.spec.label),
         "native.epochs": _sha(write_epoch_csv, run.native.epochs),
         "native.packets": _sha(write_packet_csv, run.native),
         "mdi.epochs": _sha(write_epoch_csv, run.mdi_records),

@@ -14,6 +14,7 @@ from mdi.markov import (
     lazy,
     max_abs_diff,
     mixing_times,
+    state_visits,
     stationary,
     to_stochastic,
 )
@@ -227,19 +228,23 @@ def log_from_flats(flats) -> EpochLog:
 
     The direction of each change picks the bucket: a rise lands in
     bucket 1, a fall in bucket 0. Values stay near 1e6, where log10 is
-    positive, so the composite has the sign of the change.
+    positive, so the composite has the sign of the change. Row m's
+    state pairs the delay change into row m with the window change into
+    row m + 1, so the delay walk takes one more (rising) step at its end
+    and the window walk one at its start.
     """
     d_up, w_up = np.divmod(np.asarray(flats), 2)
 
     def walk(up):
         return 1e6 + np.cumsum(np.r_[0.0, np.where(up, 1.0, -1.0)])
 
-    return EpochLog(20 * np.arange(len(flats) + 1), walk(d_up), walk(w_up))
+    return EpochLog(20 * np.arange(len(flats) + 2), walk(np.r_[d_up, 1]), walk(np.r_[1, w_up]))
 
 
 def test_empirical_distribution_counts_states():
     cfg = grid2()
     log = log_from_flats([0, 1, 1, 3])
+    assert state_visits(log, cfg).tolist() == [1, 2, 0, 1]
     emp = empirical_distribution(log, cfg)
     assert np.allclose(emp, [0.25, 0.5, 0.0, 0.25])
 
@@ -247,15 +252,17 @@ def test_empirical_distribution_counts_states():
 def test_empirical_distribution_discard_and_errors():
     cfg = grid2()
     log = log_from_flats([0, 1, 1, 3])
+    assert state_visits(log, cfg, discard=2).tolist() == [0, 1, 0, 1]
     emp = empirical_distribution(log, cfg, discard=2)
     assert np.allclose(emp, [0.0, 0.5, 0.0, 0.5])
     with pytest.raises(AnalysisError):
         empirical_distribution(log, cfg, discard=4)
     with pytest.raises(ValueError):
         empirical_distribution(log, cfg, discard=-1)
-    # One epoch has no state.
-    with pytest.raises(ValueError, match="at least 2"):
-        empirical_distribution(EpochLog([0], [10.0], [2.0]), cfg)
+    # Two epochs have no state: the first has no delay before it, the
+    # last no window move after it.
+    with pytest.raises(AnalysisError, match="no states left after discarding 0 of 0"):
+        empirical_distribution(EpochLog([0, 20], [10.0, 11.0], [2.0, 3.0]), cfg)
 
 
 def test_long_walk_frequencies_approach_stationary():

@@ -41,8 +41,9 @@ def test_training_summary_is_consistent_with_the_model():
     assert summary.keys() == {"runs", "epochs"}
     assert summary["runs"] == 3
     assert (model.cfg.n_d, model.cfg.n_w) == (11, 21)
-    # Each run of n epochs yields n-1 states and n-2 transitions.
-    assert 0 < model.total_transitions == summary["epochs"] - 2 * summary["runs"]
+    # Each run of n epochs yields n-2 states (the first and the last
+    # epoch have none) and n-3 transitions.
+    assert 0 < model.total_transitions == summary["epochs"] - 3 * summary["runs"]
 
 
 def test_training_is_deterministic_in_the_master_seed():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from reference_linksim import reference_read_epoch_csv
 
 from mdi.linksim import read_epoch_csv, write_epoch_csv
-from mdi.markov import empirical_distribution
+from mdi.markov import empirical_distribution, state_visits
 from mdi.quantizer import QuantizerConfig, bucket, composite, composite_steps
 from mdi.runtime import _bisect_increasing, _dip_minimizer, invert_w_hat
 from mdi.trace import LinkTrace, load_trace, save_trace
@@ -121,16 +121,17 @@ def test_epoch_csv_round_trip_preserves_the_log(log):
 
 
 @settings(max_examples=100, deadline=None)
-@given(epoch_logs(min_size=2))
+@given(epoch_logs(min_size=3))
 def test_both_consumers_read_the_one_derivation(log):
     # The visit frequencies and the transition counts of a run come from
-    # the same states: one per epoch after the first, one transition
-    # between each consecutive pair.
+    # the same states: one per epoch but the first and the last, one
+    # transition between each consecutive pair.
     cfg = QuantizerConfig.uniform(-1.0, 1.0, -0.5, 0.5)
     d_idx, w_idx = derive_states(log, cfg)
     visits = np.bincount(d_idx * cfg.n_w + w_idx, minlength=cfg.n_states)
-    assert np.array_equal(empirical_distribution(log, cfg), visits / (len(log) - 1))
-    assert count_transitions(cfg, d_idx, w_idx).sum() == len(log) - 2
+    assert np.array_equal(state_visits(log, cfg), visits)
+    assert np.array_equal(empirical_distribution(log, cfg), visits / (len(log) - 2))
+    assert count_transitions(cfg, d_idx, w_idx).sum() == len(log) - 3
 
 
 @settings(max_examples=200, deadline=None)

@@ -52,14 +52,16 @@ def test_observation_rejects_nonfinite_fields():
 
 
 def one_state_log(cfg: QuantizerConfig, d_idx: int, w_idx: int) -> EpochLog:
-    """A two-epoch log whose one state is (d_idx, w_idx) on cfg's grid.
+    """A three-epoch log whose one state is (d_idx, w_idx) on cfg's grid.
 
-    The second epoch's values are 10, where log10 is 1, so each
-    composite is the ratio to the first epoch's value minus one; the
-    first epoch's values put it at the bucket's midpoint.
+    That state pairs the second epoch's delay against the first's with
+    the third epoch's window against the second's. The later value of
+    each pair is 10, where log10 is 1, so each composite is its ratio
+    to the earlier value minus one; the earlier values put it at the
+    bucket's midpoint.
     """
     d, w = cfg.d_midpoint(d_idx), cfg.w_midpoint(w_idx)
-    return EpochLog([0, 20], [10.0 / (1.0 + d), 10.0], [10.0 / (1.0 + w), 10.0])
+    return EpochLog([0, 20, 40], [10.0 / (1.0 + d), 10.0, 10.0], [10.0, 10.0 / (1.0 + w), 10.0])
 
 
 def test_state_index_flat_round_trip():

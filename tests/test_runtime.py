@@ -15,7 +15,7 @@ from mdi.pipeline import derive_run_seed
 from mdi.quantizer import QuantizerConfig, composite
 from mdi.runtime import MdiController, invert_w_hat
 from mdi.trace import LinkTrace
-from mdi.trainer import TransitionModel, derive_states
+from mdi.trainer import TransitionModel, count_transitions, derive_states
 
 
 def fb(mean: float, acked: int = 10) -> EpochFeedback:
@@ -241,11 +241,15 @@ def test_verus_model_keeps_trace_t41_off_the_one_packet_floor(verus_bundle):
     assert ratio >= 0.5
 
 
-def walk_reads(model: TransitionModel, params: LinkParams, **kwargs) -> tuple[SimResult, dict]:
-    """Run a walk on `model` and record each key it reads from the
-    decision table, under the epoch-log row it was handling."""
+def walk_reads(
+    model: TransitionModel, params: LinkParams, **kwargs
+) -> tuple[SimResult, dict, list]:
+    """Run a walk on `model`. Record each key it reads from the decision
+    table under the epoch-log row it was handling, and the state
+    (d_idx_prev, w_idx_prev) it remembers after each row."""
     table = model.decision_table
     reads: dict[int, tuple] = {}
+    states: list[tuple] = []
     row = -1
 
     class Table:
@@ -258,24 +262,50 @@ def walk_reads(model: TransitionModel, params: LinkParams, **kwargs) -> tuple[Si
         def on_epoch(self, feedback):
             nonlocal row
             row += feedback.acked_pkts > 0  # an epoch with ACKs is the log's next row
-            return super().on_epoch(feedback)
+            decision = super().on_epoch(feedback)
+            if feedback.acked_pkts > 0:
+                states.append((self.d_idx_prev, self.w_idx_prev))
+            return decision
 
     stand_in = SimpleNamespace(cfg=model.cfg, decision_table=Table())
-    return run_simulation(params, Walk(stand_in, **kwargs)), reads
+    return run_simulation(params, Walk(stand_in, **kwargs)), reads, states
 
 
-def assert_walk_reads_its_log(cfg: QuantizerConfig, result: SimResult, reads: dict) -> None:
-    """The walk looked up, at each log row j >= 1 whose delay composite
-    is in range, the state derive_states gives there; nothing else."""
+def assert_walk_reads_its_log(
+    cfg: QuantizerConfig, result: SimResult, reads: dict, states: list
+) -> None:
+    """The walk's transitions are the ones the trainer counts on its log.
+
+    After each row but the first and the last, the walk remembers the
+    state derive_states gives that row. At each row j >= 1 whose delay
+    composite is in range it reads (k, l, r): the state it remembered
+    after row j - 1, then the delay bucket of row j; it reads nothing
+    at a range exit. So count_transitions on the log counts exactly
+    each read (k, l, r) -> the window bucket the walk reached. Two
+    reads fall outside the count: the first, which has no state before
+    it (k = r, and l is the bucket of a window held at w_init), and the
+    last, whose window move the log never shows.
+    """
     log = result.epochs
+    n = len(log)
+    assert len(states) == n
+    d, w = derive_states(log, cfg)
+    assert states[1:-1] == list(zip(d.tolist(), w.tolist()))
+    d_hat, _ = log.composites
+    if n >= 2:  # the last row's delay bucket is the log's too
+        assert states[-1][0] == cfg.d_bucket(d_hat[-1])
+    counted = count_transitions(cfg, d, w)
+    walked = np.zeros_like(counted)
+    for j in range(2, n - 1):
+        walked[states[j - 1] + states[j]] += 1
+    assert np.array_equal(counted, walked)
+    lo, hi = cfg.d_hat_edges[0], cfg.d_hat_edges[-1]
     want = {}
-    if len(log) >= 2:
-        d, w = derive_states(log, cfg)
-        d_hat, _ = log.composites
-        lo, hi = cfg.d_hat_edges[0], cfg.d_hat_edges[-1]
-        for j in range(1, len(log)):
-            if lo <= d_hat[j - 1] <= hi:  # a range exit looks nothing up
-                want[j] = (int(d[max(j - 2, 0)]), int(w[j - 1]), int(d[j - 1]))
+    for j in range(1, n):
+        if lo <= d_hat[j - 1] <= hi:  # a range exit looks nothing up
+            r = states[j][0]
+            k, l = states[j - 1] if j >= 2 else (r, cfg.w_bucket(0.0))
+            want[j] = (k, l, r)
     assert reads == want
 
 
@@ -287,13 +317,38 @@ def test_walk_reads_the_states_its_own_log_derives(bundle_name, request):
             trace=run.trace, seed=derive_run_seed(harness.MASTER_SEED, run.name + ":m", 0),
             **harness.LINK,
         )
-        result, reads = walk_reads(
+        result, reads, states = walk_reads(
             bundle.model, params, epoch_ms=bundle.spec.epoch_ms,
             seed=derive_run_seed(harness.MASTER_SEED, run.name + ":m", 1),
         )
         assert list(result.epochs) == list(run.mdi_records)  # the same walk
         assert len(reads) > len(result.epochs) // 2  # not a vacuous match
-        assert_walk_reads_its_log(bundle.model.cfg, result, reads)
+        assert_walk_reads_its_log(bundle.model.cfg, result, reads, states)
+
+
+def row_tv(model: TransitionModel, logs, min_count: int = 20) -> np.ndarray:
+    """Total-variation distance between each (k, l, r) row of `model`
+    and of the model retrained on its grid from `logs`, over the rows
+    that hold at least min_count transitions in both."""
+    cfg = model.cfg
+    again = TransitionModel(
+        cfg, sum(count_transitions(cfg, *derive_states(log, cfg)) for log in logs)
+    )
+    both = (model.counts.sum(axis=3) >= min_count) & (again.counts.sum(axis=3) >= min_count)
+    return 0.5 * np.abs(model.quadrant_rows[both] - again.quadrant_rows[both]).sum(axis=-1)
+
+
+@pytest.mark.parametrize("bundle_name", ["verus_bundle", "copa_bundle"])
+def test_retraining_on_model_driven_runs_reproduces_the_model(bundle_name, request):
+    # The model is a fixed point of its own walk: retrained on the
+    # held-out model-driven runs, its well-visited rows come back about
+    # as closely as they do from the baseline's own held-out runs, whose
+    # spread sets the noise level.
+    bundle = request.getfixturevalue(bundle_name)
+    mdi = row_tv(bundle.model, [run.mdi_records for run in bundle.held])
+    native = row_tv(bundle.model, [run.native.epochs for run in bundle.held])
+    assert mdi.size >= 20 and native.size >= 20  # not a vacuous match
+    assert np.median(mdi) <= np.percentile(native, 90)
 
 
 @settings(max_examples=100, deadline=None)
@@ -319,5 +374,5 @@ def test_walk_reads_its_log_on_short_lossy_links(
         queue_capacity_pkts=queue, loss_rate=loss, seed=seed, duration_ms=duration_ms,
     )
     model = TransitionModel(small_grid(), np.reshape(counts, (3, 3, 3, 3)))
-    result, reads = walk_reads(model, params, w_init=w_init, epoch_ms=epoch_ms, seed=seed)
-    assert_walk_reads_its_log(model.cfg, result, reads)
+    result, reads, states = walk_reads(model, params, w_init=w_init, epoch_ms=epoch_ms, seed=seed)
+    assert_walk_reads_its_log(model.cfg, result, reads, states)

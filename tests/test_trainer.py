@@ -68,7 +68,7 @@ def test_derive_constant_run_lands_in_the_zero_bucket():
     log = records([10.0] * 5, [4.0] * 5)
     d_idx, w_idx = derive_states(log, cfg)
     d_hat, w_hat = log.composites
-    assert d_idx.size == w_idx.size == 4
+    assert d_idx.size == w_idx.size == 3
     assert np.all(d_hat == 0.0)
     assert np.all(w_hat == 0.0)
     assert np.all(d_idx == cfg.d_bucket(0.0))
@@ -77,27 +77,30 @@ def test_derive_constant_run_lands_in_the_zero_bucket():
 
 def test_derive_uses_consecutive_ratios():
     cfg = grid()
-    log = records([100.0, 200.0], [10.0, 20.0])
+    # Row 1's delay doubles; the window move chosen after it, seen in
+    # row 2, doubles the window.
+    log = records([100.0, 200.0, 200.0], [10.0, 10.0, 20.0])
     d_hat, w_hat = log.composites
     assert d_hat[0] == pytest.approx(2.30103, abs=1e-5)
-    assert w_hat[0] == pytest.approx(1.30103, abs=1e-5)
+    assert w_hat[1] == pytest.approx(1.30103, abs=1e-5)
     # Both composites exceed the grid, so the state clamps to the corner.
     d_idx, w_idx = derive_states(log, cfg)
-    assert (d_idx[0], w_idx[0]) == (cfg.n_d - 1, cfg.n_w - 1)
+    assert (d_idx.tolist(), w_idx.tolist()) == ([cfg.n_d - 1], [cfg.n_w - 1])
 
 
-def test_derive_needs_two_records_and_does_not_mutate():
+def test_derive_needs_three_records_and_does_not_mutate():
     cfg = grid()
-    with pytest.raises(ValueError):
-        derive_states(records([10.0], [2.0]), cfg)
-    original = records([10.0, 12.0], [2.0, 3.0])
+    for n in range(3):
+        d_idx, w_idx = derive_states(records([10.0] * n, [2.0] * n), cfg)
+        assert d_idx.size == w_idx.size == 0
+    original = records([10.0, 12.0, 11.0], [2.0, 3.0, 4.0])
     derive_states(original, cfg)
-    assert list(original) == list(records([10.0, 12.0], [2.0, 3.0]))
+    assert list(original) == list(records([10.0, 12.0, 11.0], [2.0, 3.0, 4.0]))
 
 
-def test_two_record_run_yields_one_state_and_no_transitions():
+def test_three_record_run_yields_one_state_and_no_transitions():
     cfg = grid()
-    d_idx, w_idx = derive_states(records([10.0, 12.0], [2.0, 3.0]), cfg)
+    d_idx, w_idx = derive_states(records([10.0, 12.0, 11.0], [2.0, 3.0, 4.0]), cfg)
     assert d_idx.size == w_idx.size == 1
     assert not count_transitions(cfg, d_idx, w_idx).any()
 
