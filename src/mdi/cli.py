@@ -180,13 +180,15 @@ def cmd_run(args) -> int:
         f"delay ms median {s.delay_ms.p50:.3f} "
         f"(p25 {s.delay_ms.p25:.3f}, p75 {s.delay_ms.p75:.3f}), "
         f"sent {result.sent_pkts}, delivered {result.delivered_pkts}, "
-        f"dropped {result.dropped_pkts}, silent epochs {result.silent_epochs}"
+        f"dropped {result.dropped_pkts}, silent epochs {result.silent_epochs}, "
+        f"clamps {result.clamp_warnings}"
     )
     if isinstance(controller, MdiController) and controller.epoch_count:
         line += (
             f", fallback {controller.fallback_count}/{controller.epoch_count} epochs"
             f", marginal {controller.marginal_count}"
             f", range-exit {controller.boundary_count}"
+            f", unreached {controller.unreached_count}"
         )
     if result.zero_delivered:
         line += " [WARNING: nothing delivered]"

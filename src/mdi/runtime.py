@@ -19,9 +19,17 @@ Realizing a window composite means inverting
 f(w) = (w / w_prev - 1) * log10(w) for w at fixed w_prev. f is not
 monotone: it is zero at w = 1 and w = w_prev and dips negative between
 them, so a negative target selects the branch rising back toward w_prev
-(the root nearest the current window), found by bisection. Targets below
-the dip's minimum clamp to the minimizer; positive targets are bisected
-on [w_prev, 1000 * w_prev].
+(the root nearest the current window). f is convex, so Newton steps
+from above the root (from w_prev for a negative target, from
+1000 * w_prev for a positive one) descend to it without overshoot. The
+dip's minimizer is the root of f's derivative, which is increasing and
+concave, so Newton steps from w = 1 climb to it. Each iteration stops
+once a step no longer moves its way. The answer is the rounded midpoint
+of two adjacent floats, found next to the last iterate, across which
+the float function crosses its target. Targets below the dip's minimum
+clamp to the minimizer, and positive targets beyond 1000 * w_prev clamp
+to that window. The draws whose bucket the window could not reach are
+counted in unreached_count.
 
 Each (k, l, r) row's tier and CDF come from the model's decision table,
 built once per model. An unseen row backs off to the quadrant's row with
@@ -44,42 +52,85 @@ from .controllers import Controller, ControllerDecision, EpochFeedback
 from .quantizer import composite
 from .trainer import HOLD, MARGINAL, TransitionModel
 
-_BISECT_STEPS = 80
 _POS_SPAN = 1000.0
+_LN10 = math.log(10.0)
+
+
+def _slope(w: float, w_prev: float) -> float:
+    """ln(10) times the window composite's derivative in w.
+
+    It increases in w (its own derivative is 1/(w_prev*w) + 1/w**2) and
+    is concave, so it has one root: the bottom of the composite's dip.
+    """
+    return (math.log(w) + 1.0) / w_prev - 1.0 / w
+
+
+def _crossing(fn, target: float, w_prev: float, x: float, lo: float, hi: float) -> float:
+    """0.5 * (a + b) for adjacent floats a < b with fn(a) < target <= fn(b).
+
+    The pair is sought next to the estimate x, inside [lo, hi], where
+    fn(lo) < target <= fn(hi) is known. Near a tangent the float fn is
+    noise across a wide band, so the step away from x doubles until the
+    side flips, and the bracket it spans is then bisected down to two
+    adjacent floats; the midpoint rounds to one of them.
+    """
+    step = math.ulp(x)
+    if fn(x, w_prev) < target:
+        lo = x
+        while (y := x + step) < hi and fn(y, w_prev) < target:
+            lo, step = y, 2.0 * step
+        hi = min(y, hi)
+    else:
+        hi = x
+        while (y := x - step) > lo and not fn(y, w_prev) < target:
+            hi, step = y, 2.0 * step
+        lo = max(y, lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if fn(mid, w_prev) < target:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _dip_minimizer(w_prev: float) -> float:
-    """Locate the minimum of the window composite on (1, w_prev).
+    """Locate the minimum of the window composite on [1, w_prev].
 
-    The derivative's sign is carried by (ln w + 1) / w_prev - 1 / w,
-    which increases in w, so a plain bisection on its sign converges to
-    the unique stationary point.
-
-    Both bisections stop once the midpoint of [lo, hi] is lo or hi: no
-    float lies between them, so further steps could not move it.
+    Newton on the slope from w = 1: the slope is increasing and concave,
+    so each step lands short of its root and the iterates climb to it.
+    They stop once a step no longer climbs.
     """
-    lo, hi = 1.0, w_prev
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if (math.log(mid) + 1.0) / w_prev - 1.0 / mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    w = 1.0
+    while (g := _slope(w, w_prev)) < 0.0:
+        nxt = w - g * w_prev * w * w / (w + w_prev)
+        if not nxt > w:
+            break
+        w = nxt if nxt < w_prev else w_prev
+    return _crossing(_slope, 0.0, w_prev, w, 1.0, w_prev)
 
 
-def _bisect_increasing(target: float, lo: float, hi: float, w_prev: float) -> float:
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if composite(mid, w_prev) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _descend(target: float, w_prev: float, w: float, lo: float) -> float:
+    """Newton on composite(w, w_prev) = target from w down toward lo.
+
+    The composite is convex and, above lo, increasing, so from a window
+    whose composite exceeds the target each step lands at or above the
+    root. The iterates stop once a step no longer descends. Each step
+    takes one logarithm: it scales the composite's excess and the slope
+    by ln(10) together.
+    """
+    scaled = target * _LN10
+    while True:
+        lw = math.log(w)
+        over = (w / w_prev - 1.0) * lw - scaled
+        g = (lw + 1.0) / w_prev - 1.0 / w
+        if not (over > 0.0 and g > 0.0):
+            return w
+        nxt = w - over / g
+        if not nxt < w:
+            return w
+        w = nxt if nxt > lo else lo
 
 
 def invert_w_hat(w_hat_target: float, w_prev: float) -> float:
@@ -96,17 +147,18 @@ def invert_w_hat(w_hat_target: float, w_prev: float) -> float:
     if w_hat_target == 0.0:
         return w_prev
     if w_hat_target > 0.0:
-        lo = max(w_prev, 1.0)
-        hi = max(w_prev, 1.0) * _POS_SPAN
+        hi = w_prev * _POS_SPAN
         if composite(hi, w_prev) <= w_hat_target:
             return hi
-        return _bisect_increasing(w_hat_target, lo, hi, w_prev)
+        w = _descend(w_hat_target, w_prev, hi, w_prev)
+        return _crossing(composite, w_hat_target, w_prev, w, w_prev, hi)
     if w_prev <= 1.0:
         return 1.0
     m = _dip_minimizer(w_prev)
     if w_hat_target <= composite(m, w_prev):
         return m
-    return _bisect_increasing(w_hat_target, m, w_prev, w_prev)
+    w = _descend(w_hat_target, w_prev, w_prev, m)
+    return _crossing(composite, w_hat_target, w_prev, w, m, w_prev)
 
 
 class MdiController(Controller):
@@ -138,6 +190,7 @@ class MdiController(Controller):
         self.fallback_count = 0
         self.marginal_count = 0
         self.boundary_count = 0
+        self.unreached_count = 0
         self.epoch_count = 0
 
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
@@ -161,6 +214,7 @@ class MdiController(Controller):
         r = cfg.d_bucket(d_hat)
         lo, hi = cfg.d_hat_edges[0], cfg.d_hat_edges[-1]
         w_old = self.window
+        v = None
         if not lo <= d_hat <= hi:
             self.window = max(1.0, w_old * (self.c1 if d_hat < lo else self.c2))
             self.boundary_count += 1
@@ -174,10 +228,12 @@ class MdiController(Controller):
                     self.marginal_count += 1
                 v = int(np.searchsorted(cdf, self.rng.random(), side="right"))
                 v = min(v, cfg.n_w - 1)
-                self.window = max(1.0, invert_w_hat(cfg.w_midpoint(v), w_old))
+                self.window = invert_w_hat(cfg.w_midpoint(v), w_old)
         # The bucket reached, not the one drawn (the inversion can clamp
         # short of v): derive_states' state of this row.
         self.w_idx_prev = cfg.w_bucket(composite(self.window, w_old))
+        if v is not None and v != self.w_idx_prev:
+            self.unreached_count += 1
         self.d_idx_prev = r
         self.d_prev_ms = d_new
         return ControllerDecision(self.window, self.epoch_ms)

@@ -8,9 +8,11 @@ import pytest
 
 from mdi import markov
 from mdi.cli import main
-from mdi.linksim import read_epoch_csv
+from mdi.linksim import LinkParams, read_epoch_csv, run_simulation
 from mdi.pipeline import derive_run_seed
 from mdi.quantizer import QuantizerConfig
+from mdi.runtime import MdiController
+from mdi.trace import load_trace
 from mdi.trainer import TransitionModel, load_model, save_model
 
 
@@ -185,6 +187,33 @@ def test_run_mdi_gains_default_to_the_controller_own(workspace, tmp_path):
     for suffix in (".csv", ".packets.csv"):
         a = (tmp_path / f"a{suffix}").read_bytes()
         assert a == (tmp_path / f"b{suffix}").read_bytes()
+
+
+def test_run_prints_the_clamps_and_unreached_draws_it_counted(workspace, tmp_path, capsys):
+    trace = workspace / "traces" / "t0.trace"
+    run = ["run", "--trace", str(trace), "--duration", "8", "--queue", "400", "--seed", "5"]
+    model = workspace / "verus.model"
+    mdi = ["--controller", "mdi", "--model", str(model)]
+    assert main([*run, *mdi, "--out", str(tmp_path / "m.csv")]) == 0
+    assert main([*run, "--controller", "pinned", "--out", str(tmp_path / "p.csv")]) == 0
+    mdi_line, pinned_line = capsys.readouterr().out.splitlines()
+    # The same run in process, seeded as run seeds it.
+    with open(model, "rb") as fh:
+        ctrl = MdiController(load_model(fh), seed=derive_run_seed(5, "t0.trace", 1))
+    with open(trace, "rb") as fh:
+        link_trace = load_trace(fh)
+    params = LinkParams(
+        trace=link_trace, queue_capacity_pkts=400, duration_ms=8000,
+        seed=derive_run_seed(5, "t0.trace", 0),
+    )
+    result = run_simulation(params, ctrl)
+    assert f", clamps {result.clamp_warnings}," in mdi_line
+    assert mdi_line.endswith(f", unreached {ctrl.unreached_count}")
+    assert ", clamps 0" in pinned_line and "unreached" not in pinned_line
+    # compare hands run.json to summarize(), so the counts stay out of it.
+    assert json.loads((tmp_path / "m.run.json").read_text()) == {
+        "duration_ms": 8000, "mtu_bytes": 1500,
+    }
 
 
 def test_train_rejects_missing_or_empty_trace_dir(workspace, tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Golden digests: the seeded corpus must keep producing the same bytes.
 
 For each baseline bundle this hashes the trained model file, its
-heatmap fingerprint (CSV and SVG) and the epoch and packet CSVs of the first held-out trace's native and
-model-driven runs, and compares them with digests recorded from an
-earlier build. Those runs drop nothing, so one more digest pins a short
-lossy run whose packet CSV has both kinds of dropped row, and another
-pins the trace file of the first harness trace. A refactor
-that is meant to keep behaviour must pass this test unchanged; a change
-that moves these bytes says so and why.
+heatmap fingerprint (CSV and SVG), the epoch and packet CSVs of the
+first held-out trace's native and model-driven runs, and the epoch CSVs
+of all its model-driven held-out runs, concatenated in order, and
+compares them with digests recorded from an earlier build. Those runs
+drop nothing, so one more digest pins a short lossy run whose packet
+CSV has both kinds of dropped row, and another pins the trace file of
+the first harness trace. A refactor that is meant to keep behaviour
+must pass this test unchanged; a change that moves these bytes says so
+and why.
 """
 
 import hashlib
@@ -30,6 +32,7 @@ GOLDEN = {
         "native.packets": "7604cec79b4693f19b614599397298e3b802c993dad9b8218bff9da5eb3b23bd",
         "mdi.epochs": "bde5d6bf773a421bd4a31f009570f632897720e7687dbaaaa25d630c5301f0cc",
         "mdi.packets": "80b03cfcdfa5904d21059e6a8d7194ede175ee8d8e11ab546e4728470e7f82a7",
+        "mdi.epochs.held": "51095eadc432aedcb1bcdf7098a7cac767f47038adaaa14fa6ed8662aa533d92",
     },
     "copa-like": {
         "model": "e7bff196b61032b9e7905a87123b90848fc4f80becea36789811a6125ee7b03a",
@@ -38,6 +41,7 @@ GOLDEN = {
         "native.packets": "8c66dd2876ba344d20a8d48801c71268ddf53c9ccff0a3e56edd284f13eb7073",
         "mdi.epochs": "e5d7bd254011506b15e2e931954b98d1173d3ff4f47b2eb55732bb0e3dd7eb84",
         "mdi.packets": "94666afb50251570874049b4de86ff7ce5bc30c65bdabf66b7a79a0234612ec7",
+        "mdi.epochs.held": "d7fbbbf323aaef2a573ed0e25684653164a96a243892b330170d5260069a2072",
     },
 }
 
@@ -65,6 +69,11 @@ def _fingerprint(model, title: str) -> str:
     return hashlib.sha256((csv_buf.getvalue() + svg_buf.getvalue()).encode("utf-8")).hexdigest()
 
 
+def write_held_epochs(held, sink) -> None:
+    for run in held:
+        write_epoch_csv(run.mdi_records, sink)
+
+
 def bundle_digests(bundle) -> dict[str, str]:
     run = bundle.held[0]
     return {
@@ -74,6 +83,7 @@ def bundle_digests(bundle) -> dict[str, str]:
         "native.packets": _sha(write_packet_csv, run.native),
         "mdi.epochs": _sha(write_epoch_csv, run.mdi_records),
         "mdi.packets": _sha(write_packet_csv, run.mdi),
+        "mdi.epochs.held": _sha(write_held_epochs, bundle.held),
     }
 
 

@@ -18,7 +18,7 @@ from reference_linksim import reference_read_epoch_csv
 from mdi.linksim import read_epoch_csv, write_epoch_csv
 from mdi.markov import empirical_distribution, state_visits
 from mdi.quantizer import QuantizerConfig, bucket, composite, composite_steps
-from mdi.runtime import _bisect_increasing, _dip_minimizer, invert_w_hat
+from mdi.runtime import _dip_minimizer, invert_w_hat
 from mdi.trace import LinkTrace, load_trace, save_trace
 from mdi.trainer import (
     EXACT,
@@ -157,12 +157,17 @@ def test_epoch_csv_reader_agrees_with_the_reference_on_edited_files(log, data):
         assert_same_epochs(got, want)
 
 
+def dip_slope(w: float, w_prev: float) -> float:
+    """ln(10) times the window composite's derivative: its sign rule."""
+    return (math.log(w) + 1.0) / w_prev - 1.0 / w
+
+
 def reference_dip_minimizer(w_prev: float) -> float:
-    """The runtime's dip bisection as a fixed 80-step loop, no early exit."""
+    """The dip minimizer by an 80-step bisection on the slope's sign."""
     lo, hi = 1.0, w_prev
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if (math.log(mid) + 1.0) / w_prev - 1.0 / mid < 0.0:
+        if dip_slope(mid, w_prev) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -170,7 +175,7 @@ def reference_dip_minimizer(w_prev: float) -> float:
 
 
 def reference_bisect_increasing(target: float, lo: float, hi: float, w_prev: float) -> float:
-    """The runtime's root bisection as a fixed 80-step loop, no early exit."""
+    """A root of composite(w, w_prev) = target in [lo, hi] by 80 bisection steps."""
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if composite(mid, w_prev) < target:
@@ -180,18 +185,104 @@ def reference_bisect_increasing(target: float, lo: float, hi: float, w_prev: flo
     return 0.5 * (lo + hi)
 
 
+def reference_invert_w_hat(target: float, w_prev: float) -> float:
+    """invert_w_hat with both Newton iterations replaced by the bisections."""
+    if target == 0.0:
+        return w_prev
+    if target > 0.0:
+        top = 1000.0 * w_prev
+        if composite(top, w_prev) <= target:
+            return top
+        return reference_bisect_increasing(target, w_prev, top, w_prev)
+    if w_prev <= 1.0:
+        return 1.0
+    m = reference_dip_minimizer(w_prev)
+    if target <= composite(m, w_prev):
+        return m
+    return reference_bisect_increasing(target, m, w_prev, w_prev)
+
+
+def assert_next_to_a_crossing(fn, target: float, w: float) -> None:
+    """w is one of two adjacent floats a < b with fn(a) < target <= fn(b)."""
+    if fn(w) < target:
+        assert not fn(math.nextafter(w, math.inf)) < target
+    else:
+        assert fn(math.nextafter(w, -math.inf)) < target
+
+
 w_prevs = st.one_of(st.just(1.0), st.floats(1.0, 1e6))
 targets = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e4, 1e5))
 
 
-@settings(max_examples=200, deadline=None)
+def assert_inverts_or_clamps(target: float, w_prev: float) -> None:
+    got = invert_w_hat(target, w_prev)
+    top = 1000.0 * w_prev
+    if target == 0.0:
+        assert got == w_prev
+    elif target > 0.0 and composite(top, w_prev) <= target:
+        assert got == top
+    elif target < 0.0 and w_prev == 1.0:
+        assert got == 1.0
+    else:
+        if target < 0.0:
+            m = _dip_minimizer(w_prev)
+            assert_next_to_a_crossing(lambda w: dip_slope(w, w_prev), 0.0, m)
+            if target <= composite(m, w_prev):
+                assert got == m
+                return
+        assert_next_to_a_crossing(lambda w: composite(w, w_prev), target, got)
+
+
+@settings(max_examples=300, deadline=None)
 @given(w_prevs, targets)
-def test_bisection_early_exit_is_bit_identical_to_fixed_steps(w_prev, target):
-    m = _dip_minimizer(w_prev)
-    assert m.hex() == reference_dip_minimizer(w_prev).hex()
-    for lo, hi in ((m, w_prev), (w_prev, 1000.0 * w_prev)):
-        got = _bisect_increasing(target, lo, hi, w_prev)
-        assert got.hex() == reference_bisect_increasing(target, lo, hi, w_prev).hex()
+def test_invert_w_hat_returns_a_float_next_to_a_crossing(w_prev, target):
+    assert_inverts_or_clamps(target, w_prev)
+
+
+TANGENT_W_PREV = 2761.812011624613
+
+
+@pytest.mark.parametrize(
+    "w_prev, target",
+    [
+        # Within 1e-12 of the dip's bottom the float composite is noise
+        # across hundreds of thousands of ulps around the root.
+        (TANGENT_W_PREV, composite(_dip_minimizer(TANGENT_W_PREV), TANGENT_W_PREV) * (1 - 1e-12)),
+        (1e6, 1e-300),
+        (1e6, -1e-300),
+        (1e6, 1e-12),
+        (TANGENT_W_PREV, composite(1000.0 * TANGENT_W_PREV, TANGENT_W_PREV) * (1 - 1e-15)),
+    ],
+    ids=["dip-tangent", "tiny-positive", "tiny-negative", "small-positive", "span-top"],
+)
+def test_invert_w_hat_returns_near_tangents_and_extremes(w_prev, target):
+    assert_inverts_or_clamps(target, w_prev)
+
+
+def test_newton_matches_the_reference_bisection_where_the_crossing_is_single():
+    # Where the float composite crosses the target once within 16 ulps
+    # of the bisection's answer, both must return the same float; inside
+    # a noisy band each may return a different crossing. 18,363 of these
+    # 20,000 pairs have a single crossing there.
+    rng = np.random.default_rng(20_000)
+    w_prevs_ = np.exp(rng.uniform(0.0, math.log(3000.0), 20_000)).tolist()
+    targets_ = rng.uniform(-0.3, 0.3, 20_000).tolist()
+    checked = 0
+    for w_prev, target in zip(w_prevs_, targets_):
+        assert _dip_minimizer(w_prev) == reference_dip_minimizer(w_prev)
+        want = reference_invert_w_hat(target, w_prev)
+        window = [want]
+        for direction in (-math.inf, math.inf):
+            w = want
+            for _ in range(16):
+                w = math.nextafter(w, direction)
+                window.append(w)
+        window.sort()
+        below = [composite(w, w_prev) < target for w in window]
+        if sum(a != b for a, b in zip(below, below[1:])) == 1:
+            assert invert_w_hat(target, w_prev) == want
+            checked += 1
+    assert checked >= 18_000
 
 
 @settings(max_examples=200, deadline=None)

@@ -160,6 +160,7 @@ def test_point_mass_on_growth_ratchets_upward():
     expected = invert_w_hat(0.2, 4.0)
     assert windows[0] == pytest.approx(expected, rel=1e-9)
     assert ctrl.w_idx_prev == 2
+    assert ctrl.unreached_count == 0
 
 
 def test_unseen_exact_row_backs_off_to_quadrant_marginal():
@@ -219,11 +220,16 @@ def test_state_records_the_bucket_the_window_reached():
     cells = {(1, 0, 1, 0): 5, (1, 1, 1, 2): 5, (1, 2, 1, 0): 5}
     ctrl = MdiController(model_with(cells), w_init=4.0, seed=0)
     grid = small_grid()
+    drawn = {0: 0, 1: 2, 2: 0}  # each row's one bucket, by l
+    unreached = 0
     for _ in range(300):
-        before = ctrl.window
+        before, v = ctrl.window, drawn[ctrl.w_idx_prev]
+        sampled = ctrl.d_prev_ms is not None
         ctrl.on_epoch(fb(10.0))
         assert ctrl.w_idx_prev == grid.w_bucket(composite(ctrl.window, before))
         assert ctrl.window != 1.0
+        unreached += sampled and ctrl.w_idx_prev != v
+    assert ctrl.unreached_count == unreached > 0
 
 
 def test_verus_model_keeps_trace_t41_off_the_one_packet_floor(verus_bundle):
