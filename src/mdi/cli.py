@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import markov
-from .controllers import BASELINES
+from .controllers import BASELINES, Pinned
 from .heatmap import heatmap_export
 from .linksim import (
     LinkParams,
+    per_second_mbps,
     read_epoch_csv,
     read_packet_csv,
     run_simulation,
@@ -31,6 +32,7 @@ from .linksim import (
     write_packet_csv,
 )
 from .pipeline import derive_run_seed, train_on_traces
+from .quantizer import N_D, N_W
 from .runtime import MdiController
 from .trace import (
     LinkTrace,
@@ -214,7 +216,7 @@ def cmd_analyze(args) -> int:
     if model.total_transitions == 0:
         raise CliError(f"model {args.model} has no transitions; nothing to analyze")
     epsilons = _parse_epsilons(args.epsilons)
-    P = markov.to_stochastic(model, empty_rows=args.empty_rows)
+    P = markov.to_stochastic(model)
     if args.lazy:
         P = markov.lazy(P)
     try:
@@ -228,7 +230,6 @@ def cmd_analyze(args) -> int:
         "n_d": model.cfg.n_d,
         "n_w": model.cfg.n_w,
         "transitions": model.total_transitions,
-        "empty_rows_policy": args.empty_rows,
         "lazy": bool(args.lazy),
         "irreducible": markov.is_irreducible(P),
         "stationary_residual": float(np.abs(pi @ P - pi).max()),
@@ -266,46 +267,40 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _pdf(values: np.ndarray, edges: np.ndarray) -> list[float]:
-    hist, _ = np.histogram(values, bins=edges)
-    total = hist.sum()
-    if total == 0:
-        return [0.0] * len(hist)
-    return (hist / total).tolist()
+def _ks(a: np.ndarray, b: np.ndarray) -> float | None:
+    """Two-sample Kolmogorov-Smirnov distance: the largest gap between
+    the empirical CDFs of a and b, or None when either is empty."""
+    if not (a.size and b.size):
+        return None
+    x = np.concatenate([a, b])
+    cdf_a, cdf_b = (np.searchsorted(np.sort(v), x, side="right") / v.size for v in (a, b))
+    return float(np.abs(cdf_a - cdf_b).max())
 
 
 def cmd_compare(args) -> int:
     path_a, path_b = Path(args.a), Path(args.b)
-    logs, stats = {}, {}
+    samples, stats = {}, {}
     for key, path in (("a", path_a), ("b", path_b)):
         pk, rp = _run_siblings(path)
         for sibling, what in ((pk, "packet log"), (rp, "run parameters")):
             if not sibling.exists():
                 raise CliError(f"missing {what} {sibling} (written alongside run output)")
         with open(pk, "r", encoding="utf-8") as fh:
-            log = logs[key] = read_packet_csv(fh)
+            log = read_packet_csv(fh)
+        params = json.loads(rp.read_text(encoding="utf-8"))
         try:
-            summary = summarize(log, **json.loads(rp.read_text(encoding="utf-8")))
+            summary = summarize(log, **params)
         except TypeError as exc:
             raise CliError(f"{rp} needs integer duration_ms and mtu_bytes: {exc}") from None
+        # The samples summarize reads: per-second throughput, per-packet RTT.
+        tput = per_second_mbps(log.delivered_ms[log.delivered_ms >= 0], **params)
+        samples[key] = {"throughput": tput, "delay": log.rtt_ms[log.acked_ms >= 0]}
         stats[key] = {
             "sent": log.sent_pkts,
             "delivered": log.delivered_pkts,
             "dropped": log.dropped_pkts,
             **dataclasses.asdict(summary),
         }
-    rtt_a, rtt_b = (log.rtt_ms[log.acked_ms >= 0] for log in (logs["a"], logs["b"]))
-    if rtt_a.size and rtt_b.size:
-        lo = float(min(rtt_a.min(), rtt_b.min()))
-        hi = float(max(rtt_a.max(), rtt_b.max())) + 1.0
-        edges = np.linspace(lo, hi, 51)
-        delay_pdf = {
-            "edges": edges.tolist(),
-            "a": _pdf(rtt_a, edges),
-            "b": _pdf(rtt_b, edges),
-        }
-    else:
-        delay_pdf = {"edges": [], "a": [], "b": []}
 
     def rel(metric: str) -> float:
         va = stats["a"][metric]["p50"]
@@ -319,7 +314,7 @@ def cmd_compare(args) -> int:
             "throughput_median": rel("throughput_mbps"),
             "delay_median": rel("delay_ms"),
         },
-        "delay_pdf": delay_pdf,
+        "ks_vs_b": {m: _ks(samples["a"][m], samples["b"][m]) for m in samples["a"]},
     }
     _json_dump(report, Path(args.out) if args.out else None)
     print(
@@ -396,13 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--controller",
         default="verus-like",
-        choices=sorted(BASELINES),
+        # A pinned window never moves, so no window grid fits its runs.
+        choices=sorted(set(BASELINES) - {Pinned.name}),
         help="baseline controller to run",
     )
     p.add_argument("--runs", type=int, default=1, help="runs per trace")
     p.add_argument("--epoch-ms", type=int, default=None, help="override epoch length")
-    p.add_argument("--n-d", type=int, default=11, help="delay buckets")
-    p.add_argument("--n-w", type=int, default=21, help="window buckets")
+    p.add_argument("--n-d", type=int, default=N_D, help="delay buckets")
+    p.add_argument("--n-w", type=int, default=N_W, help="window buckets")
     _add_link_args(p)
     p.add_argument("--out", required=True, help="output model path")
     p.set_defaults(func=cmd_train)
@@ -428,12 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stationary distribution and mixing times, and how a run's states fit them",
     )
     p.add_argument("--model", required=True)
-    p.add_argument(
-        "--empty-rows",
-        choices=["self-loop", "uniform"],
-        default="uniform",
-        help="policy for states with no observed outgoing transitions",
-    )
     p.add_argument("--lazy", action="store_true", help="analyze (P + I) / 2 instead")
     p.add_argument(
         "--epsilons", default="1e-3,1e-5,1e-7", help="comma-separated thresholds"

@@ -40,8 +40,8 @@ shape on its bytes, and every error names the body row. The packet CSV
 holds only digits, commas and newlines, with a blank for -1, and
 `mdi.cells` writes and reads its integers; the reader adds the file's
 own rules, such as no zero padding. The epoch CSV is the log's three
-columns for every controller, adds the '.', 'e', '+' and '-' of repr'd
-floats, and is parsed by one checked np.loadtxt.
+columns for every controller, its floats spelled only as repr spells
+them (no leading '+' or zero, no padded fraction), read by np.loadtxt.
 """
 
 from __future__ import annotations
@@ -399,14 +399,14 @@ _FIELD_MIN = np.array([0, 0, *(10**k for k in range(1, cells.MAX_DIGITS)), 2**64
 
 def _read_table(
     source: TextIO, name: str, header: list[str], chars: bytes
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check a CSV file's shape; return its body and field separators.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a CSV file's shape; return its body and field bounds.
 
     The header line must be `header` exactly, and the body may hold only
     `chars`; every row is non-empty, ends in a bare newline (one is added
     after a last row that lacks it) and has one field per column. Returns
-    the body's bytes as a uint8 array and, row by row, the position of
-    the comma or newline that closes each field, shape (rows, columns).
+    the body's bytes as a uint8 array and two (rows, columns) arrays:
+    where each field starts, and the comma or newline that closes it.
     Every error names the 0-based body row at fault.
     """
     # The file is held once, as bytes: the text is encoded once, and the
@@ -435,7 +435,10 @@ def _read_table(
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(f"{name} CSV row {row}: {fields[row]} fields, expected {len(header)}")
-    return flat, seps.reshape(-1, len(header))
+    # A field starts just after the separator before it.
+    starts = np.roll(seps, 1) + 1
+    starts[:1] = 0
+    return flat, starts.reshape(-1, len(header)), seps.reshape(-1, len(header))
 
 
 def write_epoch_csv(log: EpochLog, sink: TextIO) -> None:
@@ -445,12 +448,28 @@ def write_epoch_csv(log: EpochLog, sink: TextIO) -> None:
     sink.write("".join(map("{},{},{}\n".format, *cols)))
 
 
+def _padded_fields(flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Where a non-empty epoch CSV body starts a field with "+" or with a
+    zero before a digit, or ends a fraction in a padding zero."""
+    digit = flat - ord("0") < 10  # bytes below "0" wrap around
+    lead, then = flat[starts], digit[np.minimum(starts + 1, flat.size - 1)]
+    signed = starts[(lead == ord("+")) | ((lead == ord("0")) & then)]
+    points = np.flatnonzero(flat == ord("."))
+    nondigit = np.flatnonzero(~digit)  # the body ends in a newline
+    ends = nondigit[np.searchsorted(nondigit, points, side="right")]
+    return np.append(signed, points[(ends - points > 2) & (flat[ends - 1] == ord("0"))])
+
+
 def read_epoch_csv(source: TextIO) -> EpochLog:
     """Parse an epoch CSV back into a log with one checked np.loadtxt."""
-    flat, _ = _read_table(source, "epoch", EPOCH_CSV_HEADER, b"0123456789.e+-,\n")
+    flat, starts, seps = _read_table(source, "epoch", EPOCH_CSV_HEADER, b"0123456789.e+-,\n")
     if not flat.size:
         table = np.empty(0, dtype=_EPOCH_DTYPE)
     else:
+        padded = _padded_fields(flat, starts.ravel())
+        if padded.size:
+            row = int(np.searchsorted(seps[:, -1], padded.min()))
+            raise ValueError(f"epoch CSV row {row}: a number is signed or zero-padded")
         text = io.StringIO(flat.tobytes().decode())
         try:
             table = np.loadtxt(text, delimiter=",", dtype=_EPOCH_DTYPE, ndmin=1, comments=None)
@@ -479,12 +498,9 @@ def write_packet_csv(log: PacketLog, sink: TextIO) -> None:
     sink.write(cells.format_cells(cols, ",,,\n").decode("ascii"))
 
 
-def _packet_columns(flat: np.ndarray, seps: np.ndarray) -> list[np.ndarray]:
+def _packet_columns(flat: np.ndarray, starts: np.ndarray, seps: np.ndarray) -> list[np.ndarray]:
     """The four columns of a packet CSV body as int64, -1 for a blank;
     raises on the first field, row by row, that does not convert."""
-    # A field starts just after the separator before it.
-    starts = np.roll(seps.ravel(), 1).reshape(seps.shape) + 1
-    starts.flat[:1] = 0
     cols, wrong = [], []
     for name, start, end in zip(PACKET_CSV_HEADER, starts.T, seps.T):
         end = end.astype(np.intp)

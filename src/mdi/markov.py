@@ -7,12 +7,11 @@ from worst-case one-hot starts, and divergence metrics between the
 predicted stationary distribution and empirically observed state
 frequencies.
 
-Desk-scale training leaves states with no observed outflow. The default
-"uniform" policy lets them diffuse; "self-loop" makes them absorbing,
-which can drain the stationary mass into barely visited states. While
-a state was never entered, neither makes the chain irreducible: no
-state the runs visited leads to it, so the chain analyzed is not the
-one the protocol visits.
+Desk-scale training leaves states with no observed outflow. They get
+one rule: a uniform row, so they diffuse. While a state was never
+entered, that does not make the chain irreducible: no state the runs
+visited leads to it, so the chain analyzed is not the one the
+protocol visits.
 """
 
 from __future__ import annotations
@@ -70,21 +69,15 @@ def check_distribution(p: np.ndarray) -> np.ndarray:
 
 
 def to_stochastic(model: TransitionModel, empty_rows: str = "uniform") -> np.ndarray:
-    """Full-row chain over flat states with a policy for unseen rows.
-
-    empty_rows is "uniform" (unseen states diffuse) or "self-loop"
-    (unseen states hold).
-    """
+    """Full-row chain over flat states; a state with no observed outflow
+    gets a uniform row. empty_rows accepts only "uniform": it is kept for
+    the benchmark's callers, which pass it, and goes with them (ROADMAP
+    item 3)."""
+    if empty_rows != "uniform":
+        raise ValueError(f"empty_rows must be 'uniform', got {empty_rows!r}")
     n = model.cfg.n_states
     P = model.full_rows.reshape(n, n).copy()
-    empty = P.sum(axis=1) == 0.0
-    if empty_rows == "self-loop":
-        idx = np.flatnonzero(empty)
-        P[idx, idx] = 1.0
-    elif empty_rows == "uniform":
-        P[empty] = 1.0 / n
-    else:
-        raise ValueError(f"empty_rows must be 'self-loop' or 'uniform', got {empty_rows!r}")
+    P[P.sum(axis=1) == 0.0] = 1.0 / n
     return check_stochastic(P)
 
 

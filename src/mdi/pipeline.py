@@ -18,7 +18,7 @@ import numpy as np
 
 from .controllers import Controller
 from .linksim import LinkParams, SimResult, run_simulation
-from .quantizer import fit_config
+from .quantizer import N_D, N_W, fit_config
 from .trace import LinkTrace
 from .trainer import EpochLog, TransitionModel, count_transitions, derive_states
 
@@ -33,8 +33,8 @@ def train_on_traces(
     traces: Sequence[tuple[str, LinkTrace]],
     make_controller: Callable[[], Controller],
     *,
-    n_d: int = 11,
-    n_w: int = 21,
+    n_d: int = N_D,
+    n_w: int = N_W,
     master_seed: int = 1,
     runs_per_trace: int = 1,
     **link,

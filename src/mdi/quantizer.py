@@ -31,6 +31,9 @@ from typing import Sequence
 import numpy as np
 
 
+N_D, N_W = 11, 21  # the default grid: delay buckets by window buckets
+
+
 class FitError(ValueError):
     """Bucket edges could not be fitted to the observation sample."""
 
@@ -104,8 +107,8 @@ class QuantizerConfig:
         d_hi: float,
         w_lo: float,
         w_hi: float,
-        n_d: int = 11,
-        n_w: int = 21,
+        n_d: int = N_D,
+        n_w: int = N_W,
     ) -> "QuantizerConfig":
         """Evenly spaced edges over explicit ranges."""
         d_edges = np.linspace(d_lo, d_hi, n_d + 1)
@@ -146,8 +149,8 @@ class QuantizerConfig:
 def fit_config(
     d_hat: np.ndarray,
     w_hat: np.ndarray,
-    n_d: int = 11,
-    n_w: int = 21,
+    n_d: int = N_D,
+    n_w: int = N_W,
 ) -> QuantizerConfig:
     """Fit bucket edges to the pooled composite columns.
 
@@ -169,7 +172,7 @@ def fit_config(
     d_lo, d_hi = np.percentile(d, [1.0, 99.0])
     w_lo, w_hi = np.percentile(w, [1.0, 99.0])
     if not d_lo < d_hi:
-        raise FitError(f"degenerate d_hat sample: p1 == p99 == {d_lo!r}")
+        raise FitError(f"degenerate d_hat sample: p1 == p99 == {float(d_lo)!r}")
     if not w_lo < w_hi:
-        raise FitError(f"degenerate w_hat sample: p1 == p99 == {w_lo!r}")
+        raise FitError(f"degenerate w_hat sample: p1 == p99 == {float(w_lo)!r}")
     return QuantizerConfig.uniform(d_lo, d_hi, w_lo, w_hi, n_d=n_d, n_w=n_w)

@@ -209,18 +209,14 @@ def count_transitions(cfg: QuantizerConfig, d_idx, w_idx) -> np.ndarray:
 _MAGIC = "MDIMODEL v1"
 
 
-def _format_edge(e: float) -> str:
-    return repr(float(e))
-
-
 def save_model(model: TransitionModel, sink: BinaryIO) -> None:
     """Serialize edges and sparse counts; byte-identical for equal models."""
     cfg = model.cfg
     lines = [
         _MAGIC,
         f"{cfg.n_d} {cfg.n_w} {model.total_transitions}",
-        " ".join(_format_edge(e) for e in cfg.d_hat_edges),
-        " ".join(_format_edge(e) for e in cfg.w_hat_edges),
+        " ".join(map(repr, cfg.d_hat_edges)),
+        " ".join(map(repr, cfg.w_hat_edges)),
     ]
     nz = np.argwhere(model.counts)
     for k, l, r, v in nz:

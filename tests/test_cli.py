@@ -1,14 +1,23 @@
 """End-to-end command-line workflows in a temporary workspace."""
 
+import argparse
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mdi import markov
-from mdi.cli import main
-from mdi.linksim import LinkParams, read_epoch_csv, run_simulation
+from mdi.cli import _ks, build_parser, main
+from mdi.linksim import (
+    LinkParams,
+    per_second_mbps,
+    read_epoch_csv,
+    read_packet_csv,
+    run_simulation,
+)
 from mdi.pipeline import derive_run_seed
 from mdi.quantizer import QuantizerConfig
 from mdi.runtime import MdiController
@@ -231,16 +240,20 @@ def test_train_rejects_missing_or_empty_trace_dir(workspace, tmp_path, capsys):
 
 
 def test_train_only_accepts_baseline_controllers(workspace, tmp_path, capsys):
-    # The model-driven controller is not trainable-on, and the parser
+    # The model-driven controller is not trainable-on, and no grid fits
+    # a pinned window, whose every window composite is 0. The parser
     # enforces the choice list before any work happens.
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "train", "--traces", str(workspace / "traces"),
-                "--controller", "mdi", "--out", str(tmp_path / "m"),
-            ]
-        )
-    assert not (tmp_path / "m").exists()
+    for controller in ("mdi", "pinned"):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "train", "--traces", str(workspace / "traces"),
+                    "--controller", controller, "--out", str(tmp_path / "m"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
 
 def test_analyze_reports_stationary_and_ordered_mixing(workspace, tmp_path):
@@ -254,7 +267,7 @@ def test_analyze_reports_stationary_and_ordered_mixing(workspace, tmp_path):
     assert rc == 0
     report = json.loads(report_path.read_text())
     assert report["n_states"] == 231
-    assert report["empty_rows_policy"] == "uniform"
+    assert "empty_rows_policy" not in report  # one empty-row rule, uniform
     # Irreducibility is reported, not guaranteed, for desk-scale corpora:
     # observed rows may never target some never-visited states.
     assert isinstance(report["irreducible"], bool)
@@ -276,23 +289,64 @@ def test_analyze_rejects_empty_model(tmp_path, capsys):
     assert "no transitions" in capsys.readouterr().err
 
 
-def test_compare_runs_reports_medians_and_delay_pdf(workspace, tmp_path):
-    out = tmp_path / "cmp.json"
-    rc = main(
-        [
-            "compare", "--a", str(workspace / "driven.csv"),
-            "--b", str(workspace / "native.csv"), "--out", str(out),
-        ]
-    )
-    assert rc == 0
-    report = json.loads(out.read_text())
+def test_analyze_has_no_empty_rows_option(workspace, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--model", str(workspace / "verus.model"), "--empty-rows", "uniform"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --empty-rows" in capsys.readouterr().err
+
+
+def test_ks_distance_is_the_largest_cdf_gap():
+    assert _ks(np.array([1, 2, 3, 4]), np.array([2, 3, 4, 5])) == 0.25
+    assert _ks(np.array([1.0, 1.0]), np.array([1.0])) == 0.0
+    assert _ks(np.array([1.0]), np.array([2.0])) == 1.0
+    assert _ks(np.array([]), np.array([1.0])) is None
+    assert _ks(np.array([1.0]), np.array([])) is None
+
+
+def brute_ks(a: np.ndarray, b: np.ndarray) -> float:
+    """The KS distance by evaluating both empirical CDFs at every value."""
+    x = np.union1d(a, b)[:, None]
+    return float(np.abs((a <= x).mean(axis=1) - (b <= x).mean(axis=1)).max())
+
+
+def compare(a: Path, b: Path, out: Path) -> dict:
+    assert main(["compare", "--a", str(a), "--b", str(b), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_compare_runs_reports_medians_and_ks_distances(workspace, tmp_path):
+    driven, native = workspace / "driven.csv", workspace / "native.csv"
+    report = compare(driven, native, tmp_path / "cmp.json")
     assert report["a"]["delivered"] > 0
     assert report["rel_diff_vs_b"]["throughput_median"] >= 0.0
     assert report["rel_diff_vs_b"]["delay_median"] >= 0.0
-    pdf = report["delay_pdf"]
-    assert len(pdf["edges"]) == 51
-    assert sum(pdf["a"]) == pytest.approx(1.0)
-    assert sum(pdf["b"]) == pytest.approx(1.0)
+    assert "delay_pdf" not in report
+    # KS of a against b over the samples summarize reads: per-second
+    # throughput and the RTT of every ACKed packet.
+    samples = []
+    for path in (driven, native):
+        log = read_packet_csv(io.StringIO(path.with_suffix(".packets.csv").read_text()))
+        params = json.loads(path.with_suffix(".run.json").read_text())
+        tput = per_second_mbps(log.delivered_ms[log.delivered_ms >= 0], **params)
+        samples.append((tput, log.rtt_ms[log.acked_ms >= 0]))
+    (tput_a, rtt_a), (tput_b, rtt_b) = samples
+    assert report["ks_vs_b"] == {
+        "throughput": brute_ks(tput_a, tput_b),
+        "delay": brute_ks(rtt_a, rtt_b),
+    }
+    assert 0.0 < report["ks_vs_b"]["delay"] < 1.0
+    # A run against itself is at distance 0 on both.
+    itself = compare(native, native, tmp_path / "self.json")
+    assert itself["ks_vs_b"] == {"throughput": 0.0, "delay": 0.0}
+    # A run with no ACKed packet has no delay sample.
+    silent = tmp_path / "silent.csv"
+    silent.with_suffix(".packets.csv").write_text("sent_ms,delivered_ms,acked_ms,dropped\n0,,,1\n")
+    silent.with_suffix(".run.json").write_text('{"duration_ms": 8000, "mtu_bytes": 1500}')
+    for a, b in ((silent, native), (native, silent)):
+        ks = compare(a, b, tmp_path / "silent.json")["ks_vs_b"]
+        assert ks["delay"] is None
+        assert ks["throughput"] == 1.0  # a run that delivers nothing vs one that does
 
 
 def test_analyze_result_reports_divergences(workspace, tmp_path):
@@ -475,3 +529,18 @@ def test_fingerprint_of_empty_model_warns_but_succeeds(tmp_path, capsys):
     assert rc == 0
     assert "warning" in capsys.readouterr().err
     assert (tmp_path / "e.svg").exists()
+
+
+def test_readme_names_only_flags_the_cli_has():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # The Install section's flags are pip's.
+    outside_install = re.sub(r"\n## Install\n.*?(?=\n## )", "", readme, flags=re.S)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", outside_install))
+    (commands,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        flag for p in commands.choices.values() for a in p._actions for flag in a.option_strings
+    }
+    assert named, "README names no flags"
+    assert named <= options, f"README names flags no subcommand has: {sorted(named - options)}"

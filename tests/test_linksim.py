@@ -332,6 +332,20 @@ def test_epoch_csv_errors_name_the_body_row():
     ):
         with pytest.raises(ValueError, match=f"^epoch CSV row 1: {column} must be finite"):
             read_epoch_csv(io.StringIO(header + first + row))
+    # Spellings repr never writes: a leading "+", a zero before a digit
+    # at a field's start, a fraction padded with trailing zeros. Alone,
+    # each would read as a valid one-row log.
+    for row in (
+        "01,2.0,3.0\n", "+1,2.0,3.0\n", "1,+2.0,3.0\n", "1,2.0,0003.0\n", "1,2.50,3.0\n",
+        "1,2.5,1.10e+16\n",
+    ):
+        for body, at in ((row, 0), ("0,12.5,8.0\n" + row, 1)):
+            with pytest.raises(ValueError, match=f"^epoch CSV row {at}: a number is signed or"):
+                read_epoch_csv(io.StringIO(header + body))
+    # What repr does write reads: an exponent's own zeros, a bare zero
+    # before the point and a one-digit fraction.
+    log = read_epoch_csv(io.StringIO(header + "0,0.5,1e+16\n10,1e-05,100.0\n"))
+    assert list(log) == [(0, 0.5, 1e16), (10, 1e-05, 100.0)]
 
 
 def test_packet_csv_round_trip():

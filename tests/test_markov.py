@@ -60,17 +60,18 @@ def counted_model(pairs) -> TransitionModel:
     return TransitionModel(grid2(), counts)
 
 
-def test_to_stochastic_empty_row_policies():
+def test_to_stochastic_gives_empty_rows_uniform():
     model = counted_model({(0, 1): 3, (0, 2): 1, (1, 0): 2})
-    P_self = to_stochastic(model, empty_rows="self-loop")
-    assert np.allclose(P_self[0], [0.0, 0.75, 0.25, 0.0])
-    assert P_self[2, 2] == 1.0 and P_self[3, 3] == 1.0
-    P_unif = to_stochastic(model, empty_rows="uniform")
-    assert np.allclose(P_unif[2], 0.25)
-    assert np.allclose(P_unif[3], 0.25)
-    assert np.array_equal(to_stochastic(model), P_unif)  # the default
-    with pytest.raises(ValueError):
-        to_stochastic(model, empty_rows="drop")
+    P = to_stochastic(model)
+    assert np.allclose(P[0], [0.0, 0.75, 0.25, 0.0])
+    assert np.allclose(P[1], [1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(P[2], 0.25)
+    assert np.allclose(P[3], 0.25)
+    assert np.array_equal(to_stochastic(model, empty_rows="uniform"), P)
+    # The one rule: no other value is accepted, the old "self-loop" included.
+    for policy in ("self-loop", "drop"):
+        with pytest.raises(ValueError, match="empty_rows must be 'uniform'"):
+            to_stochastic(model, empty_rows=policy)
 
 
 def test_lazy_preserves_stationary_and_kills_periodicity():

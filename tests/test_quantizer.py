@@ -138,10 +138,16 @@ def test_fit_needs_enough_observations():
 
 def test_fit_rejects_degenerate_axis():
     vals = np.arange(200, dtype=np.float64)
-    with pytest.raises(FitError):
+    # The message prints the value as a plain float, not a numpy repr.
+    with pytest.raises(FitError) as err:
         fit_config(np.full(200, 0.5), vals)
-    with pytest.raises(FitError):
+    assert str(err.value) == "degenerate d_hat sample: p1 == p99 == 0.5"
+    with pytest.raises(FitError) as err:
         fit_config(vals, np.full(200, -2.0))
+    assert str(err.value) == "degenerate w_hat sample: p1 == p99 == -2.0"
+    with pytest.raises(FitError) as err:
+        fit_config(vals, np.zeros(200))  # a pinned window's composites
+    assert str(err.value) == "degenerate w_hat sample: p1 == p99 == 0.0"
 
 
 def test_every_default_grid_state_round_trips():
