@@ -23,11 +23,11 @@ from .controllers import BASELINES, Pinned
 from .heatmap import heatmap_export
 from .linksim import (
     LinkParams,
-    per_second_mbps,
+    SummaryStats,
     read_epoch_csv,
     read_packet_csv,
+    run_samples,
     run_simulation,
-    summarize,
     write_epoch_csv,
     write_packet_csv,
 )
@@ -182,7 +182,8 @@ def cmd_run(args) -> int:
         f"delay ms median {s.delay_ms.p50:.3f} "
         f"(p25 {s.delay_ms.p25:.3f}, p75 {s.delay_ms.p75:.3f}), "
         f"sent {result.sent_pkts}, delivered {result.delivered_pkts}, "
-        f"dropped {result.dropped_pkts}, silent epochs {result.silent_epochs}, "
+        f"dropped {result.dropped_pkts} (tail {result.tail_drops}, loss {result.loss_drops}), "
+        f"silent epochs {result.silent_epochs}, "
         f"clamps {result.clamp_warnings}"
     )
     if isinstance(controller, MdiController) and controller.epoch_count:
@@ -277,6 +278,18 @@ def _ks(a: np.ndarray, b: np.ndarray) -> float | None:
     return float(np.abs(cdf_a - cdf_b).max())
 
 
+def _run_params(path: Path) -> dict[str, int]:
+    """The integer duration_ms and mtu_bytes of a run.json; other keys are ignored."""
+    try:
+        params = json.loads(path.read_text(encoding="utf-8"))
+        values = {key: params[key] for key in ("duration_ms", "mtu_bytes")}
+    except (ValueError, TypeError, KeyError):
+        values = {}
+    if not values or any(type(v) is not int for v in values.values()):
+        raise CliError(f"{path} needs integer duration_ms and mtu_bytes")
+    return values
+
+
 def cmd_compare(args) -> int:
     path_a, path_b = Path(args.a), Path(args.b)
     samples, stats = {}, {}
@@ -287,46 +300,31 @@ def cmd_compare(args) -> int:
                 raise CliError(f"missing {what} {sibling} (written alongside run output)")
         with open(pk, "r", encoding="utf-8") as fh:
             log = read_packet_csv(fh)
-        params = json.loads(rp.read_text(encoding="utf-8"))
-        try:
-            summary = summarize(log, **params)
-        except TypeError as exc:
-            raise CliError(f"{rp} needs integer duration_ms and mtu_bytes: {exc}") from None
-        # The samples summarize reads: per-second throughput, per-packet RTT.
-        tput = per_second_mbps(log.delivered_ms[log.delivered_ms >= 0], **params)
-        samples[key] = {"throughput": tput, "delay": log.rtt_ms[log.acked_ms >= 0]}
+        samples[key] = run_samples(log, **_run_params(rp))
         stats[key] = {
             "sent": log.sent_pkts,
             "delivered": log.delivered_pkts,
             "dropped": log.dropped_pkts,
-            **dataclasses.asdict(summary),
+            **{m: dataclasses.asdict(SummaryStats.of(v)) for m, v in samples[key].items()},
         }
-
-    def rel(metric: str) -> float:
-        va = stats["a"][metric]["p50"]
-        vb = stats["b"][metric]["p50"]
-        return abs(va - vb) / max(abs(vb), 1e-9)
-
+    # Each sample's median gap and KS distance, a against b.
+    rel, ks, medians = {}, {}, []
+    for metric, name, unit in (
+        ("throughput_mbps", "throughput", "Mbps"),
+        ("delay_ms", "delay", "ms"),
+    ):
+        va, vb = stats["a"][metric]["p50"], stats["b"][metric]["p50"]
+        rel[f"{name}_median"] = gap = abs(va - vb) / max(abs(vb), 1e-9)
+        ks[name] = _ks(samples["a"][metric], samples["b"][metric])
+        medians.append(f"{name} {va:.3f} / {vb:.3f} {unit} (rel {gap:.3f})")
     report = {
         "a": {"path": str(path_a), **stats["a"]},
         "b": {"path": str(path_b), **stats["b"]},
-        "rel_diff_vs_b": {
-            "throughput_median": rel("throughput_mbps"),
-            "delay_median": rel("delay_ms"),
-        },
-        "ks_vs_b": {m: _ks(samples["a"][m], samples["b"][m]) for m in samples["a"]},
+        "rel_diff_vs_b": rel,
+        "ks_vs_b": ks,
     }
     _json_dump(report, Path(args.out) if args.out else None)
-    print(
-        "medians a vs b: "
-        f"throughput {stats['a']['throughput_mbps']['p50']:.3f} / "
-        f"{stats['b']['throughput_mbps']['p50']:.3f} Mbps "
-        f"(rel {report['rel_diff_vs_b']['throughput_median']:.3f}), "
-        f"delay {stats['a']['delay_ms']['p50']:.3f} / "
-        f"{stats['b']['delay_ms']['p50']:.3f} ms "
-        f"(rel {report['rel_diff_vs_b']['delay_median']:.3f})",
-        file=sys.stderr,
-    )
+    print("medians a vs b: " + ", ".join(medians), file=sys.stderr)
     return 0
 
 

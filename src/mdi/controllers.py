@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from typing import NamedTuple
 
 # The verus-like additive step (packets), the factor by which an epoch's
@@ -57,8 +58,8 @@ class Controller(abc.ABC):
         """Check and keep the starting window and the epoch length."""
         if not math.isfinite(window) or window < 1.0:
             raise ValueError(f"initial window must be finite and >= 1, got {window!r}")
-        if epoch_ms < 1:
-            raise ValueError(f"epoch_ms must be >= 1, got {epoch_ms!r}")
+        if not isinstance(epoch_ms, numbers.Integral) or epoch_ms < 1:
+            raise ValueError(f"epoch_ms must be >= 1 and an integer, got {epoch_ms!r}")
         self.window = float(window)
         self.epoch_ms = int(epoch_ms)
 
@@ -109,14 +110,14 @@ class VerusLike(Controller):
         epoch_ms: int = 20,
         w_init: float = 2.0,
     ) -> None:
-        if not lam >= 1.0:
-            raise ValueError(f"lam must be >= 1, got {lam}")
+        if not 1.0 <= lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 1, got {lam}")
         if not 0.0 < dec_mult < 1.0:
             raise ValueError(f"dec_mult must be in (0, 1), got {dec_mult}")
-        if not rise_floor_ms >= 0.0:
-            raise ValueError(f"rise_floor_ms must be >= 0, got {rise_floor_ms}")
-        if not inc_frac >= 0.0:
-            raise ValueError(f"inc_frac must be >= 0, got {inc_frac}")
+        if not 0.0 <= rise_floor_ms < math.inf:
+            raise ValueError(f"rise_floor_ms must be finite and >= 0, got {rise_floor_ms}")
+        if not 0.0 <= inc_frac < math.inf:
+            raise ValueError(f"inc_frac must be finite and >= 0, got {inc_frac}")
         super().__init__(w_init, epoch_ms)
         self.lam = float(lam)
         self.dec_mult = float(dec_mult)
@@ -162,8 +163,8 @@ class CopaLike(Controller):
         epoch_ms: int = 10,
         w_init: float = 2.0,
     ) -> None:
-        if not velocity > 0.0:
-            raise ValueError(f"velocity must be > 0, got {velocity}")
+        if not 0.0 < velocity < math.inf:
+            raise ValueError(f"velocity must be finite and > 0, got {velocity}")
         super().__init__(w_init, epoch_ms)
         self.velocity = float(velocity)
 

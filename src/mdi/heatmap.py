@@ -19,9 +19,8 @@ _DARK = (8, 48, 107)  # deep blue anchor for the color ramp
 
 
 def _color(value: float, vmax: float) -> str:
-    if vmax <= 0.0 or value <= 0.0:
-        return "#ffffff"
-    t = min(value / vmax, 1.0) ** 0.5
+    """The ramp's color for 0 < value <= vmax."""
+    t = (value / vmax) ** 0.5
     r = round(255 + (_DARK[0] - 255) * t)
     g = round(255 + (_DARK[1] - 255) * t)
     b = round(255 + (_DARK[2] - 255) * t)

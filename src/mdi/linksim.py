@@ -18,10 +18,11 @@ and the sum of their queueing waits. In-flight is every packet queued
 so far minus the lost and the ACKed ones; an epoch's ACK count and RTT
 sum are differences of two reads at its boundaries; the minimum RTT is
 the return leg plus the least wait served so far. Sends and services
-are one batch each per tick, and random loss is drawn a block at a time
-in service order. The packet columns (send, delivery and ACK times,
-drop flags) are rebuilt from the per-tick counts once the run
-ends.
+are one batch each per tick. Random loss is drawn once, before the
+loop: one draw per delivery opportunity, in service order, since a run
+serves at most one packet per opportunity. The packet columns (send,
+delivery and ACK times, drop flags) are rebuilt from the per-tick counts
+once the run ends.
 
 Windows may be fractional; the integer send cap floors the running value
 and carries the remainder into the next epoch. Random loss, when enabled,
@@ -30,7 +31,8 @@ retransmissions; lost packets simply leave the in-flight budget).
 
 A packet log is four columns (send, delivery and ACK times, -1 for a
 stage never reached, and a drop flag); PacketLog.rtt_ms derives RTTs
-and summarize() is the one definition of a run's throughput and delay.
+and run_samples() is the one definition of a run's throughput and
+delay samples, which summarize() reduces to statistics.
 The time columns are int32 when every time fits, and int64 otherwise
 (time_dtype, the one rule the emulator and the packet reader share), so
 a packet of an int32 log takes 13 bytes: three 4-byte times and the flag.
@@ -61,11 +63,6 @@ from . import cells
 from .controllers import Controller, EpochFeedback
 from .trace import LinkTrace
 from .trainer import COLUMN_DTYPES, EpochLog
-
-
-# Loss draws are taken this many at a time; rng.random(n) gives the same
-# doubles as n single draws.
-_LOSS_BLOCK = 4096
 
 
 class SimulationError(RuntimeError):
@@ -103,35 +100,19 @@ class SummaryStats:
     p50: float
     p75: float
 
+    @classmethod
+    def of(cls, values: np.ndarray) -> SummaryStats:
+        """Mean and quartiles of a sample; all 0.0 for an empty one."""
+        if values.size == 0:
+            return cls(0.0, 0.0, 0.0, 0.0)
+        p25, p50, p75 = np.percentile(values, [25.0, 50.0, 75.0])
+        return cls(float(values.mean()), float(p25), float(p50), float(p75))
+
 
 @dataclass(frozen=True)
 class SimSummary:
     throughput_mbps: SummaryStats
     delay_ms: SummaryStats
-
-
-def _stats(values: np.ndarray) -> SummaryStats:
-    if values.size == 0:
-        return SummaryStats(0.0, 0.0, 0.0, 0.0)
-    p25, p50, p75 = np.percentile(values, [25.0, 50.0, 75.0])
-    return SummaryStats(float(values.mean()), float(p25), float(p50), float(p75))
-
-
-def per_second_mbps(
-    delivered_ms: np.ndarray, duration_ms: int, mtu_bytes: int
-) -> np.ndarray:
-    """Throughput in each whole second of a run, from its delivery times.
-
-    A partial last second is left out. A run shorter than one second
-    gets a single rate over its whole length.
-    """
-    n_sec = duration_ms // 1000
-    pkt_mbits = mtu_bytes * 8.0 / 1e6
-    if n_sec < 1:
-        return np.array([delivered_ms.size * pkt_mbits / (duration_ms / 1000.0)])
-    in_full = delivered_ms[delivered_ms < n_sec * 1000]
-    counts = np.bincount(in_full // 1000, minlength=n_sec)[:n_sec]
-    return counts.astype(np.float64) * pkt_mbits
 
 
 def time_dtype(largest: int) -> np.dtype:
@@ -171,14 +152,31 @@ class PacketLog:
         return int(np.count_nonzero(self.dropped))
 
 
-def summarize(log: PacketLog, duration_ms: int, mtu_bytes: int) -> SimSummary:
-    """Per-second throughput and per-packet RTT statistics of one run."""
+def run_samples(log: PacketLog, duration_ms: int, mtu_bytes: int) -> dict[str, np.ndarray]:
+    """A run's two samples, keyed as SimSummary's fields: the megabits
+    delivered in each whole second, and the RTT of each ACKed packet.
+
+    A partial last second is left out. A run shorter than one second
+    gets a single rate over its whole length.
+    """
     if duration_ms < 1 or mtu_bytes < 1:
         raise ValueError(f"need duration_ms, mtu_bytes >= 1, got {duration_ms}, {mtu_bytes}")
     delivered = log.delivered_ms[log.delivered_ms >= 0]
-    tput = per_second_mbps(delivered, duration_ms, mtu_bytes)
+    n_sec = duration_ms // 1000
+    pkt_mbits = mtu_bytes * 8.0 / 1e6
+    if n_sec < 1:
+        tput = np.array([delivered.size * pkt_mbits / (duration_ms / 1000.0)])
+    else:
+        in_full = delivered[delivered < n_sec * 1000]
+        tput = np.bincount(in_full // 1000, minlength=n_sec) * pkt_mbits
     rtts = log.rtt_ms[log.acked_ms >= 0].astype(np.float64)
-    return SimSummary(throughput_mbps=_stats(tput), delay_ms=_stats(rtts))
+    return {"throughput_mbps": tput, "delay_ms": rtts}
+
+
+def summarize(log: PacketLog, duration_ms: int, mtu_bytes: int) -> SimSummary:
+    """Per-second throughput and per-packet RTT statistics of one run."""
+    samples = run_samples(log, duration_ms, mtu_bytes)
+    return SimSummary(**{key: SummaryStats.of(v) for key, v in samples.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +184,14 @@ class SimResult(PacketLog):
     """Everything one run produced: packet log, epoch log, counters.
 
     The epoch log holds the epochs that carried ACKs; silent_epochs
-    counts the others.
+    counts the others. Of the dropped packets, tail_drops found the
+    queue full and loss_drops were struck by random loss.
     """
 
     epochs: EpochLog
     queued_end_pkts: int
+    tail_drops: int
+    loss_drops: int
     clamp_warnings: int
     silent_epochs: int
     duration_ms: int
@@ -224,8 +225,13 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     opps_at[span::span] += np.count_nonzero(opp == span)
     ack_delay = max(2 * params.one_way_prop_ms, 1)
     qcap = math.inf if params.queue_capacity_pkts is None else params.queue_capacity_pkts
-    loss = params.loss_rate
-    rng = np.random.default_rng(params.seed) if loss > 0.0 else None
+    # Queue positions whose loss draw strikes, ending in an inf sentinel;
+    # lost_at[:lost] are the ones served so far. A run serves at most one
+    # packet per opportunity, so one draw per opportunity covers it.
+    lost_at: list[float] = [math.inf]
+    if params.loss_rate > 0.0:
+        struck = np.random.default_rng(params.seed).random(int(opps_at.sum())) < params.loss_rate
+        lost_at = np.flatnonzero(struck).tolist() + lost_at
 
     # Packets queued by the end of each tick's sends. The queue holds
     # queue positions served..enqueued-1, and position q was sent at the
@@ -239,12 +245,6 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     ok_cum = [0] * ack_delay
     wait_cum = [0] * ack_delay
     ok_total = wait_total = 0
-    # Queue positions whose loss draw struck, drawn a block at a time;
-    # lost_at[:lost] are the ones served so far. A batch needs a look at
-    # the draws only if it reaches next_lost, the next lost position or
-    # the first one not yet drawn.
-    lost_at: list[int] = []
-    drawn = next_lost = math.inf if rng is None else 0
     # (tick its ACK arrives, RTT) of each packet that lowers the minimum.
     rtt_due: deque[tuple[int, float]] = deque()
     best_wait = math.inf
@@ -325,17 +325,11 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
                 served = enq_cum[head]
                 head += 1
             wait -= (end - served) * head
-            if next_lost < end:
-                while drawn < end:
-                    block = rng.random(_LOSS_BLOCK)
-                    lost_at += (np.flatnonzero(block < loss) + drawn).tolist()
-                    drawn += _LOSS_BLOCK
-                # A lost packet is never ACKed, so its wait leaves the sum.
-                while lost < len(lost_at) and lost_at[lost] < end:
-                    ok -= 1
-                    wait -= t - bisect_right(enq_cum, lost_at[lost])
-                    lost += 1
-                next_lost = lost_at[lost] if lost < len(lost_at) else drawn
+            # A lost packet is never ACKed, so its wait leaves the sum.
+            while lost_at[lost] < end:
+                ok -= 1
+                wait -= t - bisect_right(enq_cum, lost_at[lost])
+                lost += 1
             if ok:
                 # FIFO: the batch's last packet waited least.
                 if t - head < best_wait:
@@ -380,6 +374,8 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
         acked_ms=acked_ms,
         dropped=dropped,
         queued_end_pkts=enqueued - served,
+        tail_drops=len(tail_ms),
+        loss_drops=lost,
         clamp_warnings=clamps,
         silent_epochs=silent,
         duration_ms=duration,

@@ -175,8 +175,8 @@ class MdiController(Controller):
         seed: int = 0,
         w_init: float = 2.0,
     ) -> None:
-        if not c1 > 1.0:
-            raise ValueError(f"c1 must be > 1, got {c1}")
+        if not 1.0 < c1 < math.inf:
+            raise ValueError(f"c1 must be finite and > 1, got {c1}")
         if not 0.0 < c2 < 1.0:
             raise ValueError(f"c2 must be in (0, 1), got {c2}")
         super().__init__(w_init, epoch_ms)

@@ -160,29 +160,19 @@ def build_bundle(spec: HarnessSpec) -> Bundle:
     return bundle
 
 
-def per_second_mbps(result: SimResult) -> np.ndarray:
-    """Delivered megabits in each whole second of the run."""
-    delivered = result.delivered_ms[result.delivered_ms >= 0]
-    return linksim.per_second_mbps(delivered, result.duration_ms, result.mtu_bytes)
-
-
-def packet_rtts(result: SimResult) -> np.ndarray:
-    return result.rtt_ms[result.acked_ms >= 0].astype(np.float64)
-
-
 def pooled_median_gap(bundle: Bundle) -> tuple[float, float]:
     """Relative gaps of pooled median throughput and median delay,
     model run vs native run, across all held traces."""
-    nat_t, mdi_t, nat_d, mdi_d = [], [], [], []
+    pooled = {"native": [], "mdi": []}
     for run in bundle.held:
-        nat_t.append(per_second_mbps(run.native))
-        mdi_t.append(per_second_mbps(run.mdi))
-        nat_d.append(packet_rtts(run.native))
-        mdi_d.append(packet_rtts(run.mdi))
-    nt = float(np.median(np.concatenate(nat_t)))
-    mt = float(np.median(np.concatenate(mdi_t)))
-    nd = float(np.median(np.concatenate(nat_d)))
-    md = float(np.median(np.concatenate(mdi_d)))
+        for side, result in (("native", run.native), ("mdi", run.mdi)):
+            pooled[side].append(linksim.run_samples(result, result.duration_ms, result.mtu_bytes))
+
+    def median(side: str, key: str) -> float:
+        return float(np.median(np.concatenate([s[key] for s in pooled[side]])))
+
+    nt, mt = median("native", "throughput_mbps"), median("mdi", "throughput_mbps")
+    nd, md = median("native", "delay_ms"), median("mdi", "delay_ms")
     return abs(mt - nt) / nt, abs(md - nd) / nd
 
 

@@ -19,7 +19,7 @@ zero, spellings ``repr`` never writes; the packet reader rejects a
 value outside int64 or a zero-padded field with ValueError, as it does
 every other malformed field; and the tick loop logs only the epochs
 that carried ACKs, counting the silent ones, whose feedback's mean
-delay is 0.0.
+delay is 0.0, and counts its tail drops and random-loss drops apart.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ def reference_run_simulation(
     ack_at: dict[int, list[int]] = {}
     in_flight = 0
     clamps = 0
+    tail_drops = 0
+    loss_drops = 0
 
     window = 1.0
     epoch_len = 1
@@ -147,6 +149,7 @@ def reference_run_simulation(
             if qcap is not None and len(queue) >= qcap:
                 # Tail drop; stop bursting into a full buffer this tick.
                 dropped.append(True)
+                tail_drops += 1
                 break
             dropped.append(False)
             queue.append(s)
@@ -167,6 +170,7 @@ def reference_run_simulation(
                 s = queue.popleft()
                 if rng is not None and rng.random() < loss:
                     dropped[s] = True
+                    loss_drops += 1
                     in_flight -= 1
                 else:
                     delivered[s] = t
@@ -179,6 +183,8 @@ def reference_run_simulation(
         acked_ms=np.array(acked, dtype=np.int64),
         dropped=np.array(dropped, dtype=bool),
         queued_end_pkts=len(queue),
+        tail_drops=tail_drops,
+        loss_drops=loss_drops,
         clamp_warnings=clamps,
         silent_epochs=silent,
         duration_ms=params.duration_ms,

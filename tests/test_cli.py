@@ -13,9 +13,9 @@ from mdi import markov
 from mdi.cli import _ks, build_parser, main
 from mdi.linksim import (
     LinkParams,
-    per_second_mbps,
     read_epoch_csv,
     read_packet_csv,
+    run_samples,
     run_simulation,
 )
 from mdi.pipeline import derive_run_seed
@@ -114,6 +114,12 @@ def test_run_mdi_without_model_fails_cleanly(workspace, tmp_path, capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()  # no partial artifacts
+    # A gain the walk cannot use fails before the run starts.
+    trace, model = str(workspace / "traces" / "t0.trace"), str(workspace / "verus.model")
+    argv = ["run", "--trace", trace, "--controller", "mdi", "--model", model, "--c1", "inf"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "c1 must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 RUN_FLAGS = {"--epoch-ms": "30", "--w-init": "4", "--c1": "1.5", "--c2": "0.5"}
@@ -219,7 +225,9 @@ def test_run_prints_the_clamps_and_unreached_draws_it_counted(workspace, tmp_pat
     assert f", clamps {result.clamp_warnings}," in mdi_line
     assert mdi_line.endswith(f", unreached {ctrl.unreached_count}")
     assert ", clamps 0" in pinned_line and "unreached" not in pinned_line
-    # compare hands run.json to summarize(), so the counts stay out of it.
+    drops = f"dropped {result.dropped_pkts} (tail {result.tail_drops}, loss {result.loss_drops})"
+    assert drops in mdi_line
+    # The counts are printed; run.json holds only the link parameters.
     assert json.loads((tmp_path / "m.run.json").read_text()) == {
         "duration_ms": 8000, "mtu_bytes": 1500,
     }
@@ -328,8 +336,8 @@ def test_compare_runs_reports_medians_and_ks_distances(workspace, tmp_path):
     for path in (driven, native):
         log = read_packet_csv(io.StringIO(path.with_suffix(".packets.csv").read_text()))
         params = json.loads(path.with_suffix(".run.json").read_text())
-        tput = per_second_mbps(log.delivered_ms[log.delivered_ms >= 0], **params)
-        samples.append((tput, log.rtt_ms[log.acked_ms >= 0]))
+        got = run_samples(log, **params)
+        samples.append((got["throughput_mbps"], got["delay_ms"]))
     (tput_a, rtt_a), (tput_b, rtt_b) = samples
     assert report["ks_vs_b"] == {
         "throughput": brute_ks(tput_a, tput_b),
@@ -339,6 +347,13 @@ def test_compare_runs_reports_medians_and_ks_distances(workspace, tmp_path):
     # A run against itself is at distance 0 on both.
     itself = compare(native, native, tmp_path / "self.json")
     assert itself["ks_vs_b"] == {"throughput": 0.0, "delay": 0.0}
+    # compare reads run.json's two keys by name and ignores any other.
+    grown = tmp_path / "grown.csv"
+    grown.with_suffix(".packets.csv").write_text(native.with_suffix(".packets.csv").read_text())
+    params = json.loads(native.with_suffix(".run.json").read_text())
+    grown.with_suffix(".run.json").write_text(json.dumps({**params, "silent_epochs": 3}))
+    report = compare(grown, native, tmp_path / "grown.json")
+    assert report == {**itself, "a": {**itself["a"], "path": str(grown)}}
     # A run with no ACKed packet has no delay sample.
     silent = tmp_path / "silent.csv"
     silent.with_suffix(".packets.csv").write_text("sent_ms,delivered_ms,acked_ms,dropped\n0,,,1\n")
@@ -431,6 +446,17 @@ def test_compare_missing_packet_sibling_fails(workspace, tmp_path, capsys):
     )
     assert rc == 1
     assert "missing run parameters" in capsys.readouterr().err
+    # A run.json without both integer keys names the file.
+    params = tmp_path / "lonely.run.json"
+    for text in (
+        '{"duration_ms": 8000}', '{"duration_ms": 8000.0, "mtu_bytes": 1500}',
+        '{"duration_ms": "8000", "mtu_bytes": 1500}', '{"duration_ms": true, "mtu_bytes": 1500}',
+        "[8000, 1500]", "8000", "{",
+    ):
+        params.write_text(text)
+        assert main(["compare", "--a", str(lonely), "--b", str(workspace / "native.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{params} needs integer duration_ms and mtu_bytes" in err
 
 
 def test_compare_throughput_matches_run_off_1500_byte_packets(tmp_path, capsys):
@@ -460,7 +486,7 @@ def test_run_prints_the_silent_epochs_it_left_out_of_the_log(tmp_path, capsys):
         rows = len(read_epoch_csv(fh))
     assert 249 - rows >= 2
     assert f"silent epochs {249 - rows}" in capsys.readouterr().out
-    # compare hands run.json to summarize(), so the count stays out of it.
+    # The count is printed; run.json holds only the link parameters.
     assert json.loads((tmp_path / "p.run.json").read_text()) == {
         "duration_ms": 5000, "mtu_bytes": 1500,
     }
@@ -481,7 +507,8 @@ def test_compare_reads_back_the_drops_and_delays_run_printed(workspace, tmp_path
     assert main(["compare", "--a", str(out), "--b", str(out), "--out", str(report)]) == 0
     a = json.loads(report.read_text())["a"]
     d = a["delay_ms"]
-    assert f"dropped {a['dropped']}" in printed
+    tail, loss = re.search(rf"dropped {a['dropped']} \(tail (\d+), loss (\d+)\)", printed).groups()
+    assert int(tail) > 0 and int(loss) > 0 and int(tail) + int(loss) == a["dropped"]
     assert f"delay ms median {d['p50']:.3f} (p25 {d['p25']:.3f}, p75 {d['p75']:.3f})" in printed
     # A tail drop ends its tick's sends, so a drop with a later packet
     # sent in the same tick is a random loss. Loss is drawn once per
@@ -529,6 +556,13 @@ def test_fingerprint_of_empty_model_warns_but_succeeds(tmp_path, capsys):
     assert rc == 0
     assert "warning" in capsys.readouterr().err
     assert (tmp_path / "e.svg").exists()
+
+
+def test_readme_lists_the_run_json_keys_the_code_writes(workspace):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (listed,) = re.findall(r"\(`<out>\.run\.json`: ([^)]*)\)", readme)
+    written = json.loads((workspace / "native.run.json").read_text())
+    assert re.findall(r"`(\w+)`", listed) == sorted(written)
 
 
 def test_readme_names_only_flags_the_cli_has():

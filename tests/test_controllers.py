@@ -37,7 +37,8 @@ def test_pinned_never_moves():
 def test_pinned_parameter_validation():
     for kwargs in (
         dict(window_pkts=0.5), dict(window_pkts=float("nan")),
-        dict(window_pkts=float("inf")), dict(epoch_ms=0),
+        dict(window_pkts=float("inf")), dict(epoch_ms=0), dict(epoch_ms=float("inf")),
+        dict(epoch_ms=1.5), dict(epoch_ms=20.0),
     ):
         with pytest.raises(ValueError):
             Pinned(**kwargs)
@@ -96,6 +97,8 @@ def test_verus_parameter_validation():
         dict(rise_floor_ms=-0.1), dict(inc_frac=-0.01), dict(w_init=0.5),
         dict(w_init=float("nan")), dict(epoch_ms=0), dict(lam=float("nan")),
         dict(rise_floor_ms=float("nan")), dict(inc_frac=float("nan")),
+        dict(lam=float("inf")), dict(rise_floor_ms=float("inf")), dict(inc_frac=float("inf")),
+        dict(epoch_ms=1.5),
     ):
         with pytest.raises(ValueError):
             VerusLike(**kwargs)
@@ -161,6 +164,7 @@ def test_copa_dq_floor_prevents_divide_by_zero():
 def test_copa_parameter_validation():
     for kwargs in (
         dict(velocity=0.0), dict(velocity=float("nan")), dict(w_init=0.9), dict(epoch_ms=0),
+        dict(velocity=float("inf")), dict(epoch_ms=1.5),
     ):
         with pytest.raises(ValueError):
             CopaLike(**kwargs)

@@ -26,7 +26,9 @@ from mdi.linksim import (
     SimulationError,
     read_epoch_csv,
     read_packet_csv,
+    run_samples,
     run_simulation,
+    summarize,
     time_dtype,
     write_epoch_csv,
     write_packet_csv,
@@ -237,6 +239,11 @@ def test_summary_matches_manual_recompute():
     rtts = res.rtt_ms[res.rtt_ms >= 0]
     assert res.summary.delay_ms.p50 == pytest.approx(np.median(rtts))
     assert res.summary.delay_ms.p25 == pytest.approx(np.percentile(rtts, 25))
+    # A run's samples need a length and a packet size of at least 1.
+    for duration_ms, mtu_bytes in ((0, 1500), (6000, 0)):
+        for reduce in (run_samples, summarize):
+            with pytest.raises(ValueError, match="need duration_ms, mtu_bytes >= 1"):
+                reduce(res, duration_ms, mtu_bytes)
 
 
 def test_link_params_validation():
@@ -596,6 +603,8 @@ def assert_same_run(
     assert np.array_equal(got.rtt_ms, want_rtt)
     assert list(got.epochs) == list(want.epochs)
     assert got.queued_end_pkts == want.queued_end_pkts
+    assert (got.tail_drops, got.loss_drops) == (want.tail_drops, want.loss_drops)
+    assert got.tail_drops + got.loss_drops == got.dropped_pkts
     assert got.clamp_warnings == want.clamp_warnings
     assert got.silent_epochs == want.silent_epochs
 
@@ -668,9 +677,10 @@ def test_emulator_hands_the_controller_the_reference_feedback(case):
 )
 def test_lossy_minute_matches_the_reference_tick_loop(make, queue_pkts, loss_rate):
     # A minute of a harness trace serves over 110k packets, one loss draw
-    # each, so the emulator's draws span many blocks. The copa-like link
-    # is the train-copa-lossy benchmark's; the 20-packet one adds many
-    # tail drops to the random ones.
+    # each; the emulator draws them all before its loop, one per
+    # opportunity, and the reference one per packet served. The copa-like
+    # link is the train-copa-lossy benchmark's; the 20-packet one adds
+    # many tail drops to the random ones.
     spec = harness.VERUS
     trace = gen_rapidly_changing(
         SyntheticTraceSpec(
@@ -685,4 +695,5 @@ def test_lossy_minute_matches_the_reference_tick_loop(make, queue_pkts, loss_rat
     params = LinkParams(trace=trace, loss_rate=loss_rate, seed=harness.MASTER_SEED, **link)
     got = run_simulation(params, make())
     assert got.delivered_pkts > 100_000
+    assert got.tail_drops > 0 and got.loss_drops > 0
     assert_same_run(params, got, *reference_run_simulation(params, make()))

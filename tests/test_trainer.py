@@ -361,16 +361,22 @@ def test_model_totals_do_not_wrap_past_64_bits():
 def test_load_rejects_a_header_field_save_never_writes():
     magic, header, *edges = empty_2x2_lines()
     assert load_lines([magic, header, *edges]).total_transitions == 0
-    with pytest.raises(ModelFormatError, match="non-integer header field"):
-        load_lines([magic, "+2 +2 0", *edges])
+    for bad in ("+2 +2 0", "2 x 0"):
+        with pytest.raises(ModelFormatError, match="non-integer header field"):
+            load_lines([magic, bad, *edges])
+    with pytest.raises(ModelFormatError, match="negative transition total -1"):
+        load_lines([magic, "2 2 -1", *edges])
 
 
 def test_load_rejects_an_edge_save_never_writes():
     # int() and float() both take '_' between digits: 1_0.5 reads as 10.5.
     magic, header, d_edges, w_edges = empty_2x2_lines()
     assert d_edges == "-1.0 0.0 1.0"
-    with pytest.raises(ModelFormatError, match="d_hat_edges: non-numeric edge"):
-        load_lines([magic, header, "-1.0 0.0 1_0.5", w_edges])
+    for bad in ("-1.0 0.0 1_0.5", "-1.0 0.0 x"):
+        with pytest.raises(ModelFormatError, match="d_hat_edges: non-numeric edge"):
+            load_lines([magic, header, bad, w_edges])
+    with pytest.raises(ModelFormatError, match="invalid quantizer config"):
+        load_lines([magic, header, "-1.0 1.0 0.0", w_edges])
 
 
 def test_load_accepts_only_the_line_ends_and_spaces_save_writes():
