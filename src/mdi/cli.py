@@ -279,14 +279,15 @@ def _ks(a: np.ndarray, b: np.ndarray) -> float | None:
 
 
 def _run_params(path: Path) -> dict[str, int]:
-    """The integer duration_ms and mtu_bytes of a run.json; other keys are ignored."""
+    """The duration_ms and mtu_bytes of a run.json, integers >= 1; other
+    keys are ignored."""
     try:
         params = json.loads(path.read_text(encoding="utf-8"))
         values = {key: params[key] for key in ("duration_ms", "mtu_bytes")}
     except (ValueError, TypeError, KeyError):
         values = {}
-    if not values or any(type(v) is not int for v in values.values()):
-        raise CliError(f"{path} needs integer duration_ms and mtu_bytes")
+    if not values or any(type(v) is not int or v < 1 for v in values.values()):
+        raise CliError(f"{path} needs integer duration_ms and mtu_bytes >= 1")
     return values
 
 

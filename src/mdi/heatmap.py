@@ -1,9 +1,9 @@
 """Deterministic CSV and SVG renderings of a model's transition surface.
 
 The input is a full n x n transition matrix over the flat composite
-states. The SVG draws gridlines every n_w cells, so the quadrant block
-structure is visible. Output bytes depend only on the input values;
-there is no plotting dependency.
+states, every entry finite and non-negative. The SVG draws gridlines
+every n_w cells, so the quadrant block structure is visible. Output
+bytes depend only on the input values; there is no plotting dependency.
 """
 
 from __future__ import annotations
@@ -44,15 +44,13 @@ def _svg(mat: np.ndarray, cfg: QuantizerConfig, title: str) -> str:
             f'<text x="{left}" y="18" font-family="sans-serif" '
             f'font-size="13">{escape(title)}</text>'
         )
-    for i in range(n):
-        for j in range(n):
-            v = float(mat[i, j])
-            if v <= 0.0:
-                continue
-            parts.append(
-                f'<rect x="{left + j * cell}" y="{top + i * cell}" '
-                f'width="{cell}" height="{cell}" fill="{_color(v, vmax)}"/>'
-            )
+    # Only the positive cells are drawn, in row-major order.
+    rows, cols = np.nonzero(mat > 0.0)
+    for i, j, v in zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist()):
+        parts.append(
+            f'<rect x="{left + j * cell}" y="{top + i * cell}" '
+            f'width="{cell}" height="{cell}" fill="{_color(v, vmax)}"/>'
+        )
     x0, y0 = left, top
     x1, y1 = left + n * cell, top + n * cell
     # Gridlines between quadrants: every n_w states on both axes.
@@ -88,7 +86,7 @@ def _write_matrix_csv(mat: np.ndarray, cfg: QuantizerConfig, sink: TextIO) -> No
     labels = [f"d{k}w{l}" for k in range(cfg.n_d) for l in range(cfg.n_w)]
     sink.write("from/to," + ",".join(labels) + "\n")
     for i, lab in enumerate(labels):
-        sink.write(lab + "," + ",".join(repr(float(v)) for v in mat[i]) + "\n")
+        sink.write(lab + "," + ",".join(map(repr, mat[i].tolist())) + "\n")
 
 
 def heatmap_export(
@@ -98,10 +96,17 @@ def heatmap_export(
     svg_sink: TextIO,
     title: str = "",
 ) -> None:
-    """Render a full (n_states, n_states) transition matrix to CSV and SVG."""
+    """Render a full (n_states, n_states) transition matrix to CSV and SVG.
+
+    Every entry must be finite and >= 0; nothing is written otherwise.
+    """
     data = np.asarray(data, dtype=np.float64)
     n = cfg.n_states
     if data.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix for this grid, got shape {data.shape}")
+    bad = ~(np.isfinite(data) & (data >= 0.0))
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n)
+        raise ValueError(f"entry ({i}, {j}) must be finite and >= 0, got {float(data[i, j])!r}")
     _write_matrix_csv(data, cfg, csv_sink)
     svg_sink.write(_svg(data, cfg, title))

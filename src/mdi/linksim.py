@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import re
 from bisect import bisect_right
 from collections import deque
@@ -81,16 +82,15 @@ class LinkParams:
     duration_ms: int = 60_000
 
     def __post_init__(self) -> None:
-        if self.one_way_prop_ms < 0:
-            raise ValueError(f"one_way_prop_ms must be >= 0, got {self.one_way_prop_ms}")
-        if self.queue_capacity_pkts is not None and self.queue_capacity_pkts < 1:
-            raise ValueError("queue_capacity_pkts must be >= 1 or None")
+        least = {"one_way_prop_ms": 0, "queue_capacity_pkts": 1, "seed": 0, "duration_ms": 1}
+        for name, lo in least.items():
+            value = getattr(self, name)
+            if name == "queue_capacity_pkts" and value is None:
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < lo:
+                raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.duration_ms < 1:
-            raise ValueError(f"duration_ms must be >= 1, got {self.duration_ms}")
 
 
 @dataclass(frozen=True)
@@ -251,33 +251,14 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     clamps = 0
 
     window = 1.0
-    epoch_len = 1
     send_cap = 0
     carry = 0.0
-
-    def apply(decision) -> None:
-        nonlocal window, epoch_len, send_cap, carry, clamps
-        w = float(decision.window_pkts)
-        el = int(decision.epoch_len_ms)
-        if not math.isfinite(w) or w < 1.0:
-            w = 1.0
-            clamps += 1
-        if el < 1:
-            el = 1
-            clamps += 1
-        window = w
-        epoch_len = el
-        total = window + carry
-        send_cap = int(total)
-        carry = total - send_cap
-
-    apply(controller.on_epoch(EpochFeedback(0.0, 0.0, 0)))
-
     epoch_t: list[int] = []
     epoch_delay: list[float] = []
     epoch_window: list[float] = []
-    boundary = epoch_len
-    last_boundary = 0
+    # The first decision is taken at a boundary at t = 0, which has no
+    # epoch behind it: it is neither logged nor counted silent.
+    boundary = last_boundary = 0
     min_rtt = 0.0
     silent = 0
 
@@ -292,12 +273,22 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
                 epoch_t.append(t)
                 epoch_delay.append(mean)
                 epoch_window.append(window)
-            else:
+            elif t:
                 silent += 1
             while rtt_due and rtt_due[0][0] <= t:
                 min_rtt = rtt_due.popleft()[1]
-            feedback = EpochFeedback(mean_delay_ms=mean, min_delay_ms=min_rtt, acked_pkts=cnt)
-            apply(controller.on_epoch(feedback))
+            decision = controller.on_epoch(EpochFeedback(mean, min_rtt, cnt))
+            window = float(decision.window_pkts)
+            epoch_len = int(decision.epoch_len_ms)
+            if not math.isfinite(window) or window < 1.0:
+                window = 1.0
+                clamps += 1
+            if epoch_len < 1:
+                epoch_len = 1
+                clamps += 1
+            total = window + carry
+            send_cap = int(total)
+            carry = total - send_cap
             last_boundary = t
             boundary = t + epoch_len
 
@@ -350,7 +341,7 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     # last packet it sent. The latest time is an ACK at duration - 1, but
     # delivered_ms + ack_delay is formed before the ACK mask, so the
     # dtype must hold duration + ack_delay.
-    enq = np.array(enq_cum)
+    enq = np.fromiter(enq_cum, np.int64, duration)
     tail = np.array(tail_ms, dtype=np.intp)
     sent_per_tick = np.diff(enq, prepend=0)
     sent_per_tick[tail] += 1
@@ -363,7 +354,7 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     lost_pos = np.array(lost_at[:lost], dtype=np.intp)
     dropped[queued_pkt[lost_pos]] = True
     delivered_ms = np.full(sent_ms.size, -1, dtype=times)
-    ok_per_tick = np.diff(np.array(ok_cum[ack_delay - 1 :]))
+    ok_per_tick = np.diff(np.fromiter(ok_cum[ack_delay - 1 :], np.int64, duration + 1))
     delivered_ms[np.delete(queued_pkt[:served], lost_pos)] = np.repeat(ticks, ok_per_tick)
     acked_ms = delivered_ms + ack_delay
     acked_ms[(delivered_ms < 0) | (acked_ms >= duration)] = -1

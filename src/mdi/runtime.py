@@ -32,10 +32,14 @@ to that window. The draws whose bucket the window could not reach are
 counted in unreached_count.
 
 Each (k, l, r) row's tier and CDF come from the model's decision table,
-built once per model. An unseen row backs off to the quadrant's row with
-the window bucket marginalized out, i.e. p(v | k, r); only when the whole
-quadrant is unseen does the controller hold the window and count a
-fallback. Without the marginal tier a model-driven run can wedge: holding
+built once per model as two flat arrays. The controller reads them
+through zero-copy memoryviews, so a row's tier is one Python int at its
+flat index, and the draw is bisect_right of one uniform over the row's
+n_w CDF floats: the bucket np.searchsorted(cdf, u, side="right") picks.
+An unseen row backs off to the quadrant's row with the window bucket
+marginalized out, i.e. p(v | k, r); only when the whole quadrant is
+unseen does the controller hold the window and count a fallback.
+Without the marginal tier a model-driven run can wedge: holding
 keeps w_hat at exactly 0, and if training never visited that window
 bucket the exact lookup keeps missing forever. Epochs with no ACKs hold
 the window: silence carries no delay sample, and at a small window it is
@@ -45,6 +49,7 @@ the expected ACK cadence rather than a congestion signal.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -181,6 +186,10 @@ class MdiController(Controller):
             raise ValueError(f"c2 must be in (0, 1), got {c2}")
         super().__init__(w_init, epoch_ms)
         self.model = model
+        tier, cdf = model.decision_table
+        # Flat views of the table, read as Python values without a copy.
+        self._tiers = memoryview(tier.reshape(-1))
+        self._cdfs = memoryview(cdf.reshape(-1))
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.rng = np.random.default_rng(seed)
@@ -220,14 +229,17 @@ class MdiController(Controller):
             self.boundary_count += 1
         else:
             k = self.d_idx_prev if self.d_idx_prev is not None else r
-            tier, cdf = self.model.decision_table[k, self.w_idx_prev, r]
+            n_w = cfg.n_w
+            row = (k * n_w + self.w_idx_prev) * cfg.n_d + r
+            tier = self._tiers[row]
             if tier == HOLD:
                 self.fallback_count += 1
             else:
                 if tier == MARGINAL:
                     self.marginal_count += 1
-                v = int(np.searchsorted(cdf, self.rng.random(), side="right"))
-                v = min(v, cfg.n_w - 1)
+                start = row * n_w
+                v = bisect_right(self._cdfs, self.rng.random(), start, start + n_w) - start
+                v = min(v, n_w - 1)
                 self.window = invert_w_hat(cfg.w_midpoint(v), w_old)
         # The bucket reached, not the one drawn (the inversion can clamp
         # short of v): derive_states' state of this row.

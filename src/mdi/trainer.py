@@ -16,10 +16,11 @@ use:
   of delay buckets (k, r), each window row l is normalized across the
   next-window cells v.
 * the decision table: for each (k, l, r), the tier the runtime walk
-  takes and the CDF it samples. A seen row is EXACT and samples its
-  quadrant row; an unseen row whose quadrant holds mass is MARGINAL and
-  samples p(v | k, r), the quadrant with the window bucket summed out;
-  a wholly unseen quadrant is HOLD, with an all-zero CDF.
+  takes and the CDF it samples, held as two plain arrays (an int8 tier
+  per row, n_w floats of CDF per row). A seen row is EXACT and samples
+  its quadrant row; an unseen row whose quadrant holds mass is MARGINAL
+  and samples p(v | k, r), the quadrant with the window bucket summed
+  out; a wholly unseen quadrant is HOLD, with an all-zero CDF.
 * full rows p(r, v | k, l): each (k, l) state's outgoing mass normalized
   across all (r, v), giving an ordinary row-stochastic chain for
   analysis.
@@ -160,22 +161,24 @@ class TransitionModel:
         return _rows(self.counts.reshape(self.cfg.n_d, self.cfg.n_w, -1))
 
     @cached_property
-    def decision_table(self) -> np.ndarray:
-        """The runtime walk's tier and CDF for each (k, l, r), shape
-        (n_d, n_w, n_d), read-only; fields "tier" and "cdf" (n_w floats)."""
+    def decision_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The runtime walk's tier and CDF for each (k, l, r), as two
+        C-contiguous read-only arrays: tier, int8 of shape (n_d, n_w, n_d),
+        and cdf, float64 of shape (n_d, n_w, n_d, n_w). Row (k, l, r) is
+        flat entry (k * n_w + l) * n_d + r of tier, and its CDF the n_w
+        floats of cdf from n_w times that index."""
         seen = self.counts.any(axis=3)
-        fields = [("tier", np.int8), ("cdf", np.float64, (self.cfg.n_w,))]
-        table = np.empty(seen.shape, dtype=fields)
-        table["tier"] = np.where(seen, EXACT, np.where(seen.any(axis=1)[:, None], MARGINAL, HOLD))
+        unseen = np.where(seen.any(axis=1)[:, None], MARGINAL, HOLD)
+        tier = np.where(seen, EXACT, unseen).astype(np.int8)
         # Filled in place: a full-size temporary stays in the heap and
         # raises the peak RSS of a process that drives runs.
-        cdf = table["cdf"]
+        cdf = np.empty(self.counts.shape, dtype=np.float64)
         # Summed in float64: a uint64 sum wraps past 2**64.
         cdf[...] = _rows(self.counts.astype(np.float64).sum(axis=1))[:, None]
         cdf[seen] = self.quadrant_rows[seen]
         np.cumsum(cdf, axis=-1, out=cdf)
-        table.flags.writeable = False
-        return table
+        tier.flags.writeable = cdf.flags.writeable = False
+        return tier, cdf
 
     def source_state_count(self) -> int:
         """Number of (k, l) states with at least one outgoing transition."""

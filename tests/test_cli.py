@@ -446,11 +446,12 @@ def test_compare_missing_packet_sibling_fails(workspace, tmp_path, capsys):
     )
     assert rc == 1
     assert "missing run parameters" in capsys.readouterr().err
-    # A run.json without both integer keys names the file.
+    # A run.json without both integer keys, each at least 1, names the file.
     params = tmp_path / "lonely.run.json"
     for text in (
         '{"duration_ms": 8000}', '{"duration_ms": 8000.0, "mtu_bytes": 1500}',
         '{"duration_ms": "8000", "mtu_bytes": 1500}', '{"duration_ms": true, "mtu_bytes": 1500}',
+        '{"duration_ms": 0, "mtu_bytes": 1500}', '{"duration_ms": 8000, "mtu_bytes": -1}',
         "[8000, 1500]", "8000", "{",
     ):
         params.write_text(text)

@@ -78,3 +78,20 @@ def test_unrenderable_shapes_are_rejected():
     for shape in ((5,), (3, 5), (cfg.n_states,), (cfg.n_d, cfg.n_w)):
         with pytest.raises(ValueError):
             render(np.ones(shape), cfg)
+
+
+def test_unrenderable_entries_are_rejected_before_any_write():
+    cfg = grid_cfg()
+    for bad in (np.nan, np.inf, -np.inf, -0.5):
+        P = np.eye(cfg.n_states)
+        P[2, 4] = P[3, 1] = bad
+        csv_buf, svg_buf = io.StringIO(), io.StringIO()
+        with pytest.raises(ValueError, match=r"\(2, 4\)"):
+            heatmap_export(P, cfg, csv_buf, svg_buf)
+        assert csv_buf.getvalue() == svg_buf.getvalue() == ""
+    # Negative zero is a zero: a blank cell, written as repr spells it.
+    P = np.eye(cfg.n_states)
+    P[2, 4] = -0.0
+    text, svg = render(P, cfg)
+    assert svg.count("<rect") == 1 + cfg.n_states
+    assert text.splitlines()[3].split(",")[5] == "-0.0"

@@ -258,6 +258,17 @@ def test_link_params_validation():
         LinkParams(trace=trace, seed=-1)
     with pytest.raises(ValueError):
         LinkParams(trace=trace, duration_ms=0)
+    # The integer fields take integers only, numpy's included, never a bool.
+    for name, value in (
+        ("one_way_prop_ms", 1.5), ("one_way_prop_ms", True), ("one_way_prop_ms", 10.0),
+        ("queue_capacity_pkts", 2.5), ("queue_capacity_pkts", True),
+        ("seed", 1.5), ("seed", False), ("duration_ms", 1500.5), ("duration_ms", "1500"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            LinkParams(trace=trace, **{name: value})
+    fields = ("one_way_prop_ms", "queue_capacity_pkts", "seed", "duration_ms")
+    params = LinkParams(trace=trace, **{name: np.int64(20) for name in fields})
+    assert run_simulation(params, Pinned(window_pkts=2.0)).sent_pkts > 0
 
 
 def test_epoch_csv_round_trip():

@@ -15,10 +15,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_linksim import reference_read_epoch_csv
 
+from mdi import runtime
+from mdi.controllers import EpochFeedback
 from mdi.linksim import read_epoch_csv, write_epoch_csv
 from mdi.markov import empirical_distribution, state_visits
 from mdi.quantizer import QuantizerConfig, bucket, composite, composite_steps
-from mdi.runtime import _dip_minimizer, invert_w_hat
+from mdi.runtime import MdiController, _dip_minimizer, invert_w_hat
 from mdi.trace import LinkTrace, load_trace, save_trace
 from mdi.trainer import (
     EXACT,
@@ -404,24 +406,70 @@ def sparse_counts(draw):
 def test_decision_table_tiers_follow_the_counts(counts):
     n_d, n_w = counts.shape[:2]
     model = TransitionModel(QuantizerConfig(range(n_d + 1), range(n_w + 1)), counts)
-    table = model.decision_table
-    assert table.shape == (n_d, n_w, n_d) and not table.flags.writeable
-    with pytest.raises(ValueError):
-        table["tier"][0, 0, 0] = HOLD
-    for k, l, r in np.ndindex(table.shape):
-        tier, cdf = table[k, l, r]
+    tier, cdf = model.decision_table
+    assert tier.shape == (n_d, n_w, n_d) and tier.dtype == np.int8
+    assert cdf.shape == (n_d, n_w, n_d, n_w) and cdf.dtype == np.float64
+    for array, cell in ((tier, (0, 0, 0)), (cdf, (0, 0, 0, 0))):
+        assert array.flags.c_contiguous and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[cell] = HOLD
+    for k, l, r in np.ndindex(tier.shape):
+        row = cdf[k, l, r]
         if counts[k, l, r].any():
-            assert tier == EXACT
+            assert tier[k, l, r] == EXACT
             # The same draw as the cumsum of the row taken at each epoch.
-            assert cdf.tobytes() == np.cumsum(model.quadrant_rows[k, l, r]).tobytes()
+            assert row.tobytes() == np.cumsum(model.quadrant_rows[k, l, r]).tobytes()
         elif counts[k, :, r].any():
-            assert tier == MARGINAL
+            assert tier[k, l, r] == MARGINAL
             # Pooled over l in Python ints, which do not wrap.
             pooled = list(accumulate(sum(counts[k, :, r, v].tolist()) for v in range(n_w)))
-            assert np.allclose(cdf, [c / pooled[-1] for c in pooled], rtol=0.0, atol=1e-12)
+            assert np.allclose(row, [c / pooled[-1] for c in pooled], rtol=0.0, atol=1e-12)
         else:
-            assert tier == HOLD
-            assert not cdf.any()
+            assert tier[k, l, r] == HOLD
+            assert not row.any()
             continue
-        assert (np.diff(cdf) >= 0.0).all()
-        assert cdf[-1] == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        assert (np.diff(row) >= 0.0).all()
+        assert row[-1] == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
+class _Uniform:
+    """Stands in for a walk's generator: random() returns `u`."""
+
+    u = 0.0
+
+    def random(self) -> float:
+        return self.u
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_counts(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=3))
+def test_walk_draws_the_bucket_searchsorted_picks(counts, extra):
+    # Delay grid: feeding d_prev + r after d_prev lands on edge r, so
+    # the walk reads row (k, l, r) for the k and l it remembers.
+    n_d, n_w = counts.shape[:2]
+    d_prev = 10.0
+    marks = [composite(d_prev + r, d_prev) for r in range(n_d)]
+    cfg = QuantizerConfig((*marks, marks[-1] + 1.0), range(n_w + 1))
+    model = TransitionModel(cfg, counts)
+    tier, cdf = model.decision_table
+    ctrl = MdiController(model, w_init=4.0)
+    ctrl.rng = _Uniform()
+    targets = []
+
+    def record(target, w_prev):
+        targets.append(target)
+        return w_prev
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runtime, "invert_w_hat", record)
+        for k, l, r in np.ndindex(tier.shape):
+            if tier[k, l, r] == HOLD:
+                continue
+            row = cdf[k, l, r]
+            for u in [*row.tolist(), 0.0, math.nextafter(1.0, 0.0), *extra]:
+                ctrl.rng.u = u
+                ctrl.d_prev_ms, ctrl.d_idx_prev, ctrl.w_idx_prev = d_prev, k, l
+                ctrl.on_epoch(EpochFeedback(d_prev + r, 0.0, 1))
+                v = min(int(np.searchsorted(row, u, side="right")), n_w - 1)
+                assert targets.pop() == cfg.w_midpoint(v)
+    assert ctrl.fallback_count == ctrl.boundary_count == 0

@@ -1,7 +1,6 @@
 """Model-driven controller: composite inversion and the guided walk."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harness
+from mdi import runtime
 from mdi.controllers import EpochFeedback
 from mdi.linksim import LinkParams, SimResult, run_simulation
 from mdi.pipeline import derive_run_seed
@@ -185,6 +185,25 @@ def test_wholly_unseen_quadrant_holds_and_counts_fallback():
     assert ctrl.epoch_count == 4
 
 
+def test_walk_calls_invert_w_hat_through_the_module(monkeypatch):
+    # A benchmark times the inversions by replacing runtime.invert_w_hat;
+    # a walk holding the function it imported would go unseen.
+    calls = []
+
+    def counted(target, w_prev):
+        calls.append(target)
+        return invert_w_hat(target, w_prev)
+
+    monkeypatch.setattr(runtime, "invert_w_hat", counted)
+    params = LinkParams(trace=LinkTrace(np.arange(4000) // 2), duration_ms=2000)
+    model = TransitionModel(small_grid(), np.ones((3, 3, 3, 3), dtype=np.uint64))
+    ctrl = MdiController(model, epoch_ms=20, w_init=4.0)
+    result = run_simulation(params, ctrl)
+    # Every epoch with ACKs but the first draws a move, or exits the range.
+    assert ctrl.fallback_count == 0
+    assert len(calls) == len(result.epochs) - 1 - ctrl.boundary_count > 0
+
+
 def test_same_seed_same_walk_different_seed_diverges():
     cells = {}
     for l in range(3):
@@ -250,21 +269,31 @@ def test_verus_model_keeps_trace_t41_off_the_one_packet_floor(verus_bundle):
 def walk_reads(
     model: TransitionModel, params: LinkParams, **kwargs
 ) -> tuple[SimResult, dict, list]:
-    """Run a walk on `model`. Record each key it reads from the decision
-    table under the epoch-log row it was handling, and the state
-    (d_idx_prev, w_idx_prev) it remembers after each row."""
-    table = model.decision_table
+    """Run a walk on `model`. Record each (k, l, r) row whose tier it
+    reads from the decision table under the epoch-log row it was
+    handling, and the state (d_idx_prev, w_idx_prev) it remembers after
+    each row."""
+    shape = model.decision_table[0].shape
     reads: dict[int, tuple] = {}
     states: list[tuple] = []
     row = -1
 
-    class Table:
-        def __getitem__(self, key):
+    class Tiers:
+        """The walk's flat tier view, recording each index read."""
+
+        def __init__(self, view):
+            self.view = view
+
+        def __getitem__(self, i):
             assert row not in reads  # one read per epoch
-            reads[row] = tuple(map(int, key))
-            return table[key]
+            reads[row] = tuple(map(int, np.unravel_index(i, shape)))
+            return self.view[i]
 
     class Walk(MdiController):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            self._tiers = Tiers(self._tiers)
+
         def on_epoch(self, feedback):
             nonlocal row
             row += feedback.acked_pkts > 0  # an epoch with ACKs is the log's next row
@@ -273,8 +302,7 @@ def walk_reads(
                 states.append((self.d_idx_prev, self.w_idx_prev))
             return decision
 
-    stand_in = SimpleNamespace(cfg=model.cfg, decision_table=Table())
-    return run_simulation(params, Walk(stand_in, **kwargs)), reads, states
+    return run_simulation(params, Walk(model, **kwargs)), reads, states
 
 
 def assert_walk_reads_its_log(

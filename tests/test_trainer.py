@@ -172,13 +172,13 @@ def test_full_rows_are_stochastic_where_observed():
 
 def test_marginal_rows_pool_window_buckets():
     model = model_of(grid(), [(1, 0), (0, 1)], [(1, 2), (0, 2)])
-    table = model.decision_table
-    assert table["tier"][1, 1, 0] == MARGINAL
-    assert np.allclose(table["cdf"][1, 1, 0], [0.0, 0.5, 1.0])
-    assert table["tier"][1, 0, 0] == EXACT
-    assert np.allclose(table["cdf"][1, 0, 0], [0.0, 1.0, 1.0])
-    assert (table["tier"][2, :, 2] == HOLD).all()
-    assert not table["cdf"][2, :, 2].any()
+    tier, cdf = model.decision_table
+    assert tier[1, 1, 0] == MARGINAL
+    assert np.allclose(cdf[1, 1, 0], [0.0, 0.5, 1.0])
+    assert tier[1, 0, 0] == EXACT
+    assert np.allclose(cdf[1, 0, 0], [0.0, 1.0, 1.0])
+    assert (tier[2, :, 2] == HOLD).all()
+    assert not cdf[2, :, 2].any()
 
 
 def huge_counts(*cells) -> np.ndarray:
@@ -192,10 +192,10 @@ def huge_counts(*cells) -> np.ndarray:
 def test_marginal_rows_do_not_wrap_on_huge_counts():
     counts = huge_counts((0, 0, 0, 0), (0, 1, 0, 0))
     counts[0, 0, 0, 1] = 1
-    table = TransitionModel(grid(), counts).decision_table
+    tier, cdf = TransitionModel(grid(), counts).decision_table
     # Pooled over l in uint64, the two 2**63 cells would sum to 0.
-    assert table["tier"][0, 2, 0] == MARGINAL
-    assert np.allclose(table["cdf"][0, 2, 0], [1.0, 1.0, 1.0])
+    assert tier[0, 2, 0] == MARGINAL
+    assert np.allclose(cdf[0, 2, 0], [1.0, 1.0, 1.0])
 
 
 def test_source_state_count_does_not_wrap_on_huge_counts():
@@ -227,20 +227,20 @@ def test_tables_from_counts_written_directly():
     model = TransitionModel(grid(), counts)
     assert np.allclose(model.quadrant_rows[1, 1, 0], [0.25, 0.0, 0.75])
     assert np.allclose(model.quadrant_rows[1, 2, 0], [0.0, 1.0, 0.0])
-    table = model.decision_table
-    assert table["tier"][1, 0, 0] == MARGINAL
-    assert np.allclose(table["cdf"][1, 0, 0], [1 / 8, 5 / 8, 1.0])
-    assert table["tier"][1, 1, 0] == EXACT
-    assert np.allclose(table["cdf"][1, 1, 0], [0.25, 0.25, 1.0])
+    tier, cdf = model.decision_table
+    assert tier[1, 0, 0] == MARGINAL
+    assert np.allclose(cdf[1, 0, 0], [1 / 8, 5 / 8, 1.0])
+    assert tier[1, 1, 0] == EXACT
+    assert np.allclose(cdf[1, 1, 0], [0.25, 0.25, 1.0])
     assert np.allclose(model.full_rows[1, 1], [1 / 8, 0, 3 / 8, 0, 0, 0, 0, 4 / 8, 0])
     assert not model.quadrant_rows[1, 1, 1].any()
-    assert (table["tier"][0, :, 0] == HOLD).all()
-    assert not table["cdf"][0, :, 0].any()
+    assert (tier[0, :, 0] == HOLD).all()
+    assert not cdf[0, :, 0].any()
     assert not model.full_rows[0, 0].any()
     assert model.quadrant_rows.shape == (3, 3, 3, 3)
     assert model.full_rows.shape == (3, 3, 9)
-    assert table.shape == (3, 3, 3)
-    assert table["cdf"].shape == (3, 3, 3, 3)
+    assert tier.shape == (3, 3, 3)
+    assert cdf.shape == (3, 3, 3, 3)
 
 
 def test_model_counts_are_a_read_only_copy():
