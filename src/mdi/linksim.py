@@ -12,17 +12,32 @@ Each tick costs a few steps, not a few per packet it moves. All
 packets sent in one tick share a send time, service is FIFO, and an ACK
 returns a constant 2 * one-way propagation (at least 1 ms) after
 delivery, so the ACKs arriving at tick t are exactly the packets served
-without loss at tick t - ack_delay. The loop therefore keeps running
-totals, one entry per tick: packets queued, packets served without loss
-and the sum of their queueing waits. In-flight is every packet queued
-so far minus the lost and the ACKed ones; an epoch's ACK count and RTT
-sum are differences of two reads at its boundaries; the minimum RTT is
-the return leg plus the least wait served so far. Sends and services
-are one batch each per tick. Random loss is drawn once, before the
-loop: one draw per delivery opportunity, in service order, since a run
-serves at most one packet per opportunity. The packet columns (send,
-delivery and ACK times, drop flags) are rebuilt from the per-tick counts
-once the run ends.
+without loss at tick t - ack_delay. A tick therefore does only its
+sends, its service and its losses, and appends two running counts:
+E(u), the packets queued by tick u, and OK(u), those served without
+loss by tick u. In-flight is every packet queued so far minus the lost
+and the ACKed ones, and an epoch's ACK count is a difference of two
+reads of OK. The rest is read at the boundaries, which move forward
+only. Queue position q was sent at tick bisect_right(E, q), so summing
+by parts gives the total queueing wait of the packets served without
+loss by tick u, exactly and in integers:
+
+    WT(u) = u*OK(u) - sum(OK(v) for v < u) - F(S) + LS(S),
+    F(S)  = h*S - sum(E(v) for v < h),  h = bisect_right(E, S - 1),
+
+where the first S queue positions hold those packets and the lost ones
+among them, and LS(S) sums the lost ones' send ticks, which the rare
+loss branch records. An epoch's RTT sum is ack_delay per ACK plus a
+difference of two WTs, and both prefix sums grow by one C-level sum()
+of a list slice per boundary. The minimum RTT is the return leg plus
+the least wait so far; FIFO makes a tick's last packet served without
+loss wait least of its tick's, so each boundary scans the service
+ticks it newly sees, and stops scanning for good once a wait of 0 is
+found. Random loss is drawn once, before the loop: one draw per
+delivery opportunity, in service order, since a run serves at most one
+packet per opportunity. The packet columns (send, delivery and ACK
+times, drop flags) are rebuilt from the per-tick counts once the run
+ends.
 
 Windows may be fractional; the integer send cap floors the running value
 and carries the remainder into the next epoch. Random loss, when enabled,
@@ -53,7 +68,6 @@ import math
 import numbers
 import re
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, TextIO
@@ -235,19 +249,15 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
 
     # Packets queued by the end of each tick's sends. The queue holds
     # queue positions served..enqueued-1, and position q was sent at the
-    # first tick whose count exceeds q; head is that tick for the head.
+    # first tick whose count exceeds q: bisect_right(enq_cum, q).
     enq_cum: list[int] = []
-    enqueued = served = lost = head = 0
+    enqueued = served = lost = 0
     tail_ms: list[int] = []
-    # Packets served without loss, and the sum of their queueing waits,
-    # up to each tick, shifted by the return leg: ok_cum[t] is every ACK
-    # that has arrived by tick t.
+    # Packets served without loss up to each tick, shifted by the return
+    # leg: ok_cum[t] is every ACK that has arrived by tick t.
     ok_cum = [0] * ack_delay
-    wait_cum = [0] * ack_delay
-    ok_total = wait_total = 0
-    # (tick its ACK arrives, RTT) of each packet that lowers the minimum.
-    rtt_due: deque[tuple[int, float]] = deque()
-    best_wait = math.inf
+    # lost_sent[j] sums the send ticks of the first j lost packets.
+    lost_sent = [0]
     clamps = 0
 
     window = 1.0
@@ -259,8 +269,18 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     # The first decision is taken at a boundary at t = 0, which has no
     # epoch behind it: it is neither logged nor counted silent.
     boundary = last_boundary = 0
-    min_rtt = 0.0
     silent = 0
+    # Boundary state: how many lost packets sit among the queue positions
+    # of the ACKed ones, the sums of ok_cum[:ok_seen] and
+    # enq_cum[:enq_seen], and the queueing waits of every packet ACKed by
+    # the last boundary, summed.
+    below = ok_seen = ok_sum = enq_seen = enq_sum = waits = 0
+    # The least wait of a packet ACKed by the last boundary, found by
+    # scanning the service ticks from `scan` on; waits are never
+    # negative, so the scan stops for good at 0.
+    scan = 0
+    best_wait = math.inf
+    min_rtt = 0.0
 
     for t, opps in enumerate(opps_at.tolist()):
         acked = ok_cum[t]
@@ -269,14 +289,41 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
             cnt = acked - ok_cum[last_boundary]
             mean = 0.0  # a silent epoch has no delay: it is counted, not logged
             if cnt:
-                mean = (ack_delay * cnt + wait_cum[t] - wait_cum[last_boundary]) / cnt
+                # ACKs arriving by t left the queue by tick u = t - ack_delay.
+                # FIFO: a tick's last packet served without loss, the k-th,
+                # waited least of its tick's. The first k + below queue
+                # positions hold the first k such packets and the lost ones
+                # among them.
+                u = t - ack_delay
+                if best_wait:
+                    for v in range(scan, u + 1):
+                        k = ok_cum[v + ack_delay]
+                        if k > ok_cum[v + ack_delay - 1]:
+                            while lost_at[below] < k + below:
+                                below += 1
+                            least = v - bisect_right(enq_cum, k + below - 1)
+                            if least < best_wait:
+                                best_wait = least
+                                min_rtt = float(ack_delay + least)
+                    scan = u + 1
+                # The waits of the packets ACKed by t, summed by parts: their
+                # service ticks, less the send ticks of the first s queue
+                # positions, plus those of the lost ones among them.
+                while lost_at[below] < acked + below:
+                    below += 1
+                s = acked + below
+                h = bisect_right(enq_cum, s - 1, enq_seen)
+                enq_sum += sum(enq_cum[enq_seen:h])
+                ok_sum += sum(ok_cum[ok_seen:t])
+                enq_seen, ok_seen = h, t
+                wait = u * acked - ok_sum - (h * s - enq_sum) + lost_sent[below]
+                mean = (ack_delay * cnt + wait - waits) / cnt
+                waits = wait
                 epoch_t.append(t)
                 epoch_delay.append(mean)
                 epoch_window.append(window)
             elif t:
                 silent += 1
-            while rtt_due and rtt_due[0][0] <= t:
-                min_rtt = rtt_due.popleft()[1]
             decision = controller.on_epoch(EpochFeedback(mean, min_rtt, cnt))
             window = float(decision.window_pkts)
             epoch_len = int(decision.epoch_len_ms)
@@ -301,41 +348,13 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
             enqueued += sends
         enq_cum.append(enqueued)
 
-        n = enqueued - served
-        if opps < n:
-            n = opps
-        if n:
-            end = served + n
-            # The batch's queueing waits, one send tick at a time: served
-            # steps over each earlier tick's packets until head, the send
-            # tick of the batch's last packet, is reached.
-            ok = n
-            wait = n * t
-            while enq_cum[head] < end:
-                wait -= (enq_cum[head] - served) * head
-                served = enq_cum[head]
-                head += 1
-            wait -= (end - served) * head
-            # A lost packet is never ACKed, so its wait leaves the sum.
-            while lost_at[lost] < end:
-                ok -= 1
-                wait -= t - bisect_right(enq_cum, lost_at[lost])
-                lost += 1
-            if ok:
-                # FIFO: the batch's last packet waited least.
-                if t - head < best_wait:
-                    last, i = end - 1, lost - 1
-                    while i >= 0 and lost_at[i] == last:
-                        last, i = last - 1, i - 1
-                    least = t - bisect_right(enq_cum, last)
-                    if least < best_wait:
-                        best_wait = least
-                        rtt_due.append((t + ack_delay, float(ack_delay + least)))
-                ok_total += ok
-                wait_total += wait
-            served = end
-        ok_cum.append(ok_total)
-        wait_cum.append(wait_total)
+        served += opps
+        if served > enqueued:
+            served = enqueued
+        while lost_at[lost] < served:
+            lost_sent.append(lost_sent[-1] + bisect_right(enq_cum, lost_at[lost]))
+            lost += 1
+        ok_cum.append(served - lost)
 
     # Packet columns, from the per-tick counts. A tick's tail drop is the
     # last packet it sent. The latest time is an ACK at duration - 1, but

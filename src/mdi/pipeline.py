@@ -12,6 +12,7 @@ byte-stable.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +26,12 @@ from .trainer import EpochLog, TransitionModel, count_transitions, derive_states
 
 def derive_run_seed(master_seed: int, tag: str, index: int) -> int:
     """Stable 63-bit seed for one run, from the master seed and run identity."""
+    if (
+        not isinstance(master_seed, numbers.Integral)
+        or isinstance(master_seed, bool)
+        or master_seed < 0
+    ):
+        raise ValueError(f"master_seed must be an integer >= 0, got {master_seed!r}")
     digest = hashlib.sha256(f"{master_seed}:{tag}:{index}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 

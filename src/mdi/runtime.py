@@ -49,6 +49,7 @@ the expected ACK cadence rather than a congestion signal.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 
 import numpy as np
@@ -184,6 +185,8 @@ class MdiController(Controller):
             raise ValueError(f"c1 must be finite and > 1, got {c1}")
         if not 0.0 < c2 < 1.0:
             raise ValueError(f"c2 must be in (0, 1), got {c2}")
+        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         super().__init__(w_init, epoch_ms)
         self.model = model
         tier, cdf = model.decision_table

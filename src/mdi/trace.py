@@ -23,6 +23,7 @@ are rebuilt as int64 on each read of `opportunities`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -190,8 +191,9 @@ class SyntheticTraceSpec:
             self.rate_max_mbps
         ):
             raise ValueError("rate_max_mbps must be >= rate_min_mbps and finite")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        seed = self.seed
+        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def gen_rapidly_changing(spec: SyntheticTraceSpec, mtu_bytes: int = 1500) -> LinkTrace:

@@ -1,6 +1,7 @@
 """Bottleneck link emulator: oracles, conservation, serialization."""
 
 import io
+import itertools
 import math
 import re
 from pathlib import Path
@@ -708,3 +709,72 @@ def test_lossy_minute_matches_the_reference_tick_loop(make, queue_pkts, loss_rat
     assert got.delivered_pkts > 100_000
     assert got.tail_drops > 0 and got.loss_drops > 0
     assert_same_run(params, got, *reference_run_simulation(params, make()))
+
+
+class _Scripted(Controller):
+    """Replays (window, epoch length) decisions in a cycle; keeps each
+    epoch's feedback."""
+
+    def __init__(self, decisions) -> None:
+        self.decisions = itertools.cycle(decisions)
+        self.feedback: list = []
+
+    def on_epoch(self, feedback):
+        self.feedback.append(feedback)
+        return ControllerDecision(*next(self.decisions))
+
+
+def test_standing_queue_matches_the_reference_tick_loop():
+    # The first opportunity comes at ms 3, then one every 4 ms. For the
+    # first 2 s the window is far above the path's bandwidth-delay
+    # product (2.5 packets), so a queue stands from tick 0 and no packet
+    # waits less than 3 ms; at window 1 packets wait less, but none gets
+    # an opportunity in its send tick. So the minimum RTT stays above the
+    # 10 ms propagation for the whole run, the emulator looks for a lower
+    # one at every boundary, and finds one twice. Each 100 ms epoch
+    # outlasts the 10 ms return leg, and random and tail drops fall
+    # inside the epochs.
+    params = LinkParams(
+        trace=LinkTrace(np.arange(3, 1000, 4)),
+        one_way_prop_ms=5,
+        queue_capacity_pkts=40,
+        loss_rate=0.1,
+        seed=7,
+        duration_ms=5000,
+    )
+    script = [(200.0, 100)] * 20 + [(1.0, 100)] * 30
+    got, want = _Scripted(script), _Scripted(script)
+    result = run_simulation(params, got)
+    assert_same_run(params, result, *reference_run_simulation(params, want))
+    assert got.feedback == want.feedback
+    assert result.tail_drops > 0 and result.loss_drops > 0
+    least = [fb.min_delay_ms for fb in got.feedback[1:]]
+    assert all(fb.acked_pkts for fb in got.feedback[1:])
+    assert least[0] == 13.0 and least[-1] > 10.0 and len(set(least)) > 2
+
+
+decisions = st.tuples(
+    st.one_of(
+        st.floats(1.0, 300.0),
+        st.floats(-5.0, 1.0, exclude_max=True),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    ),
+    st.integers(-3, 150),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(link_cases(), st.lists(decisions, min_size=1, max_size=20))
+def test_scripted_decisions_match_the_reference_tick_loop(case, script):
+    # Any window and epoch length, clamped ones included: a NaN, infinite
+    # or sub-1 window and an epoch below 1 ms.
+    params, _ = case
+    got, want = _Scripted(script), _Scripted(script)
+    try:
+        result = run_simulation(params, got)
+    except SimulationError:
+        with pytest.raises(SimulationError):
+            reference_run_simulation(params, want)
+        return
+    assert_same_run(params, result, *reference_run_simulation(params, want))
+    assert got.feedback == want.feedback

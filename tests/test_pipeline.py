@@ -78,6 +78,11 @@ def test_training_argument_validation():
         train_on_traces(make_traces(1), VerusLike, seed=3)
     with pytest.raises(TypeError):
         run_and_derive(make_traces(1)[0][1], VerusLike(), None, queue_pkts=10)
+    # The master seed is formatted into each run's seed hash, so 1.5 and
+    # True would each derive seeds of their own.
+    for bad in (1.5, True, -1, "1"):
+        with pytest.raises(ValueError, match="master_seed"):
+            train_on_traces(make_traces(1), VerusLike, master_seed=bad)
 
 
 def test_too_little_data_to_fit_a_grid_fails_loudly():

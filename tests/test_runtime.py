@@ -92,6 +92,10 @@ def test_controller_parameter_validation():
     ):
         with pytest.raises(ValueError):
             MdiController(model, **kwargs)
+    for seed in (1.5, True, -1, "1"):
+        with pytest.raises(ValueError, match="seed"):
+            MdiController(model, seed=seed)
+    MdiController(model, seed=np.int64(3))
 
 
 def test_bootstrap_holds_until_delay_history_exists():

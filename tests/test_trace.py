@@ -327,6 +327,10 @@ def test_spec_validation():
         ("rate_min_mbps", 0),
         ("rate_max_mbps", 0.5),
         ("seed", -3),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "1"),
     ]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             SyntheticTraceSpec(**{**good, field: bad})
+    SyntheticTraceSpec(**{**good, "seed": np.int64(3)})
