@@ -1,4 +1,4 @@
-"""Decimal integer cells on byte arrays: one writer and one field reader.
+"""Decimal integer cells on byte arrays, and the package's one integer rule.
 
 Trace files and packet CSVs are both decimal integer cells from 0 to
 2**63 - 1, each closed by one separator byte. The rules for the bytes
@@ -6,6 +6,8 @@ around them (blanks, stray bytes, zero padding) are each file's own.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -94,3 +96,28 @@ def parse_fields(text: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> tup
         end = ends[wide]
         over[wide] |= nonzero[end - MAX_DIGITS] != nonzero[end - lengths[wide]]
     return value, over
+
+
+def check_int(name: str, value, least: int) -> int:
+    """`value` as an int, if it is an integer (numpy's included, bools
+    not) of at least `least`; otherwise a ValueError naming `name`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_ints(name: str, values, least: int | None = None) -> np.ndarray:
+    """`values` as an array, if it has an integer dtype (bools not) and,
+    given `least`, no cell below it; empty input passes whatever its
+    dtype. A ValueError names the first bad cell."""
+    arr = np.asarray(values)
+    typed = not arr.size or arr.dtype.kind in "iu"
+    if typed and least is None:
+        return arr
+    bad = arr < least if typed else np.ones(arr.shape, bool)
+    if bad.any():
+        first = int(np.argmax(bad))
+        cell = ", ".join(map(str, np.unravel_index(first, arr.shape)))
+        rule = f"must be >= {least}" if typed else f"must be integers, got dtype {arr.dtype}"
+        raise ValueError(f"{name} {rule}: {name}[{cell}] is {arr.item(first)!r}")
+    return arr

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import markov
+from . import cells, markov
 from .controllers import BASELINES, Pinned
 from .heatmap import heatmap_export
 from .linksim import (
@@ -283,12 +283,9 @@ def _run_params(path: Path) -> dict[str, int]:
     keys are ignored."""
     try:
         params = json.loads(path.read_text(encoding="utf-8"))
-        values = {key: params[key] for key in ("duration_ms", "mtu_bytes")}
-    except (ValueError, TypeError, KeyError):
-        values = {}
-    if not values or any(type(v) is not int or v < 1 for v in values.values()):
-        raise CliError(f"{path} needs integer duration_ms and mtu_bytes >= 1")
-    return values
+        return {key: cells.check_int(key, params[key], 1) for key in ("duration_ms", "mtu_bytes")}
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CliError(f"{path} needs integer duration_ms and mtu_bytes >= 1: {exc}") from None
 
 
 def cmd_compare(args) -> int:

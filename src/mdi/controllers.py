@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import abc
 import math
-import numbers
 from typing import NamedTuple
+
+from . import cells
 
 # The verus-like additive step (packets), the factor by which an epoch's
 # mean delay must exceed its EWMA to count as rising, and the EWMA's
@@ -58,10 +59,8 @@ class Controller(abc.ABC):
         """Check and keep the starting window and the epoch length."""
         if not math.isfinite(window) or window < 1.0:
             raise ValueError(f"initial window must be finite and >= 1, got {window!r}")
-        if not isinstance(epoch_ms, numbers.Integral) or epoch_ms < 1:
-            raise ValueError(f"epoch_ms must be >= 1 and an integer, got {epoch_ms!r}")
+        self.epoch_ms = cells.check_int("epoch_ms", epoch_ms, 1)
         self.window = float(window)
-        self.epoch_ms = int(epoch_ms)
 
     @abc.abstractmethod
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:

@@ -59,13 +59,14 @@ holds only digits, commas and newlines, with a blank for -1, and
 own rules, such as no zero padding. The epoch CSV is the log's three
 columns for every controller, its floats spelled only as repr spells
 them (no leading '+' or zero, no padded fraction), read by np.loadtxt.
+Its reader checks shape, spelling and conversion; the values' rules,
+t_ms's order among them, are EpochLog's, so every log reads back.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import numbers
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -99,10 +100,8 @@ class LinkParams:
         least = {"one_way_prop_ms": 0, "queue_capacity_pkts": 1, "seed": 0, "duration_ms": 1}
         for name, lo in least.items():
             value = getattr(self, name)
-            if name == "queue_capacity_pkts" and value is None:
-                continue
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < lo:
-                raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+            if not (name == "queue_capacity_pkts" and value is None):
+                cells.check_int(name, value, lo)
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate!r}")
 
@@ -173,8 +172,8 @@ def run_samples(log: PacketLog, duration_ms: int, mtu_bytes: int) -> dict[str, n
     A partial last second is left out. A run shorter than one second
     gets a single rate over its whole length.
     """
-    if duration_ms < 1 or mtu_bytes < 1:
-        raise ValueError(f"need duration_ms, mtu_bytes >= 1, got {duration_ms}, {mtu_bytes}")
+    cells.check_int("duration_ms", duration_ms, 1)
+    cells.check_int("mtu_bytes", mtu_bytes, 1)
     delivered = log.delivered_ms[log.delivered_ms >= 0]
     n_sec = duration_ms // 1000
     pkt_mbits = mtu_bytes * 8.0 / 1e6
@@ -487,10 +486,6 @@ def read_epoch_csv(source: TextIO) -> EpochLog:
             problem, row, column = found.groups()
             raise ValueError(f"epoch CSV row {row}: {problem} in column {column}") from exc
     t_ms, delay_ms, window_pkts = (table[name].copy() for name in table.dtype.names)
-    bad = t_ms <= np.append(-1, t_ms[:-1])  # a run logs its boundaries in order
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError(f"epoch CSV row {row}: t_ms is negative or not above the row before")
     try:
         return EpochLog(t_ms, delay_ms, window_pkts)
     except ValueError as exc:  # the log's own value rules, which name the row

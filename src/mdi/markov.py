@@ -21,6 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import cells
 from .quantizer import QuantizerConfig
 from .trainer import EpochLog, TransitionModel, derive_states
 
@@ -220,8 +221,7 @@ def state_visits(log: EpochLog, cfg: QuantizerConfig, discard: int = 0) -> np.nd
     The first and the last epoch of a run have no state (derive_states
     says why); the first `discard` states are dropped as burn-in.
     """
-    if discard < 0:
-        raise ValueError(f"discard must be >= 0, got {discard}")
+    cells.check_int("discard", discard, 0)
     d_idx, w_idx = derive_states(log, cfg)
     kept = (d_idx * cfg.n_w + w_idx)[discard:]
     if not kept.size:

@@ -12,11 +12,11 @@ byte-stable.
 from __future__ import annotations
 
 import hashlib
-import numbers
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import cells
 from .controllers import Controller
 from .linksim import LinkParams, SimResult, run_simulation
 from .quantizer import N_D, N_W, fit_config
@@ -26,12 +26,8 @@ from .trainer import EpochLog, TransitionModel, count_transitions, derive_states
 
 def derive_run_seed(master_seed: int, tag: str, index: int) -> int:
     """Stable 63-bit seed for one run, from the master seed and run identity."""
-    if (
-        not isinstance(master_seed, numbers.Integral)
-        or isinstance(master_seed, bool)
-        or master_seed < 0
-    ):
-        raise ValueError(f"master_seed must be an integer >= 0, got {master_seed!r}")
+    master_seed = cells.check_int("master_seed", master_seed, 0)
+    index = cells.check_int("index", index, 0)
     digest = hashlib.sha256(f"{master_seed}:{tag}:{index}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
@@ -55,8 +51,9 @@ def train_on_traces(
     """
     if not traces:
         raise ValueError("need at least one trace to train on")
-    if runs_per_trace < 1:
-        raise ValueError(f"runs_per_trace must be >= 1, got {runs_per_trace}")
+    runs_per_trace = cells.check_int("runs_per_trace", runs_per_trace, 1)
+    n_d = cells.check_int("n_d", n_d, 2)
+    n_w = cells.check_int("n_w", n_w, 2)
 
     run_logs: list[EpochLog] = []
     for name, trace in traces:

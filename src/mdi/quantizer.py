@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import cells
 
 N_D, N_W = 11, 21  # the default grid: delay buckets by window buckets
 
@@ -110,9 +111,9 @@ class QuantizerConfig:
         n_d: int = N_D,
         n_w: int = N_W,
     ) -> "QuantizerConfig":
-        """Evenly spaced edges over explicit ranges."""
-        d_edges = np.linspace(d_lo, d_hi, n_d + 1)
-        w_edges = np.linspace(w_lo, w_hi, n_w + 1)
+        """Evenly spaced edges over explicit ranges, at least 2 buckets each."""
+        d_edges = np.linspace(d_lo, d_hi, cells.check_int("n_d", n_d, 2) + 1)
+        w_edges = np.linspace(w_lo, w_hi, cells.check_int("n_w", n_w, 2) + 1)
         return cls(tuple(d_edges), tuple(w_edges))
 
     @property

@@ -49,11 +49,11 @@ the expected ACK cadence rather than a congestion signal.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 
 import numpy as np
 
+from . import cells
 from .controllers import Controller, ControllerDecision, EpochFeedback
 from .quantizer import composite
 from .trainer import HOLD, MARGINAL, TransitionModel
@@ -185,8 +185,7 @@ class MdiController(Controller):
             raise ValueError(f"c1 must be finite and > 1, got {c1}")
         if not 0.0 < c2 < 1.0:
             raise ValueError(f"c2 must be in (0, 1), got {c2}")
-        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        cells.check_int("seed", seed, 0)
         super().__init__(w_init, epoch_ms)
         self.model = model
         tier, cdf = model.decision_table

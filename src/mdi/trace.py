@@ -23,7 +23,6 @@ are rebuilt as int64 on each read of `opportunities`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -51,11 +50,11 @@ class LinkTrace:
     __slots__ = ("_first", "_gaps", "_last", "mtu_bytes")
 
     def __init__(self, opportunities, mtu_bytes: int = 1500) -> None:
+        mtu_bytes = cells.check_int("mtu_bytes", mtu_bytes, 1)
         arr = np.asarray(opportunities)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("trace needs at least one delivery opportunity")
-        if arr.dtype.kind not in "iu":
-            raise ValueError(f"timestamps must be integers, got dtype {arr.dtype}")
+        cells.check_ints("timestamps", arr)
         if arr[0] < 0:
             raise ValueError(f"timestamps must be >= 0, got {arr[0]}")
         # Compared, not differenced: a difference can wrap past int64.
@@ -63,8 +62,6 @@ class LinkTrace:
             raise ValueError("timestamps must be non-decreasing")
         if arr[-1] >= 2**63:
             raise ValueError(f"timestamps must be below 2**63, got {arr[-1]}")
-        if mtu_bytes <= 0:
-            raise ValueError(f"mtu_bytes must be positive, got {mtu_bytes}")
         # Non-negative and non-decreasing, so no gap wraps in arr's dtype.
         gaps = np.diff(arr)
         gaps = gaps.astype(np.min_scalar_type(gaps.max(initial=0)), copy=False)
@@ -72,7 +69,7 @@ class LinkTrace:
         object.__setattr__(self, "_first", int(arr[0]))
         object.__setattr__(self, "_gaps", gaps)
         object.__setattr__(self, "_last", int(arr[-1]))
-        object.__setattr__(self, "mtu_bytes", int(mtu_bytes))
+        object.__setattr__(self, "mtu_bytes", mtu_bytes)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinkTrace is immutable")
@@ -126,6 +123,7 @@ def load_trace(source: BinaryIO, mtu_bytes: int = 1500) -> LinkTrace:
     line, one that is not a non-negative integer, a timestamp that
     decreases, or one of 2**63 or more.
     """
+    cells.check_int("mtu_bytes", mtu_bytes, 1)
     data = source.read()
     if not data:
         raise TraceParseError("empty trace file")
@@ -191,9 +189,7 @@ class SyntheticTraceSpec:
             self.rate_max_mbps
         ):
             raise ValueError("rate_max_mbps must be >= rate_min_mbps and finite")
-        seed = self.seed
-        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        cells.check_int("seed", self.seed, 0)
 
 
 def gen_rapidly_changing(spec: SyntheticTraceSpec, mtu_bytes: int = 1500) -> LinkTrace:
@@ -203,8 +199,7 @@ def gen_rapidly_changing(spec: SyntheticTraceSpec, mtu_bytes: int = 1500) -> Lin
     crosses an integer, so every window of the trace carries the segment
     rate exactly to within one packet. Same spec, same bytes.
     """
-    if mtu_bytes < 1:
-        raise ValueError(f"mtu_bytes must be >= 1, got {mtu_bytes}")
+    cells.check_int("mtu_bytes", mtu_bytes, 1)
     duration_ms = int(round(spec.duration_s * 1000.0))
     segment_ms = max(int(round(spec.segment_s * 1000.0)), 1)
     n_segments = -(-duration_ms // segment_ms)

@@ -42,6 +42,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
+from . import cells
 from .quantizer import QuantizerConfig, bucket, composite_steps
 
 
@@ -65,9 +66,10 @@ COLUMN_DTYPES = {
 class EpochLog:
     """One controller run, one column per field.
 
-    A run logs each epoch that carried ACKs: delay_ms is the mean
-    ACKed delay observed during it and window_pkts the window that was
-    in effect while it elapsed.
+    A run logs each epoch that carried ACKs, in order: t_ms is its
+    boundary (integers from 0, increasing), delay_ms the mean ACKed delay
+    observed during it and window_pkts the window in effect while it
+    elapsed. read_epoch_csv takes back every log these rules admit.
 
     Iterating yields one row tuple (t_ms, delay_ms, window_pkts) of
     Python scalars per epoch, so two rows compare equal exactly when
@@ -79,6 +81,7 @@ class EpochLog:
     window_pkts: np.ndarray
 
     def __post_init__(self) -> None:
+        cells.check_ints("t_ms", self.t_ms)
         for name, dtype in COLUMN_DTYPES.items():
             col = np.asarray(getattr(self, name), dtype=dtype)
             if col.ndim != 1:
@@ -87,8 +90,9 @@ class EpochLog:
         n = self.t_ms.size
         if self.delay_ms.size != n or self.window_pkts.size != n:
             raise ValueError("t_ms, delay_ms and window_pkts must have equal lengths")
-        delay, window = self.delay_ms, self.window_pkts
+        t, delay, window = self.t_ms, self.delay_ms, self.window_pkts
         for rule, ok in (
+            ("t_ms is negative or not above the row before", t > np.append(-1, t[:-1])),
             ("delay_ms must be finite and > 0", np.isfinite(delay) & (delay > 0.0)),
             ("window_pkts must be finite and >= 1", np.isfinite(window) & (window >= 1.0)),
         ):
@@ -138,9 +142,10 @@ class TransitionModel:
         shape = (cfg.n_d, cfg.n_w, cfg.n_d, cfg.n_w)
         if counts is None:
             counts = np.zeros(shape, dtype=np.uint64)
-        counts = np.array(counts, dtype=np.uint64)
+        counts = np.asarray(counts)
         if counts.shape != shape:
             raise ValueError(f"counts must have shape {shape}, got {counts.shape}")
+        counts = np.array(cells.check_ints("counts", counts, 0), dtype=np.uint64)
         counts.flags.writeable = False
         self.cfg = cfg
         self.counts = counts
@@ -197,8 +202,8 @@ def count_transitions(cfg: QuantizerConfig, d_idx, w_idx) -> np.ndarray:
     a time keeps runs from chaining into each other.
     """
     n_d, n_w = cfg.n_d, cfg.n_w
-    d_idx = np.asarray(d_idx, dtype=np.int64)
-    w_idx = np.asarray(w_idx, dtype=np.int64)
+    d_idx = np.asarray(cells.check_ints("d_idx", d_idx), dtype=np.int64)
+    w_idx = np.asarray(cells.check_ints("w_idx", w_idx), dtype=np.int64)
     if d_idx.ndim != 1 or d_idx.shape != w_idx.shape:
         raise ValueError("need two equal-length state-index columns")
     if ((d_idx < 0) | (d_idx >= n_d) | (w_idx < 0) | (w_idx >= n_w)).any():

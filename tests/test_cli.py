@@ -174,7 +174,7 @@ def test_run_rejects_a_zero_ms_epoch(workspace, tmp_path, capsys, controller):
     if controller == "mdi":
         argv += ["--model", str(workspace / "verus.model")]
     assert main(argv) == 1
-    assert "error: epoch_ms must be >= 1" in capsys.readouterr().err
+    assert "error: epoch_ms must be an integer >= 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -295,7 +295,7 @@ def test_generation_rejects_an_mtu_below_one_byte():
         duration_s=1, segment_s=1, rate_min_mbps=1, rate_max_mbps=2, seed=0
     )
     for mtu in (0, -1500):
-        with pytest.raises(ValueError, match="mtu_bytes must be >= 1"):
+        with pytest.raises(ValueError, match="mtu_bytes must be an integer >= 1"):
             gen_rapidly_changing(spec, mtu_bytes=mtu)
 
 

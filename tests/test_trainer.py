@@ -52,6 +52,14 @@ def test_epoch_log_validates_its_columns():
     for bad in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="window_pkts"):
             EpochLog(*raw[:2], [2.0, bad])
+    # t_ms is taken as given, at least 0 and increasing, so no log is
+    # written that read_epoch_csv would reject; an empty one has any dtype.
+    with pytest.raises(ValueError, match=r"t_ms must be integers.*t_ms\[0\] is 1.5"):
+        EpochLog([1.5, 2.7], *raw[1:])
+    for t_ms, row in (([-5, -7], 0), ([5, 5], 1), ([5, 3], 1)):
+        with pytest.raises(ValueError, match=f"^row {row}: t_ms is negative or not above"):
+            EpochLog(t_ms, *raw[1:])
+    assert EpochLog(np.array([], dtype=np.float64), [], []).t_ms.dtype == np.int64
 
 
 def test_epoch_log_rows_compare_by_value():
@@ -125,6 +133,11 @@ def test_add_transitions_rejects_off_grid_states():
             walk_counts(cfg, [bad, (0, 0)])
     with pytest.raises(ValueError, match="equal-length"):
         count_transitions(cfg, [0, 1], [0])
+    # Indices are integers, never rounded or cast from bool.
+    for d_idx, w_idx, name in (([0.5, 1.7], [0, 0], "d_idx"), ([0, 1], [True, False], "w_idx")):
+        with pytest.raises(ValueError, match=rf"{name} must be integers.*{name}\[0\]"):
+            count_transitions(cfg, d_idx, w_idx)
+    assert not count_transitions(cfg, np.array([1], np.uint8), [1]).any()
 
 
 def test_runs_never_chain_across_boundaries():
@@ -258,6 +271,14 @@ def test_model_counts_are_a_read_only_copy():
     with pytest.raises(ValueError, match="shape"):
         TransitionModel(grid(), np.zeros((3, 3, 3)))
     assert TransitionModel(grid()).total_transitions == 0
+    # Counts are integers of at least 0: a -1 would wrap to 2**64 - 1,
+    # 1.5 round to 1 and NaN cast to 2**63. The error names the cell.
+    counts[1, 1, 0, 0] = -1
+    with pytest.raises(ValueError, match=r"counts must be >= 0: counts\[1, 1, 0, 0\] is -1"):
+        TransitionModel(grid(), counts)
+    for bad in (counts.astype(np.float64), np.full(counts.shape, np.nan), counts > 0):
+        with pytest.raises(ValueError, match=r"counts must be integers.*counts\[0, 0, 0, 0\]"):
+            TransitionModel(grid(), bad)
 
 
 def test_source_and_empty_row_accounting():
