@@ -1,12 +1,18 @@
-"""Decimal integer cells on byte arrays, and the package's one integer rule.
+"""Decimal integer cells on byte arrays, and the package's number rules.
 
 Trace files and packet CSVs are both decimal integer cells from 0 to
 2**63 - 1, each closed by one separator byte. The rules for the bytes
 around them (blanks, stray bytes, zero padding) are each file's own.
+
+Every number a caller passes is checked before any work starts by one
+of two rules: check_int (an integer of at least a least value) or
+check_real (a finite real number in [lo, hi), or (lo, hi)); bools are
+neither. check_ints and check_reals are their dtype rules for arrays.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -106,18 +112,54 @@ def check_int(name: str, value, least: int) -> int:
     return int(value)
 
 
+def check_real(name: str, value, lo=-math.inf, hi=math.inf, *, open_lo: bool = False) -> float:
+    """`value` as a float, if it is a real number (numpy's included,
+    bools not) that is finite, at least `lo` (above it, given open_lo)
+    and below `hi`; otherwise a ValueError naming `name`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    if not (real and (lo < value if open_lo else lo <= value) and value < hi):
+        interval = f"{'(' if open_lo or lo == -math.inf else '['}{lo}, {hi})"
+        raise ValueError(f"{name} must be a finite real number in {interval}, got {value!r}")
+    return float(value)
+
+
+def _typed(name: str, values, kinds: str, noun: str) -> np.ndarray:
+    """`values` as an array, if it is empty, or its dtype kind is one of
+    `kinds` and no cell is a bool; otherwise a ValueError naming the
+    first bad cell."""
+    arr = np.asarray(values)
+    if not arr.size or (arr.dtype.kind in kinds and isinstance(values, np.ndarray)):
+        return arr
+    flat = np.asarray(values, dtype=object).ravel()
+    if arr.dtype.kind not in kinds:
+        first, got = 0, f"dtype {arr.dtype}"
+    else:
+        # numpy gives a sequence's bools the dtype of the numbers beside them.
+        is_bool = [isinstance(v, (bool, np.bool_)) for v in flat]
+        if not any(is_bool):
+            return arr
+        first, got = is_bool.index(True), "a bool"
+    cell = ", ".join(map(str, np.unravel_index(first, arr.shape)))
+    raise ValueError(f"{name} must be {noun}, got {got}: {name}[{cell}] is {flat[first]!r}")
+
+
 def check_ints(name: str, values, least: int | None = None) -> np.ndarray:
     """`values` as an array, if it has an integer dtype (bools not) and,
     given `least`, no cell below it; empty input passes whatever its
     dtype. A ValueError names the first bad cell."""
-    arr = np.asarray(values)
-    typed = not arr.size or arr.dtype.kind in "iu"
-    if typed and least is None:
-        return arr
-    bad = arr < least if typed else np.ones(arr.shape, bool)
-    if bad.any():
-        first = int(np.argmax(bad))
-        cell = ", ".join(map(str, np.unravel_index(first, arr.shape)))
-        rule = f"must be >= {least}" if typed else f"must be integers, got dtype {arr.dtype}"
-        raise ValueError(f"{name} {rule}: {name}[{cell}] is {arr.item(first)!r}")
+    arr = _typed(name, values, "iu", "integers")
+    if least is not None and arr.size:
+        bad = arr < least
+        if bad.any():
+            first = int(np.argmax(bad))
+            cell = ", ".join(map(str, np.unravel_index(first, arr.shape)))
+            raise ValueError(f"{name} must be >= {least}: {name}[{cell}] is {arr.item(first)!r}")
     return arr
+
+
+def check_reals(name: str, values) -> np.ndarray:
+    """`values` as an array, if it has an integer or float dtype (bools,
+    strings, objects and complex not); empty input passes whatever its
+    dtype. A ValueError names the first cell. The value rules are each
+    caller's own."""
+    return _typed(name, values, "iuf", "real numbers")

@@ -12,7 +12,6 @@ import dataclasses
 import inspect
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -58,10 +57,10 @@ def _queue_arg(value: int) -> int | None:
 
 
 def _duration_ms(seconds: float) -> int:
-    """--duration in whole milliseconds; the link checks that it is >= 1."""
-    if not math.isfinite(seconds):
-        raise CliError(f"--duration must be finite, got {seconds!r}")
-    return int(round(seconds * 1000))
+    """--duration in whole milliseconds, below 2**63 so that the product
+    is finite; the link checks that it is >= 1 and that its packet
+    times fit int64."""
+    return int(round(cells.check_real("--duration", seconds, hi=2**63 / 1000) * 1000))
 
 
 def _run_siblings(out: Path) -> tuple[Path, Path]:

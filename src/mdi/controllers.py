@@ -16,7 +16,6 @@ its last direction until it overshoots.
 from __future__ import annotations
 
 import abc
-import math
 from typing import NamedTuple
 
 from . import cells
@@ -55,12 +54,11 @@ class Controller(abc.ABC):
 
     name: str = "controller"
 
-    def __init__(self, window: float, epoch_ms: int) -> None:
-        """Check and keep the starting window and the epoch length."""
-        if not math.isfinite(window) or window < 1.0:
-            raise ValueError(f"initial window must be finite and >= 1, got {window!r}")
+    def __init__(self, window: float, epoch_ms: int, window_name: str = "w_init") -> None:
+        """Check and keep the starting window, named to the caller as
+        `window_name`, and the epoch length."""
+        self.window = cells.check_real(window_name, window, 1)
         self.epoch_ms = cells.check_int("epoch_ms", epoch_ms, 1)
-        self.window = float(window)
 
     @abc.abstractmethod
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
@@ -73,7 +71,7 @@ class Pinned(Controller):
     name = "pinned"
 
     def __init__(self, window_pkts: float = 10.0, epoch_ms: int = 20) -> None:
-        super().__init__(window_pkts, epoch_ms)
+        super().__init__(window_pkts, epoch_ms, "window_pkts")
         self.decision = ControllerDecision(self.window, self.epoch_ms)
 
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
@@ -109,19 +107,11 @@ class VerusLike(Controller):
         epoch_ms: int = 20,
         w_init: float = 2.0,
     ) -> None:
-        if not 1.0 <= lam < math.inf:
-            raise ValueError(f"lam must be finite and >= 1, got {lam}")
-        if not 0.0 < dec_mult < 1.0:
-            raise ValueError(f"dec_mult must be in (0, 1), got {dec_mult}")
-        if not 0.0 <= rise_floor_ms < math.inf:
-            raise ValueError(f"rise_floor_ms must be finite and >= 0, got {rise_floor_ms}")
-        if not 0.0 <= inc_frac < math.inf:
-            raise ValueError(f"inc_frac must be finite and >= 0, got {inc_frac}")
+        self.lam = cells.check_real("lam", lam, 1)
+        self.dec_mult = cells.check_real("dec_mult", dec_mult, 0, 1, open_lo=True)
+        self.rise_floor_ms = cells.check_real("rise_floor_ms", rise_floor_ms, 0)
+        self.inc_frac = cells.check_real("inc_frac", inc_frac, 0)
         super().__init__(w_init, epoch_ms)
-        self.lam = float(lam)
-        self.dec_mult = float(dec_mult)
-        self.rise_floor_ms = float(rise_floor_ms)
-        self.inc_frac = float(inc_frac)
         self._ewma_ms: float | None = None
 
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
@@ -162,10 +152,8 @@ class CopaLike(Controller):
         epoch_ms: int = 10,
         w_init: float = 2.0,
     ) -> None:
-        if not 0.0 < velocity < math.inf:
-            raise ValueError(f"velocity must be finite and > 0, got {velocity}")
+        self.velocity = cells.check_real("velocity", velocity, 0, open_lo=True)
         super().__init__(w_init, epoch_ms)
-        self.velocity = float(velocity)
 
     def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
         if feedback.acked_pkts > 0:

@@ -13,6 +13,7 @@ from typing import TextIO
 
 import numpy as np
 
+from . import cells
 from .quantizer import QuantizerConfig
 
 _DARK = (8, 48, 107)  # deep blue anchor for the color ramp
@@ -100,7 +101,7 @@ def heatmap_export(
 
     Every entry must be finite and >= 0; nothing is written otherwise.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(cells.check_reals("data", data), dtype=np.float64)
     n = cfg.n_states
     if data.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix for this grid, got shape {data.shape}")

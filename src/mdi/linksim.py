@@ -102,8 +102,12 @@ class LinkParams:
             value = getattr(self, name)
             if not (name == "queue_capacity_pkts" and value is None):
                 cells.check_int(name, value, lo)
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate!r}")
+        cells.check_real("loss_rate", self.loss_rate, 0, 1)
+        # The emulator forms no time above duration_ms + 2 * one_way_prop_ms,
+        # and time_dtype has no type wider than int64.
+        last = self.duration_ms + 2 * self.one_way_prop_ms
+        if last >= 2**63:
+            raise ValueError(f"duration_ms + 2 * one_way_prop_ms must be below 2**63, got {last}")
 
 
 @dataclass(frozen=True)
@@ -377,7 +381,7 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     acked_ms = delivered_ms + ack_delay
     acked_ms[(delivered_ms < 0) | (acked_ms >= duration)] = -1
     return SimResult(
-        epochs=EpochLog(epoch_t, epoch_delay, epoch_window),
+        epochs=EpochLog(np.array(epoch_t), np.array(epoch_delay), np.array(epoch_window)),
         sent_ms=sent_ms,
         delivered_ms=delivered_ms,
         acked_ms=acked_ms,

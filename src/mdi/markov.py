@@ -46,7 +46,7 @@ KL_FLOOR = 1e-9
 
 def check_stochastic(P: np.ndarray) -> np.ndarray:
     """Validate a row-stochastic matrix; returns it as float64."""
-    P = np.asarray(P, dtype=np.float64)
+    P = np.asarray(cells.check_reals("P", P), dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise AnalysisError(f"expected a square matrix, got shape {P.shape}")
     if not np.all(np.isfinite(P)) or np.any(P < 0.0):
@@ -59,7 +59,7 @@ def check_stochastic(P: np.ndarray) -> np.ndarray:
 
 def check_distribution(p: np.ndarray) -> np.ndarray:
     """Validate a probability vector; returns it as float64."""
-    p = np.asarray(p, dtype=np.float64)
+    p = np.asarray(cells.check_reals("p", p), dtype=np.float64)
     if p.ndim != 1:
         raise AnalysisError(f"expected a vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)) or np.any(p < 0.0):
@@ -158,11 +158,9 @@ def mixing_times(
     iteration once they have resolved at the tightest threshold.
     """
     P = check_stochastic(P)
-    eps = [float(e) for e in epsilons]
+    eps = [cells.check_real("epsilon", e, 0, open_lo=True) for e in epsilons]
     if not eps:
         raise ValueError("need at least one epsilon")
-    if not all(0.0 < e < np.inf for e in eps):
-        raise ValueError(f"epsilons must be finite and > 0, got {eps}")
     eps = sorted(set(eps), reverse=True)
     n = P.shape[0]
     M = np.eye(n)

@@ -61,7 +61,7 @@ def bucket(values, edges: Sequence[float]) -> np.ndarray:
     Values below the first edge or at/above the last clamp to the end
     buckets; non-finite values are rejected.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(cells.check_reals("values", values), dtype=np.float64)
     if not np.isfinite(values).all():
         raise ValueError("cannot bucket non-finite values")
     # Searching the interior edges only is bisect_right(edges, x) - 1
@@ -96,10 +96,10 @@ class QuantizerConfig:
     w_hat_edges: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d_hat_edges", tuple(float(e) for e in self.d_hat_edges))
-        object.__setattr__(self, "w_hat_edges", tuple(float(e) for e in self.w_hat_edges))
-        _check_edges(self.d_hat_edges, "d_hat_edges")
-        _check_edges(self.w_hat_edges, "w_hat_edges")
+        for name in ("d_hat_edges", "w_hat_edges"):
+            edges = np.asarray(cells.check_reals(name, getattr(self, name)), dtype=np.float64)
+            object.__setattr__(self, name, tuple(edges.tolist()))
+            _check_edges(getattr(self, name), name)
 
     @classmethod
     def uniform(
@@ -112,6 +112,8 @@ class QuantizerConfig:
         n_w: int = N_W,
     ) -> "QuantizerConfig":
         """Evenly spaced edges over explicit ranges, at least 2 buckets each."""
+        names = ("d_lo", "d_hi", "w_lo", "w_hi")
+        d_lo, d_hi, w_lo, w_hi = map(cells.check_real, names, (d_lo, d_hi, w_lo, w_hi))
         d_edges = np.linspace(d_lo, d_hi, cells.check_int("n_d", n_d, 2) + 1)
         w_edges = np.linspace(w_lo, w_hi, cells.check_int("n_w", n_w, 2) + 1)
         return cls(tuple(d_edges), tuple(w_edges))
@@ -160,8 +162,8 @@ def fit_config(
     evenly spaced. Needs at least 100 finite observations and a
     non-degenerate spread on both axes.
     """
-    d = np.asarray(d_hat, dtype=np.float64)
-    w = np.asarray(w_hat, dtype=np.float64)
+    d = np.asarray(cells.check_reals("d_hat", d_hat), dtype=np.float64)
+    w = np.asarray(cells.check_reals("w_hat", w_hat), dtype=np.float64)
     if d.ndim != 1 or d.shape != w.shape:
         raise ValueError(
             f"need two equal-length composite columns, got {d.shape} and {w.shape}"

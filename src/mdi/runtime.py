@@ -181,10 +181,8 @@ class MdiController(Controller):
         seed: int = 0,
         w_init: float = 2.0,
     ) -> None:
-        if not 1.0 < c1 < math.inf:
-            raise ValueError(f"c1 must be finite and > 1, got {c1}")
-        if not 0.0 < c2 < 1.0:
-            raise ValueError(f"c2 must be in (0, 1), got {c2}")
+        self.c1 = cells.check_real("c1", c1, 1, open_lo=True)
+        self.c2 = cells.check_real("c2", c2, 0, 1, open_lo=True)
         cells.check_int("seed", seed, 0)
         super().__init__(w_init, epoch_ms)
         self.model = model
@@ -192,8 +190,6 @@ class MdiController(Controller):
         # Flat views of the table, read as Python values without a copy.
         self._tiers = memoryview(tier.reshape(-1))
         self._cdfs = memoryview(cdf.reshape(-1))
-        self.c1 = float(c1)
-        self.c2 = float(c2)
         self.rng = np.random.default_rng(seed)
         self.d_prev_ms: float | None = None
         self.d_idx_prev: int | None = None

@@ -22,7 +22,6 @@ are rebuilt as int64 on each read of `opportunities`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -51,10 +50,9 @@ class LinkTrace:
 
     def __init__(self, opportunities, mtu_bytes: int = 1500) -> None:
         mtu_bytes = cells.check_int("mtu_bytes", mtu_bytes, 1)
-        arr = np.asarray(opportunities)
+        arr = cells.check_ints("timestamps", opportunities)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("trace needs at least one delivery opportunity")
-        cells.check_ints("timestamps", arr)
         if arr[0] < 0:
             raise ValueError(f"timestamps must be >= 0, got {arr[0]}")
         # Compared, not differenced: a difference can wrap past int64.
@@ -179,16 +177,11 @@ class SyntheticTraceSpec:
 
     def __post_init__(self) -> None:
         # The trace is whole milliseconds long, so it needs at least one.
-        if not (math.isfinite(self.duration_s) and round(self.duration_s * 1000.0) >= 1):
+        if round(cells.check_real("duration_s", self.duration_s) * 1000.0) < 1:
             raise ValueError(f"duration_s must round to at least 1 ms, got {self.duration_s!r}")
-        if not (math.isfinite(self.segment_s) and self.segment_s > 0):
-            raise ValueError(f"segment_s must be > 0, got {self.segment_s!r}")
-        if not (math.isfinite(self.rate_min_mbps) and self.rate_min_mbps > 0):
-            raise ValueError(f"rate_min_mbps must be > 0, got {self.rate_min_mbps!r}")
-        if self.rate_max_mbps < self.rate_min_mbps or not math.isfinite(
-            self.rate_max_mbps
-        ):
-            raise ValueError("rate_max_mbps must be >= rate_min_mbps and finite")
+        cells.check_real("segment_s", self.segment_s, 0, open_lo=True)
+        cells.check_real("rate_min_mbps", self.rate_min_mbps, 0, open_lo=True)
+        cells.check_real("rate_max_mbps", self.rate_max_mbps, self.rate_min_mbps)
         cells.check_int("seed", self.seed, 0)
 
 

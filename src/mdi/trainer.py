@@ -81,9 +81,9 @@ class EpochLog:
     window_pkts: np.ndarray
 
     def __post_init__(self) -> None:
-        cells.check_ints("t_ms", self.t_ms)
         for name, dtype in COLUMN_DTYPES.items():
-            col = np.asarray(getattr(self, name), dtype=dtype)
+            check = cells.check_ints if dtype is np.int64 else cells.check_reals
+            col = np.asarray(check(name, getattr(self, name)), dtype=dtype)
             if col.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")
             object.__setattr__(self, name, col)

@@ -192,6 +192,23 @@ def test_a_non_finite_duration_fails_cleanly(workspace, tmp_path, capsys, comman
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--duration", "1e300"], "--duration"),
+        (
+            ["--duration", "9223372036854774", "--prop-ms", "100000"],
+            "duration_ms + 2 * one_way_prop_ms",
+        ),
+    ],
+)
+def test_packet_times_past_int64_fail_cleanly(workspace, tmp_path, capsys, extra, named):
+    argv = ["run", "--trace", str(workspace / "traces" / "t0.trace"), "--controller", "pinned"]
+    assert main([*argv, *extra, "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named} must be")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_mdi_gains_default_to_the_controller_own(workspace, tmp_path):
     run = [
         "run", "--trace", str(workspace / "traces" / "t0.trace"), "--duration", "2",

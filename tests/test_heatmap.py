@@ -89,6 +89,12 @@ def test_unrenderable_entries_are_rejected_before_any_write():
         with pytest.raises(ValueError, match=r"\(2, 4\)"):
             heatmap_export(P, cfg, csv_buf, svg_buf)
         assert csv_buf.getvalue() == svg_buf.getvalue() == ""
+    # Nor is a string or bool matrix cast to numbers.
+    for dtype in (bool, str):
+        csv_buf, svg_buf = io.StringIO(), io.StringIO()
+        with pytest.raises(ValueError, match=r"data must be real numbers.*data\[0, 0\]"):
+            heatmap_export(np.eye(cfg.n_states, dtype=dtype), cfg, csv_buf, svg_buf)
+        assert csv_buf.getvalue() == svg_buf.getvalue() == ""
     # Negative zero is a zero: a blank cell, written as repr spells it.
     P = np.eye(cfg.n_states)
     P[2, 4] = -0.0

@@ -1,10 +1,14 @@
 """The one integer rule: every count, size, seed and index the package
 takes is an integer (numpy's included, bools not) of at least a least
-value, checked by mdi.cells.check_int before any work starts."""
+value, checked by mdi.cells.check_int before any work starts. And the
+one real-number rule beside it: every real parameter is a finite real
+number (numpy's included, bools not) in its interval, checked by
+mdi.cells.check_real."""
 
 import ast
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -14,7 +18,7 @@ import pytest
 from mdi import cli
 from mdi.controllers import CopaLike, Pinned, VerusLike
 from mdi.linksim import LinkParams, PacketLog, run_samples
-from mdi.markov import state_visits
+from mdi.markov import mixing_times, state_visits
 from mdi.pipeline import derive_run_seed, train_on_traces
 from mdi.quantizer import QuantizerConfig
 from mdi.runtime import MdiController
@@ -111,16 +115,64 @@ def test_a_run_seed_is_the_same_for_every_spelling_of_its_integers():
     assert derive_run_seed(np.int64(7), "t", np.int64(1)) == derive_run_seed(7, "t", 1)
 
 
-def _integer_tests(tree: ast.AST):
-    """The enclosing function's name for each numbers.Integral and each
-    isinstance(..., bool) in a module, None at module level."""
+# One row per real parameter: the call, the field its error names, the
+# interval's lower bound and whether it is open, and a value inside.
+REAL_ENTRY_POINTS = [
+    (lambda v: Pinned(window_pkts=v), "window_pkts", 1, False, 1),
+    (lambda v: VerusLike(w_init=v), "w_init", 1, False, 1),
+    (lambda v: CopaLike(w_init=v), "w_init", 1, False, 1),
+    (lambda v: MdiController(TransitionModel(GRID), w_init=v), "w_init", 1, False, 1),
+    (lambda v: VerusLike(lam=v), "lam", 1, False, 1),
+    (lambda v: VerusLike(dec_mult=v), "dec_mult", 0, True, 0.5),
+    (lambda v: VerusLike(rise_floor_ms=v), "rise_floor_ms", 0, False, 0),
+    (lambda v: VerusLike(inc_frac=v), "inc_frac", 0, False, 0),
+    (lambda v: CopaLike(velocity=v), "velocity", 0, True, 1),
+    (lambda v: MdiController(TransitionModel(GRID), c1=v), "c1", 1, True, 2),
+    (lambda v: MdiController(TransitionModel(GRID), c2=v), "c2", 0, True, 0.5),
+    (lambda v: LinkParams(trace=TRACE, loss_rate=v), "loss_rate", 0, False, 0),
+    (lambda v: SyntheticTraceSpec(v, 1, 1, 2, 0), "duration_s", -math.inf, False, 1),
+    (lambda v: SyntheticTraceSpec(1, v, 1, 2, 0), "segment_s", 0, True, 1),
+    (lambda v: SyntheticTraceSpec(1, 1, v, 2, 0), "rate_min_mbps", 0, True, 1),
+    (lambda v: SyntheticTraceSpec(1, 1, 2, v, 0), "rate_max_mbps", 2, False, 2),
+    (lambda v: mixing_times(np.eye(2), [v]), "epsilon", 0, True, 1),
+    (cli._duration_ms, "--duration", -math.inf, False, 1),
+    (lambda v: QuantizerConfig.uniform(v, 2.0, -1.0, 1.0), "d_lo", -math.inf, False, 1),
+    (lambda v: QuantizerConfig.uniform(-2.0, v, -1.0, 1.0), "d_hi", -math.inf, False, 1),
+    (lambda v: QuantizerConfig.uniform(-1.0, 1.0, v, 2.0), "w_lo", -math.inf, False, 1),
+    (lambda v: QuantizerConfig.uniform(-1.0, 1.0, -2.0, v), "w_hi", -math.inf, False, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "call, field, lo, open_lo, inside",
+    REAL_ENTRY_POINTS,
+    ids=[f"{i}-{row[1]}" for i, row in enumerate(REAL_ENTRY_POINTS)],
+)
+def test_every_real_input_takes_the_one_rule(call, field, lo, open_lo, inside):
+    bad = [True, "1", None, math.nan, math.inf]
+    if open_lo:
+        bad.append(lo)
+    elif lo > -math.inf:
+        bad.append(math.nextafter(lo, -math.inf))
+    for value in bad:
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
+            call(value)
+    call(np.float64(inside))
+    if float(inside).is_integer():
+        call(np.int64(inside))
+
+
+def _number_tests(tree: ast.AST):
+    """The enclosing function's name for each numbers.Integral,
+    numbers.Real and isinstance(..., bool) in a module, None at module
+    level."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        integral = (isinstance(node, ast.Attribute) and node.attr == "Integral") or (
-            isinstance(node, ast.Name) and node.id == "Integral"
+        number = (isinstance(node, ast.Attribute) and node.attr in ("Integral", "Real")) or (
+            isinstance(node, ast.Name) and node.id in ("Integral", "Real")
         )
         is_bool = (
             isinstance(node, ast.Call)
@@ -129,7 +181,7 @@ def _integer_tests(tree: ast.AST):
             and len(node.args) == 2
             and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
         )
-        if integral or is_bool:
+        if number or is_bool:
             found.append(func)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -142,6 +194,7 @@ def test_the_integer_rule_is_written_once():
     places = {
         (path.name, func)
         for path in sorted(SRC.glob("*.py"))
-        for func in _integer_tests(ast.parse(path.read_text(encoding="utf-8")))
+        for func in _number_tests(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert places == {("cells.py", "check_int")}
+    rules = {"check_int", "check_real", "_typed"}
+    assert places == {("cells.py", func) for func in rules}

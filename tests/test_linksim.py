@@ -236,6 +236,11 @@ def test_link_params_validation():
     ):
         with pytest.raises(ValueError, match=name):
             LinkParams(trace=trace, **{name: value})
+    # Every packet time, up to the run's length plus its ACK delay, fits int64.
+    for duration_ms, prop in ((2**63, 0), (2**63 - 20, 10), (10**303, 10)):
+        with pytest.raises(ValueError, match=r"duration_ms \+ 2 \* one_way_prop_ms must be below"):
+            LinkParams(trace=trace, duration_ms=duration_ms, one_way_prop_ms=prop)
+    LinkParams(trace=trace, duration_ms=2**63 - 21, one_way_prop_ms=10)
     fields = ("one_way_prop_ms", "queue_capacity_pkts", "seed", "duration_ms")
     params = LinkParams(trace=trace, **{name: np.int64(20) for name in fields})
     assert run_simulation(params, Pinned(window_pkts=2.0)).sent_pkts > 0

@@ -41,6 +41,9 @@ def test_check_stochastic_validates():
         check_stochastic(np.array([[0.6, 0.5], [0.5, 0.5]]))
     with pytest.raises(AnalysisError):
         check_stochastic(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+    for bad in (np.eye(2, dtype=bool), np.array([["1", "0"], ["0", "1"]]), [[1.0, 0], [0, True]]):
+        with pytest.raises(ValueError, match="P must be real numbers"):
+            check_stochastic(bad)
 
 
 def test_check_distribution_validates():
@@ -51,6 +54,9 @@ def test_check_distribution_validates():
         check_distribution(np.array([0.6, 0.6]))
     with pytest.raises(AnalysisError):
         check_distribution(np.array([-0.1, 1.1]))
+    for bad in ([True, False], ["0.5", "0.5"], [0, True]):
+        with pytest.raises(ValueError, match="p must be real numbers"):
+            check_distribution(bad)
 
 
 def counted_model(pairs) -> TransitionModel:

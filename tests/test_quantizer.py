@@ -49,6 +49,15 @@ def test_observation_rejects_nonfinite_fields():
             fit_config(good, spoiled)
         with pytest.raises(ValueError, match="non-finite"):
             bucket(spoiled, (-1.0, 0.0, 1.0))
+    # Nor is a string or bool column cast to numbers.
+    for bad in (["0.5"], [True]):
+        with pytest.raises(ValueError, match="values must be real numbers"):
+            bucket(bad, (-1.0, 0.0, 1.0))
+    for bad in (good.astype(str), good > 0):
+        with pytest.raises(ValueError, match="d_hat must be real numbers"):
+            fit_config(bad, good)
+        with pytest.raises(ValueError, match="w_hat must be real numbers"):
+            fit_config(good, bad)
 
 
 def one_state_log(cfg: QuantizerConfig, d_idx: int, w_idx: int) -> EpochLog:
@@ -90,6 +99,10 @@ def test_config_rejects_bad_edges():
         QuantizerConfig((0.0, 1.0, 0.5), (0.0, 0.5, 1.0))  # not increasing
     with pytest.raises(ValueError):
         QuantizerConfig((0.0, 0.5, 1.0), (0.0, math.inf, 2.0))
+    # Edges are real numbers: a string or a bool is not cast.
+    for edges in (("0", "1", "2"), (False, True, 2), np.array([0, 1, 2], dtype=bool)):
+        with pytest.raises(ValueError, match=r"w_hat_edges must be real numbers.*w_hat_edges\[0\]"):
+            QuantizerConfig((0.0, 0.5, 1.0), edges)
 
 
 def test_buckets_are_half_open_and_clamp():

@@ -99,7 +99,7 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         LinkTrace([0, 1], mtu_bytes=0)
     # Only integers: nothing is rounded, cast from bool or parsed.
-    for stamps in ([0.5, 1.7, 2.9], np.array([True, True]), ["1", "2"]):
+    for stamps in ([0.5, 1.7, 2.9], np.array([True, True]), ["1", "2"], [0, True]):
         with pytest.raises(ValueError, match="must be integers"):
             LinkTrace(stamps)
     # 2**63 and up do not fit int64, whether given as ints or as uint64.

@@ -52,10 +52,18 @@ def test_epoch_log_validates_its_columns():
     for bad in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="window_pkts"):
             EpochLog(*raw[:2], [2.0, bad])
+    # Neither float column casts a string or a bool, alone or beside numbers.
+    for col, cell, got in ((["10", "11"], 0, "dtype <U2"), ([10.0, True], 1, "a bool")):
+        for at, name in ((1, "delay_ms"), (2, "window_pkts")):
+            rule = rf"^{name} must be real numbers, got {got}: {name}\[{cell}\]"
+            with pytest.raises(ValueError, match=rule):
+                EpochLog(*raw[:at], col, *raw[at + 1 :])
     # t_ms is taken as given, at least 0 and increasing, so no log is
     # written that read_epoch_csv would reject; an empty one has any dtype.
     with pytest.raises(ValueError, match=r"t_ms must be integers.*t_ms\[0\] is 1.5"):
         EpochLog([1.5, 2.7], *raw[1:])
+    with pytest.raises(ValueError, match=r"t_ms must be integers, got a bool: t_ms\[1\] is True"):
+        EpochLog([0, True], *raw[1:])
     for t_ms, row in (([-5, -7], 0), ([5, 5], 1), ([5, 3], 1)):
         with pytest.raises(ValueError, match=f"^row {row}: t_ms is negative or not above"):
             EpochLog(t_ms, *raw[1:])
