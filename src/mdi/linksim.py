@@ -380,6 +380,7 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     delivered_ms[np.delete(queued_pkt[:served], lost_pos)] = np.repeat(ticks, ok_per_tick)
     acked_ms = delivered_ms + ack_delay
     acked_ms[(delivered_ms < 0) | (acked_ms >= duration)] = -1
+    # The epoch columns go in as arrays: EpochLog scans a list's cells for bools.
     return SimResult(
         epochs=EpochLog(np.array(epoch_t), np.array(epoch_delay), np.array(epoch_window)),
         sent_ms=sent_ms,
