@@ -3,6 +3,9 @@
 Trace files and packet CSVs are both decimal integer cells from 0 to
 2**63 - 1, each closed by one separator byte. The rules for the bytes
 around them (blanks, stray bytes, zero padding) are each file's own.
+format_cells writes a column's cells in slots as wide as its largest
+value, with one plain digit loop from right to left, one floor division
+by 10 per digit; parse_fields reads them back with a Horner loop.
 
 Every number a caller passes is checked before any work starts by one
 of two rules: check_int (an integer of at least a least value) or
@@ -19,57 +22,31 @@ import numpy as np
 
 # 2**63 - 1 has 19 digits; a field's value is read from its last 19.
 MAX_DIGITS = 19
-# The writer lays each cell out in 4-byte words, one per 3-digit group,
-# most significant first. A leading group's word is a spare byte and the
-# group's digits; the last group's word is its digits and the separator
-# after the cell. A cell of d digits (0 for a blank) then keeps the bytes
-# _KEEP_WORDS marks: its last d digits and the separator, in 7 words at most.
-_MAX_GROUPS = -(-MAX_DIGITS // 3)
-_GROUP_DIGITS = np.frombuffer(b"".join(b"%03d" % k for k in range(1000)), np.uint8).reshape(1000, 3)
-_LEAD_WORDS = np.hstack([np.zeros((1000, 1), np.uint8), _GROUP_DIGITS]).view(np.uint32).ravel()
-
-
-def _keep_words() -> np.ndarray:
-    """Keep masks of a 7-word cell layout: [word, digit count] -> word."""
-    layout = np.arange(4 * _MAX_GROUPS).reshape(_MAX_GROUPS, 4)
-    digit_at = np.concatenate([layout[:-1, 1:].ravel(), layout[-1, :3]])
-    keep = np.zeros((MAX_DIGITS + 1, 4 * _MAX_GROUPS), np.uint8)
-    keep[:, -1] = 1
-    for d in range(1, MAX_DIGITS + 1):
-        keep[d, digit_at[-d:]] = 1
-    return np.ascontiguousarray(keep.view(np.uint32).T)
-
-
-_KEEP_WORDS = _keep_words()
-# Digit count of v >= 0 is the number of these at most v; a negative has 0.
-_DIGIT_STEPS = np.array([0] + [10**k for k in range(1, MAX_DIGITS)])
 
 
 def format_cells(cols: list[np.ndarray], seps: str) -> bytes:
     """The text of equal-length integer columns, row by row: a cell of
-    column i ends in the byte seps[i], and a negative one is blank. Each
-    cell's 3-digit groups are gathered as words from the group tables,
-    and one boolean compress keeps the bytes of the text.
+    column i ends in the byte seps[i], and a negative one is blank.
+    A digit is kept while the value left before its division is above 0
+    (at least 0 for the last digit), and one boolean subscript keeps
+    the bytes of the text.
     """
-    groups = [-(-len(str(int(col.max(initial=0)))) // 3) for col in cols]
-    words = np.empty((len(cols[0]), sum(groups)), dtype=np.uint32)
-    keep = np.empty_like(words)
-    at = 0
-    for col, g, sep in zip(cols, groups, seps):
-        digits = np.searchsorted(_DIGIT_STEPS[: 3 * g], col, side="right")
-        last = np.hstack([_GROUP_DIGITS, np.full((1000, 1), ord(sep), np.uint8)])
-        table, rest = last.view(np.uint32).ravel(), col
-        for j in reversed(range(g)):
-            group = rest
-            if j:
-                rest = rest // 1000
-                group = group - rest * 1000
-            # A blank's groups are never kept; "wrap" gives them a word.
-            words[:, at + j] = table.take(group, mode="wrap")
-            keep[:, at + j] = _KEEP_WORDS[_MAX_GROUPS - g + j].take(digits)
-            table = _LEAD_WORDS
-        at += g
-    return words.view(np.uint8)[keep.view(bool)].tobytes()
+    widths = [len(str(int(col.max(initial=0)))) for col in cols]
+    shape = (len(cols[0]), sum(widths) + len(cols))
+    text = np.empty(shape, np.uint8)
+    keep = np.empty(shape, bool)
+    end = 0
+    for col, width, sep in zip(cols, widths, seps):
+        end += width + 1
+        text[:, end - 1] = ord(sep)
+        keep[:, end - 1] = True
+        value = col
+        for at in range(end - 2, end - 2 - width, -1):
+            keep[:, at] = value >= 0 if at == end - 2 else value > 0
+            rest = value // 10
+            text[:, at] = value - rest * 10 + ord("0")
+            value = rest
+    return text[keep].tobytes()
 
 
 def parse_fields(text: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> tuple:

@@ -2,7 +2,8 @@
 vectorised and scalar bucketing, bincount counting, the one state
 derivation both counting and visit frequencies read, the epoch CSV round
 trip), the runtime's window inversion, the trace and model file round
-trips, the row tables and the runtime's decision table."""
+trips, the decimal cell writer, the row tables and the runtime's
+decision table."""
 
 import io
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from reference_linksim import reference_read_epoch_csv
 
 from mdi import runtime
+from mdi.cells import format_cells
 from mdi.controllers import EpochFeedback
 from mdi.linksim import read_epoch_csv, write_epoch_csv
 from mdi.markov import empirical_distribution, state_visits
@@ -328,6 +330,44 @@ def test_trace_file_round_trip(start, gaps, mtu_bytes):
     again = io.BytesIO()
     save_trace(back, again)
     assert again.getvalue() == buf.getvalue()
+
+
+# Where a cell gains a digit: every 10**k - 1 and 10**k, up to 2**63 - 1.
+DIGIT_EDGES = sorted({0, 2**63 - 1} | {10**k + d for k in range(1, 19) for d in (-1, 0)})
+
+
+@st.composite
+def cell_columns(draw):
+    """1-5 equal-length int32, int64 or uint8 columns, some cells or a
+    whole column negative, and one separator byte per column."""
+    rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(1, 5))
+    cols = []
+    for _ in range(n_cols):
+        info = np.iinfo(draw(st.sampled_from([np.int32, np.int64, np.uint8])))
+        edges = [v for v in DIGIT_EDGES if v <= info.max]
+        value = st.one_of(st.sampled_from(edges), st.integers(0, info.max))
+        if info.min < 0:
+            # Blanks reach int32's least value; the int64 extreme has its own test.
+            negative = st.integers(-(2**31), -1)
+            value = draw(st.sampled_from([value | negative, negative]))
+        cols.append(np.array(draw(st.lists(value, min_size=rows, max_size=rows)), info.dtype))
+    seps = "".join(draw(st.lists(st.sampled_from(",\n\t;"), min_size=n_cols, max_size=n_cols)))
+    return cols, seps
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_columns())
+def test_cell_writer_matches_a_str_join(case):
+    cols, seps = case
+    rows = zip(*(col.tolist() for col in cols))
+    want = "".join((str(v) if v >= 0 else "") + sep for row in rows for v, sep in zip(row, seps))
+    assert format_cells(cols, seps) == want.encode("ascii")
+
+
+def test_cell_writer_blanks_the_least_int64():
+    col = np.array([-(2**63), -1, 0, 2**63 - 1])
+    want = b";9223372036854775807\n;0\n0;\n9223372036854775807;\n"
+    assert format_cells([col, col[::-1]], ";\n") == want
 
 
 def edge_lists(n: int):
