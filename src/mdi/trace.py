@@ -5,7 +5,8 @@ millisecond timestamp at which the link may forward exactly one MTU-sized
 packet. Timestamps are non-decreasing; repeats mean several packets can
 leave in the same millisecond. When a simulation outlives the trace, the
 trace wraps by re-playing with all timestamps shifted by the last
-timestamp.
+timestamp. A generated trace's last timestamp is its duration, so its
+cycle is its duration.
 
 The on-disk format is text, one integer per line in ASCII digits, each
 line ending in a newline; `mdi.cells` writes and reads the integers.
@@ -188,33 +189,30 @@ class SyntheticTraceSpec:
 def gen_rapidly_changing(spec: SyntheticTraceSpec, mtu_bytes: int = 1500) -> LinkTrace:
     """Generate a trace whose rate jumps at fixed segment boundaries.
 
-    Opportunities are placed where the cumulative ideal packet count
-    crosses an integer, so every window of the trace carries the segment
-    rate exactly to within one packet. Same spec, same bytes.
+    Each ms's opportunities are stamped at its end, as in Mahimahi, so
+    stamps run from 1 to the trace's duration, which is its cycle when
+    it wraps. A ms holds as many as the ideal packet count still to
+    come, rounded up, drops across it: every window of the trace
+    carries the segment rate to within one packet, and the last ms
+    holds at least one. Same spec, same bytes.
     """
     cells.check_int("mtu_bytes", mtu_bytes, 1)
     duration_ms = int(round(spec.duration_s * 1000.0))
-    segment_ms = max(int(round(spec.segment_s * 1000.0)), 1)
+    segment_ms = max(int(round(min(spec.segment_s, spec.duration_s) * 1000.0)), 1)
+    pkts_per_mbps_ms = 1e6 / (8.0 * mtu_bytes * 1000.0)
     n_segments = -(-duration_ms // segment_ms)
     rng = np.random.default_rng(spec.seed)
-    rates = rng.uniform(spec.rate_min_mbps, spec.rate_max_mbps, n_segments)
-
-    chunks = []
-    cum = 0.0  # ideal packet count at the current ms boundary
-    emitted = 0
-    for seg in range(n_segments):
-        seg_start = seg * segment_ms
-        ms_count = min(segment_ms, duration_ms - seg_start)
-        pkts_per_ms = rates[seg] * 1e6 / (8.0 * mtu_bytes * 1000.0)
-        bounds = cum + pkts_per_ms * np.arange(1, ms_count + 1, dtype=np.float64)
-        floors = np.floor(bounds).astype(np.int64)
-        counts = np.diff(floors, prepend=np.int64(emitted))
-        chunks.append(np.repeat(seg_start + np.arange(ms_count, dtype=np.int64), counts))
-        cum = float(bounds[-1])
-        emitted = int(floors[-1])
-    stamps = np.concatenate(chunks)
-    if stamps.size == 0:
-        # Vanishingly low rate over a short span; keep a single terminal
-        # opportunity so the trace stays loadable and wrappable.
-        stamps = np.array([duration_ms - 1], dtype=np.int64)
-    return LinkTrace(stamps, mtu_bytes=mtu_bytes)
+    pkts_per_ms = rng.uniform(spec.rate_min_mbps, spec.rate_max_mbps, n_segments) * pkts_per_mbps_ms
+    seg_end = np.minimum(np.arange(1, n_segments + 1) * segment_ms, duration_ms)
+    # Ideal packets after each segment's end. Each ms below takes one
+    # product of its own, not a running sum, whose rounding could lift
+    # a whole count to one more.
+    after = np.append(np.cumsum((pkts_per_ms * np.diff(seg_end, prepend=0))[:0:-1])[::-1], 0.0)
+    ms = np.arange(duration_ms)
+    seg = ms // segment_ms
+    # Ideal packets still to come at ms boundaries 0 .. duration_ms, rounded up.
+    to_come = np.ceil(np.append(pkts_per_ms[seg] * (seg_end[seg] - ms) + after[seg], 0.0))
+    stamps = np.repeat(ms + 1, (to_come[:-1] - to_come[1:]).astype(np.int64))
+    # A rate whose packets per ms underflow to 0 can leave the last ms
+    # empty, or the whole trace; it still ends at its duration.
+    return LinkTrace(np.append(stamps[:-1], duration_ms), mtu_bytes=mtu_bytes)

@@ -26,32 +26,32 @@ from mdi.trainer import save_model
 
 GOLDEN = {
     "verus-like": {
-        "model": "e2ce7715fd0c65e8737d6c8895e016d3d31a84b8d1dd308feccfff43c1d7b327",
-        "fingerprint": "c0d5f6407d67c7c9df9461fe5b7e8fc0778d5a439098848563fec605100e4f67",
-        "native.epochs": "6d5dabf97b9df8d1abd93a2986dc9579d1c9c46d4c6071c1fe22b6f07ea07590",
-        "native.packets": "7604cec79b4693f19b614599397298e3b802c993dad9b8218bff9da5eb3b23bd",
-        "mdi.epochs": "bde5d6bf773a421bd4a31f009570f632897720e7687dbaaaa25d630c5301f0cc",
-        "mdi.packets": "80b03cfcdfa5904d21059e6a8d7194ede175ee8d8e11ab546e4728470e7f82a7",
-        "mdi.epochs.held": "51095eadc432aedcb1bcdf7098a7cac767f47038adaaa14fa6ed8662aa533d92",
+        "model": "a1247efbe864e5aa412c3c495ccc94eb77ecc41cc09ec8c71d9d6a5714c76ccf",
+        "fingerprint": "3a3bf15a4739f31ef5786d203b866e34f33ea9ee4666f78c4cbb979ba33aa91d",
+        "native.epochs": "a2a2e2362f10781bdfd658eb74e4cf0875eabd43d471ae0d3157f8486b4861f7",
+        "native.packets": "9df784d4b4aeea8bcfd322c71eb1c6f58f7382bbac41b77115163177646c27ec",
+        "mdi.epochs": "8feb7c035e0d5f7025ed15add2aa421f6d1ebf6fc01c29d670e03cc597d26aff",
+        "mdi.packets": "6cae691132a9b2e0269570b5acdbb45a21c79ddbd05c7146a754dab22bc2b30c",
+        "mdi.epochs.held": "32638d2dc75e4d4c0b133e3d0263778eb16020b9066777f5403280d3a2ef3d41",
     },
     "copa-like": {
-        "model": "e7bff196b61032b9e7905a87123b90848fc4f80becea36789811a6125ee7b03a",
-        "fingerprint": "bf43d80e5d6528555cd633a9b4eec0afb239eab68ed494e8934de702dd02c3eb",
-        "native.epochs": "21a025713bb27539b6da37b79cc0a7e06709aa5c8256f58f3f5c9741e6071327",
-        "native.packets": "8c66dd2876ba344d20a8d48801c71268ddf53c9ccff0a3e56edd284f13eb7073",
-        "mdi.epochs": "e5d7bd254011506b15e2e931954b98d1173d3ff4f47b2eb55732bb0e3dd7eb84",
-        "mdi.packets": "94666afb50251570874049b4de86ff7ce5bc30c65bdabf66b7a79a0234612ec7",
-        "mdi.epochs.held": "d7fbbbf323aaef2a573ed0e25684653164a96a243892b330170d5260069a2072",
+        "model": "3713912e4d79b77b083172ab2b2973e27f5f9a06244fbd85ecfec8b073007fdb",
+        "fingerprint": "aefeaec09742ecbac5076ec8a05c9e397d956aa20ba56613a5038eee8280c496",
+        "native.epochs": "1c2294010090ec83c05edcf9cee86e4e819d164af1f0c9f21617cd16bccd4555",
+        "native.packets": "680c6b1dc9314ed89fbddf8bd2c71de9fceae0519276adfcada9838205f5c827",
+        "mdi.epochs": "883ba896558452107889e7e510a604c4a8f233973ce3739e4b3a104c9c821ff4",
+        "mdi.packets": "fd3bade083a5311c49380cdc446f68a5d912600ca0960a631ebb6c69ba9b0ebf",
+        "mdi.epochs.held": "e3f22b083a5785fd70e7eb5e324845ae12667c1da40bd6c1b38ec294bd46f31b",
     },
 }
 
 # The first verus-like harness trace, t00: 60 s of 2 s segments at
 # 3-50 Mbps, seed 1000, as save_trace writes it.
-TRACE_T00 = "253674df13822b741df1f21cba4192d60c4a1171e8d8284ce375bb8521e49b48"
+TRACE_T00 = "b26b43ead04a4444670eed8f5b8468052a11d11c4cb9f86f2ff877f4bf417a8f"
 
 # A copa-like sender on a 3-50 Mbps harness trace overruns a 60-packet
 # queue, and 1% random loss strikes the packets that get in.
-LOSSY_PACKETS = "5108efcf8dd0433962e0a138c246589fc061baf7ad28208ae8c73e16e9b2d1c7"
+LOSSY_PACKETS = "c9871eeaffd05a8e2ffd8db15bcb74b659c5c9c4882bc377aa7fbab4811c3058"
 
 
 def _sha(write, obj, binary: bool = False) -> str:

@@ -51,15 +51,18 @@ def constant_trace(mbps: float, duration_s: float) -> LinkTrace:
 
 def test_stop_and_wait_oracle():
     # Window pinned at 1 on an uncongested link: every packet sees the
-    # bare round trip, and sends are spaced exactly one RTT apart.
+    # bare round trip, and sends are spaced exactly one RTT apart, but
+    # for the first packet, which waits for the trace's first stamp at
+    # 1 ms (each ms's opportunities are stamped at its end).
     params = LinkParams(
         trace=constant_trace(12.0, 10.0), one_way_prop_ms=20, duration_ms=5000
     )
     res = run_simulation(params, Pinned(window_pkts=1.0, epoch_ms=20))
     rtts = res.rtt_ms[res.rtt_ms >= 0]
     assert rtts.size > 0
-    assert np.all(rtts == 40)
-    assert np.all(np.diff(res.sent_ms) == 40)
+    assert rtts[0] == 41 and np.all(rtts[1:] == 40)
+    gaps = np.diff(res.sent_ms)
+    assert gaps[0] == 41 and np.all(gaps[1:] == 40)
     assert abs(res.sent_pkts - 125) <= 1  # 5000 ms / 40 ms per round trip
     assert res.dropped_pkts == 0
     # Every delivered packet is acked exactly one return leg later.
@@ -86,17 +89,17 @@ def test_full_buffer_delay_matches_queue_plus_propagation():
 
 def test_epoch_log_appears_once_acks_flow():
     # One packet per 40 ms round trip and a boundary every 20 ms: ACKs
-    # land on every other boundary, from t = 40 on. The 99 boundaries
-    # before 2 s give 49 rows; the other 50 epochs are silent, counted
-    # and not logged.
+    # land in every other epoch, from the first ACK at t = 41 on (the
+    # trace's first stamp is at 1 ms). The 99 boundaries before 2 s give
+    # 49 rows; the other 50 epochs are silent, counted and not logged.
     params = LinkParams(
         trace=constant_trace(12.0, 10.0), one_way_prop_ms=20, duration_ms=2000
     )
     res = run_simulation(params, Pinned(window_pkts=1.0, epoch_ms=20))
     assert len(res.epochs) == 49
     assert res.silent_epochs == 50
-    assert res.epochs.t_ms[0] == 40  # first boundary after the first ack
-    assert np.all(res.epochs.delay_ms == 40.0)
+    assert res.epochs.t_ms[0] == 60  # first boundary after the first ack
+    assert res.epochs.delay_ms[0] == 41.0 and np.all(res.epochs.delay_ms[1:] == 40.0)
     assert np.all(np.diff(res.epochs.t_ms) == 40)
 
 

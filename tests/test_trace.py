@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_trace import reference_load_trace, reference_save_trace
 
+from mdi.controllers import Pinned
+from mdi.linksim import LinkParams, run_simulation
 from mdi.trace import (
     LinkTrace,
     SyntheticTraceSpec,
@@ -272,11 +274,43 @@ def test_generated_segments_carry_their_rate():
     )
     tr = gen_rapidly_changing(spec)
     rates = np.random.default_rng(11).uniform(3, 50, 10)
-    per_segment = np.bincount(tr.opportunities // 2000, minlength=len(rates))
+    # Each ms's opportunities are stamped at its end.
+    per_segment = np.bincount((tr.opportunities - 1) // 2000, minlength=len(rates))
     for got, rate in zip(per_segment, rates):
         want = rate * 1e6 * 2.0 / (8.0 * 1500)
         # Integer packet placement can shift one packet across a boundary.
         assert abs(got - want) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("mbps", [0.3, 8.0, 41.7])
+def test_a_generated_trace_cycles_at_its_duration(mbps):
+    # At a 1000-byte MTU these are 0.0375, 1 and 5.2125 packets per ms.
+    spec = SyntheticTraceSpec(
+        duration_s=2, segment_s=2, rate_min_mbps=mbps, rate_max_mbps=mbps, seed=3
+    )
+    tr = gen_rapidly_changing(spec, mtu_bytes=1000)
+    assert tr.opportunities[-1] == tr.duration_ms == 2000
+    one_packet_mbps = 1000 * 8 / (2000 * 1000)
+    assert abs(tr.mean_rate_mbps() - mbps) < one_packet_mbps
+    # A saturating sender over three cycles: ms 0 has no opportunity,
+    # each later cycle carries exactly the trace, and no ms holds more
+    # than the trace's own most.
+    params = LinkParams(
+        trace=tr, one_way_prop_ms=0, queue_capacity_pkts=100_000, duration_ms=6000
+    )
+    res = run_simulation(params, Pinned(window_pkts=1000))
+    delivered = np.bincount(res.delivered_ms[res.delivered_ms >= 0], minlength=6000)
+    per_cycle = delivered.reshape(3, 2000).sum(axis=1)
+    assert per_cycle[0] == len(tr) - np.count_nonzero(tr.opportunities == 2000)
+    assert per_cycle[1] == per_cycle[2] == len(tr)
+    assert delivered.max() == np.bincount(tr.opportunities).max()
+
+
+def test_a_rate_that_underflows_still_ends_at_the_duration():
+    spec = SyntheticTraceSpec(
+        duration_s=1, segment_s=1, rate_min_mbps=1e-320, rate_max_mbps=1e-320, seed=0
+    )
+    assert gen_rapidly_changing(spec).opportunities.tolist() == [1000]
 
 
 def test_generation_is_deterministic_and_seed_sensitive():
