@@ -177,8 +177,9 @@ class SyntheticTraceSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        # The trace is whole milliseconds long, so it needs at least one.
-        if round(cells.check_real("duration_s", self.duration_s) * 1000.0) < 1:
+        # The trace is whole milliseconds long, so it needs at least one,
+        # and fewer than 2**63.
+        if round(cells.check_real("duration_s", self.duration_s, hi=2**63 / 1000) * 1000.0) < 1:
             raise ValueError(f"duration_s must round to at least 1 ms, got {self.duration_s!r}")
         cells.check_real("segment_s", self.segment_s, 0, open_lo=True)
         cells.check_real("rate_min_mbps", self.rate_min_mbps, 0, open_lo=True)
@@ -194,12 +195,20 @@ def gen_rapidly_changing(spec: SyntheticTraceSpec, mtu_bytes: int = 1500) -> Lin
     it wraps. A ms holds as many as the ideal packet count still to
     come, rounded up, drops across it: every window of the trace
     carries the segment rate to within one packet, and the last ms
-    holds at least one. Same spec, same bytes.
+    holds at least one. Same spec, same bytes. A spec whose count at
+    rate_max_mbps over the whole duration reaches 2**63 is rejected
+    before any rate is drawn.
     """
     cells.check_int("mtu_bytes", mtu_bytes, 1)
     duration_ms = int(round(spec.duration_s * 1000.0))
     segment_ms = max(int(round(min(spec.segment_s, spec.duration_s) * 1000.0)), 1)
     pkts_per_mbps_ms = 1e6 / (8.0 * mtu_bytes * 1000.0)
+    most = spec.rate_max_mbps * pkts_per_mbps_ms * duration_ms
+    if most >= 2**63:
+        raise ValueError(
+            f"rate_max_mbps {spec.rate_max_mbps!r} over {duration_ms} ms at mtu_bytes "
+            f"{mtu_bytes} can give {most:.3g} opportunities, not below 2**63"
+        )
     n_segments = -(-duration_ms // segment_ms)
     rng = np.random.default_rng(spec.seed)
     pkts_per_ms = rng.uniform(spec.rate_min_mbps, spec.rate_max_mbps, n_segments) * pkts_per_mbps_ms

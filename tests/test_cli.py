@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,17 @@ def test_packet_times_past_int64_fail_cleanly(workspace, tmp_path, capsys, extra
     argv = ["run", "--trace", str(workspace / "traces" / "t0.trace"), "--controller", "pinned"]
     assert main([*argv, *extra, "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {named} must be")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "extra, named", [(["--rate-max", "1e300"], "rate_max_mbps"), (["--duration", "1e306"], "duration_s")]
+)
+def test_gen_trace_past_int64_fails_cleanly(tmp_path, capsys, extra, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gen-trace", *extra, "--out", str(tmp_path / "x.trace")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named} ")
     assert list(tmp_path.iterdir()) == []
 
 

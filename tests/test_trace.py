@@ -342,6 +342,17 @@ def test_distinct_seeds_give_distinct_traces():
     assert len(seen) == 10
 
 
+def test_generation_rejects_an_opportunity_count_past_int64():
+    # The count at rate_max_mbps over the whole duration must stay below
+    # 2**63; it is checked before any rate is drawn.
+    for rate_max, mtu in ((1e300, 1500), (1e12, 1)):
+        spec = SyntheticTraceSpec(
+            duration_s=100, segment_s=2, rate_min_mbps=3, rate_max_mbps=rate_max, seed=0
+        )
+        with pytest.raises(ValueError, match=r"rate_max_mbps .* not below 2\*\*63"):
+            gen_rapidly_changing(spec, mtu_bytes=mtu)
+
+
 def test_spec_rejects_a_duration_below_one_ms():
     # 0.0001 s rounds to 0 ms, which would leave nothing to generate.
     spec = dict(segment_s=1, rate_min_mbps=1, rate_max_mbps=2, seed=0)
@@ -357,6 +368,7 @@ def test_spec_validation():
     SyntheticTraceSpec(**good)
     for field, bad in [
         ("duration_s", 0),
+        ("duration_s", 1e306),
         ("segment_s", -1),
         ("rate_min_mbps", 0),
         ("rate_max_mbps", 0.5),
