@@ -216,7 +216,8 @@ def gen_rapidly_changing(spec: SyntheticTraceSpec, mtu_bytes: int = 1500) -> Lin
     # Ideal packets after each segment's end. Each ms below takes one
     # product of its own, not a running sum, whose rounding could lift
     # a whole count to one more.
-    after = np.append(np.cumsum((pkts_per_ms * np.diff(seg_end, prepend=0))[:0:-1])[::-1], 0.0)
+    seg_pkts = pkts_per_ms * np.diff(seg_end, prepend=0)
+    after = np.append(np.cumsum(seg_pkts[:0:-1])[::-1], 0.0)
     ms = np.arange(duration_ms)
     seg = ms // segment_ms
     # Ideal packets still to come at ms boundaries 0 .. duration_ms, rounded up.
