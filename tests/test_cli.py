@@ -211,7 +211,8 @@ def test_packet_times_past_int64_fail_cleanly(workspace, tmp_path, capsys, extra
 
 
 @pytest.mark.parametrize(
-    "extra, named", [(["--rate-max", "1e300"], "rate_max_mbps"), (["--duration", "1e306"], "duration_s")]
+    "extra, named",
+    [(["--rate-max", "1e300"], "rate_max_mbps"), (["--duration", "1e306"], "duration_s")],
 )
 def test_gen_trace_past_int64_fails_cleanly(tmp_path, capsys, extra, named):
     with warnings.catch_warnings():
