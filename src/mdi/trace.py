@@ -213,16 +213,18 @@ def gen_rapidly_changing(spec: SyntheticTraceSpec, mtu_bytes: int = 1500) -> Lin
     rng = np.random.default_rng(spec.seed)
     pkts_per_ms = rng.uniform(spec.rate_min_mbps, spec.rate_max_mbps, n_segments) * pkts_per_mbps_ms
     seg_end = np.minimum(np.arange(1, n_segments + 1) * segment_ms, duration_ms)
+    seg_ms = np.diff(seg_end, prepend=0)
     # Ideal packets after each segment's end. Each ms below takes one
     # product of its own, not a running sum, whose rounding could lift
     # a whole count to one more.
-    seg_pkts = pkts_per_ms * np.diff(seg_end, prepend=0)
-    after = np.append(np.cumsum(seg_pkts[:0:-1])[::-1], 0.0)
-    ms = np.arange(duration_ms)
-    seg = ms // segment_ms
-    # Ideal packets still to come at ms boundaries 0 .. duration_ms, rounded up.
-    to_come = np.ceil(np.append(pkts_per_ms[seg] * (seg_end[seg] - ms) + after[seg], 0.0))
-    stamps = np.repeat(ms + 1, (to_come[:-1] - to_come[1:]).astype(np.int64))
-    # A rate whose packets per ms underflow to 0 can leave the last ms
-    # empty, or the whole trace; it still ends at its duration.
-    return LinkTrace(np.append(stamps[:-1], duration_ms), mtu_bytes=mtu_bytes)
+    after = np.append(np.cumsum((pkts_per_ms * seg_ms)[:0:-1])[::-1], 0.0)
+    ms = np.arange(1, duration_ms + 1)
+    # Ideal packets still to come at the start of each ms, rounded up.
+    to_come = np.ceil(
+        pkts_per_ms.repeat(seg_ms) * (seg_end.repeat(seg_ms) - ms + 1) + after.repeat(seg_ms)
+    )
+    counts = (to_come - np.append(to_come[1:], 0.0)).astype(np.int64)
+    # Only a rate whose packets per ms underflow to 0 leaves the last ms
+    # empty; the trace still ends at its duration.
+    counts[-1] = max(counts[-1], 1)
+    return LinkTrace(np.repeat(ms, counts), mtu_bytes=mtu_bytes)
