@@ -313,6 +313,12 @@ def test_a_rate_that_underflows_still_ends_at_the_duration():
     assert gen_rapidly_changing(spec).opportunities.tolist() == [1000]
 
 
+def test_a_segment_longer_than_the_trace_is_the_trace():
+    spec = dict(duration_s=3, rate_min_mbps=2, rate_max_mbps=40, seed=4)
+    whole = gen_rapidly_changing(SyntheticTraceSpec(segment_s=3, **spec))
+    assert gen_rapidly_changing(SyntheticTraceSpec(segment_s=1e300, **spec)) == whole
+
+
 def test_generation_is_deterministic_and_seed_sensitive():
     spec = SyntheticTraceSpec(
         duration_s=5, segment_s=1, rate_min_mbps=2, rate_max_mbps=30, seed=9
