@@ -36,6 +36,7 @@ from .runtime import MdiController
 from .trace import (
     LinkTrace,
     SyntheticTraceSpec,
+    check_mtu,
     gen_rapidly_changing,
     load_trace,
     save_trace,
@@ -217,21 +218,20 @@ def cmd_analyze(args) -> int:
         raise CliError(f"model {args.model} has no transitions; nothing to analyze")
     epsilons = _parse_epsilons(args.epsilons)
     P = markov.to_stochastic(model)
-    if args.lazy:
-        P = markov.lazy(P)
-    try:
-        pi = markov.stationary(P)
-    except markov.ConvergenceError as exc:
-        raise CliError(f"{exc} (hint: pass --lazy)") from None
+    pi = markov.stationary(P)
     reports = markov.mixing_times(P, epsilons)
+    # Mixing is measured from the closed class's states only; a state
+    # outside it that the runs left is transient.
+    in_class = reports[max(reports)].per_start >= 0
+    has_outflow = model.counts.sum(axis=(2, 3)).ravel() > 0
 
     report = {
         "n_states": model.cfg.n_states,
         "n_d": model.cfg.n_d,
         "n_w": model.cfg.n_w,
         "transitions": model.total_transitions,
-        "lazy": bool(args.lazy),
-        "irreducible": markov.is_irreducible(P),
+        "closed_class_size": int(in_class.sum()),
+        "transient_states": np.flatnonzero(has_outflow & ~in_class).tolist(),
         "stationary_residual": float(np.abs(pi @ P - pi).max()),
         "mixing": {
             repr(e): {
@@ -242,9 +242,8 @@ def cmd_analyze(args) -> int:
         },
         "stationary": pi.tolist(),
     }
-    line = f"stationary over {model.cfg.n_states} states; " + ", ".join(
-        f"eps={e:g}: t_mix={rep.t_mix}" for e, rep in sorted(reports.items())
-    )
+    line = f"closed class of {report['closed_class_size']} of {report['n_states']} states; "
+    line += ", ".join(f"eps={e:g}: t_mix={rep.t_mix}" for e, rep in sorted(reports.items()))
     if args.result is not None:
         # The run's states on this model's grid, whichever grid it was run on.
         with open(args.result, "r", encoding="utf-8") as fh:
@@ -278,13 +277,16 @@ def _ks(a: np.ndarray, b: np.ndarray) -> float | None:
 
 
 def _run_params(path: Path) -> dict[str, int]:
-    """The duration_ms and mtu_bytes of a run.json, integers >= 1; other
-    keys are ignored."""
+    """The duration_ms (an integer >= 1) and mtu_bytes (check_mtu's
+    rule) of a run.json; other keys are ignored."""
     try:
         params = json.loads(path.read_text(encoding="utf-8"))
-        return {key: cells.check_int(key, params[key], 1) for key in ("duration_ms", "mtu_bytes")}
+        return {
+            "duration_ms": cells.check_int("duration_ms", params["duration_ms"], 1),
+            "mtu_bytes": check_mtu(params["mtu_bytes"]),
+        }
     except (ValueError, TypeError, KeyError) as exc:
-        raise CliError(f"{path} needs integer duration_ms and mtu_bytes >= 1: {exc}") from None
+        raise CliError(f"{path} needs integer duration_ms and mtu_bytes: {exc}") from None
 
 
 def cmd_compare(args) -> int:
@@ -419,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stationary distribution and mixing times, and how a run's states fit them",
     )
     p.add_argument("--model", required=True)
-    p.add_argument("--lazy", action="store_true", help="analyze (P + I) / 2 instead")
     p.add_argument(
         "--epsilons", default="1e-3,1e-5,1e-7", help="comma-separated thresholds"
     )

@@ -77,7 +77,7 @@ import numpy as np
 
 from . import cells
 from .controllers import Controller, EpochFeedback
-from .trace import LinkTrace
+from .trace import LinkTrace, check_mtu
 from .trainer import COLUMN_DTYPES, EpochLog
 
 
@@ -177,7 +177,7 @@ def run_samples(log: PacketLog, duration_ms: int, mtu_bytes: int) -> dict[str, n
     gets a single rate over its whole length.
     """
     cells.check_int("duration_ms", duration_ms, 1)
-    cells.check_int("mtu_bytes", mtu_bytes, 1)
+    check_mtu(mtu_bytes)
     delivered = log.delivered_ms[log.delivered_ms >= 0]
     n_sec = duration_ms // 1000
     pkt_mbits = mtu_bytes * 8.0 / 1e6
@@ -451,50 +451,57 @@ def _read_table(
     return flat, starts.reshape(-1, len(header)), seps.reshape(-1, len(header))
 
 
+def _epoch_body(rows) -> str:
+    """The CSV body of (t_ms, delay_ms, window_pkts) rows of Python
+    scalars: each number as repr spells it."""
+    return "".join([f"{t!r},{delay!r},{window!r}\n" for t, delay, window in rows])
+
+
 def write_epoch_csv(log: EpochLog, sink: TextIO) -> None:
     """Epoch log as CSV, one row per epoch."""
-    cols = [map(repr, col.tolist()) for col in (log.t_ms, log.delay_ms, log.window_pkts)]
     sink.write(",".join(EPOCH_CSV_HEADER) + "\n")
-    sink.write("".join(map("{},{},{}\n".format, *cols)))
+    sink.write(_epoch_body(log))
 
 
-def _padded_fields(flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Where a non-empty epoch CSV body starts a field with "+" or with a
-    zero before a digit, or ends a fraction in a padding zero."""
-    digit = flat - ord("0") < 10  # bytes below "0" wrap around
-    lead, then = flat[starts], digit[np.minimum(starts + 1, flat.size - 1)]
-    signed = starts[(lead == ord("+")) | ((lead == ord("0")) & then)]
-    points = np.flatnonzero(flat == ord("."))
-    nondigit = np.flatnonzero(~digit)  # the body ends in a newline
-    ends = nondigit[np.searchsorted(nondigit, points, side="right")]
-    return np.append(signed, points[(ends - points > 2) & (flat[ends - 1] == ord("0"))])
+def _load_epochs(body: str) -> np.ndarray:
+    return np.loadtxt(io.StringIO(body), delimiter=",", dtype=_EPOCH_DTYPE, ndmin=1, comments=None)
+
+
+def _reads_back(line: str) -> bool:
+    """Whether one epoch CSV row converts and is written back as itself."""
+    try:
+        table = _load_epochs(line)
+    except ValueError:
+        return False
+    return _epoch_body(table.tolist()) == line
 
 
 def read_epoch_csv(source: TextIO) -> EpochLog:
-    """Parse an epoch CSV back into a log with one checked np.loadtxt."""
-    flat, starts, seps = _read_table(source, "epoch", EPOCH_CSV_HEADER, b"0123456789.e+-,\n")
-    if not flat.size:
-        table = np.empty(0, dtype=_EPOCH_DTYPE)
-    else:
-        padded = _padded_fields(flat, starts.ravel())
-        if padded.size:
-            row = int(np.searchsorted(seps[:, -1], padded.min()))
-            raise ValueError(f"epoch CSV row {row}: a number is signed or zero-padded")
-        text = io.StringIO(flat.tobytes().decode())
-        try:
-            table = np.loadtxt(text, delimiter=",", dtype=_EPOCH_DTYPE, ndmin=1, comments=None)
-        except ValueError as exc:
-            # The shape checks leave loadtxt only conversion errors, which
-            # it reports as "... at row R, column C" with R 0-based and C
-            # 1-based.
-            found = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
-            problem, row, column = found.groups()
-            raise ValueError(f"epoch CSV row {row}: {problem} in column {column}") from exc
-    t_ms, delay_ms, window_pkts = (table[name].copy() for name in table.dtype.names)
+    """Parse an epoch CSV back into a log.
+
+    One rule holds the body to the writer: it must be exactly what
+    write_epoch_csv writes for the log it parses to, so a number spelled
+    any way repr does not spell it is an error. The error names the
+    first row that does not read back as itself; the log's own value
+    rules are checked first, and name their row.
+    """
+    flat, _, _ = _read_table(source, "epoch", EPOCH_CSV_HEADER, b"0123456789.e+-,\n")
+    body = flat.tobytes().decode()
+    if not body:
+        return EpochLog([], [], [])
     try:
-        return EpochLog(t_ms, delay_ms, window_pkts)
-    except ValueError as exc:  # the log's own value rules, which name the row
-        raise ValueError(f"epoch CSV {exc}") from None
+        table = _load_epochs(body)
+    except ValueError:  # a field that is no number: the rows below name it
+        pass
+    else:
+        try:
+            log = EpochLog(*(table[name].copy() for name in table.dtype.names))
+        except ValueError as exc:  # the log's own value rules, which name the row
+            raise ValueError(f"epoch CSV {exc}") from None
+        if _epoch_body(log) == body:
+            return log
+    row = next(row for row, line in enumerate(body.splitlines(True)) if not _reads_back(line))
+    raise ValueError(f"epoch CSV row {row}: not written as write_epoch_csv writes it")
 
 
 def write_packet_csv(log: PacketLog, sink: TextIO) -> None:

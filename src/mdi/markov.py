@@ -3,15 +3,17 @@
 The full row table of a transition model is an ordinary
 row-stochastic matrix over the flat composite states. This module
 computes its stationary distribution by power iteration, mixing times
-from worst-case one-hot starts, and divergence metrics between the
-predicted stationary distribution and empirically observed state
+in total variation from one-hot starts, and divergence metrics between
+the predicted stationary distribution and empirically observed state
 frequencies.
 
 Desk-scale training leaves states with no observed outflow. They get
-one rule: a uniform row, so they diffuse. While a state was never
-entered, that does not make the chain irreducible: no state the runs
-visited leads to it, so the chain analyzed is not the one the
-protocol visits.
+one rule: a uniform row, so they diffuse. Such rows lead into the
+states the runs visited, never out of them, so the analysis is of the
+one closed communicating class the protocol visits: P's block on it,
+stepped by a sparse product over the block's nonzeros. A chain with
+more than one closed class, or whose class is periodic, has no unique
+limit and is refused.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class ConvergenceError(RuntimeError):
 # How far a row or a distribution may sum from 1.
 SUM_TOL = 1e-9
 # Power iteration stops when successive distributions agree this closely
-# (max norm), and then fails if pi @ P - pi is larger than RESIDUAL_TOL.
+# (max norm), and then fails if pi P - pi is larger than RESIDUAL_TOL.
 STATIONARY_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
 # kl_divergence clips q below at this before renormalizing.
@@ -82,59 +84,112 @@ def to_stochastic(model: TransitionModel, empty_rows: str = "uniform") -> np.nda
     return check_stochastic(P)
 
 
-def lazy(P: np.ndarray) -> np.ndarray:
-    """Half-self-loop transform (P + I) / 2; same stationary distribution,
-    kills periodicity."""
-    P = check_stochastic(P)
-    return 0.5 * (P + np.eye(P.shape[0]))
-
-
-def is_irreducible(P: np.ndarray) -> bool:
-    """True when every state reaches every other along positive entries."""
-    P = check_stochastic(P)
-    adj = P > 0.0
-    return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
-
-
-def _reaches_all(adj: np.ndarray, start: int) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = np.array([start])
+def _levels(adj: np.ndarray, start: int) -> np.ndarray:
+    """BFS depth of each state from `start` along `adj`, -1 where unreached."""
+    level = np.full(adj.shape[0], -1)
+    level[start] = 0
+    frontier, depth = np.array([start]), 0
     while frontier.size:
-        nxt = adj[frontier].any(axis=0) & ~seen
-        seen |= nxt
+        depth += 1
+        nxt = adj[frontier].any(axis=0) & (level < 0)
+        level[nxt] = depth
         frontier = np.flatnonzero(nxt)
-    return bool(seen.all())
+    return level
 
 
-def stationary(P: np.ndarray, max_iter: int = 1_000_000) -> np.ndarray:
-    """Stationary distribution by power iteration from uniform.
+def _closed_class(P: np.ndarray) -> np.ndarray:
+    """The states of P's one closed communicating class, sorted.
 
-    Iterates until successive distributions agree within STATIONARY_TOL
-    in max norm, then verifies the fixed-point residual against
-    RESIDUAL_TOL. Periodic chains may never converge; wrap them with
-    lazy() first.
+    A state whose forward reach all leads back to it spans a closed
+    class; from any other state, the walk moves to a state its reach
+    holds that does not lead back, which reaches strictly less. Every
+    state leads into some closed class, so the class found first is
+    the only one when every state reaches it; otherwise the states that
+    do not are searched the same way for the next. The class must be
+    aperiodic: its period is the gcd of level[u] + 1 - level[v] over its
+    edges, with level the BFS depth from one of its states. Any other
+    chain has no unique stationary distribution, or its distributions
+    never settle, and raises AnalysisError.
     """
-    P = check_stochastic(P)
-    n = P.shape[0]
-    pi = np.full(n, 1.0 / n)
+    adj = P > 0.0
+    classes, leads = [], np.zeros(adj.shape[0], dtype=bool)
+    while not leads.all():
+        u = int(np.argmin(leads))  # a state that leads to no class found yet
+        while True:
+            level = _levels(adj, u)
+            back = _levels(adj.T, u) >= 0
+            escape = (level >= 0) & ~back
+            if not escape.any():
+                break
+            u = int(np.argmax(np.where(escape, level, -1)))
+        members = np.flatnonzero(level >= 0)
+        classes.append((members, level[members]))
+        leads |= back
+    if len(classes) > 1:
+        sizes = ", ".join(str(members.size) for members, _ in classes)
+        raise AnalysisError(
+            f"the chain has {len(classes)} closed classes, of {sizes} states; "
+            "analysis needs exactly one"
+        )
+    ((members, level),) = classes
+    rows, cols = np.nonzero(adj[np.ix_(members, members)])
+    period = int(np.gcd.reduce(level[rows] + 1 - level[cols]))
+    if period != 1:
+        raise AnalysisError(f"the closed class has period {period}; analysis needs period 1")
+    return members
+
+
+def _stepper(P: np.ndarray, members: np.ndarray):
+    """x -> x Q for the rows x of an array, with Q P's block on the
+    class `members`: each row's products with Q's nonzeros, summed
+    column by column with np.add.reduceat. Every column of an
+    irreducible block holds a nonzero."""
+    Q = P[np.ix_(members, members)]
+    cols, rows = np.nonzero(Q.T)
+    weights = Q[rows, cols]
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+
+    def step(x: np.ndarray) -> np.ndarray:
+        terms = x[..., rows]
+        terms *= weights  # in place: a second array this size tripled the step
+        return np.add.reduceat(terms, starts, axis=-1)
+
+    return step
+
+
+def _class_stationary(step, m: int, max_iter: int) -> np.ndarray:
+    """Stationary distribution of an m-state irreducible aperiodic block
+    by power iteration from uniform."""
+    pi = np.full(m, 1.0 / m)
     for _ in range(max_iter):
-        nxt = pi @ P
+        nxt = step(pi)
         delta = float(np.abs(nxt - pi).max())
         pi = nxt
         if delta < STATIONARY_TOL:
             pi = pi / pi.sum()
-            residual = float(np.abs(pi @ P - pi).max())
+            residual = float(np.abs(step(pi) - pi).max())
             if residual > RESIDUAL_TOL:
                 raise ConvergenceError(
                     f"fixed-point residual {residual} exceeds {RESIDUAL_TOL}"
                 )
             return pi
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} steps; "
-        "the chain may be periodic, try lazy()"
-    )
+    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+
+
+def stationary(P: np.ndarray, max_iter: int = 1_000_000) -> np.ndarray:
+    """Stationary distribution of P's one closed class, padded with
+    exact zeros to P's states.
+
+    Power iteration from uniform over the class runs until successive
+    distributions agree within STATIONARY_TOL in max norm, then checks
+    the fixed-point residual against RESIDUAL_TOL. A chain with more
+    than one closed class, or a periodic one, raises AnalysisError.
+    """
+    P = check_stochastic(P)
+    members = _closed_class(P)
+    pi = np.zeros(P.shape[0])
+    pi[members] = _class_stationary(_stepper(P, members), members.size, max_iter)
+    return pi
 
 
 @dataclass(frozen=True)
@@ -150,42 +205,51 @@ def mixing_times(
     epsilons: Iterable[float],
     max_iter: int = 100_000,
 ) -> dict[float, MixingReport]:
-    """Per-start mixing times at several thresholds in one sweep.
+    """Mixing times of P's one closed class at several thresholds in
+    one sweep.
 
-    For each one-hot start the mixing time is the smallest t where the
-    distribution at t and at t+1 agree within epsilon in max norm; the
-    chain's mixing time is the worst start. Rows are dropped from the
-    iteration once they have resolved at the tightest threshold.
+    From each one-hot start x in the class, the mixing time is the
+    smallest t with total variation distance ||P^t(x, .) - pi||_TV below
+    epsilon; the chain's t_mix is the worst start, the first t with
+    d(t) = max_x ||P^t(x, .) - pi||_TV below epsilon. A start outside
+    the class has per_start -1. Starts are dropped from the iteration
+    once they have resolved at the tightest threshold, since no start's
+    distance grows. max_iter caps the power iteration for pi and the
+    sweep alike.
     """
     P = check_stochastic(P)
     eps = [cells.check_real("epsilon", e, 0, open_lo=True) for e in epsilons]
     if not eps:
         raise ValueError("need at least one epsilon")
     eps = sorted(set(eps), reverse=True)
-    n = P.shape[0]
-    M = np.eye(n)
-    hits = {e: np.full(n, -1, dtype=np.int64) for e in eps}
+    members = _closed_class(P)
+    m = members.size
+    step = _stepper(P, members)
+    pi = _class_stationary(step, m, max_iter)
+    M = np.eye(m)
+    hits = {e: np.full(m, -1, dtype=np.int64) for e in eps}
     tightest = hits[eps[-1]]
-    active = np.arange(n)
+    active = np.arange(m)
     t = 0
     while active.size:
         if t > max_iter:
             raise ConvergenceError(
                 f"mixing did not resolve at epsilon={eps[-1]} within {max_iter} steps"
             )
-        stepped = M[active] @ P
-        diff = np.abs(M[active] - stepped).max(axis=1)
+        tv = 0.5 * np.abs(M - pi).sum(axis=1)
         for e in eps:
             h = hits[e]
-            fresh = (h[active] < 0) & (diff < e)
+            fresh = (h[active] < 0) & (tv < e)
             h[active[fresh]] = t
-        M[active] = stepped
-        active = active[tightest[active] < 0]
+        keep = tightest[active] < 0
+        active, M = active[keep], step(M[keep])
         t += 1
-    return {
-        e: MixingReport(t_mix=int(h.max()), per_start=h.copy())
-        for e, h in hits.items()
-    }
+    reports = {}
+    for e, h in hits.items():
+        per_start = np.full(P.shape[0], -1, dtype=np.int64)
+        per_start[members] = h
+        reports[e] = MixingReport(t_mix=int(h.max()), per_start=per_start)
+    return reports
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:

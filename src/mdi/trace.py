@@ -35,6 +35,19 @@ class TraceParseError(ValueError):
     """A trace file violated the one-integer-per-line format."""
 
 
+# The largest packet: an IPv4 datagram's 16-bit total length, in bytes.
+MAX_MTU_BYTES = 65_535
+
+
+def check_mtu(mtu_bytes) -> int:
+    """`mtu_bytes` as an int, if it is an integer from 1 to
+    MAX_MTU_BYTES; otherwise a ValueError naming it."""
+    mtu_bytes = cells.check_int("mtu_bytes", mtu_bytes, 1)
+    if mtu_bytes > MAX_MTU_BYTES:
+        raise ValueError(f"mtu_bytes must be at most {MAX_MTU_BYTES}, got {mtu_bytes}")
+    return mtu_bytes
+
+
 class LinkTrace:
     """Immutable sequence of per-packet delivery opportunity times (ms).
 
@@ -50,7 +63,7 @@ class LinkTrace:
     __slots__ = ("_first", "_gaps", "_last", "mtu_bytes")
 
     def __init__(self, opportunities, mtu_bytes: int = 1500) -> None:
-        mtu_bytes = cells.check_int("mtu_bytes", mtu_bytes, 1)
+        mtu_bytes = check_mtu(mtu_bytes)
         arr = cells.check_ints("timestamps", opportunities)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("trace needs at least one delivery opportunity")
@@ -122,7 +135,7 @@ def load_trace(source: BinaryIO, mtu_bytes: int = 1500) -> LinkTrace:
     line, one that is not a non-negative integer, a timestamp that
     decreases, or one of 2**63 or more.
     """
-    cells.check_int("mtu_bytes", mtu_bytes, 1)
+    check_mtu(mtu_bytes)
     data = source.read()
     if not data:
         raise TraceParseError("empty trace file")
@@ -199,7 +212,7 @@ def gen_rapidly_changing(spec: SyntheticTraceSpec, mtu_bytes: int = 1500) -> Lin
     rate_max_mbps over the whole duration reaches 2**63 is rejected
     before any rate is drawn.
     """
-    cells.check_int("mtu_bytes", mtu_bytes, 1)
+    check_mtu(mtu_bytes)
     duration_ms = int(round(spec.duration_s * 1000.0))
     segment_ms = max(int(round(min(spec.segment_s, spec.duration_s) * 1000.0)), 1)
     pkts_per_mbps_ms = 1e6 / (8.0 * mtu_bytes * 1000.0)

@@ -13,9 +13,8 @@ in ``test_linksim.py`` and ``test_properties.py`` require both to give
 identical results, so this code stays as it was written, except that
 the codec and the epoch reader follow each CSV to its one layout, which
 states each value once; the epoch reader rejects a ``t_ms`` that is
-negative or not above the row before, and a field that starts with
-``+`` or with a zero before a digit or whose fraction ends in a padding
-zero, spellings ``repr`` never writes; the packet reader rejects a
+negative or not above the row before, and a row that ``repr`` of its
+own values does not spell exactly; the packet reader rejects a
 value outside int64 or a zero-padded field with ValueError, as it does
 every other malformed field; and the tick loop logs only the epochs
 that carried ACKs, counting the silent ones, whose feedback's mean
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from array import array
 from collections import deque
 from typing import TextIO
@@ -266,9 +264,9 @@ def reference_read_epoch_csv(source: TextIO) -> EpochLog:
     for row in rows:
         if len(row) != len(EPOCH_CSV_HEADER):
             raise ValueError(f"epoch CSV row has {len(row)} fields: {row!r}")
-        for x in row:
-            if x[:1] == "+" or re.match(r"0[0-9]", x) or re.search(r"\.[0-9]+0(?![0-9])", x):
-                raise ValueError(f"epoch CSV field {x!r} is padded or signed")
+        t, delay, window = row
+        if f"{int(t)!r},{float(delay)!r},{float(window)!r}" != ",".join(row):
+            raise ValueError(f"epoch CSV row {row!r} is not written as repr writes it")
     cols = list(zip(*rows)) or [()] * len(EPOCH_CSV_HEADER)
     t_ms, delay_ms, window_pkts = cols
     t_ms = [int(x) for x in t_ms]

@@ -106,7 +106,9 @@ def test_mixing_time_thresholds_are_ordered_on_trained_models(
     t0 = time.perf_counter()
     q = np.array([0.4, 0.3, 0.2, 0.1])
     assert markov.mixing_times(np.tile(q, (4, 1)), [1e-3])[1e-3].t_mix == 1
-    assert markov.mixing_times(np.eye(6), [1e-3])[1e-3].t_mix == 0
+    # The identity has one closed class per state: no unique pi to mix to.
+    with pytest.raises(markov.AnalysisError, match="6 closed classes"):
+        markov.mixing_times(np.eye(6), [1e-3])
     for bundle in (verus_bundle, copa_bundle):
         P = markov.to_stochastic(bundle.model, empty_rows="uniform")
         reports = markov.mixing_times(P, [1e-3, 1e-5, 1e-7])

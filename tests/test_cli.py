@@ -22,7 +22,7 @@ from mdi.linksim import (
 from mdi.pipeline import derive_run_seed
 from mdi.quantizer import QuantizerConfig
 from mdi.runtime import MdiController
-from mdi.trace import load_trace
+from mdi.trace import MAX_MTU_BYTES, load_trace
 from mdi.trainer import TransitionModel, load_model, save_model
 
 
@@ -222,6 +222,19 @@ def test_gen_trace_past_int64_fails_cleanly(tmp_path, capsys, extra, named):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mtu", [MAX_MTU_BYTES + 1, 10**400])
+@pytest.mark.parametrize("command", ["gen-trace", "run"])
+def test_an_mtu_past_its_bound_fails_cleanly(workspace, tmp_path, capsys, command, mtu):
+    argv = [command, "--mtu", str(mtu), "--out", str(tmp_path / "x")]
+    if command == "run":
+        argv += ["--trace", str(workspace / "traces" / "t0.trace"), "--controller", "pinned"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: mtu_bytes must be at most {MAX_MTU_BYTES}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_mdi_gains_default_to_the_controller_own(workspace, tmp_path):
     run = [
         "run", "--trace", str(workspace / "traces" / "t0.trace"), "--duration", "2",
@@ -306,12 +319,20 @@ def test_analyze_reports_stationary_and_ordered_mixing(workspace, tmp_path):
     report = json.loads(report_path.read_text())
     assert report["n_states"] == 231
     assert "empty_rows_policy" not in report  # one empty-row rule, uniform
-    # Irreducibility is reported, not guaranteed, for desk-scale corpora:
-    # observed rows may never target some never-visited states.
-    assert isinstance(report["irreducible"], bool)
+    # The analysis is of the one closed class the runs reached: pi and
+    # the mixing starts are on it, and the transient states the runs
+    # left are named.
+    assert "lazy" not in report and "irreducible" not in report
     pi = np.array(report["stationary"])
     assert pi.shape == (231,)
     assert pi.sum() == pytest.approx(1.0, abs=1e-9)
+    in_class = np.flatnonzero(pi > 0.0)
+    assert report["closed_class_size"] == in_class.size > 0
+    for v in report["mixing"].values():
+        assert np.flatnonzero(np.array(v["per_start"]) >= 0).tolist() == in_class.tolist()
+    with open(workspace / "verus.model", "rb") as fh:
+        outflow = load_model(fh).counts.sum(axis=(2, 3)).ravel() > 0
+    assert report["transient_states"] == np.flatnonzero(outflow & (pi == 0.0)).tolist()
     assert report["stationary_residual"] <= 1e-8
     mix = {k: v["t_mix"] for k, v in report["mixing"].items()}
     assert mix["0.001"] <= mix["1e-05"] <= mix["1e-07"]
@@ -332,6 +353,13 @@ def test_analyze_has_no_empty_rows_option(workspace, capsys):
         main(["analyze", "--model", str(workspace / "verus.model"), "--empty-rows", "uniform"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --empty-rows" in capsys.readouterr().err
+
+
+def test_analyze_has_no_lazy_option(workspace, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--model", str(workspace / "verus.model"), "--lazy"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lazy" in capsys.readouterr().err
 
 
 def test_ks_distance_is_the_largest_cdf_gap():

@@ -22,7 +22,13 @@ from mdi.markov import mixing_times, state_visits
 from mdi.pipeline import derive_run_seed, train_on_traces
 from mdi.quantizer import QuantizerConfig
 from mdi.runtime import MdiController
-from mdi.trace import LinkTrace, SyntheticTraceSpec, gen_rapidly_changing, load_trace
+from mdi.trace import (
+    MAX_MTU_BYTES,
+    LinkTrace,
+    SyntheticTraceSpec,
+    gen_rapidly_changing,
+    load_trace,
+)
 from mdi.trainer import EpochLog, TransitionModel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mdi"
@@ -105,6 +111,28 @@ def test_every_integer_input_takes_the_one_rule(call, field, least):
     call(np.int64(least))
 
 
+MTU_ENTRY_POINTS = [row[0] for row in ENTRY_POINTS if row[1] == "mtu_bytes"]
+
+
+@pytest.mark.parametrize("call", MTU_ENTRY_POINTS, ids=range(len(MTU_ENTRY_POINTS)))
+def test_every_mtu_takes_the_one_upper_bound(call):
+    for bad in (MAX_MTU_BYTES + 1, 2**63, 10**400):
+        with pytest.raises(ValueError, match=f"mtu_bytes must be at most {MAX_MTU_BYTES}, got"):
+            call(bad)
+    call(np.int64(MAX_MTU_BYTES))
+
+
+def test_the_mtu_bound_is_stated_once():
+    calls = [
+        (path.name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if 'check_int("mtu_bytes"' in line
+    ]
+    assert calls == [("trace.py", '    mtu_bytes = cells.check_int("mtu_bytes", mtu_bytes, 1)')]
+    assert len(MTU_ENTRY_POINTS) == 5
+
+
 def test_training_rejects_a_bad_grid_or_run_count_before_its_first_run():
     for kwargs in (dict(n_d=1), dict(n_w=2.5), dict(runs_per_trace=True)):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -134,7 +162,7 @@ REAL_ENTRY_POINTS = [
     (lambda v: SyntheticTraceSpec(1, v, 1, 2, 0), "segment_s", 0, True, 1),
     (lambda v: SyntheticTraceSpec(1, 1, v, 2, 0), "rate_min_mbps", 0, True, 1),
     (lambda v: SyntheticTraceSpec(1, 1, 2, v, 0), "rate_max_mbps", 2, False, 2),
-    (lambda v: mixing_times(np.eye(2), [v]), "epsilon", 0, True, 1),
+    (lambda v: mixing_times(np.full((2, 2), 0.5), [v]), "epsilon", 0, True, 1),
     (cli._duration_ms, "--duration", -math.inf, False, 1),
     (lambda v: QuantizerConfig.uniform(v, 2.0, -1.0, 1.0), "d_lo", -math.inf, False, 1),
     (lambda v: QuantizerConfig.uniform(-2.0, v, -1.0, 1.0), "d_hi", -math.inf, False, 1),

@@ -335,8 +335,14 @@ def test_epoch_csv_errors_name_the_body_row():
         "01,2.0,3.0\n", "+1,2.0,3.0\n", "1,+2.0,3.0\n", "1,2.0,0003.0\n", "1,2.50,3.0\n",
         "1,2.5,1.10e+16\n",
     ):
-        for body, at in ((row, 0), ("0,12.5,8.0\n" + row, 1)):
-            with pytest.raises(ValueError, match=f"^epoch CSV row {at}: a number is signed or"):
+        for body, at in ((row, 0), ("0,12.5,8.0\n" + row, 1), (row + "90,12.5,8.0\n", 0)):
+            with pytest.raises(ValueError, match=f"^epoch CSV row {at}: not written as"):
+                read_epoch_csv(io.StringIO(header + body))
+    # More at t_ms 0: an exponent where repr writes none, a bare point,
+    # a signed zero, a whole number in a real column.
+    for row in ("0,1e2,5.0\n", "0,.5,5.0\n", "-0,5.0,5.0\n", "0,5.,3\n", "0,5.0,3.0e0\n"):
+        for body in (row, row + "90,12.5,8.0\n"):
+            with pytest.raises(ValueError, match="^epoch CSV row 0: not written as"):
                 read_epoch_csv(io.StringIO(header + body))
     # What repr does write reads: an exponent's own zeros, a bare zero
     # before the point and a one-digit fraction.

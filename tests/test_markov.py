@@ -1,7 +1,12 @@
 """Chain extraction, stationary analysis, mixing, divergences."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdi.markov import (
     AnalysisError,
@@ -9,9 +14,7 @@ from mdi.markov import (
     check_distribution,
     check_stochastic,
     empirical_distribution,
-    is_irreducible,
     kl_divergence,
-    lazy,
     max_abs_diff,
     mixing_times,
     state_visits,
@@ -80,30 +83,44 @@ def test_to_stochastic_gives_empty_rows_uniform():
             to_stochastic(model, empty_rows=policy)
 
 
-def test_lazy_preserves_stationary_and_kills_periodicity():
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    L = lazy(flip)
-    assert np.allclose(L, [[0.5, 0.5], [0.5, 0.5]])
-    rng = np.random.default_rng(0)
-    P = random_chain(6, rng)
-    pi = stationary(P)
-    pi_lazy = stationary(lazy(P))
-    assert np.abs(pi - pi_lazy).max() < 1e-9
-
-
-def test_irreducibility_detection():
-    cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert is_irreducible(cycle)
-    assert not is_irreducible(np.eye(2))
+def test_two_closed_classes_fail_and_name_both_sizes():
     blocks = np.array(
         [
-            [0.5, 0.5, 0.0, 0.0],
-            [0.5, 0.5, 0.0, 0.0],
-            [0.0, 0.0, 0.5, 0.5],
-            [0.0, 0.0, 0.5, 0.5],
+            [0.5, 0.5, 0.0, 0.0, 0.0],
+            [0.5, 0.5, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.5, 0.5, 0.0],
+            [0.0, 0.0, 0.5, 0.5, 0.0],
+            [0.0, 0.0, 0.5, 0.0, 0.5],
         ]
     )
-    assert not is_irreducible(blocks)
+    # State 4 leads into the second class, so it is in neither.
+    for analysis in (stationary, lambda P: mixing_times(P, [1e-3])):
+        with pytest.raises(AnalysisError, match="2 closed classes, of 2, 2 states"):
+            analysis(blocks[:4, :4])
+        with pytest.raises(AnalysisError, match="2 closed classes, of 2, 2 states"):
+            analysis(blocks)
+
+
+def test_transient_states_get_exactly_zero_and_the_class_its_own_pi():
+    block = np.array([[0.3, 0.7], [0.6, 0.4]])
+    P = np.array(
+        [
+            [0.1, 0.4, 0.5, 0.0],
+            [0.2, 0.0, 0.0, 0.8],
+            [0.0, 0.0, 0.3, 0.7],
+            [0.0, 0.0, 0.6, 0.4],
+        ]
+    )
+    pi = stationary(P)
+    assert pi[:2].tolist() == [0.0, 0.0]
+    assert np.array_equal(pi[2:], stationary(block))
+    assert pi[2:] == pytest.approx([6 / 13, 7 / 13], abs=1e-12)
+    reports = mixing_times(P, [1e-3, 1e-7])
+    for e, report in reports.items():
+        assert report.per_start[:2].tolist() == [-1, -1]
+        own = mixing_times(block, [e])[e]
+        assert np.array_equal(report.per_start[2:], own.per_start)
+        assert report.t_mix == own.t_mix
 
 
 def test_two_state_stationary_closed_form():
@@ -127,7 +144,9 @@ def test_stationary_matches_linear_solve_on_random_chains():
 
 
 def test_stationary_of_symmetric_chains_is_uniform():
-    assert np.allclose(stationary(np.eye(4)), 0.25)
+    # The identity has one closed class per state, so no unique pi.
+    with pytest.raises(AnalysisError, match="4 closed classes, of 1, 1, 1, 1 states"):
+        stationary(np.eye(4))
     doubly = np.array(
         [
             [0.2, 0.3, 0.5],
@@ -155,7 +174,12 @@ def test_rank_one_chain_mixes_in_one_step():
 
 
 def test_identity_chain_mixes_in_zero_steps():
-    assert mixing_times(np.eye(5), [1e-3])[1e-3].t_mix == 0
+    # One state is its own class, at its stationary distribution from t = 0.
+    assert mixing_times(np.eye(1), [1e-3])[1e-3].t_mix == 0
+    # A larger identity has one closed class per state, so no unique pi
+    # to mix towards.
+    with pytest.raises(AnalysisError, match="5 closed classes, of 1, 1, 1, 1, 1 states"):
+        mixing_times(np.eye(5), [1e-3])
 
 
 def test_mixing_time_thresholds_are_ordered():
@@ -173,10 +197,83 @@ def test_mixing_time_thresholds_are_ordered():
 
 def test_mixing_never_resolves_on_a_periodic_chain():
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(AnalysisError, match="period 2"):
         mixing_times(flip, [1e-3], max_iter=200)
-    # The lazy transform breaks the period and resolves immediately.
-    assert mixing_times(lazy(flip), [1e-3])[1e-3].t_mix <= 2
+    with pytest.raises(AnalysisError, match="period 2"):
+        stationary(flip)
+    # A 6-cycle with a chord from state 0 to state 4: cycles of 6 and 3.
+    P = np.roll(np.eye(6), 1, axis=1)
+    P[0] = 0.0
+    P[0, [1, 4]] = 0.5
+    with pytest.raises(AnalysisError, match="period 3"):
+        mixing_times(P, [1e-3])
+    # One self-loop breaks the period.
+    P[5] = 0.0
+    P[5, [0, 5]] = 0.5
+    assert mixing_times(P, [1e-3])[1e-3].t_mix > 0
+
+
+def two_state(p: float, q: float) -> np.ndarray:
+    return np.array([[1.0 - p, p], [q, 1.0 - q]])
+
+
+@pytest.mark.parametrize("p, q", [(0.1, 0.3), (0.7, 0.6), (0.05, 0.02), (0.9, 0.2)])
+def test_two_state_tv_profile_is_the_closed_form(p, q):
+    # d(t) = max(p, q) / (p + q) * |1 - p - q|**t, and from each start
+    # the other state's stationary mass times |1 - p - q|**t. A
+    # threshold just above d(t) resolves at t, just below it at t + 1,
+    # while d(t) stays far above pi's own error of about 1e-12.
+    lam = abs(1.0 - p - q)
+    starts = np.array([p, q]) / (p + q)
+    for t in range(40):
+        d = starts * lam**t
+        if d.min() < 1e-5:
+            break
+        for scale, at in ((1 + 1e-6, t), (1 - 1e-6, t + 1)):
+            for x in (0, 1):
+                e = float(d[x] * scale)
+                assert mixing_times(two_state(p, q), [e])[e].per_start[x] == at
+            e = float(d.max() * scale)
+            assert mixing_times(two_state(p, q), [e])[e].t_mix == at
+
+
+@st.composite
+def ergodic_chains(draw):
+    """A random chain on n states made irreducible by a cycle through
+    them all and aperiodic by a self-loop; other entries may be 0."""
+    n = draw(st.integers(2, 8))
+    entries = st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 3.0])
+    weights = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    weights[np.arange(n), (np.arange(n) + 1) % n] += draw(st.floats(0.05, 1.0))
+    weights[0, 0] += draw(st.floats(0.05, 1.0))
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ergodic_chains())
+def test_every_eigenvalue_bounds_the_tv_distance_from_below(P):
+    # |lambda|**t <= 2 d(t) for every eigenvalue lambda != 1 (Levin,
+    # Peres and Wilmer, ch. 12), and d(t_mix(eps)) < eps, so
+    # |lambda|**t_mix(eps) < 2 eps.
+    eps = [0.25, 1e-2, 1e-3, 1e-5, 1e-7]
+    reports = mixing_times(P, eps)
+    lams = np.linalg.eigvals(P)
+    largest = float(np.abs(lams[np.abs(lams - 1.0) > 1e-9]).max(initial=0.0))
+    for e in eps:
+        assert largest ** reports[e].t_mix <= 2 * e
+
+
+def test_markov_steps_its_chains_without_blas():
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src/mdi/markov.py").read_text())
+    # The step is a sparse product over the class block's nonzeros: no
+    # `@`, no np.dot, np.matmul or np.linalg.
+    blas = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.MatMult)
+        or (isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "linalg"))
+    ]
+    assert blas == []
 
 
 def test_mixing_epsilon_validation():
