@@ -173,7 +173,24 @@ def cmd_run(args) -> int:
         write_epoch_csv(result.epochs, fh)
     with open(packets_path, "w", encoding="utf-8") as fh:
         write_packet_csv(result, fh)
-    _json_dump({"duration_ms": result.duration_ms, "mtu_bytes": result.mtu_bytes}, params_path)
+    # run.json: the link parameters compare reads, and the run's counts.
+    run_json = {
+        "duration_ms": result.duration_ms,
+        "mtu_bytes": result.mtu_bytes,
+        "clamps": result.clamp_warnings,
+        "loss_drops": result.loss_drops,
+        "queued_end_pkts": result.queued_end_pkts,
+        "silent_epochs": result.silent_epochs,
+        "tail_drops": result.tail_drops,
+    }
+    if isinstance(controller, MdiController):
+        run_json.update(
+            fallback=controller.fallback_count,
+            marginal=controller.marginal_count,
+            range_exit=controller.boundary_count,
+            unreached=controller.unreached_count,
+        )
+    _json_dump(run_json, params_path)
 
     s = result.summary
     line = (

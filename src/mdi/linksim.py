@@ -16,8 +16,10 @@ without loss at tick t - ack_delay. A tick therefore does only its
 sends, its service and its losses, and appends two running counts:
 E(u), the packets queued by tick u, and OK(u), those served without
 loss by tick u. In-flight is every packet queued so far minus the lost
-and the ACKed ones, and an epoch's ACK count is a difference of two
-reads of OK. The rest is read at the boundaries, which move forward
+and the ACKed ones, so a tick sends until its queue reaches position
+send_cap + lost + acked; the first two terms change only at a boundary
+or a loss, and are kept summed. An epoch's ACK count is a difference of
+two reads of OK. The rest is read at the boundaries, which move forward
 only. Queue position q was sent at tick bisect_right(E, q), so summing
 by parts gives the total queueing wait of the packets served without
 loss by tick u, exactly and in integers:
@@ -242,12 +244,14 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     opps_at[span::span] += np.count_nonzero(opp == span)
     ack_delay = max(2 * params.one_way_prop_ms, 1)
     qcap = math.inf if params.queue_capacity_pkts is None else params.queue_capacity_pkts
-    # Queue positions whose loss draw strikes, ending in an inf sentinel;
+    # Queue positions whose loss draw strikes, ending in a sentinel;
     # lost_at[:lost] are the ones served so far. A run serves at most one
-    # packet per opportunity, so one draw per opportunity covers it.
-    lost_at: list[float] = [math.inf]
+    # packet per opportunity, so one draw per opportunity covers it, and
+    # no queue position served reaches the sentinel, the draw count.
+    draws = int(opps_at.sum())
+    lost_at = [draws]
     if params.loss_rate > 0.0:
-        struck = np.random.default_rng(params.seed).random(int(opps_at.sum())) < params.loss_rate
+        struck = np.random.default_rng(params.seed).random(draws) < params.loss_rate
         lost_at = np.flatnonzero(struck).tolist() + lost_at
 
     # Packets queued by the end of each tick's sends. The queue holds
@@ -264,8 +268,13 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     clamps = 0
 
     window = 1.0
-    send_cap = 0
     carry = 0.0
+    # A tick may queue up to position reach + acked, where in-flight,
+    # enqueued - lost - acked, meets send_cap: reach = send_cap + lost.
+    # A boundary sets reach and each loss adds 1. next_lost is
+    # lost_at[lost], the next queue position loss strikes.
+    reach = 0
+    next_lost = lost_at[0]
     epoch_t: list[int] = []
     epoch_delay: list[float] = []
     epoch_window: list[float] = []
@@ -339,24 +348,28 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
             total = window + carry
             send_cap = int(total)
             carry = total - send_cap
+            reach = send_cap + lost
             last_boundary = t
             boundary = t + epoch_len
 
-        sends = send_cap - (enqueued - lost - acked)
-        if sends > 0:
-            if enqueued - served + sends > qcap:
+        # Send until the queue reaches position reach + acked.
+        target = reach + acked
+        if target > enqueued:
+            if target - served > qcap:
                 # Tail drop; stop bursting into a full buffer this tick.
-                sends = qcap - (enqueued - served)
+                target = served + qcap
                 tail_ms.append(t)
-            enqueued += sends
+            enqueued = target
         enq_cum.append(enqueued)
 
         served += opps
         if served > enqueued:
             served = enqueued
-        while lost_at[lost] < served:
-            lost_sent.append(lost_sent[-1] + bisect_right(enq_cum, lost_at[lost]))
+        while next_lost < served:
+            lost_sent.append(lost_sent[-1] + bisect_right(enq_cum, next_lost))
             lost += 1
+            reach += 1
+            next_lost = lost_at[lost]
         ok_cum.append(served - lost)
 
     # Packet columns, from the per-tick counts. A tick's tail drop is the
@@ -376,7 +389,7 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     lost_pos = np.array(lost_at[:lost], dtype=np.intp)
     dropped[queued_pkt[lost_pos]] = True
     delivered_ms = np.full(sent_ms.size, -1, dtype=times)
-    ok_per_tick = np.diff(np.fromiter(ok_cum[ack_delay - 1 :], np.int64, duration + 1))
+    ok_per_tick = np.diff(np.fromiter(ok_cum, np.int64, ack_delay + duration)[ack_delay - 1 :])
     delivered_ms[np.delete(queued_pkt[:served], lost_pos)] = np.repeat(ticks, ok_per_tick)
     acked_ms = delivered_ms + ack_delay
     acked_ms[(delivered_ms < 0) | (acked_ms >= duration)] = -1

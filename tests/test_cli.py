@@ -270,10 +270,17 @@ def test_run_prints_the_clamps_and_unreached_draws_it_counted(workspace, tmp_pat
     assert ", clamps 0" in pinned_line and "unreached" not in pinned_line
     drops = f"dropped {result.dropped_pkts} (tail {result.tail_drops}, loss {result.loss_drops})"
     assert drops in mdi_line
-    # The counts are printed; run.json holds only the link parameters.
+    # run.json holds the link parameters and the counts the line prints;
+    # only an mdi run has the walk's.
     assert json.loads((tmp_path / "m.run.json").read_text()) == {
         "duration_ms": 8000, "mtu_bytes": 1500,
+        "clamps": result.clamp_warnings, "loss_drops": result.loss_drops,
+        "queued_end_pkts": result.queued_end_pkts, "silent_epochs": result.silent_epochs,
+        "tail_drops": result.tail_drops,
+        "fallback": ctrl.fallback_count, "marginal": ctrl.marginal_count,
+        "range_exit": ctrl.boundary_count, "unreached": ctrl.unreached_count,
     }
+    assert "unreached" not in json.loads((tmp_path / "p.run.json").read_text())
 
 
 def test_train_rejects_missing_or_empty_trace_dir(workspace, tmp_path, capsys):
@@ -394,7 +401,7 @@ def test_compare_runs_reports_medians_and_ks_distances(workspace, tmp_path):
     for path in (driven, native):
         log = read_packet_csv(io.StringIO(path.with_suffix(".packets.csv").read_text()))
         params = json.loads(path.with_suffix(".run.json").read_text())
-        got = run_samples(log, **params)
+        got = run_samples(log, params["duration_ms"], params["mtu_bytes"])
         samples.append((got["throughput_mbps"], got["delay_ms"]))
     (tput_a, rtt_a), (tput_b, rtt_b) = samples
     assert report["ks_vs_b"] == {
@@ -528,6 +535,7 @@ def test_compare_throughput_matches_run_off_1500_byte_packets(tmp_path, capsys):
     assert "throughput Mbps median 2.000" in capsys.readouterr().out
     assert json.loads((tmp_path / "p.run.json").read_text()) == {
         "duration_ms": 5000, "mtu_bytes": 500,
+        "clamps": 0, "loss_drops": 0, "queued_end_pkts": 0, "silent_epochs": 1, "tail_drops": 0,
     }
     rc = main(["compare", "--a", str(out), "--b", str(out), "--out", str(report)])
     assert rc == 0
@@ -545,9 +553,11 @@ def test_run_prints_the_silent_epochs_it_left_out_of_the_log(tmp_path, capsys):
         rows = len(read_epoch_csv(fh))
     assert 249 - rows >= 2
     assert f"silent epochs {249 - rows}" in capsys.readouterr().out
-    # The count is printed; run.json holds only the link parameters.
+    # The count is printed, and run.json holds it beside the others.
     assert json.loads((tmp_path / "p.run.json").read_text()) == {
         "duration_ms": 5000, "mtu_bytes": 1500,
+        "clamps": 0, "loss_drops": 0, "queued_end_pkts": 0, "silent_epochs": 249 - rows,
+        "tail_drops": 0,
     }
 
 
@@ -622,6 +632,9 @@ def test_readme_lists_the_run_json_keys_the_code_writes(workspace):
     (listed,) = re.findall(r"\(`<out>\.run\.json`: ([^)]*)\)", readme)
     written = json.loads((workspace / "native.run.json").read_text())
     assert re.findall(r"`(\w+)`", listed) == sorted(written)
+    (mdi_only,) = re.findall(r"\(`mdi` only: ([^)]*)\)", readme)
+    driven = json.loads((workspace / "driven.run.json").read_text())
+    assert re.findall(r"`(\w+)`", mdi_only) == sorted(driven.keys() - written.keys())
 
 
 def test_readme_names_only_flags_the_cli_has():

@@ -5,9 +5,9 @@ heatmap fingerprint (CSV and SVG), the epoch and packet CSVs of the
 first held-out trace's native and model-driven runs, and the epoch CSVs
 of all its model-driven held-out runs, concatenated in order, and
 compares them with digests recorded from an earlier build. Those runs
-drop nothing, so one more digest pins a short lossy run whose packet
-CSV has both kinds of dropped row, and another pins the trace file of
-the first harness trace. A refactor that is meant to keep behaviour
+drop nothing, so two more digests pin lossy runs: the packet CSV of a
+short run that has both kinds of dropped row, and a model trained on
+such runs. Another pins the trace file of the first harness trace. A refactor that is meant to keep behaviour
 must pass this test unchanged; a change that moves these bytes says so
 and why.
 """
@@ -21,7 +21,8 @@ import pytest
 import harness
 from mdi.heatmap import heatmap_export
 from mdi.linksim import LinkParams, run_simulation, write_epoch_csv, write_packet_csv
-from mdi.trace import save_trace
+from mdi.pipeline import train_on_traces
+from mdi.trace import SyntheticTraceSpec, gen_rapidly_changing, save_trace
 from mdi.trainer import save_model
 
 GOLDEN = {
@@ -52,6 +53,12 @@ TRACE_T00 = "b26b43ead04a4444670eed8f5b8468052a11d11c4cb9f86f2ff877f4bf417a8f"
 # A copa-like sender on a 3-50 Mbps harness trace overruns a 60-packet
 # queue, and 1% random loss strikes the packets that get in.
 LOSSY_PACKETS = "c9871eeaffd05a8e2ffd8db15bcb74b659c5c9c4882bc377aa7fbab4811c3058"
+
+# The model a copa-like sender trains on four 10 s traces of the
+# verus-like family (seeds 1000-1003) through a 60-packet queue at 1%
+# loss, the reduced train-copa-lossy bench recipe: its runs take both
+# the tail-drop and the loss branches.
+LOSSY_MODEL = "83422363d2bdf457bb9c7964f6075ca49c1a734fff521699f473a390a167328c"
 
 
 def _sha(write, obj, binary: bool = False) -> str:
@@ -112,3 +119,27 @@ def test_lossy_run_packet_csv_matches_golden_digest():
     draws = np.random.default_rng(params.seed).random(run.sent_pkts)
     assert run.dropped_pkts > np.count_nonzero(draws < params.loss_rate)
     assert _sha(write_packet_csv, run) == LOSSY_PACKETS
+
+
+def test_lossy_trained_model_matches_golden_digest():
+    family = harness.VERUS
+    traces = [
+        (
+            f"t{i:02d}",
+            gen_rapidly_changing(
+                SyntheticTraceSpec(
+                    duration_s=10,
+                    segment_s=family.segment_s,
+                    rate_min_mbps=family.rate_min_mbps,
+                    rate_max_mbps=family.rate_max_mbps,
+                    seed=1000 + i,
+                )
+            ),
+        )
+        for i in range(4)
+    ]
+    link = {**harness.LINK, "queue_capacity_pkts": 60, "duration_ms": 10_000}
+    model, _ = train_on_traces(
+        traces, harness.make_copa, master_seed=harness.MASTER_SEED, loss_rate=0.01, **link
+    )
+    assert _sha(save_model, model, binary=True) == LOSSY_MODEL
