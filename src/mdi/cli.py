@@ -187,7 +187,8 @@ def cmd_run(args) -> int:
         run_json.update(
             fallback=controller.fallback_count,
             marginal=controller.marginal_count,
-            range_exit=controller.boundary_count,
+            range_high=controller.range_high_count,
+            range_low=controller.range_low_count,
             unreached=controller.unreached_count,
         )
     _json_dump(run_json, params_path)
@@ -207,7 +208,8 @@ def cmd_run(args) -> int:
         line += (
             f", fallback {controller.fallback_count}/{controller.epoch_count} epochs"
             f", marginal {controller.marginal_count}"
-            f", range-exit {controller.boundary_count}"
+            f", range-low {controller.range_low_count}"
+            f", range-high {controller.range_high_count}"
             f", unreached {controller.unreached_count}"
         )
     if result.zero_delivered:

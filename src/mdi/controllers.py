@@ -1,10 +1,10 @@
 """Epoch-driven congestion controllers.
 
 A controller is called once per epoch with aggregate delay feedback and
-returns the congestion window to use for the next epoch plus the length
-of that epoch. The simulator owns packet-level mechanics; controllers
-only see per-epoch summaries, which is also the granularity the model
-trainer consumes.
+returns a plain (window_pkts, epoch_len_ms) pair: the congestion window
+to use for the next epoch and the length of that epoch. The simulator
+owns packet-level mechanics; controllers only see per-epoch summaries,
+which is also the granularity the model trainer consumes.
 
 The built-in baselines are deliberately small. They keep the qualitative
 shapes that matter for modeling: the verus-like rule decreases decisively
@@ -38,17 +38,6 @@ class EpochFeedback(NamedTuple):
     acked_pkts: int
 
 
-class ControllerDecision(NamedTuple):
-    """Window for the next epoch and how long that epoch lasts.
-
-    The emulator clamps a window that is not finite or below 1 and an
-    epoch below 1 ms, and counts each clamp in its clamp_warnings.
-    """
-
-    window_pkts: float
-    epoch_len_ms: int
-
-
 class Controller(abc.ABC):
     """Decides the congestion window once per epoch."""
 
@@ -61,8 +50,13 @@ class Controller(abc.ABC):
         self.epoch_ms = cells.check_int("epoch_ms", epoch_ms, 1)
 
     @abc.abstractmethod
-    def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
-        """Consume one epoch of feedback, return the next decision."""
+    def on_epoch(self, feedback: EpochFeedback) -> tuple[float, int]:
+        """Consume one epoch of feedback; return the window for the next
+        epoch and how long that epoch lasts, (window_pkts, epoch_len_ms).
+
+        The emulator clamps a window that is not finite or below 1 and an
+        epoch below 1 ms, and counts each clamp in its clamp_warnings.
+        """
 
 
 class Pinned(Controller):
@@ -72,9 +66,9 @@ class Pinned(Controller):
 
     def __init__(self, window_pkts: float = 10.0, epoch_ms: int = 20) -> None:
         super().__init__(window_pkts, epoch_ms, "window_pkts")
-        self.decision = ControllerDecision(self.window, self.epoch_ms)
+        self.decision = (self.window, self.epoch_ms)
 
-    def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
+    def on_epoch(self, feedback: EpochFeedback) -> tuple[float, int]:
         return self.decision
 
 
@@ -114,7 +108,7 @@ class VerusLike(Controller):
         super().__init__(w_init, epoch_ms)
         self._ewma_ms: float | None = None
 
-    def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
+    def on_epoch(self, feedback: EpochFeedback) -> tuple[float, int]:
         if feedback.acked_pkts > 0:
             mean = feedback.mean_delay_ms
             rising = self._ewma_ms is not None and mean > max(
@@ -130,7 +124,7 @@ class VerusLike(Controller):
                 self._ewma_ms = mean
             else:
                 self._ewma_ms += VERUS_EWMA_ALPHA * (mean - self._ewma_ms)
-        return ControllerDecision(self.window, self.epoch_ms)
+        return self.window, self.epoch_ms
 
 
 class CopaLike(Controller):
@@ -155,7 +149,7 @@ class CopaLike(Controller):
         self.velocity = cells.check_real("velocity", velocity, 0, open_lo=True)
         super().__init__(w_init, epoch_ms)
 
-    def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
+    def on_epoch(self, feedback: EpochFeedback) -> tuple[float, int]:
         if feedback.acked_pkts > 0:
             dq_ms = max(feedback.mean_delay_ms - feedback.min_delay_ms, 0.1)
             target_w = feedback.mean_delay_ms / (COPA_DELTA * dq_ms)
@@ -165,7 +159,7 @@ class CopaLike(Controller):
             else:
                 self.window -= step
             self.window = max(1.0, self.window)
-        return ControllerDecision(self.window, self.epoch_ms)
+        return self.window, self.epoch_ms
 
 
 BASELINES = {

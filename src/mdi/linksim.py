@@ -238,10 +238,15 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     if span == 0:
         raise SimulationError("trace cannot wrap (last timestamp is 0)")
     # One cycle of the trace, tiled over the run; the last timestamp's
-    # opportunities also land on every later wrap point.
+    # opportunities also land on every later wrap point. The stamps are
+    # sorted, so bisection finds those below n and those at span. The
+    # cycle is no local: kept to the end of the run, it raised the peak
+    # RSS of a process that drives many runs.
     n = min(span, duration)
-    opps_at = np.tile(np.bincount(opp[opp < n], minlength=n), -(-duration // n))[:duration]
-    opps_at[span::span] += np.count_nonzero(opp == span)
+    opps_at = np.tile(
+        np.bincount(opp[: opp.searchsorted(n)], minlength=n), -(-duration // n)
+    )[:duration]
+    opps_at[span::span] += opp.size - opp.searchsorted(span)
     ack_delay = max(2 * params.one_way_prop_ms, 1)
     qcap = math.inf if params.queue_capacity_pkts is None else params.queue_capacity_pkts
     # Queue positions whose loss draw strikes, ending in a sentinel;
@@ -293,6 +298,10 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     scan = 0
     best_wait = math.inf
     min_rtt = 0.0
+    # Each epoch's feedback is built by tuple.__new__, which costs about
+    # half what the Python __new__ that NamedTuple generates does.
+    on_epoch = controller.on_epoch
+    new_tuple = tuple.__new__
 
     for t, opps in enumerate(opps_at.tolist()):
         acked = ok_cum[t]
@@ -336,9 +345,9 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
                 epoch_window.append(window)
             elif t:
                 silent += 1
-            decision = controller.on_epoch(EpochFeedback(mean, min_rtt, cnt))
-            window = float(decision.window_pkts)
-            epoch_len = int(decision.epoch_len_ms)
+            window, epoch_len = on_epoch(new_tuple(EpochFeedback, (mean, min_rtt, cnt)))
+            window = float(window)
+            epoch_len = int(epoch_len)
             if not math.isfinite(window) or window < 1.0:
                 window = 1.0
                 clamps += 1
@@ -383,14 +392,21 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     times = time_dtype(duration + ack_delay)
     ticks = np.arange(duration, dtype=times)
     sent_ms = np.repeat(ticks, sent_per_tick)
+    # Tail drop i was sent right after queue position tail_q[i] - 1, so
+    # queue position q is sent after q positions and the tail drops with
+    # tail_q <= q: its send index is q + tail_q.searchsorted(q, "right").
+    tail_q = enq[tail]
     dropped = np.zeros(sent_ms.size, dtype=bool)
-    dropped[enq[tail] + np.arange(tail.size)] = True
-    queued_pkt = np.flatnonzero(~dropped)
+    dropped[tail_q + np.arange(tail.size)] = True
     lost_pos = np.array(lost_at[:lost], dtype=np.intp)
-    dropped[queued_pkt[lost_pos]] = True
+    dropped[lost_pos + tail_q.searchsorted(lost_pos, "right")] = True
+    # Every send index before the first unserved queue position's is a
+    # served packet or a drop; the served ones not lost were delivered,
+    # in order.
+    n_served = served + int(tail_q.searchsorted(served, "right"))
     delivered_ms = np.full(sent_ms.size, -1, dtype=times)
     ok_per_tick = np.diff(np.fromiter(ok_cum, np.int64, ack_delay + duration)[ack_delay - 1 :])
-    delivered_ms[np.delete(queued_pkt[:served], lost_pos)] = np.repeat(ticks, ok_per_tick)
+    delivered_ms[:n_served][~dropped[:n_served]] = np.repeat(ticks, ok_per_tick)
     acked_ms = delivered_ms + ack_delay
     acked_ms[(delivered_ms < 0) | (acked_ms >= duration)] = -1
     # The epoch columns go in as arrays: EpochLog scans a list's cells for bools.

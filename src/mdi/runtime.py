@@ -21,15 +21,16 @@ monotone: it is zero at w = 1 and w = w_prev and dips negative between
 them, so a negative target selects the branch rising back toward w_prev
 (the root nearest the current window). f is convex, so Newton steps
 from above the root (from w_prev for a negative target, from
-1000 * w_prev for a positive one) descend to it without overshoot. The
-dip's minimizer is the root of f's derivative, which is increasing and
-concave, so Newton steps from w = 1 climb to it. Each iteration stops
-once a step no longer moves its way. The answer is the rounded midpoint
-of two adjacent floats, found next to the last iterate, across which
-the float function crosses its target. Targets below the dip's minimum
-clamp to the minimizer, and positive targets beyond 1000 * w_prev clamp
-to that window. The draws whose bucket the window could not reach are
-counted in unreached_count.
+1000 * w_prev, or the largest float where that overflows, for a
+positive one) descend to it without overshoot. The dip's minimizer is
+the root of f's derivative, which is increasing and concave, so Newton
+steps from w = 1 climb to it. Each iteration stops once a step no
+longer moves its way. The answer is the rounded midpoint of two
+adjacent floats, found next to the last iterate, across which the float
+function crosses its target. Targets below the dip's minimum clamp to
+the minimizer, and positive targets beyond that upper bound clamp to
+it. The draws whose bucket the window could not reach are counted in
+unreached_count.
 
 Each (k, l, r) row's tier and CDF come from the model's decision table,
 built once per model as two flat arrays. The controller reads them
@@ -49,16 +50,20 @@ the expected ACK cadence rather than a congestion signal.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 
 import numpy as np
 
 from . import cells
-from .controllers import Controller, ControllerDecision, EpochFeedback
+from .controllers import Controller, EpochFeedback
 from .quantizer import composite
 from .trainer import HOLD, MARGINAL, TransitionModel
 
 _POS_SPAN = 1000.0
+# The largest window: a positive search bound and a range exit's growth
+# stop here, as a back-off stops at 1.
+_W_MAX = sys.float_info.max
 _LN10 = math.log(10.0)
 
 
@@ -92,7 +97,9 @@ def _crossing(fn, target: float, w_prev: float, x: float, lo: float, hi: float) 
             hi, step = y, 2.0 * step
         lo = max(y, lo)
     while True:
-        mid = 0.5 * (lo + hi)
+        # Halved before the sum, which overflows near the largest float;
+        # halving is exact, so the midpoint rounds the same.
+        mid = 0.5 * lo + 0.5 * hi
         if mid == lo or mid == hi:
             return mid
         if fn(mid, w_prev) < target:
@@ -144,7 +151,7 @@ def invert_w_hat(w_hat_target: float, w_prev: float) -> float:
 
     Exact where the target is reachable; out-of-range targets clamp to
     the nearest achievable window (the dip minimizer below, a 1000x
-    window above).
+    window above, or the largest float where that overflows).
     """
     if not math.isfinite(w_hat_target):
         raise ValueError(f"w_hat_target must be finite, got {w_hat_target!r}")
@@ -153,7 +160,7 @@ def invert_w_hat(w_hat_target: float, w_prev: float) -> float:
     if w_hat_target == 0.0:
         return w_prev
     if w_hat_target > 0.0:
-        hi = w_prev * _POS_SPAN
+        hi = min(w_prev * _POS_SPAN, _W_MAX)
         if composite(hi, w_prev) <= w_hat_target:
             return hi
         w = _descend(w_hat_target, w_prev, hi, w_prev)
@@ -196,11 +203,17 @@ class MdiController(Controller):
         self.w_idx_prev = model.cfg.w_bucket(0.0)
         self.fallback_count = 0
         self.marginal_count = 0
-        self.boundary_count = 0
+        self.range_low_count = 0
+        self.range_high_count = 0
         self.unreached_count = 0
         self.epoch_count = 0
 
-    def on_epoch(self, feedback: EpochFeedback) -> ControllerDecision:
+    @property
+    def boundary_count(self) -> int:
+        """Range exits of both kinds: below the trained range and above it."""
+        return self.range_low_count + self.range_high_count
+
+    def on_epoch(self, feedback: EpochFeedback) -> tuple[float, int]:
         self.epoch_count += 1
 
         if feedback.acked_pkts == 0:
@@ -209,12 +222,12 @@ class MdiController(Controller):
             # per epoch in flight), so treating it as congestion would
             # pin the walk against the w >= 1 clamp. Hold and wait for
             # the next measurable epoch.
-            return ControllerDecision(self.window, self.epoch_ms)
+            return self.window, self.epoch_ms
 
         d_new = feedback.mean_delay_ms
         if self.d_prev_ms is None:
             self.d_prev_ms = d_new
-            return ControllerDecision(self.window, self.epoch_ms)
+            return self.window, self.epoch_ms
 
         cfg = self.model.cfg
         d_hat = composite(d_new, self.d_prev_ms)
@@ -223,8 +236,12 @@ class MdiController(Controller):
         w_old = self.window
         v = None
         if not lo <= d_hat <= hi:
-            self.window = max(1.0, w_old * (self.c1 if d_hat < lo else self.c2))
-            self.boundary_count += 1
+            if d_hat < lo:
+                self.window = min(w_old * self.c1, _W_MAX)
+                self.range_low_count += 1
+            else:
+                self.window = max(1.0, w_old * self.c2)
+                self.range_high_count += 1
         else:
             k = self.d_idx_prev if self.d_idx_prev is not None else r
             n_w = cfg.n_w
@@ -246,4 +263,4 @@ class MdiController(Controller):
             self.unreached_count += 1
         self.d_idx_prev = r
         self.d_prev_ms = d_new
-        return ControllerDecision(self.window, self.epoch_ms)
+        return self.window, self.epoch_ms

@@ -79,8 +79,9 @@ def reference_run_simulation(
 
     def apply(decision) -> None:
         nonlocal window, epoch_len, send_cap, carry, clamps
-        w = float(decision.window_pkts)
-        el = int(decision.epoch_len_ms)
+        w, el = decision
+        w = float(w)
+        el = int(el)
         if not math.isfinite(w) or w < 1.0:
             w = 1.0
             clamps += 1

@@ -247,6 +247,21 @@ def test_run_mdi_gains_default_to_the_controller_own(workspace, tmp_path):
         assert a == (tmp_path / f"b{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize("w_init", ["1e306", "1e308"])
+def test_run_mdi_from_a_window_near_the_float_ceiling_finishes(workspace, tmp_path, w_init):
+    # 1000 * w_init overflows for both. On this model a walk from 1e308
+    # searches a positive target before its range exits cut the window,
+    # which bisected NaNs forever while the search bound could be inf.
+    run = [
+        "run", "--trace", str(workspace / "traces" / "t0.trace"), "--duration", "2",
+        "--queue", "400", "--seed", "5", "--controller", "mdi",
+        "--model", str(workspace / "verus.model"), "--w-init", w_init,
+    ]
+    assert main([*run, "--out", str(tmp_path / "big.csv")]) == 0
+    counts = json.loads((tmp_path / "big.run.json").read_text())
+    assert counts["range_high"] > 0 and counts["tail_drops"] > 0
+
+
 def test_run_prints_the_clamps_and_unreached_draws_it_counted(workspace, tmp_path, capsys):
     trace = workspace / "traces" / "t0.trace"
     run = ["run", "--trace", str(trace), "--duration", "8", "--queue", "400", "--seed", "5"]
@@ -266,7 +281,10 @@ def test_run_prints_the_clamps_and_unreached_draws_it_counted(workspace, tmp_pat
     )
     result = run_simulation(params, ctrl)
     assert f", clamps {result.clamp_warnings}," in mdi_line
-    assert mdi_line.endswith(f", unreached {ctrl.unreached_count}")
+    assert mdi_line.endswith(
+        f", range-low {ctrl.range_low_count}, range-high {ctrl.range_high_count}"
+        f", unreached {ctrl.unreached_count}"
+    )
     assert ", clamps 0" in pinned_line and "unreached" not in pinned_line
     drops = f"dropped {result.dropped_pkts} (tail {result.tail_drops}, loss {result.loss_drops})"
     assert drops in mdi_line
@@ -278,7 +296,8 @@ def test_run_prints_the_clamps_and_unreached_draws_it_counted(workspace, tmp_pat
         "queued_end_pkts": result.queued_end_pkts, "silent_epochs": result.silent_epochs,
         "tail_drops": result.tail_drops,
         "fallback": ctrl.fallback_count, "marginal": ctrl.marginal_count,
-        "range_exit": ctrl.boundary_count, "unreached": ctrl.unreached_count,
+        "range_high": ctrl.range_high_count, "range_low": ctrl.range_low_count,
+        "unreached": ctrl.unreached_count,
     }
     assert "unreached" not in json.loads((tmp_path / "p.run.json").read_text())
 

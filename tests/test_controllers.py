@@ -5,7 +5,6 @@ import pytest
 
 from mdi.controllers import (
     BASELINES,
-    ControllerDecision,
     CopaLike,
     EpochFeedback,
     Pinned,
@@ -31,7 +30,7 @@ def test_pinned_never_moves():
     ctrl = Pinned(window_pkts=4.0, epoch_ms=20)
     for i in range(5):
         d = ctrl.on_epoch(fb(10.0 * (i + 1), 5.0, acked=i))
-        assert d == ControllerDecision(4.0, 20)
+        assert d == (4.0, 20)
 
 
 def test_pinned_parameter_validation():
@@ -46,20 +45,20 @@ def test_pinned_parameter_validation():
 
 def test_verus_flat_delay_inspires_additive_increase():
     ctrl = VerusLike(w_init=2.0)
-    d = ctrl.on_epoch(fb(10.0, 10.0))
-    assert d.window_pkts == pytest.approx(3.0)  # the additive step is 1
+    window, _ = ctrl.on_epoch(fb(10.0, 10.0))
+    assert window == pytest.approx(3.0)  # the additive step is 1
 
 
 def test_verus_high_delay_triggers_multiplicative_cut():
     ctrl = VerusLike(w_init=10.0)  # lam defaults to 1.5
-    d = ctrl.on_epoch(fb(100.0, 10.0))
-    assert d.window_pkts == pytest.approx(7.0)  # dec_mult defaults to 0.7
+    window, _ = ctrl.on_epoch(fb(100.0, 10.0))
+    assert window == pytest.approx(7.0)  # dec_mult defaults to 0.7
 
 
 def test_verus_cut_floors_at_one_packet():
     ctrl = VerusLike(w_init=1.0)
-    d = ctrl.on_epoch(fb(100.0, 10.0))
-    assert d.window_pkts == 1.0
+    window, _ = ctrl.on_epoch(fb(100.0, 10.0))
+    assert window == 1.0
 
 
 def test_verus_smoothed_rise_guard():
@@ -67,28 +66,28 @@ def test_verus_smoothed_rise_guard():
     # though the delay is still under lam * min_delay.
     ctrl = VerusLike(w_init=2.0)
     ctrl.on_epoch(fb(10.0, 10.0))  # seeds the smoothed reference at 10
-    d = ctrl.on_epoch(fb(12.0, 10.0))  # 12 > max(10.3, 11.5), 12 < 15
-    assert d.window_pkts == pytest.approx(3.0 * 0.7)
+    window, _ = ctrl.on_epoch(fb(12.0, 10.0))  # 12 > max(10.3, 11.5), 12 < 15
+    assert window == pytest.approx(3.0 * 0.7)
 
 
 def test_verus_small_rise_stays_additive():
     ctrl = VerusLike(w_init=2.0)
     ctrl.on_epoch(fb(10.0, 10.0))
-    d = ctrl.on_epoch(fb(11.0, 10.0))  # under the 1.5 ms rise floor
-    assert d.window_pkts == pytest.approx(4.0)
+    window, _ = ctrl.on_epoch(fb(11.0, 10.0))  # under the 1.5 ms rise floor
+    assert window == pytest.approx(4.0)
 
 
 def test_verus_proportional_increase_term():
     ctrl = VerusLike(inc_frac=0.1, w_init=10.0)
-    d = ctrl.on_epoch(fb(10.0, 10.0))
-    assert d.window_pkts == pytest.approx(10.0 + 1.0 + 1.0)
+    window, _ = ctrl.on_epoch(fb(10.0, 10.0))
+    assert window == pytest.approx(10.0 + 1.0 + 1.0)
 
 
 def test_verus_zero_ack_epoch_holds():
     ctrl = VerusLike(w_init=6.0)
-    d = ctrl.on_epoch(fb(0.0, 0.0, acked=0))
-    assert d.window_pkts == 6.0
-    assert d.epoch_len_ms == 20
+    window, epoch_len = ctrl.on_epoch(fb(0.0, 0.0, acked=0))
+    assert window == 6.0
+    assert epoch_len == 20
 
 
 def test_verus_parameter_validation():
@@ -122,43 +121,43 @@ def test_verus_long_run_keeps_delay_near_its_budget():
 def test_copa_below_target_steps_up():
     ctrl = CopaLike(w_init=2.0)  # delta 0.5
     # target = 20 / (0.5 * 10) = 4 > 2; step = 1 * 1 / (0.5 * 2) = 1
-    d = ctrl.on_epoch(fb(20.0, 10.0, acked=1))
-    assert d.window_pkts == pytest.approx(3.0)
+    window, _ = ctrl.on_epoch(fb(20.0, 10.0, acked=1))
+    assert window == pytest.approx(3.0)
 
 
 def test_copa_above_target_steps_down():
     ctrl = CopaLike(w_init=10.0)
     # dq = 10, target = 10 / (0.5 * 10) = 2 < 10; step = 4 / (0.5 * 10) = 0.8
-    d = ctrl.on_epoch(fb(10.0, 0.0, acked=4))
-    assert d.window_pkts == pytest.approx(9.2)
+    window, _ = ctrl.on_epoch(fb(10.0, 0.0, acked=4))
+    assert window == pytest.approx(9.2)
 
 
 def test_copa_step_scales_with_acks_and_window():
     ctrl = CopaLike(w_init=3.0)
     # target = 20 / (0.5 * 10) = 4 > 3; step = 6 * 1 / (0.5 * 3) = 4
-    d = ctrl.on_epoch(fb(20.0, 10.0, acked=6))
-    assert d.window_pkts == pytest.approx(7.0)
+    window, _ = ctrl.on_epoch(fb(20.0, 10.0, acked=6))
+    assert window == pytest.approx(7.0)
 
 
 def test_copa_window_floors_at_one():
     # Every target is at least 1 / delta = 2, so a window at 1 could
     # only step up; start above the target and overshoot below 1.
     ctrl = CopaLike(w_init=3.0)
-    d = ctrl.on_epoch(fb(10.0, 0.0, acked=50))
-    assert d.window_pkts == 1.0
+    window, _ = ctrl.on_epoch(fb(10.0, 0.0, acked=50))
+    assert window == 1.0
 
 
 def test_copa_zero_ack_epoch_holds():
     ctrl = CopaLike(w_init=5.0)
-    d = ctrl.on_epoch(fb(0.0, 0.0, acked=0))
-    assert d.window_pkts == 5.0
+    window, _ = ctrl.on_epoch(fb(0.0, 0.0, acked=0))
+    assert window == 5.0
 
 
 def test_copa_dq_floor_prevents_divide_by_zero():
     ctrl = CopaLike(w_init=2.0)
-    d = ctrl.on_epoch(fb(10.0, 10.0, acked=1))  # dq floors at 0.1
-    assert np.isfinite(d.window_pkts)
-    assert d.window_pkts >= 1.0
+    window, _ = ctrl.on_epoch(fb(10.0, 10.0, acked=1))  # dq floors at 0.1
+    assert np.isfinite(window)
+    assert window >= 1.0
 
 
 def test_copa_parameter_validation():
@@ -188,19 +187,19 @@ def test_copa_equilibrium_queue_tracks_delta():
 def test_controllers_are_deterministic():
     seq = [fb(10.0 + 3 * i, 10.0, acked=5) for i in range(20)]
     for make in (lambda: VerusLike(), lambda: CopaLike()):
-        a = [make().on_epoch(f).window_pkts for f in seq]
-        b = [make().on_epoch(f).window_pkts for f in seq]
+        a = [window for window, _ in (make().on_epoch(f) for f in seq)]
+        b = [window for window, _ in (make().on_epoch(f) for f in seq)]
         # Replaying the same feedback through a fresh instance matches
         # only per-call here; stateful evolution needs one instance.
         assert a == b
         c1, c2 = make(), make()
-        wa = [c1.on_epoch(f).window_pkts for f in seq]
-        wb = [c2.on_epoch(f).window_pkts for f in seq]
+        wa = [window for window, _ in (c1.on_epoch(f) for f in seq)]
+        wb = [window for window, _ in (c2.on_epoch(f) for f in seq)]
         assert wa == wb
 
 
 def test_registry_instantiates_by_name():
     for name, cls in BASELINES.items():
         assert cls.name == name
-    assert BASELINES["pinned"](window_pkts=7.0).decision == ControllerDecision(7.0, 20)
+    assert BASELINES["pinned"](window_pkts=7.0).decision == (7.0, 20)
     assert BASELINES["copa-like"](velocity=2.0).velocity == 2.0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_linksim import (
     reference_read_packet_csv,
@@ -17,7 +17,7 @@ from reference_linksim import (
 )
 
 import harness
-from mdi.controllers import BASELINES, Controller, ControllerDecision, Pinned
+from mdi.controllers import BASELINES, Controller, Pinned
 from mdi.linksim import (
     EPOCH_CSV_HEADER,
     PACKET_CSV_HEADER,
@@ -151,7 +151,7 @@ class _Rogue(Controller):
     name = "rogue"
 
     def __init__(self, window_pkts: float, epoch_len_ms: int) -> None:
-        self.decision = ControllerDecision(window_pkts, epoch_len_ms)
+        self.decision = (window_pkts, epoch_len_ms)
         self.calls = 0
 
     def on_epoch(self, feedback):
@@ -741,7 +741,7 @@ class _Scripted(Controller):
 
     def on_epoch(self, feedback):
         self.feedback.append(feedback)
-        return ControllerDecision(*next(self.decisions))
+        return next(self.decisions)
 
 
 def test_standing_queue_matches_the_reference_tick_loop():
@@ -785,6 +785,8 @@ decisions = st.tuples(
 
 @settings(max_examples=200, deadline=None)
 @given(link_cases(), st.lists(decisions, min_size=1, max_size=20))
+# The run ends on a tail drop sent right after the last queue position served.
+@example((LinkParams(trace=LinkTrace([0, 1]), queue_capacity_pkts=1, duration_ms=1), ""), [(3, 9)])
 def test_scripted_decisions_match_the_reference_tick_loop(case, script):
     # Any window and epoch length, clamped ones included: a NaN, infinite
     # or sub-1 window and an epoch below 1 ms.

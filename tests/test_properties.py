@@ -7,6 +7,7 @@ decision table."""
 
 import io
 import math
+import sys
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -189,12 +190,17 @@ def reference_bisect_increasing(target: float, lo: float, hi: float, w_prev: flo
     return 0.5 * (lo + hi)
 
 
+def span_top(w_prev: float) -> float:
+    """The positive search bound: 1000 * w_prev, at most the largest float."""
+    return min(1000.0 * w_prev, sys.float_info.max)
+
+
 def reference_invert_w_hat(target: float, w_prev: float) -> float:
     """invert_w_hat with both Newton iterations replaced by the bisections."""
     if target == 0.0:
         return w_prev
     if target > 0.0:
-        top = 1000.0 * w_prev
+        top = span_top(w_prev)
         if composite(top, w_prev) <= target:
             return top
         return reference_bisect_increasing(target, w_prev, top, w_prev)
@@ -214,13 +220,13 @@ def assert_next_to_a_crossing(fn, target: float, w: float) -> None:
         assert fn(math.nextafter(w, -math.inf)) < target
 
 
-w_prevs = st.one_of(st.just(1.0), st.floats(1.0, 1e6))
+w_prevs = st.one_of(st.just(1.0), st.floats(1.0, sys.float_info.max))
 targets = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e4, 1e5))
 
 
 def assert_inverts_or_clamps(target: float, w_prev: float) -> None:
     got = invert_w_hat(target, w_prev)
-    top = 1000.0 * w_prev
+    top = span_top(w_prev)
     if target == 0.0:
         assert got == w_prev
     elif target > 0.0 and composite(top, w_prev) <= target:
@@ -292,12 +298,12 @@ def test_newton_matches_the_reference_bisection_where_the_crossing_is_single():
 @settings(max_examples=200, deadline=None)
 @given(w_prevs, st.floats(0.0, 1.0))
 def test_invert_w_hat_solves_its_equation(w_prev, u):
-    # Any window in [1, 1000 * w_prev] gives a reachable target; the
+    # Any window in [1, span_top(w_prev)] gives a reachable target; the
     # inverse may pick the other branch of the dip, but must hit it.
-    w = 1.0 + u * (1000.0 * w_prev - 1.0)
+    w = 1.0 + u * (span_top(w_prev) - 1.0)
     target = composite(w, w_prev)
     got = invert_w_hat(target, w_prev)
-    assert 1.0 <= got <= 1000.0 * w_prev
+    assert 1.0 <= got <= span_top(w_prev)
     assert composite(got, w_prev) == pytest.approx(target, rel=1e-9, abs=1e-12)
     if target < 0.0:
         assert _dip_minimizer(w_prev) <= got < w_prev
@@ -306,7 +312,7 @@ def test_invert_w_hat_solves_its_equation(w_prev, u):
 @settings(max_examples=200, deadline=None)
 @given(w_prevs, st.floats(1e-9, 1e3))
 def test_invert_w_hat_clamps_unreachable_targets(w_prev, excess):
-    top = 1000.0 * w_prev
+    top = span_top(w_prev)
     assert invert_w_hat(composite(top, w_prev) + excess, w_prev) == top
     m = _dip_minimizer(w_prev)
     assert invert_w_hat(composite(m, w_prev) - excess, w_prev) == m

@@ -1,6 +1,7 @@
 """Model-driven controller: composite inversion and the guided walk."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -101,8 +102,9 @@ def test_controller_parameter_validation():
 def test_bootstrap_holds_until_delay_history_exists():
     ctrl = MdiController(model_with({}), w_init=5.0)
     # Silence first, then the first delay sample: both hold.
-    assert ctrl.on_epoch(fb(0.0, acked=0)).window_pkts == 5.0
-    assert ctrl.on_epoch(fb(10.0)).window_pkts == 5.0
+    for feedback in (fb(0.0, acked=0), fb(10.0)):
+        window, _ = ctrl.on_epoch(feedback)
+        assert window == 5.0
     assert ctrl.boundary_count == 0 and ctrl.fallback_count == 0
 
 
@@ -111,8 +113,8 @@ def test_silent_epochs_hold_even_with_history():
     ctrl.on_epoch(fb(10.0))
     before = ctrl.window
     for _ in range(10):
-        d = ctrl.on_epoch(fb(0.0, acked=0))
-        assert d.window_pkts == before
+        window, _ = ctrl.on_epoch(fb(0.0, acked=0))
+        assert window == before
     assert ctrl.boundary_count == 0
 
 
@@ -120,8 +122,8 @@ def test_collapse_below_trained_range_grows_multiplicatively():
     ctrl = MdiController(model_with({}), c1=1.25, w_init=10.0)
     ctrl.on_epoch(fb(100.0))
     # d_hat = (30/100 - 1) * log10(30) = -1.03, below the trained range.
-    d = ctrl.on_epoch(fb(30.0))
-    assert d.window_pkts == pytest.approx(12.5)
+    window, _ = ctrl.on_epoch(fb(30.0))
+    assert window == pytest.approx(12.5)
     assert ctrl.boundary_count == 1
     assert ctrl.d_idx_prev == 0  # clamped into the lowest delay bucket
 
@@ -130,8 +132,8 @@ def test_blowup_above_trained_range_backs_off():
     ctrl = MdiController(model_with({}), c2=0.8, w_init=10.0)
     ctrl.on_epoch(fb(10.0))
     # d_hat = (20/10 - 1) * log10(20) = +1.30, above the trained range.
-    d = ctrl.on_epoch(fb(20.0))
-    assert d.window_pkts == pytest.approx(8.0)
+    window, _ = ctrl.on_epoch(fb(20.0))
+    assert window == pytest.approx(8.0)
     assert ctrl.boundary_count == 1
     assert ctrl.d_idx_prev == 2
 
@@ -139,8 +141,27 @@ def test_blowup_above_trained_range_backs_off():
 def test_backoff_never_goes_below_one_packet():
     ctrl = MdiController(model_with({}), c2=0.8, w_init=1.0)
     ctrl.on_epoch(fb(10.0))
-    d = ctrl.on_epoch(fb(20.0))
-    assert d.window_pkts == 1.0
+    window, _ = ctrl.on_epoch(fb(20.0))
+    assert window == 1.0
+
+
+def test_range_exits_are_counted_low_and_high_apart():
+    ctrl = MdiController(model_with({}), w_init=10.0)
+    ctrl.on_epoch(fb(100.0))
+    ctrl.on_epoch(fb(30.0))  # -1.03, below the trained range
+    ctrl.on_epoch(fb(60.0))  # (60/30 - 1) * log10(60) = +1.78, above it
+    ctrl.on_epoch(fb(120.0))  # +2.08, above it
+    assert (ctrl.range_low_count, ctrl.range_high_count) == (1, 2)
+    assert ctrl.boundary_count == 3
+
+
+def test_growth_below_the_range_stops_at_the_largest_float():
+    ctrl = MdiController(model_with({}), c1=1.25, w_init=1.5e308)
+    ctrl.on_epoch(fb(100.0))
+    window, _ = ctrl.on_epoch(fb(30.0))  # 1.25 * 1.5e308 overflows
+    assert window == sys.float_info.max
+    assert ctrl.range_low_count == 1
+    assert ctrl.w_idx_prev == small_grid().w_bucket(composite(window, 1.5e308))
 
 
 def test_point_mass_on_zero_movement_holds_forever():
@@ -150,8 +171,8 @@ def test_point_mass_on_zero_movement_holds_forever():
     ctrl = MdiController(model_with(cells), w_init=7.0, seed=3)
     ctrl.on_epoch(fb(10.0))
     for _ in range(100):
-        d = ctrl.on_epoch(fb(10.0))  # flat delay, composite 0, in range
-        assert d.window_pkts == 7.0
+        window, _ = ctrl.on_epoch(fb(10.0))  # flat delay, composite 0, in range
+        assert window == 7.0
     assert ctrl.fallback_count == 0 and ctrl.boundary_count == 0
 
 
@@ -159,7 +180,7 @@ def test_point_mass_on_growth_ratchets_upward():
     cells = {(1, l, 1, 2): 1 for l in range(3)}
     ctrl = MdiController(model_with(cells), w_init=4.0, seed=0)
     ctrl.on_epoch(fb(10.0))
-    windows = [ctrl.on_epoch(fb(10.0)).window_pkts for _ in range(10)]
+    windows = [window for window, _ in (ctrl.on_epoch(fb(10.0)) for _ in range(10))]
     assert all(a < b for a, b in zip(windows, windows[1:]))
     # Each step realizes the +0.2 composite against the previous window.
     expected = invert_w_hat(0.2, 4.0)
@@ -173,18 +194,18 @@ def test_unseen_exact_row_backs_off_to_quadrant_marginal():
     # from the flat bucket 1, so the exact (k, l, r) lookup misses.
     ctrl = MdiController(model_with({(1, 2, 1, 2): 4}), w_init=4.0)
     ctrl.on_epoch(fb(10.0))
-    d = ctrl.on_epoch(fb(10.0))
+    window, _ = ctrl.on_epoch(fb(10.0))
     assert ctrl.marginal_count == 1
     assert ctrl.fallback_count == 0
-    assert d.window_pkts > 4.0  # sampled the growth bucket from the marginal
+    assert window > 4.0  # sampled the growth bucket from the marginal
 
 
 def test_wholly_unseen_quadrant_holds_and_counts_fallback():
     ctrl = MdiController(model_with({}), w_init=4.0)
     ctrl.on_epoch(fb(10.0))
     for i in range(3):
-        d = ctrl.on_epoch(fb(10.0))
-        assert d.window_pkts == 4.0
+        window, _ = ctrl.on_epoch(fb(10.0))
+        assert window == 4.0
     assert ctrl.fallback_count == 3
     assert ctrl.epoch_count == 4
 
@@ -217,7 +238,7 @@ def test_same_seed_same_walk_different_seed_diverges():
     def walk(seed):
         ctrl = MdiController(model_with(cells), w_init=20.0, seed=seed)
         ctrl.on_epoch(fb(10.0))
-        return [ctrl.on_epoch(fb(10.0)).window_pkts for _ in range(50)]
+        return [window for window, _ in (ctrl.on_epoch(fb(10.0)) for _ in range(50))]
 
     assert walk(1) == walk(1)
     assert walk(1) != walk(2)
