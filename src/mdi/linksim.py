@@ -230,7 +230,8 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     """Run one controller over one link configuration.
 
     Same params and controller state always produce the same result; the
-    only randomness is the loss process, driven by params.seed.
+    only randomness is the loss process, driven by params.seed. Raises
+    SimulationError if the run sends 2**63 packets or more.
     """
     duration = params.duration_ms
     opp = params.trace.opportunities
@@ -300,7 +301,6 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     min_rtt = 0.0
     # Each epoch's feedback is built by tuple.__new__, which costs about
     # half what the Python __new__ that NamedTuple generates does.
-    on_epoch = controller.on_epoch
     new_tuple = tuple.__new__
 
     for t, opps in enumerate(opps_at.tolist()):
@@ -345,7 +345,9 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
                 epoch_window.append(window)
             elif t:
                 silent += 1
-            window, epoch_len = on_epoch(new_tuple(EpochFeedback, (mean, min_rtt, cnt)))
+            window, epoch_len = controller.on_epoch(
+                new_tuple(EpochFeedback, (mean, min_rtt, cnt))
+            )
             window = float(window)
             epoch_len = int(epoch_len)
             if not math.isfinite(window) or window < 1.0:
@@ -381,6 +383,13 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
             next_lost = lost_at[lost]
         ok_cum.append(served - lost)
 
+    # A queue that never fills lets a window near the float ceiling send
+    # that many packets; their send indices do not fit an int64 column.
+    if enqueued + len(tail_ms) >= 2**63:
+        raise SimulationError(
+            "the run sent 2**63 packets or more, which a packet column cannot index; "
+            "bound the queue or the window"
+        )
     # Packet columns, from the per-tick counts. A tick's tail drop is the
     # last packet it sent. The latest time is an ACK at duration - 1, but
     # delivered_ms + ack_delay is formed before the ACK mask, so the

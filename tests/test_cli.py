@@ -262,6 +262,21 @@ def test_run_mdi_from_a_window_near_the_float_ceiling_finishes(workspace, tmp_pa
     assert counts["range_high"] > 0 and counts["tail_drops"] > 0
 
 
+def test_run_mdi_from_a_window_near_the_float_ceiling_on_an_unbounded_queue_is_refused(
+    workspace, tmp_path, capsys
+):
+    # With no queue bound the first epoch sends about 1e306 packets, whose
+    # send indices no int64 packet column holds.
+    run = [
+        "run", "--trace", str(workspace / "traces" / "t0.trace"), "--duration", "2",
+        "--seed", "5", "--controller", "mdi", "--model", str(workspace / "verus.model"),
+        "--w-init", "1e306", "--out", str(tmp_path / "big.csv"),
+    ]
+    assert main(run) == 1
+    assert capsys.readouterr().err.startswith("error: the run sent 2**63 packets or more")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_prints_the_clamps_and_unreached_draws_it_counted(workspace, tmp_path, capsys):
     trace = workspace / "traces" / "t0.trace"
     run = ["run", "--trace", str(trace), "--duration", "8", "--queue", "400", "--seed", "5"]
