@@ -242,7 +242,7 @@ def cmd_analyze(args) -> int:
     # Mixing is measured from the closed class's states only; a state
     # outside it that the runs left is transient.
     in_class = reports[max(reports)].per_start >= 0
-    has_outflow = model.counts.sum(axis=(2, 3)).ravel() > 0
+    has_outflow = model.counts.any(axis=(2, 3)).ravel()
 
     report = {
         "n_states": model.cfg.n_states,
@@ -468,7 +468,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,21 +53,22 @@ delay samples, which summarize() reduces to statistics.
 The time columns are int32 when every time fits, and int64 otherwise
 (time_dtype, the one rule the emulator and the packet reader share), so
 a packet of an int32 log takes 13 bytes: three 4-byte times and the flag.
-Packet and epoch logs both have a CSV form here, written a column at a
-time, stating each value once. Both readers first check the file's
-shape on its bytes, and every error names the body row. The packet CSV
-holds only digits, commas and newlines, with a blank for -1, and
-`mdi.cells` writes and reads its integers; the reader adds the file's
-own rules, such as no zero padding. The epoch CSV is the log's three
-columns for every controller, its floats spelled only as repr spells
-them (no leading '+' or zero, no padded fraction), read by np.loadtxt.
-Its reader checks shape, spelling and conversion; the values' rules,
-t_ms's order among them, are EpochLog's, so every log reads back.
+Packet and epoch logs both have a CSV form here, stating each value
+once, and every reader error names the 0-based body row. The packet CSV
+holds only digits, commas and newlines, with a blank for -1; `mdi.cells`
+writes and reads its integers a column at a time, on the file's bytes,
+and the reader adds the file's own rules, such as no zero padding: no
+field of two or more bytes starts with '0'. The epoch CSV is the log's
+three columns for every controller, each number spelled as repr spells
+it (no leading '+' or zero, no padded fraction). Its reader makes one
+pass over the rows, split at newlines and commas and read by int and
+float; the values' rules, t_ms's order among them, are EpochLog's, so
+every log reads back, and each row must then be the line the writer
+spells for its values.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from bisect import bisect_right
@@ -435,41 +436,34 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
     )
 
 
-# An epoch CSV row is the log's own columns.
-_EPOCH_DTYPE = np.dtype(list(COLUMN_DTYPES.items()))
-EPOCH_CSV_HEADER = list(_EPOCH_DTYPE.names)
-
+EPOCH_CSV_HEADER = list(COLUMN_DTYPES)
 PACKET_CSV_HEADER = ["sent_ms", "delivered_ms", "acked_ms", "dropped"]
-# The least value a field of each width holds without a leading zero. A
-# field wider than 19 digits is clipped to the last entry, which none reach.
-_FIELD_MIN = np.array([0, 0, *(10**k for k in range(1, cells.MAX_DIGITS)), 2**64 - 1], np.uint64)
 
 
-def _read_table(
-    source: TextIO, name: str, header: list[str], chars: bytes
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check a CSV file's shape; return its body and field bounds.
+def _read_table(source: TextIO) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a packet CSV's shape; return its body and field bounds.
 
-    The header line must be `header` exactly, and the body may hold only
-    `chars`; every row is non-empty, ends in a bare newline (one is added
-    after a last row that lacks it) and has one field per column. Returns
-    the body's bytes as a uint8 array and two (rows, columns) arrays:
-    where each field starts, and the comma or newline that closes it.
-    Every error names the 0-based body row at fault.
+    The header line must be PACKET_CSV_HEADER exactly, and the body may
+    hold only digits, commas and newlines; every row is non-empty, ends
+    in a bare newline (one is added after a last row that lacks it) and
+    has one field per column. Returns the body's bytes as a uint8 array
+    and two (rows, columns) arrays: where each field starts, and the
+    comma or newline that closes it. Every error names the 0-based body
+    row at fault.
     """
     # The file is held once, as bytes: the text is encoded once, and the
     # body is decoded again only to name a stray character.
     head, _, raw = source.read().encode().partition(b"\n")
-    if head != ",".join(header).encode():
-        raise ValueError(f"unexpected {name} CSV header: {head.decode()!r}")
+    if head != ",".join(PACKET_CSV_HEADER).encode():
+        raise ValueError(f"unexpected packet CSV header: {head.decode()!r}")
     if raw and not raw.endswith(b"\n"):
         raw += b"\n"
-    if raw.translate(None, chars):
+    if raw.translate(None, b"0123456789,\n"):
         body = raw.decode()
-        at = re.search(f"[^{re.escape(chars.decode())}]", body).start()
+        at = re.search("[^0-9,\n]", body).start()
         row = body.count("\n", 0, at)
         problem = "negative number" if body[at] == "-" else f"unexpected {body[at]!r}"
-        raise ValueError(f"{name} CSV row {row}: {problem}")
+        raise ValueError(f"packet CSV row {row}: {problem}")
     flat = np.frombuffer(raw, dtype=np.uint8)
     is_sep = flat == ord(",")
     is_sep |= flat == ord("\n")
@@ -477,41 +471,28 @@ def _read_table(
     row_end = np.flatnonzero(flat[seps] == ord("\n"))
     empty = np.diff(seps[row_end], prepend=-1) == 1
     if empty.any():
-        raise ValueError(f"{name} CSV row {int(np.argmax(empty))}: empty row")
+        raise ValueError(f"packet CSV row {int(np.argmax(empty))}: empty row")
     fields = np.diff(row_end, prepend=-1)
-    bad = fields != len(header)
+    n_cols = len(PACKET_CSV_HEADER)
+    bad = fields != n_cols
     if bad.any():
         row = int(np.argmax(bad))
-        raise ValueError(f"{name} CSV row {row}: {fields[row]} fields, expected {len(header)}")
+        raise ValueError(f"packet CSV row {row}: {fields[row]} fields, expected {n_cols}")
     # A field starts just after the separator before it.
     starts = np.roll(seps, 1) + 1
     starts[:1] = 0
-    return flat, starts.reshape(-1, len(header)), seps.reshape(-1, len(header))
+    return flat, starts.reshape(-1, n_cols), seps.reshape(-1, n_cols)
 
 
-def _epoch_body(rows) -> str:
-    """The CSV body of (t_ms, delay_ms, window_pkts) rows of Python
-    scalars: each number as repr spells it."""
-    return "".join([f"{t!r},{delay!r},{window!r}\n" for t, delay, window in rows])
+def _epoch_lines(rows) -> list[str]:
+    """The epoch CSV lines of (t_ms, delay_ms, window_pkts) rows of
+    Python scalars, without their newlines: each number as repr spells it."""
+    return [f"{t!r},{delay!r},{window!r}" for t, delay, window in rows]
 
 
 def write_epoch_csv(log: EpochLog, sink: TextIO) -> None:
     """Epoch log as CSV, one row per epoch."""
-    sink.write(",".join(EPOCH_CSV_HEADER) + "\n")
-    sink.write(_epoch_body(log))
-
-
-def _load_epochs(body: str) -> np.ndarray:
-    return np.loadtxt(io.StringIO(body), delimiter=",", dtype=_EPOCH_DTYPE, ndmin=1, comments=None)
-
-
-def _reads_back(line: str) -> bool:
-    """Whether one epoch CSV row converts and is written back as itself."""
-    try:
-        table = _load_epochs(line)
-    except ValueError:
-        return False
-    return _epoch_body(table.tolist()) == line
+    sink.write("\n".join([",".join(EPOCH_CSV_HEADER), *_epoch_lines(log), ""]))
 
 
 def read_epoch_csv(source: TextIO) -> EpochLog:
@@ -519,27 +500,40 @@ def read_epoch_csv(source: TextIO) -> EpochLog:
 
     One rule holds the body to the writer: it must be exactly what
     write_epoch_csv writes for the log it parses to, so a number spelled
-    any way repr does not spell it is an error. The error names the
-    first row that does not read back as itself; the log's own value
-    rules are checked first, and name their row.
+    any way repr does not spell it is an error. The body is split at
+    each newline and comma alone, and each row read by int and float.
+    The log's own value rules are checked first, and name their row;
+    then the error names the first row the writer spells otherwise.
     """
-    flat, _, _ = _read_table(source, "epoch", EPOCH_CSV_HEADER, b"0123456789.e+-,\n")
-    body = flat.tobytes().decode()
-    if not body:
-        return EpochLog([], [], [])
-    try:
-        table = _load_epochs(body)
-    except ValueError:  # a field that is no number: the rows below name it
-        pass
-    else:
+    head, _, body = source.read().partition("\n")
+    if head != ",".join(EPOCH_CSV_HEADER):
+        raise ValueError(f"unexpected epoch CSV header: {head!r}")
+    lines = body.removesuffix("\n").split("\n") if body else []
+    unwritten = "not written as write_epoch_csv writes it"
+    n_cols = len(EPOCH_CSV_HEADER)
+    t_ms, delay_ms, window_pkts = [], [], []
+    for row, line in enumerate(lines):
+        fields = line.split(",")
+        if len(fields) != n_cols:
+            raise ValueError(f"epoch CSV row {row}: {len(fields)} fields, expected {n_cols}")
         try:
-            log = EpochLog(*(table[name].copy() for name in table.dtype.names))
-        except ValueError as exc:  # the log's own value rules, which name the row
-            raise ValueError(f"epoch CSV {exc}") from None
-        if _epoch_body(log) == body:
-            return log
-    row = next(row for row, line in enumerate(body.splitlines(True)) if not _reads_back(line))
-    raise ValueError(f"epoch CSV row {row}: not written as write_epoch_csv writes it")
+            t, delay, window = int(fields[0]), float(fields[1]), float(fields[2])
+        except ValueError:
+            raise ValueError(f"epoch CSV row {row}: {unwritten}") from None
+        # A t_ms no int64 holds is no log's, so the writer never wrote it.
+        if not -(2**63) <= t < 2**63:
+            raise ValueError(f"epoch CSV row {row}: {unwritten}")
+        t_ms.append(t)
+        delay_ms.append(delay)
+        window_pkts.append(window)
+    try:
+        log = EpochLog(np.array(t_ms, np.int64), np.array(delay_ms), np.array(window_pkts))
+    except ValueError as exc:  # the log's own value rules, which name the row
+        raise ValueError(f"epoch CSV {exc}") from None
+    for row, (line, spelled) in enumerate(zip(lines, _epoch_lines(log))):
+        if line != spelled:
+            raise ValueError(f"epoch CSV row {row}: {unwritten}")
+    return log
 
 
 def write_packet_csv(log: PacketLog, sink: TextIO) -> None:
@@ -557,7 +551,7 @@ def _packet_columns(flat: np.ndarray, starts: np.ndarray, seps: np.ndarray) -> l
         end = end.astype(np.intp)
         length = end - start
         value, bad = cells.parse_fields(flat, end, length)
-        bad |= value < _FIELD_MIN.take(length, mode="clip")  # zero-padded
+        bad |= (length > 1) & (flat.take(start) == ord("0"))  # zero-padded
         # Only a stage never reached may be blank, and reads as -1.
         if name == "dropped":
             bad |= length == 0
@@ -587,9 +581,7 @@ def read_packet_csv(source: TextIO) -> PacketLog:
     """
     # The body's bytes are freed once its fields are read, so they are
     # never held with both widths of the time columns.
-    sent, delivered, acked, dropped = _packet_columns(
-        *_read_table(source, "packet", PACKET_CSV_HEADER, b"0123456789,\n")
-    )
+    sent, delivered, acked, dropped = _packet_columns(*_read_table(source))
     times = time_dtype(max(int(col.max(initial=-1)) for col in (sent, delivered, acked)))
     sent, delivered, acked = (col.astype(times, copy=False) for col in (sent, delivered, acked))
     problems = {

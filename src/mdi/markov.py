@@ -42,6 +42,9 @@ SUM_TOL = 1e-9
 # (max norm), and then fails if pi P - pi is larger than RESIDUAL_TOL.
 STATIONARY_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
+# The most steps either power iteration takes: towards pi, and the
+# mixing sweep from the one-hot starts.
+MAX_STEPS = 100_000
 # kl_divergence clips q below at this before renormalizing.
 KL_FLOOR = 1e-9
 
@@ -157,11 +160,11 @@ def _stepper(P: np.ndarray, members: np.ndarray):
     return step
 
 
-def _class_stationary(step, m: int, max_iter: int) -> np.ndarray:
+def _class_stationary(step, m: int) -> np.ndarray:
     """Stationary distribution of an m-state irreducible aperiodic block
     by power iteration from uniform."""
     pi = np.full(m, 1.0 / m)
-    for _ in range(max_iter):
+    for _ in range(MAX_STEPS):
         nxt = step(pi)
         delta = float(np.abs(nxt - pi).max())
         pi = nxt
@@ -173,22 +176,23 @@ def _class_stationary(step, m: int, max_iter: int) -> np.ndarray:
                     f"fixed-point residual {residual} exceeds {RESIDUAL_TOL}"
                 )
             return pi
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(f"power iteration did not converge in {MAX_STEPS} steps")
 
 
-def stationary(P: np.ndarray, max_iter: int = 1_000_000) -> np.ndarray:
+def stationary(P: np.ndarray) -> np.ndarray:
     """Stationary distribution of P's one closed class, padded with
     exact zeros to P's states.
 
     Power iteration from uniform over the class runs until successive
-    distributions agree within STATIONARY_TOL in max norm, then checks
-    the fixed-point residual against RESIDUAL_TOL. A chain with more
-    than one closed class, or a periodic one, raises AnalysisError.
+    distributions agree within STATIONARY_TOL in max norm, at most
+    MAX_STEPS steps, then checks the fixed-point residual against
+    RESIDUAL_TOL. A chain with more than one closed class, or a periodic
+    one, raises AnalysisError.
     """
     P = check_stochastic(P)
     members = _closed_class(P)
     pi = np.zeros(P.shape[0])
-    pi[members] = _class_stationary(_stepper(P, members), members.size, max_iter)
+    pi[members] = _class_stationary(_stepper(P, members), members.size)
     return pi
 
 
@@ -200,11 +204,7 @@ class MixingReport:
     per_start: np.ndarray
 
 
-def mixing_times(
-    P: np.ndarray,
-    epsilons: Iterable[float],
-    max_iter: int = 100_000,
-) -> dict[float, MixingReport]:
+def mixing_times(P: np.ndarray, epsilons: Iterable[float]) -> dict[float, MixingReport]:
     """Mixing times of P's one closed class at several thresholds in
     one sweep.
 
@@ -214,7 +214,7 @@ def mixing_times(
     d(t) = max_x ||P^t(x, .) - pi||_TV below epsilon. A start outside
     the class has per_start -1. Starts are dropped from the iteration
     once they have resolved at the tightest threshold, since no start's
-    distance grows. max_iter caps the power iteration for pi and the
+    distance grows. MAX_STEPS caps the power iteration for pi and the
     sweep alike.
     """
     P = check_stochastic(P)
@@ -225,16 +225,16 @@ def mixing_times(
     members = _closed_class(P)
     m = members.size
     step = _stepper(P, members)
-    pi = _class_stationary(step, m, max_iter)
+    pi = _class_stationary(step, m)
     M = np.eye(m)
     hits = {e: np.full(m, -1, dtype=np.int64) for e in eps}
     tightest = hits[eps[-1]]
     active = np.arange(m)
     t = 0
     while active.size:
-        if t > max_iter:
+        if t > MAX_STEPS:
             raise ConvergenceError(
-                f"mixing did not resolve at epsilon={eps[-1]} within {max_iter} steps"
+                f"mixing did not resolve at epsilon={eps[-1]} within {MAX_STEPS} steps"
             )
         tv = 0.5 * np.abs(M - pi).sum(axis=1)
         for e in eps:

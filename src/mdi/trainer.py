@@ -35,7 +35,6 @@ truncated files fail loudly.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import BinaryIO, Iterator
@@ -233,6 +232,17 @@ def save_model(model: TransitionModel, sink: BinaryIO) -> None:
     sink.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _numbers(line: str, kind: type) -> list | None:
+    """The numbers of one model line, each read by `kind`, when the line
+    is spelled as save_model spells them: joined by single spaces, each
+    as repr writes it (repr of an int is its str). Otherwise None."""
+    try:
+        values = [kind(field) for field in line.split(" ")]
+    except ValueError:
+        return None
+    return values if " ".join(map(repr, values)) == line else None
+
+
 def load_model(source: BinaryIO) -> TransitionModel:
     """Parse a serialized model, validating structure and count totals."""
     # Only save_model's line ends and separators: "\n" and one space.
@@ -242,30 +252,21 @@ def load_model(source: BinaryIO) -> TransitionModel:
     if len(lines) < 4:
         raise ModelFormatError("file truncated before edge lines")
 
-    header = lines[1].split(" ")
+    header = _numbers(lines[1], int)
+    if header is None:
+        raise ModelFormatError(f"line 2: non-integer header field in {lines[1]!r}")
     if len(header) != 3:
         raise ModelFormatError(f"line 2: header needs 'n_d n_w total', got {lines[1]!r}")
-    try:
-        n_d, n_w, declared_total = values = [int(x) for x in header]
-    except ValueError:
-        values = []
-    # Only the plain decimal form save_model writes: no '+', no '_'.
-    if [str(x) for x in values] != header:
-        raise ModelFormatError(f"line 2: non-integer header field in {lines[1]!r}")
+    n_d, n_w, declared_total = header
     if declared_total < 0:
         raise ModelFormatError(f"line 2: negative transition total {declared_total}")
 
     def parse_edges(lineno: int, expect: int, name: str) -> tuple[float, ...]:
-        parts = lines[lineno - 1].split(" ")
-        if len(parts) != expect:
-            raise ModelFormatError(f"line {lineno}: {name}: expected {expect} edges")
-        try:
-            edges = [float(p) for p in parts]
-        except ValueError:
-            edges = []
-        # Only the repr save_model writes: no '_', no spelling repr differs from.
-        if [repr(e) for e in edges] != parts:
+        edges = _numbers(lines[lineno - 1], float)
+        if edges is None:
             raise ModelFormatError(f"line {lineno}: {name}: non-numeric edge")
+        if len(edges) != expect:
+            raise ModelFormatError(f"line {lineno}: {name}: expected {expect} edges")
         return tuple(edges)
 
     d_edges = parse_edges(3, n_d + 1, "d_hat_edges")
@@ -278,13 +279,13 @@ def load_model(source: BinaryIO) -> TransitionModel:
     counts = np.zeros((n_d, n_w, n_d, n_w), dtype=np.uint64)
     prev = (-1,)
     for lineno, line in enumerate(lines[4:], start=5):
-        fields = re.fullmatch(r"(\d+) (\d+) (\d+) (\d+) (\d+)", line, re.ASCII)
-        if fields is None:
+        fields = _numbers(line, int)
+        if fields is None or len(fields) != 5:
             raise ModelFormatError(
                 f"line {lineno}: expected 'k l r v count' in ASCII digits and single spaces"
             )
-        k, l, r, v, c = map(int, fields.groups())
-        if not (k < n_d and r < n_d and l < n_w and v < n_w):
+        k, l, r, v, c = fields
+        if not (0 <= k < n_d and 0 <= r < n_d and 0 <= l < n_w and 0 <= v < n_w):
             raise ModelFormatError(f"line {lineno}: index out of range")
         if not 0 < c < 2**64:
             raise ModelFormatError(f"line {lineno}: count must be > 0 and fit 64 bits, got {c}")

@@ -7,8 +7,9 @@ all three, and its RTT is ``PacketLog.rtt_ms``. The loop's own RTT
 column is returned beside its result, so the differential tests check
 that derivation too. The codec and the epoch reader write and parse one
 row at a time through the csv module, with per-value ``int``/``float``;
-``mdi.linksim`` works on whole columns: the packet codec on the file's
-bytes, the epoch reader with one ``np.loadtxt``. The differential tests
+``mdi.linksim``'s packet codec works on whole columns of the file's
+bytes, and its epoch reader checks each row against the writer's own
+spelling of the values it parsed. The differential tests
 in ``test_linksim.py`` and ``test_properties.py`` require both to give
 identical results, so this code stays as it was written, except that
 the codec and the epoch reader follow each CSV to its one layout, which

@@ -277,6 +277,25 @@ def test_run_mdi_from_a_window_near_the_float_ceiling_on_an_unbounded_queue_is_r
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--duration", "1e15"], ["--duration", "1", "--w-init", "1e18"]],
+    ids=["duration", "window"],
+)
+def test_run_whose_arrays_no_host_holds_ends_in_one_error_line(workspace, tmp_path, capsys, args):
+    # Each asks for more than 2**57 bytes at once: a 1e18-tick tile of
+    # delivery opportunities, or the send times of about 1e18 packets on
+    # an unbounded queue; no address space holds either.
+    run = [
+        "run", "--trace", str(workspace / "traces" / "t0.trace"), "--controller", "verus-like",
+        *args, "--out", str(tmp_path / "big.csv"),
+    ]
+    assert main(run) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_prints_the_clamps_and_unreached_draws_it_counted(workspace, tmp_path, capsys):
     trace = workspace / "traces" / "t0.trace"
     run = ["run", "--trace", str(trace), "--duration", "8", "--queue", "400", "--seed", "5"]
@@ -387,6 +406,22 @@ def test_analyze_rejects_empty_model(tmp_path, capsys):
     rc = main(["analyze", "--model", str(path)])
     assert rc == 1
     assert "no transitions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("big", [3, 5, 2**63], ids=["3", "5", "2**63"])
+def test_analyze_names_a_transient_state_whose_outflow_wraps_64_bits(tmp_path, big):
+    # States 0 and 1 form the closed class; state 2 leaves it for both.
+    # Two counts of 2**63 sum to 0 in uint64.
+    counts = np.zeros((2, 2, 2, 2), dtype=np.uint64)
+    counts[0, 0, 0, 0] = counts[0, 0, 0, 1] = counts[0, 1, 0, 0] = 1
+    counts[1, 0, 0, 0] = counts[1, 0, 0, 1] = big
+    path = tmp_path / "wrap.model"
+    with open(path, "wb") as fh:
+        save_model(TransitionModel(QuantizerConfig.uniform(-1, 1, -1, 1, n_d=2, n_w=2), counts), fh)
+    assert main(["analyze", "--model", str(path), "--out", str(tmp_path / "a.json")]) == 0
+    report = json.loads((tmp_path / "a.json").read_text())
+    assert report["closed_class_size"] == 2
+    assert report["transient_states"] == [2]
 
 
 def test_analyze_has_no_empty_rows_option(workspace, capsys):

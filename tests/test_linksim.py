@@ -350,6 +350,16 @@ def test_epoch_csv_errors_name_the_body_row():
     assert list(log) == [(0, 0.5, 1e16), (10, 1e-05, 100.0)]
 
 
+def test_epoch_csv_names_a_t_ms_outside_int64():
+    header = "t_ms,delay_ms,window_pkts\n"
+    for t in (2**63, 2**64, -(2**63) - 1):
+        for body, at in ((f"{t},12.5,8.0\n", 0), (f"0,12.5,8.0\n{t},12.5,8.0\n", 1)):
+            with pytest.raises(ValueError, match=f"^epoch CSV row {at}: not written as"):
+                read_epoch_csv(io.StringIO(header + body))
+    log = read_epoch_csv(io.StringIO(f"{header}0,12.5,8.0\n{2**63 - 1},12.5,8.0\n"))
+    assert log.t_ms.tolist() == [0, 2**63 - 1]
+
+
 def test_packet_csv_round_trip():
     params = LinkParams(
         trace=constant_trace(10.0, 4.0), one_way_prop_ms=8,

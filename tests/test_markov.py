@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdi import markov
 from mdi.markov import (
     AnalysisError,
     ConvergenceError,
@@ -157,12 +158,23 @@ def test_stationary_of_symmetric_chains_is_uniform():
     assert np.allclose(stationary(doubly), 1.0 / 3.0, atol=1e-9)
 
 
-def test_stationary_raises_when_iteration_budget_exhausted():
+def test_stationary_raises_when_iteration_budget_exhausted(monkeypatch):
     # Asymmetric and glacially mixing, so the uniform start is far from
     # stationary and each step barely moves.
+    monkeypatch.setattr(markov, "MAX_STEPS", 10)
     P = np.array([[1.0 - 1e-7, 1e-7], [2e-7, 1.0 - 2e-7]])
-    with pytest.raises(ConvergenceError):
-        stationary(P, max_iter=10)
+    with pytest.raises(ConvergenceError, match="did not converge in 10 steps"):
+        stationary(P)
+
+
+def test_mixing_raises_when_the_sweep_exhausts_its_steps(monkeypatch):
+    # Symmetric, so pi is uniform at step 0, but glacially mixing: the
+    # one-hot starts are still far from it when the steps run out.
+    monkeypatch.setattr(markov, "MAX_STEPS", 50)
+    P = np.array([[1.0 - 1e-7, 1e-7], [1e-7, 1.0 - 1e-7]])
+    assert stationary(P).tolist() == [0.5, 0.5]
+    with pytest.raises(ConvergenceError, match="did not resolve at epsilon=0.001 within 50 steps"):
+        mixing_times(P, [1e-3])
 
 
 def test_rank_one_chain_mixes_in_one_step():
@@ -195,10 +207,11 @@ def test_mixing_time_thresholds_are_ordered():
     assert single.t_mix == t5
 
 
-def test_mixing_never_resolves_on_a_periodic_chain():
+def test_mixing_never_resolves_on_a_periodic_chain(monkeypatch):
+    monkeypatch.setattr(markov, "MAX_STEPS", 200)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(AnalysisError, match="period 2"):
-        mixing_times(flip, [1e-3], max_iter=200)
+        mixing_times(flip, [1e-3])
     with pytest.raises(AnalysisError, match="period 2"):
         stationary(flip)
     # A 6-cycle with a chord from state 0 to state 4: cycles of 6 and 3.
@@ -276,16 +289,17 @@ def test_markov_steps_its_chains_without_blas():
     assert blas == []
 
 
-def test_mixing_epsilon_validation():
+def test_mixing_epsilon_validation(monkeypatch):
     with pytest.raises(ValueError):
         mixing_times(np.eye(2), [])
     with pytest.raises(ValueError):
         mixing_times(np.eye(2), [0.0])
     # nan never resolves and inf resolves at t = 0; both are refused
     # before the first step, alone or beside a good threshold.
+    monkeypatch.setattr(markov, "MAX_STEPS", 0)
     for eps in ([np.nan], [np.inf], [1e-3, np.nan], [np.inf, 1e-3]):
         with pytest.raises(ValueError, match="finite"):
-            mixing_times(np.eye(2), eps, max_iter=0)
+            mixing_times(np.eye(2), eps)
 
 
 def test_kl_reference_values():

@@ -30,6 +30,7 @@ from mdi.trainer import (
     HOLD,
     MARGINAL,
     EpochLog,
+    ModelFormatError,
     TransitionModel,
     count_transitions,
     derive_states,
@@ -417,6 +418,30 @@ def test_model_file_round_trip_is_byte_stable(model):
     again = io.BytesIO()
     save_model(back, again)
     assert again.getvalue() == buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(models(), st.data())
+def test_model_reader_takes_an_edited_file_only_as_save_writes_it(model, data):
+    # One edit at the start of a field or a line past the magic, from the
+    # characters a model file is made of: the reader rejects it, or loads
+    # a model whose file is the edited one, up to its final newline.
+    buf = io.BytesIO()
+    save_model(model, buf)
+    text = buf.getvalue().decode("utf-8")
+    starts = [at for at in range(text.index("\n") + 1, len(text) + 1) if text[at - 1] in " \n"]
+    at = data.draw(st.sampled_from(starts))
+    cut = data.draw(st.integers(0, 2))
+    edit = data.draw(st.text("019.e-+ \n", min_size=1, max_size=2))
+    edited = text[:at] + edit + text[at + cut :]
+    assume(edited != text)
+    try:
+        back = load_model(io.BytesIO(edited.encode("utf-8")))
+    except ModelFormatError:
+        return
+    again = io.BytesIO()
+    save_model(back, again)
+    assert again.getvalue().decode("utf-8") == edited.removesuffix("\n") + "\n"
 
 
 @settings(max_examples=200, deadline=None)

@@ -348,8 +348,12 @@ def test_load_rejects_malformed_files():
         (4, ["1 1 0 0 1", "1 1 0 1 1", "1 1 0  2 2"], 7),
         (4, ["1 1 0 0 1", "1 1 0 1 1", "1\t1 0 2 2"], 7),
         (2 + 2**64, ["1 1 0 0 1", "1 1 0 1 1", f"1 1 0 2 {2**64}"], 7),
+        (4, ["1 1 0 0 1", "1 1 0 1 1", "1 1 0 2 02"], 7),
     ],
-    ids=["twice", "out-of-order", "separator", "sign", "two-spaces", "tab", "above-64-bits"],
+    ids=[
+        "twice", "out-of-order", "separator", "sign", "two-spaces", "tab", "above-64-bits",
+        "zero-padded",
+    ],
 )
 def test_load_accepts_only_count_lines_save_writes(total, cells, bad_line):
     good = io.BytesIO()
