@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epoch-ms", type=int, default=None, help="override epoch length")
     p.add_argument("--c1", type=float, default=None, help="below-range window gain")
     p.add_argument("--c2", type=float, default=None, help="above-range window cut")
-    p.add_argument("--w-init", type=float, default=None, help="initial window, packets")
+    p.add_argument("--w-init", type=float, default=None, help="initial window, packets, [1, 2**20)")
     _add_link_args(p)
     p.add_argument("--out", required=True, help="epoch CSV path (packet CSV sits beside)")
     p.set_defaults(func=cmd_run)

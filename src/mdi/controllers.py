@@ -28,6 +28,10 @@ VERUS_RISE_THRESH = 1.03
 VERUS_EWMA_ALPHA = 0.25
 # Copa's delta: the target window is 1 / (delta * queueing delay).
 COPA_DELTA = 0.5
+# The largest window, in packets: thousands of times any window a seeded
+# run reaches, and small enough that a run's packets in flight fit in
+# memory. A float, so that a window stopped at it stays one.
+W_MAX_PKTS = 2.0**20
 
 
 class EpochFeedback(NamedTuple):
@@ -46,7 +50,7 @@ class Controller(abc.ABC):
     def __init__(self, window: float, epoch_ms: int, window_name: str = "w_init") -> None:
         """Check and keep the starting window, named to the caller as
         `window_name`, and the epoch length."""
-        self.window = cells.check_real(window_name, window, 1)
+        self.window = cells.check_real(window_name, window, 1, W_MAX_PKTS)
         self.epoch_ms = cells.check_int("epoch_ms", epoch_ms, 1)
 
     @abc.abstractmethod
@@ -54,8 +58,9 @@ class Controller(abc.ABC):
         """Consume one epoch of feedback; return the window for the next
         epoch and how long that epoch lasts, (window_pkts, epoch_len_ms).
 
-        The emulator clamps a window that is not finite or below 1 and an
-        epoch below 1 ms, and counts each clamp in its clamp_warnings.
+        The emulator clamps a window outside [1, W_MAX_PKTS] to it (one
+        that is not finite to 1) and an epoch below 1 ms to 1, and counts
+        each clamp in its clamp_warnings.
         """
 
 

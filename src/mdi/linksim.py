@@ -79,7 +79,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import cells
-from .controllers import Controller, EpochFeedback
+from .controllers import W_MAX_PKTS, Controller, EpochFeedback
 from .trace import LinkTrace, check_mtu
 from .trainer import COLUMN_DTYPES, EpochLog
 
@@ -232,7 +232,7 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
 
     Same params and controller state always produce the same result; the
     only randomness is the loss process, driven by params.seed. Raises
-    SimulationError if the run sends 2**63 packets or more.
+    SimulationError if the trace cannot wrap.
     """
     duration = params.duration_ms
     opp = params.trace.opportunities
@@ -351,8 +351,8 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
             )
             window = float(window)
             epoch_len = int(epoch_len)
-            if not math.isfinite(window) or window < 1.0:
-                window = 1.0
+            if not 1.0 <= window <= W_MAX_PKTS:
+                window = W_MAX_PKTS if W_MAX_PKTS < window < math.inf else 1.0
                 clamps += 1
             if epoch_len < 1:
                 epoch_len = 1
@@ -384,17 +384,13 @@ def run_simulation(params: LinkParams, controller: Controller) -> SimResult:
             next_lost = lost_at[lost]
         ok_cum.append(served - lost)
 
-    # A queue that never fills lets a window near the float ceiling send
-    # that many packets; their send indices do not fit an int64 column.
-    if enqueued + len(tail_ms) >= 2**63:
-        raise SimulationError(
-            "the run sent 2**63 packets or more, which a packet column cannot index; "
-            "bound the queue or the window"
-        )
-    # Packet columns, from the per-tick counts. A tick's tail drop is the
-    # last packet it sent. The latest time is an ACK at duration - 1, but
-    # delivered_ms + ack_delay is formed before the ACK mask, so the
-    # dtype must hold duration + ack_delay.
+    # Packet columns, from the per-tick counts. The window stops at
+    # W_MAX_PKTS, so even on a queue that never fills they hold at most
+    # W_MAX_PKTS + 1 packets more than the run served, plus one tail drop
+    # per tick. A tick's tail drop is the last packet it sent. The latest
+    # time is an ACK at duration - 1, but delivered_ms + ack_delay is
+    # formed before the ACK mask, so the dtype must hold duration +
+    # ack_delay.
     enq = np.fromiter(enq_cum, np.int64, duration)
     tail = np.array(tail_ms, dtype=np.intp)
     sent_per_tick = np.diff(enq, prepend=0)

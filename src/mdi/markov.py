@@ -78,7 +78,7 @@ def to_stochastic(model: TransitionModel, empty_rows: str = "uniform") -> np.nda
     """Full-row chain over flat states; a state with no observed outflow
     gets a uniform row. empty_rows accepts only "uniform": it is kept for
     the benchmark's callers, which pass it, and goes with them (ROADMAP
-    item 3)."""
+    item 4)."""
     if empty_rows != "uniform":
         raise ValueError(f"empty_rows must be 'uniform', got {empty_rows!r}")
     n = model.cfg.n_states

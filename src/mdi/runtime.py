@@ -21,16 +21,15 @@ monotone: it is zero at w = 1 and w = w_prev and dips negative between
 them, so a negative target selects the branch rising back toward w_prev
 (the root nearest the current window). f is convex, so Newton steps
 from above the root (from w_prev for a negative target, from
-1000 * w_prev, or the largest float where that overflows, for a
-positive one) descend to it without overshoot. The dip's minimizer is
-the root of f's derivative, which is increasing and concave, so Newton
-steps from w = 1 climb to it. Each iteration stops once a step no
-longer moves its way. The answer is the rounded midpoint of two
-adjacent floats, found next to the last iterate, across which the float
-function crosses its target. Targets below the dip's minimum clamp to
-the minimizer, and positive targets beyond that upper bound clamp to
-it. The draws whose bucket the window could not reach are counted in
-unreached_count.
+1000 * w_prev or W_MAX_PKTS, whichever is less, for a positive one)
+descend to it without overshoot. The dip's minimizer is the root of
+f's derivative, which is increasing and concave, so Newton steps from
+w = 1 climb to it. Each iteration stops once a step no longer moves
+its way. The answer is the rounded midpoint of two adjacent floats,
+found next to the last iterate, across which the float function crosses
+its target. Targets below the dip's minimum clamp to the minimizer, and
+positive targets beyond that upper bound clamp to it. The draws whose
+bucket the window could not reach are counted in unreached_count.
 
 Each (k, l, r) row's tier and CDF come from the model's decision table,
 built once per model as two flat arrays. The controller reads them
@@ -50,20 +49,16 @@ the expected ACK cadence rather than a congestion signal.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 
 import numpy as np
 
 from . import cells
-from .controllers import Controller, EpochFeedback
+from .controllers import W_MAX_PKTS, Controller, EpochFeedback
 from .quantizer import composite
 from .trainer import HOLD, MARGINAL, TransitionModel
 
 _POS_SPAN = 1000.0
-# The largest window: a positive search bound and a range exit's growth
-# stop here, as a back-off stops at 1.
-_W_MAX = sys.float_info.max
 _LN10 = math.log(10.0)
 
 
@@ -97,9 +92,7 @@ def _crossing(fn, target: float, w_prev: float, x: float, lo: float, hi: float) 
             hi, step = y, 2.0 * step
         lo = max(y, lo)
     while True:
-        # Halved before the sum, which overflows near the largest float;
-        # halving is exact, so the midpoint rounds the same.
-        mid = 0.5 * lo + 0.5 * hi
+        mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
         if fn(mid, w_prev) < target:
@@ -151,16 +144,16 @@ def invert_w_hat(w_hat_target: float, w_prev: float) -> float:
 
     Exact where the target is reachable; out-of-range targets clamp to
     the nearest achievable window (the dip minimizer below, a 1000x
-    window above, or the largest float where that overflows).
+    window or W_MAX_PKTS, whichever is less, above).
     """
     if not math.isfinite(w_hat_target):
         raise ValueError(f"w_hat_target must be finite, got {w_hat_target!r}")
-    if not math.isfinite(w_prev) or w_prev < 1.0:
-        raise ValueError(f"w_prev must be >= 1, got {w_prev!r}")
+    if not 1.0 <= w_prev <= W_MAX_PKTS:
+        raise ValueError(f"w_prev must be in [1, {W_MAX_PKTS}], got {w_prev!r}")
     if w_hat_target == 0.0:
         return w_prev
     if w_hat_target > 0.0:
-        hi = min(w_prev * _POS_SPAN, _W_MAX)
+        hi = min(w_prev * _POS_SPAN, W_MAX_PKTS)
         if composite(hi, w_prev) <= w_hat_target:
             return hi
         w = _descend(w_hat_target, w_prev, hi, w_prev)
@@ -237,7 +230,7 @@ class MdiController(Controller):
         v = None
         if not lo <= d_hat <= hi:
             if d_hat < lo:
-                self.window = min(w_old * self.c1, _W_MAX)
+                self.window = min(w_old * self.c1, W_MAX_PKTS)
                 self.range_low_count += 1
             else:
                 self.window = max(1.0, w_old * self.c2)

@@ -19,7 +19,8 @@ own values does not spell exactly; the packet reader rejects a
 value outside int64 or a zero-padded field with ValueError, as it does
 every other malformed field; and the tick loop logs only the epochs
 that carried ACKs, counting the silent ones, whose feedback's mean
-delay is 0.0, and counts its tail drops and random-loss drops apart.
+delay is 0.0, counts its tail drops and random-loss drops apart, and
+clamps a window above ``W_MAX_PKTS`` to it, counting the clamp.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import TextIO
 
 import numpy as np
 
-from mdi.controllers import Controller, EpochFeedback
+from mdi.controllers import W_MAX_PKTS, Controller, EpochFeedback
 from mdi.linksim import (
     EPOCH_CSV_HEADER,
     PACKET_CSV_HEADER,
@@ -85,6 +86,9 @@ def reference_run_simulation(
         el = int(el)
         if not math.isfinite(w) or w < 1.0:
             w = 1.0
+            clamps += 1
+        elif w > W_MAX_PKTS:
+            w = W_MAX_PKTS
             clamps += 1
         if el < 1:
             el = 1

@@ -12,6 +12,7 @@ import pytest
 
 from mdi import markov
 from mdi.cli import _ks, build_parser, main
+from mdi.controllers import W_MAX_PKTS
 from mdi.linksim import (
     LinkParams,
     read_epoch_csv,
@@ -247,45 +248,53 @@ def test_run_mdi_gains_default_to_the_controller_own(workspace, tmp_path):
         assert a == (tmp_path / f"b{suffix}").read_bytes()
 
 
-@pytest.mark.parametrize("w_init", ["1e306", "1e308"])
-def test_run_mdi_from_a_window_near_the_float_ceiling_finishes(workspace, tmp_path, w_init):
-    # 1000 * w_init overflows for both. On this model a walk from 1e308
-    # searches a positive target before its range exits cut the window,
-    # which bisected NaNs forever while the search bound could be inf.
+def test_run_mdi_from_a_window_just_below_the_ceiling_finishes(workspace, tmp_path):
     run = [
         "run", "--trace", str(workspace / "traces" / "t0.trace"), "--duration", "2",
         "--queue", "400", "--seed", "5", "--controller", "mdi",
-        "--model", str(workspace / "verus.model"), "--w-init", w_init,
+        "--model", str(workspace / "verus.model"), "--w-init", str(W_MAX_PKTS - 1),
     ]
     assert main([*run, "--out", str(tmp_path / "big.csv")]) == 0
     counts = json.loads((tmp_path / "big.run.json").read_text())
     assert counts["range_high"] > 0 and counts["tail_drops"] > 0
 
 
-def test_run_mdi_from_a_window_near_the_float_ceiling_on_an_unbounded_queue_is_refused(
-    workspace, tmp_path, capsys
+@pytest.mark.parametrize("controller", ["verus-like", "mdi"])
+def test_run_from_a_window_near_the_ceiling_on_an_unbounded_queue_finishes(
+    workspace, tmp_path, controller
 ):
-    # With no queue bound the first epoch sends about 1e306 packets, whose
-    # send indices no int64 packet column holds.
+    # The first epoch queues a million packets at once, and the window's
+    # ceiling keeps every later one within 2**20 of those served.
     run = [
         "run", "--trace", str(workspace / "traces" / "t0.trace"), "--duration", "2",
-        "--seed", "5", "--controller", "mdi", "--model", str(workspace / "verus.model"),
-        "--w-init", "1e306", "--out", str(tmp_path / "big.csv"),
+        "--seed", "5", "--controller", controller, "--model", str(workspace / "verus.model"),
+        "--w-init", "1e6", "--out", str(tmp_path / "big.csv"),
+    ]
+    assert main(run) == 0
+    counts = json.loads((tmp_path / "big.run.json").read_text())
+    assert counts["queued_end_pkts"] > 900_000 and counts["tail_drops"] == 0
+
+
+@pytest.mark.parametrize("w_init", ["1048576", "1e18", "1e306", "1e308"])
+def test_run_from_a_window_past_the_ceiling_is_refused_by_name(
+    workspace, tmp_path, capsys, w_init
+):
+    run = [
+        "run", "--trace", str(workspace / "traces" / "t0.trace"), "--duration", "1",
+        "--controller", "verus-like", "--w-init", w_init, "--out", str(tmp_path / "big.csv"),
     ]
     assert main(run) == 1
-    assert capsys.readouterr().err.startswith("error: the run sent 2**63 packets or more")
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: w_init must be a finite real number in [1, {W_MAX_PKTS}), got {float(w_init)}\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "args",
-    [["--duration", "1e15"], ["--duration", "1", "--w-init", "1e18"]],
-    ids=["duration", "window"],
-)
+@pytest.mark.parametrize("args", [["--duration", "1e15"]], ids=["duration"])
 def test_run_whose_arrays_no_host_holds_ends_in_one_error_line(workspace, tmp_path, capsys, args):
-    # Each asks for more than 2**57 bytes at once: a 1e18-tick tile of
-    # delivery opportunities, or the send times of about 1e18 packets on
-    # an unbounded queue; no address space holds either.
+    # A 1e18-tick tile of delivery opportunities asks for more than
+    # 2**57 bytes at once, which no address space holds.
     run = [
         "run", "--trace", str(workspace / "traces" / "t0.trace"), "--controller", "verus-like",
         *args, "--out", str(tmp_path / "big.csv"),

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from mdi import cli
-from mdi.controllers import CopaLike, Pinned, VerusLike
+from mdi.controllers import W_MAX_PKTS, CopaLike, Pinned, VerusLike
 from mdi.linksim import LinkParams, PacketLog, run_samples
 from mdi.markov import mixing_times, state_visits
 from mdi.pipeline import derive_run_seed, train_on_traces
@@ -144,50 +144,55 @@ def test_a_run_seed_is_the_same_for_every_spelling_of_its_integers():
 
 
 # One row per real parameter: the call, the field its error names, the
-# interval's lower bound and whether it is open, and a value inside.
+# interval's lower bound and whether it is open, its upper bound, which
+# is always open, and a value inside.
 REAL_ENTRY_POINTS = [
-    (lambda v: Pinned(window_pkts=v), "window_pkts", 1, False, 1),
-    (lambda v: VerusLike(w_init=v), "w_init", 1, False, 1),
-    (lambda v: CopaLike(w_init=v), "w_init", 1, False, 1),
-    (lambda v: MdiController(TransitionModel(GRID), w_init=v), "w_init", 1, False, 1),
-    (lambda v: VerusLike(lam=v), "lam", 1, False, 1),
-    (lambda v: VerusLike(dec_mult=v), "dec_mult", 0, True, 0.5),
-    (lambda v: VerusLike(rise_floor_ms=v), "rise_floor_ms", 0, False, 0),
-    (lambda v: VerusLike(inc_frac=v), "inc_frac", 0, False, 0),
-    (lambda v: CopaLike(velocity=v), "velocity", 0, True, 1),
-    (lambda v: MdiController(TransitionModel(GRID), c1=v), "c1", 1, True, 2),
-    (lambda v: MdiController(TransitionModel(GRID), c2=v), "c2", 0, True, 0.5),
-    (lambda v: LinkParams(trace=TRACE, loss_rate=v), "loss_rate", 0, False, 0),
-    (lambda v: SyntheticTraceSpec(v, 1, 1, 2, 0), "duration_s", -math.inf, False, 1),
-    (lambda v: SyntheticTraceSpec(1, v, 1, 2, 0), "segment_s", 0, True, 1),
-    (lambda v: SyntheticTraceSpec(1, 1, v, 2, 0), "rate_min_mbps", 0, True, 1),
-    (lambda v: SyntheticTraceSpec(1, 1, 2, v, 0), "rate_max_mbps", 2, False, 2),
-    (lambda v: mixing_times(np.full((2, 2), 0.5), [v]), "epsilon", 0, True, 1),
-    (cli._duration_ms, "--duration", -math.inf, False, 1),
-    (lambda v: QuantizerConfig.uniform(v, 2.0, -1.0, 1.0), "d_lo", -math.inf, False, 1),
-    (lambda v: QuantizerConfig.uniform(-2.0, v, -1.0, 1.0), "d_hi", -math.inf, False, 1),
-    (lambda v: QuantizerConfig.uniform(-1.0, 1.0, v, 2.0), "w_lo", -math.inf, False, 1),
-    (lambda v: QuantizerConfig.uniform(-1.0, 1.0, -2.0, v), "w_hi", -math.inf, False, 1),
+    (lambda v: Pinned(window_pkts=v), "window_pkts", 1, False, W_MAX_PKTS, 1),
+    (lambda v: VerusLike(w_init=v), "w_init", 1, False, W_MAX_PKTS, 1),
+    (lambda v: CopaLike(w_init=v), "w_init", 1, False, W_MAX_PKTS, 1),
+    (lambda v: MdiController(TransitionModel(GRID), w_init=v), "w_init", 1, False, W_MAX_PKTS, 1),
+    (lambda v: VerusLike(lam=v), "lam", 1, False, math.inf, 1),
+    (lambda v: VerusLike(dec_mult=v), "dec_mult", 0, True, 1, 0.5),
+    (lambda v: VerusLike(rise_floor_ms=v), "rise_floor_ms", 0, False, math.inf, 0),
+    (lambda v: VerusLike(inc_frac=v), "inc_frac", 0, False, math.inf, 0),
+    (lambda v: CopaLike(velocity=v), "velocity", 0, True, math.inf, 1),
+    (lambda v: MdiController(TransitionModel(GRID), c1=v), "c1", 1, True, math.inf, 2),
+    (lambda v: MdiController(TransitionModel(GRID), c2=v), "c2", 0, True, 1, 0.5),
+    (lambda v: LinkParams(trace=TRACE, loss_rate=v), "loss_rate", 0, False, 1, 0),
+    (lambda v: SyntheticTraceSpec(v, 1, 1, 2, 0), "duration_s", -math.inf, False, 2**63 / 1000, 1),
+    (lambda v: SyntheticTraceSpec(1, v, 1, 2, 0), "segment_s", 0, True, math.inf, 1),
+    (lambda v: SyntheticTraceSpec(1, 1, v, 2, 0), "rate_min_mbps", 0, True, math.inf, 1),
+    (lambda v: SyntheticTraceSpec(1, 1, 2, v, 0), "rate_max_mbps", 2, False, math.inf, 2),
+    (lambda v: mixing_times(np.full((2, 2), 0.5), [v]), "epsilon", 0, True, math.inf, 1),
+    (cli._duration_ms, "--duration", -math.inf, False, 2**63 / 1000, 1),
+    (lambda v: QuantizerConfig.uniform(v, 2.0, -1.0, 1.0), "d_lo", -math.inf, False, math.inf, 1),
+    (lambda v: QuantizerConfig.uniform(-2.0, v, -1.0, 1.0), "d_hi", -math.inf, False, math.inf, 1),
+    (lambda v: QuantizerConfig.uniform(-1.0, 1.0, v, 2.0), "w_lo", -math.inf, False, math.inf, 1),
+    (lambda v: QuantizerConfig.uniform(-1.0, 1.0, -2.0, v), "w_hi", -math.inf, False, math.inf, 1),
 ]
 
 
 @pytest.mark.parametrize(
-    "call, field, lo, open_lo, inside",
+    "call, field, lo, open_lo, hi, inside",
     REAL_ENTRY_POINTS,
     ids=[f"{i}-{row[1]}" for i, row in enumerate(REAL_ENTRY_POINTS)],
 )
-def test_every_real_input_takes_the_one_rule(call, field, lo, open_lo, inside):
+def test_every_real_input_takes_the_one_rule(call, field, lo, open_lo, hi, inside):
     bad = [True, "1", None, math.nan, math.inf]
     if open_lo:
         bad.append(lo)
     elif lo > -math.inf:
         bad.append(math.nextafter(lo, -math.inf))
+    if hi < math.inf:
+        bad.append(hi)
     for value in bad:
         with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
             call(value)
     call(np.float64(inside))
     if float(inside).is_integer():
         call(np.int64(inside))
+    if hi < math.inf:
+        call(math.nextafter(hi, -math.inf))
 
 
 def _number_tests(tree: ast.AST):

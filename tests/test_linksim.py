@@ -17,7 +17,7 @@ from reference_linksim import (
 )
 
 import harness
-from mdi.controllers import BASELINES, Controller, Pinned
+from mdi.controllers import BASELINES, W_MAX_PKTS, Controller, Pinned
 from mdi.linksim import (
     EPOCH_CSV_HEADER,
     PACKET_CSV_HEADER,
@@ -161,7 +161,7 @@ class _Rogue(Controller):
 
 def test_out_of_contract_decisions_are_clamped_and_counted():
     params = LinkParams(trace=constant_trace(12.0, 4.0), duration_ms=500)
-    for window_pkts, epoch_len_ms in ((0.99, 20), (float("nan"), 20), (5.0, 0)):
+    for window_pkts, epoch_len_ms in ((0.99, 20), (float("nan"), 20), (1e300, 20), (5.0, 0)):
         rogue = _Rogue(window_pkts, epoch_len_ms)
         res = run_simulation(params, rogue)
         # Each decision breaks one bound, and each is clamped and counted.
@@ -170,6 +170,13 @@ def test_out_of_contract_decisions_are_clamped_and_counted():
         # The clamp floors the window at one packet and the epoch at
         # 1 ms, so traffic still flows.
         assert res.delivered_pkts > 0
+        if window_pkts > W_MAX_PKTS:
+            # The window stops at W_MAX_PKTS: the first epoch sends that
+            # many, and a queue that never fills holds at most that many
+            # beyond those the run served.
+            assert set(res.epochs.window_pkts) == {W_MAX_PKTS}
+            served = res.delivered_pkts + res.loss_drops
+            assert W_MAX_PKTS <= res.sent_pkts <= W_MAX_PKTS + 1 + served + res.tail_drops
     assert rogue.calls == params.duration_ms  # a 1 ms epoch, every tick
 
 
@@ -797,9 +804,15 @@ decisions = st.tuples(
 @given(link_cases(), st.lists(decisions, min_size=1, max_size=20))
 # The run ends on a tail drop sent right after the last queue position served.
 @example((LinkParams(trace=LinkTrace([0, 1]), queue_capacity_pkts=1, duration_ms=1), ""), [(3, 9)])
+# A window past the ceiling is clamped to it; the one-packet queue keeps
+# the reference loop to one send and one tail drop a tick.
+@example(
+    (LinkParams(trace=LinkTrace([0, 1, 2]), queue_capacity_pkts=1, duration_ms=50), ""),
+    [(1e300, 7), (2.5, 5)],
+)
 def test_scripted_decisions_match_the_reference_tick_loop(case, script):
-    # Any window and epoch length, clamped ones included: a NaN, infinite
-    # or sub-1 window and an epoch below 1 ms.
+    # Any window and epoch length, clamped ones included: a NaN, infinite,
+    # sub-1 or past-the-ceiling window and an epoch below 1 ms.
     params, _ = case
     got, want = _Scripted(script), _Scripted(script)
     try:

@@ -7,7 +7,6 @@ decision table."""
 
 import io
 import math
-import sys
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -19,7 +18,7 @@ from reference_linksim import reference_read_epoch_csv
 
 from mdi import runtime
 from mdi.cells import format_cells
-from mdi.controllers import EpochFeedback
+from mdi.controllers import W_MAX_PKTS, EpochFeedback
 from mdi.linksim import read_epoch_csv, write_epoch_csv
 from mdi.markov import empirical_distribution, state_visits
 from mdi.quantizer import QuantizerConfig, bucket, composite, composite_steps
@@ -192,8 +191,8 @@ def reference_bisect_increasing(target: float, lo: float, hi: float, w_prev: flo
 
 
 def span_top(w_prev: float) -> float:
-    """The positive search bound: 1000 * w_prev, at most the largest float."""
-    return min(1000.0 * w_prev, sys.float_info.max)
+    """The positive search bound: 1000 * w_prev, at most W_MAX_PKTS."""
+    return min(1000.0 * w_prev, W_MAX_PKTS)
 
 
 def reference_invert_w_hat(target: float, w_prev: float) -> float:
@@ -221,7 +220,8 @@ def assert_next_to_a_crossing(fn, target: float, w: float) -> None:
         assert fn(math.nextafter(w, -math.inf)) < target
 
 
-w_prevs = st.one_of(st.just(1.0), st.floats(1.0, sys.float_info.max))
+# At the ceiling the positive search bound is w_prev itself.
+w_prevs = st.one_of(st.just(1.0), st.just(W_MAX_PKTS), st.floats(1.0, W_MAX_PKTS))
 targets = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e4, 1e5))
 
 

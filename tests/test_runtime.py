@@ -1,7 +1,6 @@
 """Model-driven controller: composite inversion and the guided walk."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 import harness
 from mdi import runtime
-from mdi.controllers import EpochFeedback
+from mdi.controllers import W_MAX_PKTS, EpochFeedback
 from mdi.linksim import LinkParams, SimResult, run_simulation
 from mdi.pipeline import derive_run_seed
 from mdi.quantizer import QuantizerConfig, composite
@@ -80,8 +79,10 @@ def test_invert_is_monotone_in_positive_targets():
 def test_invert_validates_inputs():
     with pytest.raises(ValueError):
         invert_w_hat(float("nan"), 2.0)
-    with pytest.raises(ValueError):
-        invert_w_hat(0.1, 0.5)
+    for w_prev in (0.5, math.nextafter(W_MAX_PKTS, math.inf), math.inf, math.nan):
+        with pytest.raises(ValueError, match="w_prev must be in"):
+            invert_w_hat(0.1, w_prev)
+    assert invert_w_hat(0.1, W_MAX_PKTS) == W_MAX_PKTS
 
 
 def test_controller_parameter_validation():
@@ -145,13 +146,14 @@ def test_backoff_never_goes_below_one_packet():
     assert window == 1.0
 
 
-def test_growth_below_the_range_stops_at_the_largest_float():
-    ctrl = MdiController(model_with({}), c1=1.25, w_init=1.5e308)
+def test_growth_below_the_range_stops_at_the_ceiling():
+    w_init = W_MAX_PKTS - 1.0
+    ctrl = MdiController(model_with({}), c1=1.25, w_init=w_init)
     ctrl.on_epoch(fb(100.0))
-    window, _ = ctrl.on_epoch(fb(30.0))  # 1.25 * 1.5e308 overflows
-    assert window == sys.float_info.max
+    window, _ = ctrl.on_epoch(fb(30.0))  # 1.25 * w_init is past the ceiling
+    assert window == W_MAX_PKTS
     assert ctrl.range_low_count == 1
-    assert ctrl.w_idx_prev == small_grid().w_bucket(composite(window, 1.5e308))
+    assert ctrl.w_idx_prev == small_grid().w_bucket(composite(window, w_init))
 
 
 def test_point_mass_on_zero_movement_holds_forever():
