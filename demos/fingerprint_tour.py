@@ -10,10 +10,8 @@ window-decrease moves.
 
 from pathlib import Path
 
-import numpy as np
-
 from mdi.controllers import CopaLike, VerusLike
-from mdi.heatmap import heatmap_export
+from mdi.heatmap import decrease_share, heatmap_export
 from mdi.pipeline import train_on_traces
 from mdi.trace import SyntheticTraceSpec, gen_rapidly_changing
 
@@ -32,21 +30,6 @@ def make_traces(rate_min, rate_max, segment_s):
         for i in range(N_TRAIN)
     ]
     return [(f"t{i:02d}", gen_rapidly_changing(s)) for i, s in enumerate(specs)]
-
-
-def decrease_share(model):
-    cfg = model.cfg
-    dec = inc = 0.0
-    for r in range(cfg.n_d):
-        if cfg.d_hat_edges[r] < 0:
-            continue
-        for v in range(cfg.n_w):
-            mass = float(model.counts[:, :, r, v].sum())
-            if cfg.w_midpoint(v) < 0:
-                dec += mass
-            elif cfg.w_midpoint(v) > 0:
-                inc += mass
-    return dec / (dec + inc) if dec + inc else float("nan")
 
 
 def export(model, label):

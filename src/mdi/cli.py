@@ -23,6 +23,7 @@ from .heatmap import heatmap_export
 from .linksim import (
     LinkParams,
     SummaryStats,
+    median_gaps,
     read_epoch_csv,
     read_packet_csv,
     run_samples,
@@ -267,14 +268,10 @@ def cmd_analyze(args) -> int:
         # The run's states on this model's grid, whichever grid it was run on.
         with open(args.result, "r", encoding="utf-8") as fh:
             log = read_epoch_csv(fh)
-        visits = markov.state_visits(log, model.cfg, discard=args.discard)
-        empirical = visits / visits.sum()
         report.update(
             result=str(args.result),
             discard=args.discard,
-            epochs_used=int(visits.sum()),
-            kl_empirical_vs_stationary=markov.kl_divergence(empirical, pi),
-            max_abs_diff=markov.max_abs_diff(empirical, pi),
+            **markov.stationary_fit([log], model.cfg, pi, discard=args.discard),
         )
         line += (
             f"; KL(empirical || stationary) = {report['kl_empirical_vs_stationary']:.4f}, "
@@ -326,15 +323,15 @@ def cmd_compare(args) -> int:
             **{m: dataclasses.asdict(SummaryStats.of(v)) for m, v in samples[key].items()},
         }
     # Each sample's median gap and KS distance, a against b.
-    rel, ks, medians = {}, {}, []
+    rel = median_gaps([samples["a"]], [samples["b"]])
+    ks, medians = {}, []
     for metric, name, unit in (
         ("throughput_mbps", "throughput", "Mbps"),
         ("delay_ms", "delay", "ms"),
     ):
         va, vb = stats["a"][metric]["p50"], stats["b"][metric]["p50"]
-        rel[f"{name}_median"] = gap = abs(va - vb) / max(abs(vb), 1e-9)
         ks[name] = _ks(samples["a"][metric], samples["b"][metric])
-        medians.append(f"{name} {va:.3f} / {vb:.3f} {unit} (rel {gap:.3f})")
+        medians.append(f"{name} {va:.3f} / {vb:.3f} {unit} (rel {rel[name + '_median']:.3f})")
     report = {
         "a": {"path": str(path_a), **stats["a"]},
         "b": {"path": str(path_b), **stats["b"]},

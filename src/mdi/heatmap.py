@@ -15,6 +15,7 @@ import numpy as np
 
 from . import cells
 from .quantizer import QuantizerConfig
+from .trainer import TransitionModel
 
 _DARK = (8, 48, 107)  # deep blue anchor for the color ramp
 
@@ -111,3 +112,17 @@ def heatmap_export(
         raise ValueError(f"entry ({i}, {j}) must be finite and >= 0, got {float(data[i, j])!r}")
     _write_matrix_csv(data, cfg, csv_sink)
     svg_sink.write(_svg(data, cfg, title))
+
+
+def decrease_share(model: TransitionModel) -> float:
+    """Share of the mass in wholly rising next-delay columns (lower edge
+    >= 0; one straddling zero mixes flat and rising delay) that lands on
+    window decreases, by the sign of the window bucket's midpoint; a zero
+    midpoint is neither. Summed in float64, which does not wrap past
+    2**64 as uint64 does; NaN when no such column holds mass."""
+    cfg = model.cfg
+    rising = np.array(cfg.d_hat_edges[:-1]) >= 0.0
+    mass = model.counts[:, :, rising, :].sum(axis=(0, 1, 2), dtype=np.float64)
+    mid = np.array([cfg.w_midpoint(v) for v in range(cfg.n_w)])
+    dec, inc = float(mass[mid < 0.0].sum()), float(mass[mid > 0.0].sum())
+    return dec / (dec + inc) if dec + inc else float("nan")

@@ -49,7 +49,8 @@ retransmissions; lost packets simply leave the in-flight budget).
 A packet log is four columns (send, delivery and ACK times, -1 for a
 stage never reached, and a drop flag); PacketLog.rtt_ms derives RTTs
 and run_samples() is the one definition of a run's throughput and
-delay samples, which summarize() reduces to statistics.
+delay samples, which summarize() reduces to statistics and
+median_gaps() to the relative gap of two sets of runs' medians.
 The time columns are int32 when every time fits, and int64 otherwise
 (time_dtype, the one rule the emulator and the packet reader share), so
 a packet of an int32 log takes 13 bytes: three 4-byte times and the flag.
@@ -191,6 +192,23 @@ def run_samples(log: PacketLog, duration_ms: int, mtu_bytes: int) -> dict[str, n
         tput = np.bincount(in_full // 1000, minlength=n_sec) * pkt_mbits
     rtts = log.rtt_ms[log.acked_ms >= 0].astype(np.float64)
     return {"throughput_mbps": tput, "delay_ms": rtts}
+
+
+def median_gaps(a: list[dict], b: list[dict]) -> dict[str, float]:
+    """Relative gap of a's median from b's for each run_samples sample,
+    keyed "throughput_median" and "delay_median": |pa - pb| / max(|pb|,
+    1e-9). Each side's runs are pooled, and p is the pool's 50th
+    percentile, 0.0 for an empty one as in SummaryStats.of."""
+
+    def median(side: list[dict], key: str) -> float:
+        pooled = np.concatenate([s[key] for s in side])
+        return float(np.percentile(pooled, 50.0)) if pooled.size else 0.0
+
+    gaps = {}
+    for key, name in (("throughput_mbps", "throughput"), ("delay_ms", "delay")):
+        pa, pb = median(a, key), median(b, key)
+        gaps[f"{name}_median"] = abs(pa - pb) / max(abs(pb), 1e-9)
+    return gaps
 
 
 def summarize(log: PacketLog, duration_ms: int, mtu_bytes: int) -> SimSummary:

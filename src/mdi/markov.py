@@ -295,3 +295,21 @@ def empirical_distribution(log: EpochLog, cfg: QuantizerConfig, discard: int = 0
     """State-visit frequencies of an epoch log: its state_visits, normalized."""
     visits = state_visits(log, cfg, discard)
     return visits / visits.sum()
+
+
+def stationary_fit(
+    logs: Iterable[EpochLog], cfg: QuantizerConfig, pi: np.ndarray, discard: int = 0
+) -> dict:
+    """How closely runs' states follow pi: `epochs_used`, the states the
+    logs keep after each drops `discard` (state_visits), and
+    `kl_empirical_vs_stationary` and `max_abs_diff` of the mean of the
+    logs' visit frequencies against pi."""
+    visits = [state_visits(log, cfg, discard) for log in logs]
+    if not visits:
+        raise AnalysisError("need at least one log")
+    empirical = np.mean([v / v.sum() for v in visits], axis=0)
+    return {
+        "epochs_used": int(sum(v.sum() for v in visits)),
+        "kl_empirical_vs_stationary": kl_divergence(empirical, pi),
+        "max_abs_diff": max_abs_diff(empirical, pi),
+    }

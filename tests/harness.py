@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from mdi.controllers import Controller, CopaLike, VerusLike
 from mdi import linksim
 from mdi.linksim import LinkParams, SimResult, run_simulation
@@ -79,11 +77,13 @@ COPA = HarnessSpec(
 )
 
 
-def build_traces(spec: HarnessSpec, count: int = N_TRAIN + N_HELD):
+def build_traces(spec: HarnessSpec, count: int = N_TRAIN + N_HELD, duration_s: float = DURATION_S):
+    """The family's first `count` traces, named t00, t01, ..., seeded
+    1000, 1001, ..."""
     out = []
     for i in range(count):
         ts = SyntheticTraceSpec(
-            duration_s=DURATION_S,
+            duration_s=duration_s,
             segment_s=spec.segment_s,
             rate_min_mbps=spec.rate_min_mbps,
             rate_max_mbps=spec.rate_max_mbps,
@@ -91,6 +91,15 @@ def build_traces(spec: HarnessSpec, count: int = N_TRAIN + N_HELD):
         )
         out.append((f"t{i:02d}", gen_rapidly_changing(ts)))
     return out
+
+
+def constant_trace(mbps: float, duration_s: float, seed: int = 0) -> LinkTrace:
+    """A trace of one rate throughout."""
+    spec = SyntheticTraceSpec(
+        duration_s=duration_s, segment_s=duration_s,
+        rate_min_mbps=mbps, rate_max_mbps=mbps, seed=seed,
+    )
+    return gen_rapidly_changing(spec)
 
 
 def train(spec: HarnessSpec, traces) -> tuple[TransitionModel, dict]:
@@ -103,16 +112,22 @@ def run_native(spec: HarnessSpec, name: str, trace: LinkTrace) -> SimResult:
 
 
 def run_mdi(
-    spec: HarnessSpec, model: TransitionModel, name: str, trace: LinkTrace
-) -> tuple[SimResult, EpochLog, MdiController]:
-    ctrl = MdiController(
+    spec: HarnessSpec,
+    model: TransitionModel,
+    name: str,
+    trace: LinkTrace,
+    *,
+    walk: type[MdiController] = MdiController,
+) -> tuple[SimResult, MdiController]:
+    """The held-out model-driven run on `trace`; its controller is a
+    `walk`, MdiController or a subclass of it."""
+    ctrl = walk(
         model,
         epoch_ms=spec.epoch_ms,
         seed=derive_run_seed(MASTER_SEED, name + ":m", 1),
     )
     params = LinkParams(trace=trace, seed=derive_run_seed(MASTER_SEED, name + ":m", 0), **LINK)
-    result = run_simulation(params, ctrl)
-    return result, result.epochs, ctrl
+    return run_simulation(params, ctrl), ctrl
 
 
 @dataclass
@@ -149,11 +164,11 @@ def build_bundle(spec: HarnessSpec) -> Bundle:
     )
     for name, trace in traces[N_TRAIN:]:
         native = run_native(spec, name, trace)
-        mdi_res, records, ctrl = run_mdi(spec, model, name, trace)
+        mdi_res, ctrl = run_mdi(spec, model, name, trace)
         bundle.held.append(
             HeldRun(
                 name=name, trace=trace, native=native,
-                mdi=mdi_res, mdi_records=records, mdi_ctrl=ctrl,
+                mdi=mdi_res, mdi_records=mdi_res.epochs, mdi_ctrl=ctrl,
             )
         )
     bundle.held_s = time.perf_counter() - t1
@@ -163,42 +178,11 @@ def build_bundle(spec: HarnessSpec) -> Bundle:
 def pooled_median_gap(bundle: Bundle) -> tuple[float, float]:
     """Relative gaps of pooled median throughput and median delay,
     model run vs native run, across all held traces."""
-    pooled = {"native": [], "mdi": []}
-    for run in bundle.held:
-        for side, result in (("native", run.native), ("mdi", run.mdi)):
-            pooled[side].append(linksim.run_samples(result, result.duration_ms, result.mtu_bytes))
 
-    def median(side: str, key: str) -> float:
-        return float(np.median(np.concatenate([s[key] for s in pooled[side]])))
+    def samples(results) -> list:
+        return [linksim.run_samples(r, r.duration_ms, r.mtu_bytes) for r in results]
 
-    nt, mt = median("native", "throughput_mbps"), median("mdi", "throughput_mbps")
-    nd, md = median("native", "delay_ms"), median("mdi", "delay_ms")
-    return abs(mt - nt) / nt, abs(md - nd) / nd
-
-
-def decrease_share_in_rise_columns(model: TransitionModel) -> float:
-    """Fraction of transition mass landing on window-decrease cells,
-    restricted to next-delay columns whose whole bucket is a rise.
-
-    Columns straddling zero mix flat and rising delay, so only columns
-    with a non-negative lower edge count as delay-increase feedback.
-    Cells are classified by the sign of their window-bucket midpoint.
-    """
-    cfg = model.cfg
-    counts = model.counts.astype(np.float64)
-    inc_mass = 0.0
-    dec_mass = 0.0
-    for r in range(cfg.n_d):
-        if cfg.d_hat_edges[r] < 0:
-            continue
-        for v in range(cfg.n_w):
-            mass = float(counts[:, :, r, v].sum())
-            if mass == 0.0:
-                continue
-            mid = cfg.w_midpoint(v)
-            if mid < 0:
-                dec_mass += mass
-            elif mid > 0:
-                inc_mass += mass
-    total = inc_mass + dec_mass
-    return dec_mass / total if total else float("nan")
+    gaps = linksim.median_gaps(
+        samples(run.mdi for run in bundle.held), samples(run.native for run in bundle.held)
+    )
+    return gaps["throughput_median"], gaps["delay_median"]

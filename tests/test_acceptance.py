@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import harness
+from harness import constant_trace
 from mdi.controllers import CopaLike, Pinned, VerusLike
+from mdi.heatmap import decrease_share
 from mdi.linksim import (
     LinkParams,
     run_simulation,
@@ -19,7 +21,6 @@ from mdi.linksim import (
 )
 from mdi import markov
 from mdi.quantizer import QuantizerConfig, composite
-from mdi.trace import SyntheticTraceSpec, gen_rapidly_changing
 from mdi.trainer import TransitionModel, count_transitions, save_model
 
 
@@ -131,27 +132,14 @@ def test_observed_frequencies_match_the_chain_own_stationary(verus_bundle):
     P = markov.to_stochastic(model, empty_rows="uniform")
     pi = markov.stationary(P)
     burn_in = markov.mixing_times(P, [1e-3])[1e-3].t_mix
-    empiricals = []
-    for run in verus_bundle.held:
-        empiricals.append(
-            markov.empirical_distribution(run.mdi_records, model.cfg, discard=burn_in)
-        )
-    emp = np.mean(empiricals, axis=0)
-    emp = emp / emp.sum()
-    kl = markov.kl_divergence(emp, pi)
-    gap = markov.max_abs_diff(emp, pi)
+    fit = markov.stationary_fit(
+        [run.mdi_records for run in verus_bundle.held], model.cfg, pi, discard=burn_in
+    )
+    kl, gap = fit["kl_empirical_vs_stationary"], fit["max_abs_diff"]
     assert kl <= 0.8, f"KL(observed || stationary) = {kl:.3f}"
     assert gap <= 0.06, f"max state probability gap = {gap:.4f}"
     analysis_s = time.perf_counter() - t0
     assert verus_bundle.held_s + analysis_s < 120.0
-
-
-def constant_trace(mbps: float, duration_s: float, seed: int = 0):
-    spec = SyntheticTraceSpec(
-        duration_s=duration_s, segment_s=duration_s,
-        rate_min_mbps=mbps, rate_max_mbps=mbps, seed=seed,
-    )
-    return gen_rapidly_changing(spec)
 
 
 def test_emulator_conservation_capacity_and_stop_and_wait():
@@ -240,10 +228,8 @@ def test_same_seed_reproduces_models_and_logs_byte_identically(
         native2 = harness.run_native(bundle.spec, run.name, run.trace)
         assert epoch_csv_bytes(native2.epochs) == epoch_csv_bytes(run.native.epochs)
         assert packet_csv_bytes(native2) == packet_csv_bytes(run.native)
-        mdi2, records2, _ = harness.run_mdi(
-            bundle.spec, bundle.model, run.name, run.trace
-        )
-        assert epoch_csv_bytes(records2) == epoch_csv_bytes(run.mdi_records)
+        mdi2, _ = harness.run_mdi(bundle.spec, bundle.model, run.name, run.trace)
+        assert epoch_csv_bytes(mdi2.epochs) == epoch_csv_bytes(run.mdi_records)
         assert packet_csv_bytes(mdi2) == packet_csv_bytes(run.mdi)
 
 
@@ -251,6 +237,6 @@ def test_rising_delay_mass_sits_on_window_decreases(verus_bundle):
     # Columns whose whole delay bucket is a rise should mostly pair with
     # window-decrease cells: that is the multiplicative back-off showing
     # up in the trained surface.
-    share = harness.decrease_share_in_rise_columns(verus_bundle.model)
+    share = decrease_share(verus_bundle.model)
     assert np.isfinite(share)
     assert share >= 0.60, f"decrease share in rising-delay columns: {share:.4f}"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from harness import constant_trace
 from mdi.controllers import (
     BASELINES,
     CopaLike,
@@ -11,19 +12,10 @@ from mdi.controllers import (
     VerusLike,
 )
 from mdi.linksim import LinkParams, run_simulation
-from mdi.trace import SyntheticTraceSpec, gen_rapidly_changing
 
 
 def fb(mean: float, mn: float, acked: int = 10) -> EpochFeedback:
     return EpochFeedback(mean_delay_ms=mean, min_delay_ms=mn, acked_pkts=acked)
-
-
-def constant_trace(mbps: float, duration_s: float):
-    spec = SyntheticTraceSpec(
-        duration_s=duration_s, segment_s=duration_s,
-        rate_min_mbps=mbps, rate_max_mbps=mbps, seed=0,
-    )
-    return gen_rapidly_changing(spec)
 
 
 def test_pinned_never_moves():

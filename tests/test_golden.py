@@ -22,7 +22,7 @@ import harness
 from mdi.heatmap import heatmap_export
 from mdi.linksim import LinkParams, run_simulation, write_epoch_csv, write_packet_csv
 from mdi.pipeline import train_on_traces
-from mdi.trace import SyntheticTraceSpec, gen_rapidly_changing, save_trace
+from mdi.trace import save_trace
 from mdi.trainer import save_model
 
 GOLDEN = {
@@ -122,22 +122,7 @@ def test_lossy_run_packet_csv_matches_golden_digest():
 
 
 def test_lossy_trained_model_matches_golden_digest():
-    family = harness.VERUS
-    traces = [
-        (
-            f"t{i:02d}",
-            gen_rapidly_changing(
-                SyntheticTraceSpec(
-                    duration_s=10,
-                    segment_s=family.segment_s,
-                    rate_min_mbps=family.rate_min_mbps,
-                    rate_max_mbps=family.rate_max_mbps,
-                    seed=1000 + i,
-                )
-            ),
-        )
-        for i in range(4)
-    ]
+    traces = harness.build_traces(harness.VERUS, 4, duration_s=10)
     link = {**harness.LINK, "queue_capacity_pkts": 60, "duration_ms": 10_000}
     model, _ = train_on_traces(
         traces, harness.make_copa, master_seed=harness.MASTER_SEED, loss_rate=0.01, **link

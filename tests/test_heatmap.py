@@ -7,8 +7,9 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from mdi.heatmap import heatmap_export
+from mdi.heatmap import decrease_share, heatmap_export
 from mdi.quantizer import QuantizerConfig
+from mdi.trainer import TransitionModel
 
 
 def grid_cfg(n_d=2, n_w=3) -> QuantizerConfig:
@@ -101,3 +102,22 @@ def test_unrenderable_entries_are_rejected_before_any_write():
     text, svg = render(P, cfg)
     assert svg.count("<rect") == 1 + cfg.n_states
     assert text.splitlines()[3].split(",")[5] == "-0.0"
+
+
+def test_decrease_share_counts_only_wholly_rising_columns():
+    # Delay buckets [-1.5, -0.5), [-0.5, 0.5), [0.5, 1.5]: only the last is
+    # wholly a rise. Window midpoints -0.2 (a decrease), 0 and 0.2.
+    cfg = QuantizerConfig((-1.5, -0.5, 0.5, 1.5), (-0.3, -0.1, 0.1, 0.3))
+
+    def share(*cells):
+        counts = np.zeros((3, 3, 3, 3), dtype=np.uint64)
+        for cell, n in cells:
+            counts[cell] = n
+        return decrease_share(TransitionModel(cfg, counts))
+
+    elsewhere = [((0, 0, 1, 0), 7), ((2, 2, 0, 2), 11), ((0, 0, 2, 1), 5)]
+    assert share(*elsewhere, ((0, 0, 2, 0), 3), ((1, 2, 2, 0), 1), ((2, 1, 2, 2), 2)) == 4 / 6
+    # Two cells of 2**63 in one column sum to 2**64, which uint64 wraps to 0.
+    assert share(((0, 0, 2, 0), 2**63), ((1, 0, 2, 0), 2**63), ((0, 0, 2, 2), 2**62)) == 0.8
+    assert np.isnan(share(*elsewhere))
+    assert np.isnan(share())

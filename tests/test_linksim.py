@@ -17,6 +17,7 @@ from reference_linksim import (
 )
 
 import harness
+from harness import constant_trace
 from mdi.controllers import BASELINES, W_MAX_PKTS, Controller, Pinned
 from mdi.linksim import (
     EPOCH_CSV_HEADER,
@@ -25,6 +26,8 @@ from mdi.linksim import (
     PacketLog,
     SimResult,
     SimulationError,
+    SummaryStats,
+    median_gaps,
     read_epoch_csv,
     read_packet_csv,
     run_samples,
@@ -34,19 +37,8 @@ from mdi.linksim import (
     write_epoch_csv,
     write_packet_csv,
 )
-from mdi.trace import LinkTrace, SyntheticTraceSpec, gen_rapidly_changing
+from mdi.trace import LinkTrace
 from mdi.trainer import EpochLog
-
-
-def constant_trace(mbps: float, duration_s: float) -> LinkTrace:
-    spec = SyntheticTraceSpec(
-        duration_s=duration_s,
-        segment_s=duration_s,
-        rate_min_mbps=mbps,
-        rate_max_mbps=mbps,
-        seed=0,
-    )
-    return gen_rapidly_changing(spec)
 
 
 def test_stop_and_wait_oracle():
@@ -224,6 +216,28 @@ def test_summary_matches_manual_recompute():
         for reduce in (run_samples, summarize):
             with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
                 reduce(res, duration_ms, mtu_bytes)
+
+
+def test_median_gaps_pool_each_side():
+    def sample(tput, delay):
+        return {"throughput_mbps": np.array(tput, float), "delay_ms": np.array(delay, float)}
+
+    # Pooled medians: throughput 3 against 3, delay 30 against 40.
+    a = [sample([1, 3], [10]), sample([5], [30, 50])]
+    b = [sample([2], []), sample([4], [40])]
+    assert median_gaps(a, b) == {"throughput_median": 0.0, "delay_median": 0.25}
+    rng = np.random.default_rng(3)
+    runs = [sample(rng.uniform(1, 20, n), rng.uniform(30, 90, 3 * n)) for n in (7, 10, 4, 1)]
+    pooled = [{key: np.concatenate([r[key] for r in runs[:2]]) for key in runs[0]}]
+    assert median_gaps(runs[:2], runs[2:]) == median_gaps(pooled, runs[2:])
+    # One run a side: the gap of the p50s compare reports.
+    pa, pb = (SummaryStats.of(r["delay_ms"]).p50 for r in runs[:2])
+    assert median_gaps(runs[:1], runs[1:2])["delay_median"] == abs(pa - pb) / pb
+    # An empty sample's median is 0.0, and a zero median divides as 1e-9.
+    empty = [sample([], [])]
+    assert median_gaps(empty, empty) == {"throughput_median": 0.0, "delay_median": 0.0}
+    assert median_gaps(empty, b) == {"throughput_median": 1.0, "delay_median": 1.0}
+    assert median_gaps(b, empty) == {"throughput_median": 3e9, "delay_median": 40e9}
 
 
 def test_link_params_validation():
@@ -730,16 +744,7 @@ def test_lossy_minute_matches_the_reference_tick_loop(make, queue_pkts, loss_rat
     # opportunity, and the reference one per packet served. The copa-like
     # link is the train-copa-lossy benchmark's; the 20-packet one adds
     # many tail drops to the random ones.
-    spec = harness.VERUS
-    trace = gen_rapidly_changing(
-        SyntheticTraceSpec(
-            duration_s=harness.DURATION_S,
-            segment_s=spec.segment_s,
-            rate_min_mbps=spec.rate_min_mbps,
-            rate_max_mbps=spec.rate_max_mbps,
-            seed=1000,
-        )
-    )
+    _, trace = harness.build_traces(harness.VERUS, 1)[0]
     link = {**harness.LINK, "queue_capacity_pkts": queue_pkts}
     params = LinkParams(trace=trace, loss_rate=loss_rate, seed=harness.MASTER_SEED, **link)
     got = run_simulation(params, make())

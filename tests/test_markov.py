@@ -20,6 +20,7 @@ from mdi.markov import (
     mixing_times,
     state_visits,
     stationary,
+    stationary_fit,
     to_stochastic,
 )
 from mdi.quantizer import QuantizerConfig
@@ -381,6 +382,25 @@ def test_empirical_distribution_discard_and_errors():
     # last no window move after it.
     with pytest.raises(AnalysisError, match="no states left after discarding 0 of 0"):
         empirical_distribution(EpochLog([0, 20], [10.0, 11.0], [2.0, 3.0]), cfg)
+
+
+def test_stationary_fit_averages_the_logs_frequencies():
+    cfg = grid2()
+    logs = [log_from_flats([0, 1, 1, 3]), log_from_flats([2, 2])]
+    pi = np.full(4, 0.25)
+    # The mean of [1/4, 1/2, 0, 1/4] and [0, 0, 1, 0]; pooling the visits
+    # would give [1/6, 1/3, 1/3, 1/6].
+    emp = np.array([0.125, 0.25, 0.5, 0.125])
+    assert stationary_fit(logs, cfg, pi) == {
+        "epochs_used": 6,
+        "kl_empirical_vs_stationary": kl_divergence(emp, pi),
+        "max_abs_diff": 0.25,
+    }
+    # The discard applies to each log, and one left with no state raises.
+    with pytest.raises(AnalysisError, match="no states left after discarding 3 of 2"):
+        stationary_fit(logs, cfg, pi, discard=3)
+    with pytest.raises(AnalysisError, match="at least one log"):
+        stationary_fit([], cfg, pi)
 
 
 def test_long_walk_frequencies_approach_stationary():

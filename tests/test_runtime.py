@@ -283,11 +283,10 @@ def test_verus_model_keeps_trace_t41_off_the_one_packet_floor(verus_bundle):
     assert mdi.summary.throughput_mbps.p50 >= 0.5 * native.summary.throughput_mbps.p50
 
 
-def walk_reads(
-    model: TransitionModel, params: LinkParams, **kwargs
-) -> tuple[SimResult, dict, list]:
-    """Run a walk on `model`. Record each (k, l, r) row whose tier it
-    reads from the decision table under the epoch-log row it was
+def walk_reads(model: TransitionModel, drive) -> tuple[SimResult, dict, list]:
+    """Run a walk on `model`: drive(walk) runs the link with an instance
+    of the MdiController subclass `walk`. Record each (k, l, r) row whose
+    tier it reads from the decision table under the epoch-log row it was
     handling, and the state (d_idx_prev, w_idx_prev) it remembers after
     each row."""
     shape = model.decision_table[0].shape
@@ -319,7 +318,7 @@ def walk_reads(
                 states.append((self.d_idx_prev, self.w_idx_prev))
             return decision
 
-    return run_simulation(params, Walk(model, **kwargs)), reads, states
+    return drive(Walk), reads, states
 
 
 def assert_walk_reads_its_log(
@@ -364,13 +363,11 @@ def assert_walk_reads_its_log(
 def test_walk_reads_the_states_its_own_log_derives(bundle_name, request):
     bundle = request.getfixturevalue(bundle_name)
     for run in bundle.held:
-        params = LinkParams(
-            trace=run.trace, seed=derive_run_seed(harness.MASTER_SEED, run.name + ":m", 0),
-            **harness.LINK,
-        )
         result, reads, states = walk_reads(
-            bundle.model, params, epoch_ms=bundle.spec.epoch_ms,
-            seed=derive_run_seed(harness.MASTER_SEED, run.name + ":m", 1),
+            bundle.model,
+            lambda walk: harness.run_mdi(
+                bundle.spec, bundle.model, run.name, run.trace, walk=walk
+            )[0],
         )
         assert list(result.epochs) == list(run.mdi_records)  # the same walk
         assert len(reads) > len(result.epochs) // 2  # not a vacuous match
@@ -425,5 +422,8 @@ def test_walk_reads_its_log_on_short_lossy_links(
         queue_capacity_pkts=queue, loss_rate=loss, seed=seed, duration_ms=duration_ms,
     )
     model = TransitionModel(small_grid(), np.reshape(counts, (3, 3, 3, 3)))
-    result, reads, states = walk_reads(model, params, w_init=w_init, epoch_ms=epoch_ms, seed=seed)
+    kwargs = dict(w_init=w_init, epoch_ms=epoch_ms, seed=seed)
+    result, reads, states = walk_reads(
+        model, lambda walk: run_simulation(params, walk(model, **kwargs))
+    )
     assert_walk_reads_its_log(model.cfg, result, reads, states)
