@@ -58,6 +58,9 @@ class Controller(abc.ABC):
         """Consume one epoch of feedback; return the window for the next
         epoch and how long that epoch lasts, (window_pkts, epoch_len_ms).
 
+        The feedback is read as the tuple (mean_delay_ms, min_delay_ms,
+        acked_pkts), in EpochFeedback's field order.
+
         The emulator clamps a window outside [1, W_MAX_PKTS] to it (one
         that is not finite to 1) and an epoch below 1 ms to 1, and counts
         each clamp in its clamp_warnings.
@@ -114,21 +117,24 @@ class VerusLike(Controller):
         self._ewma_ms: float | None = None
 
     def on_epoch(self, feedback: EpochFeedback) -> tuple[float, int]:
-        if feedback.acked_pkts > 0:
-            mean = feedback.mean_delay_ms
-            rising = self._ewma_ms is not None and mean > max(
-                self._ewma_ms * VERUS_RISE_THRESH,
-                self._ewma_ms + self.rise_floor_ms,
-            )
-            high = mean > self.lam * feedback.min_delay_ms
-            if rising or high:
-                self.window = max(1.0, self.window * self.dec_mult)
+        mean, least, acked = feedback
+        if acked > 0:
+            ewma, w = self._ewma_ms, self.window
+            # Each max(a, b) is written as the comparison max makes,
+            # b if b > a else a, so ties and NaN pick the same value.
+            rising = False
+            if ewma is not None:
+                top = ewma * VERUS_RISE_THRESH
+                floor = ewma + self.rise_floor_ms
+                if floor > top:
+                    top = floor
+                rising = mean > top
+            if rising or mean > self.lam * least:
+                w *= self.dec_mult
+                self.window = w if w > 1.0 else 1.0
             else:
-                self.window = self.window + VERUS_INC + self.inc_frac * self.window
-            if self._ewma_ms is None:
-                self._ewma_ms = mean
-            else:
-                self._ewma_ms += VERUS_EWMA_ALPHA * (mean - self._ewma_ms)
+                self.window = w + VERUS_INC + self.inc_frac * w
+            self._ewma_ms = mean if ewma is None else ewma + VERUS_EWMA_ALPHA * (mean - ewma)
         return self.window, self.epoch_ms
 
 
@@ -155,15 +161,16 @@ class CopaLike(Controller):
         super().__init__(w_init, epoch_ms)
 
     def on_epoch(self, feedback: EpochFeedback) -> tuple[float, int]:
-        if feedback.acked_pkts > 0:
-            dq_ms = max(feedback.mean_delay_ms - feedback.min_delay_ms, 0.1)
-            target_w = feedback.mean_delay_ms / (COPA_DELTA * dq_ms)
-            step = feedback.acked_pkts * self.velocity / (COPA_DELTA * self.window)
-            if self.window < target_w:
-                self.window += step
-            else:
-                self.window -= step
-            self.window = max(1.0, self.window)
+        mean, least, acked = feedback
+        if acked > 0:
+            dq_ms = mean - least
+            if 0.1 > dq_ms:
+                dq_ms = 0.1
+            target_w = mean / (COPA_DELTA * dq_ms)
+            w = self.window
+            step = acked * self.velocity / (COPA_DELTA * w)
+            w = w + step if w < target_w else w - step
+            self.window = w if w > 1.0 else 1.0
         return self.window, self.epoch_ms
 
 

@@ -15,10 +15,11 @@ half-open [e_i, e_{i+1}) and out-of-range values clamp to the first or
 last bucket. A (d_idx, w_idx) pair is one discrete state; flat index is
 d_idx * n_w + w_idx.
 
-composite() is the only place the formula is written, for both axes;
-composite_steps maps it over a column of an epoch log. bucket() is the
-one bucketing rule, which d_bucket/w_bucket apply to one value with
-bisect.
+composite() writes the formula for one value, on both axes;
+composite_steps applies it to a whole column of an epoch log, with
+math.log10 per element and float64 array arithmetic for the rest, bit
+for bit what composite() gives on each pair. bucket() is the one
+bucketing rule, which d_bucket/w_bucket apply to one value with bisect.
 """
 
 from __future__ import annotations
@@ -47,12 +48,20 @@ def composite(curr: float, prev: float) -> float:
 def composite_steps(values: np.ndarray) -> np.ndarray:
     """Composite of every element against the one before it (len - 1 values).
 
-    Maps the scalar formula with math.log10 over the elements: np.log10
-    can differ from it by one ulp, which would move bucket edges and CSV
-    bytes.
+    On positive values, as an epoch log holds, it is bit-identical to
+    composite() on each pair. The logarithms are taken with math.log10,
+    one per element after the first: np.log10 can differ from it by one
+    ulp, which would move bucket edges and CSV bytes. The ratio, the
+    - 1.0 and the product are float64 array operations, IEEE-rounded as
+    Python's float operations are. An overflow gives the scalar
+    formula's inf or nan without a warning; callers that need finite
+    composites check for them.
     """
-    v = np.asarray(values, dtype=np.float64).tolist()
-    return np.array(list(map(composite, v[1:], v[:-1])), dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
+    curr = v[1:]
+    logs = np.fromiter(map(math.log10, curr.tolist()), dtype=np.float64, count=curr.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (curr / v[:-1] - 1.0) * logs
 
 
 def bucket(values, edges: Sequence[float]) -> np.ndarray:

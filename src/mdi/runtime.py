@@ -20,9 +20,11 @@ f(w) = (w / w_prev - 1) * log10(w) for w at fixed w_prev. f is not
 monotone: it is zero at w = 1 and w = w_prev and dips negative between
 them, so a negative target selects the branch rising back toward w_prev
 (the root nearest the current window). f is convex, so Newton steps
-from above the root (from w_prev for a negative target, from
-1000 * w_prev or W_MAX_PKTS, whichever is less, for a positive one)
-descend to it without overshoot. The dip's minimizer is the root of
+from above the root descend to it without overshoot. A negative target
+starts them from w_prev. A positive one starts them from
+w_prev * (1 + target / log10(w_prev)), which bounds the root because
+log10(w) >= log10(w_prev) above w_prev, or from 1000 * w_prev or
+W_MAX_PKTS, whichever is least. The dip's minimizer is the root of
 f's derivative, which is increasing and concave, so Newton steps from
 w = 1 climb to it. Each iteration stops once a step no longer moves
 its way. The answer is the rounded midpoint of two adjacent floats,
@@ -156,7 +158,15 @@ def invert_w_hat(w_hat_target: float, w_prev: float) -> float:
         hi = min(w_prev * _POS_SPAN, W_MAX_PKTS)
         if composite(hi, w_prev) <= w_hat_target:
             return hi
-        w = _descend(w_hat_target, w_prev, hi, w_prev)
+        # Above w_prev, log10(w) >= log10(w_prev), so the root lies at or
+        # below this bound; rounding may put it a few ulps under the root,
+        # which _crossing steps past.
+        start = hi
+        if w_prev > 1.0:
+            bound = w_prev * (1.0 + w_hat_target / math.log10(w_prev))
+            if bound < hi:
+                start = bound
+        w = _descend(w_hat_target, w_prev, start, w_prev)
         return _crossing(composite, w_hat_target, w_prev, w, w_prev, hi)
     if w_prev <= 1.0:
         return 1.0

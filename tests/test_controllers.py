@@ -1,17 +1,23 @@
 """Baseline controller decision rules."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harness import constant_trace
 from mdi.controllers import (
     BASELINES,
+    W_MAX_PKTS,
     CopaLike,
     EpochFeedback,
     Pinned,
     VerusLike,
 )
 from mdi.linksim import LinkParams, run_simulation
+from reference_controllers import ReferenceCopaLike, ReferenceVerusLike
 
 
 def fb(mean: float, mn: float, acked: int = 10) -> EpochFeedback:
@@ -195,3 +201,48 @@ def test_registry_instantiates_by_name():
         assert cls.name == name
     assert BASELINES["pinned"](window_pkts=7.0).decision == (7.0, 20)
     assert BASELINES["copa-like"](velocity=2.0).velocity == 2.0
+
+
+# Whole milliseconds make ties with the rise limit and lam * min_delay
+# likely; the rest reach NaN, the infinities, zeros and subnormals.
+delays = st.one_of(
+    st.integers(0, 60).map(float),
+    st.floats(0.0, 400.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310]),
+    st.floats(),
+)
+feedbacks = st.lists(st.builds(EpochFeedback, delays, delays, st.integers(0, 50)), max_size=60)
+epoch_ms = st.integers(1, 1000)
+# A copa-like window of 2 ties with the target of any delay over a zero
+# minimum.
+w_init = st.one_of(
+    st.just(2.0), st.integers(1, 100).map(float), st.floats(1.0, W_MAX_PKTS, exclude_max=True)
+)
+verus_kwargs = st.fixed_dictionaries({
+    "lam": st.floats(1.0, 10.0),
+    "dec_mult": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "rise_floor_ms": st.floats(0.0, 10.0),
+    "inc_frac": st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1e300)),
+    "epoch_ms": epoch_ms,
+    "w_init": w_init,
+})
+copa_kwargs = st.fixed_dictionaries({
+    "velocity": st.floats(0.0, 1e3, exclude_min=True),
+    "epoch_ms": epoch_ms,
+    "w_init": w_init,
+})
+
+
+@pytest.mark.parametrize(
+    "make, reference, kwargs",
+    [(VerusLike, ReferenceVerusLike, verus_kwargs), (CopaLike, ReferenceCopaLike, copa_kwargs)],
+    ids=["verus-like", "copa-like"],
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_baselines_decide_as_their_reference_rule(make, reference, kwargs, data):
+    kw, seq = data.draw(kwargs), data.draw(feedbacks)
+    got, want = make(**kw), reference(**kw)
+    for feedback in seq:
+        assert repr(got.on_epoch(feedback)) == repr(want.on_epoch(feedback))
+        assert repr(getattr(got, "_ewma_ms", None)) == repr(getattr(want, "_ewma_ms", None))

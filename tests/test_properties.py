@@ -12,7 +12,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_linksim import reference_read_epoch_csv
 
@@ -41,12 +41,31 @@ positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infin
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def scalar_composites(values: list) -> np.ndarray:
+    return np.array([composite(c, p) for p, c in zip(values, values[1:])], dtype=np.float64)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(positive, min_size=2, max_size=50))
+@example([1e-300, 1e300])
+@example([1e-310, 1.0])
 def test_array_composite_is_bit_identical_to_the_scalar(values):
     got = composite_steps(np.array(values))
-    want = np.array([composite(c, p) for p, c in zip(values, values[1:])])
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == scalar_composites(values).tobytes()
+
+
+# The suite turns warnings into errors, so an overflow warning that
+# leaked out of composite_steps would fail these.
+@pytest.mark.parametrize(
+    "values, want",
+    [([1e-300, 1e300], [math.inf]), ([1e-310, 1.0], [math.nan]), ([], []), ([2.0], [])],
+    ids=["overflow-inf", "overflow-times-zero-nan", "empty", "one-value"],
+)
+def test_array_composite_edges_match_the_scalar(values, want):
+    got = composite_steps(np.array(values, dtype=np.float64))
+    assert got.dtype == np.float64
+    assert got.tobytes() == scalar_composites(values).tobytes()
+    np.testing.assert_array_equal(got, np.array(want, dtype=np.float64))
 
 
 @st.composite
@@ -246,6 +265,9 @@ def assert_inverts_or_clamps(target: float, w_prev: float) -> None:
 
 @settings(max_examples=300, deadline=None)
 @given(w_prevs, targets)
+# A tiny positive target puts the search's start within ulps of the root.
+@example(2.0, 1e-12)
+@example(1.0, 1e-12)
 def test_invert_w_hat_returns_a_float_next_to_a_crossing(w_prev, target):
     assert_inverts_or_clamps(target, w_prev)
 
